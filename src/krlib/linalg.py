@@ -1,13 +1,19 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals, eliminated over Z.
 
 Matrices are column-major dicts of dicts, vectors are index -> value dicts.
-Values are Python ints or Fractions; zeros are never stored.  Everything here
-is deterministic: echelon forms always pivot on the smallest index.
+Values are Python ints or Fractions; zeros are never stored.  Echelon is the
+one elimination kernel: it clears the denominators of each input and
+eliminates fraction-free (Bareiss, Math. Comp. 22, 1968), so every stored
+row is a primitive integer vector, every nullspace solution is a primitive
+integer vector, and every value it returns is an int unless it is
+non-integral.  Everything here is deterministic: echelon forms always pivot
+on the smallest index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class SpMat:
@@ -63,7 +69,8 @@ class SpMat:
         return out
 
     def __matmul__(self, other: "SpMat") -> "SpMat":
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply {self} by {other}")
         out = SpMat(self.rows, other.cols)
         for c, bcol in other.data.items():
             acc: dict[int, object] = {}
@@ -82,11 +89,14 @@ class SpMat:
         return out
 
     def __add__(self, other: "SpMat") -> "SpMat":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"cannot add {self} and {other}")
         out = self.copy()
         for c, col in other.data.items():
-            for r, v in col.items():
-                out.add_to(r, c, v)
+            acc = out.data.setdefault(c, {})
+            _axpy(acc, 1, col, 1)
+            if not acc:
+                del out.data[c]
         return out
 
     def __sub__(self, other: "SpMat") -> "SpMat":
@@ -101,6 +111,14 @@ class SpMat:
             {c: {r: a * v for r, v in col.items()} for c, col in self.data.items()},
         )
 
+    def demote(self) -> "SpMat":
+        """Store every integral Fraction entry as an int, in place."""
+        for col in self.data.values():
+            for r, v in col.items():
+                if type(v) is Fraction and v.denominator == 1:
+                    col[r] = v.numerator
+        return self
+
     def bracket(self, other: "SpMat") -> "SpMat":
         return (self @ other) - (other @ self)
 
@@ -109,7 +127,7 @@ class SpMat:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        return (self - other).is_zero()
+        return self.data == other.data
 
     def __hash__(self):
         raise TypeError("SpMat is not hashable")
@@ -139,74 +157,88 @@ class SpMat:
         return f"SpMat({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def vec_add(a: dict[int, object], b: dict[int, object], coeff=1) -> dict[int, object]:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, 0) + coeff * v
-        if w == 0:
-            out.pop(k, None)
+def _integral(vec: dict[int, object]) -> tuple[dict[int, int], int]:
+    """(L * vec as a fresh int vector without zeros, L) for the least L > 0."""
+    den = 1
+    for x in vec.values():
+        if type(x) is not int:
+            den = lcm(den, x.denominator)
+    return {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}, den
+
+
+def _axpy(v: dict[int, object], a: int, r: dict[int, object], b: int) -> None:
+    """v <- a * v + b * r in place, dropping zeros; b and r are nonzero."""
+    if a != 1:
+        for k in v:
+            v[k] *= a
+    for k, x in r.items():
+        w = v.get(k, 0) + b * x
+        if w:
+            v[k] = w
         else:
-            out[k] = w
-    return out
-
-
-def vec_scale(a: dict[int, object], c) -> dict[int, object]:
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in a.items()}
+            del v[k]
 
 
 class Echelon:
-    """Incremental reduced echelon basis with combination tracking.
+    """Incremental echelon basis over Z with combination tracking.
 
-    Vectors added successfully get consecutive ordinals; each stored row
-    remembers how it is written in terms of the added originals, so any
-    vector of the span can be re-expressed in the original basis exactly.
+    Vectors added successfully get consecutive ordinals; a dependent vector
+    gets none.  The row stored at pivot p is a primitive integer vector r
+    with min(r) = p and r[p] > 0, together with integer coefficients c and a
+    denominator d > 0 such that d * r = sum_k c[k] * original_k, so any
+    vector of the span is re-expressed in the original basis exactly.
     """
 
     def __init__(self):
-        self.pivots: dict[int, tuple[dict[int, object], dict[int, object]]] = {}
+        self.pivots: dict[int, tuple[dict[int, int], dict[int, int], int]] = {}
         self.count = 0
 
-    def _reduce(self, vec, comb):
-        vec = dict(vec)
-        comb = dict(comb)
-        while vec:
-            p = min(vec)
+    def _reduce(self, vec: dict[int, object], key: int):
+        """Eliminate vec fraction-free: returns (v, comb, den, p) with
+        den * v = sum_k comb[k] * original_k, original_key being vec itself,
+        and p = min(v) a non-pivot index, or None when v reduced to zero."""
+        v, scale = _integral(vec)
+        comb, den = {key: scale}, 1
+        while v:
+            p = min(v)
             row = self.pivots.get(p)
             if row is None:
-                return vec, comb, p
-            rvec, rcomb = row
-            c = vec[p]
-            vec = vec_add(vec, rvec, -c)
-            comb = vec_add(comb, rcomb, -c)
-        return vec, comb, None
+                return v, comb, den, p
+            r, rc, rd = row
+            g = gcd(r[p], v[p])
+            a, b = r[p] // g, v[p] // g
+            _axpy(v, a, r, -b)
+            m = lcm(den, rd)
+            _axpy(comb, a * (m // den), rc, -b * (m // rd))
+            den = m
+        return v, comb, den, None
 
     def add(self, vec: dict[int, object]) -> int | None:
         """Insert a vector; returns its ordinal, or None if dependent."""
         ordinal = self.count
-        vec, comb, p = self._reduce(vec, {ordinal: 1})
+        v, comb, den, p = self._reduce(vec, ordinal)
         if p is None:
             return None
-        inv = Fraction(1, 1) / vec[p]
-        self.pivots[p] = (vec_scale(vec, inv), vec_scale(comb, inv))
+        # divide v by its signed content, then den and comb by theirs
+        g = gcd(*v.values()) if v[p] > 0 else -gcd(*v.values())
+        d = den * g
+        h = gcd(d, *comb.values()) if d > 0 else -gcd(d, *comb.values())
+        r = {k: x // g for k, x in v.items()}
+        self.pivots[p] = (r, {k: x // h for k, x in comb.items()}, d // h)
         self.count += 1
         return ordinal
 
     def coords(self, vec: dict[int, object]) -> dict[int, object] | None:
-        """Coordinates of vec over the added originals, or None if outside."""
-        out: dict[int, object] = {}
-        vec = dict(vec)
-        while vec:
-            p = min(vec)
-            row = self.pivots.get(p)
-            if row is None:
-                return None
-            rvec, rcomb = row
-            c = vec[p]
-            vec = vec_add(vec, rvec, -c)
-            out = vec_add(out, rcomb, c)
-        return out
+        """Coordinates of vec over the added originals, or None if outside.
+
+        A coordinate is an int unless it is non-integral.
+        """
+        v, comb, _, _ = self._reduce(vec, -1)
+        if v:
+            return None
+        # 0 = comb[-1] * vec + sum_k comb[k] * original_k, and comb[-1] > 0
+        d = comb.pop(-1)
+        return {k: -x // d if x % d == 0 else Fraction(-x, d) for k, x in comb.items()}
 
     def contains(self, vec: dict[int, object]) -> bool:
         return self.coords(vec) is not None
@@ -216,29 +248,35 @@ class Echelon:
         return len(self.pivots)
 
 
-def nullspace(rows, variables) -> list[dict[int, object]]:
-    """Basis of the solution space of the homogeneous system.
+def nullspace(rows, variables) -> list[dict[object, int]]:
+    """Basis of the solution space of the homogeneous system, found over Z.
 
     rows: iterable of sparse constraint rows (var -> coeff).
     variables: ordered list of variable ids appearing anywhere.
-    Returns one sparse solution vector per free variable.
+    Returns one solution per free variable: a primitive integer vector that
+    is positive at that variable and zero at every other free variable.
     """
     order = {v: j for j, v in enumerate(variables)}
     ech = Echelon()
     for row in rows:
         if row:
             ech.add({order[v]: c for v, c in row.items()})
-    pivot_cols = set(ech.pivots)
+    # back-substitute in decreasing pivot order, scaling to stay integral
+    pivots = sorted(ech.pivots.items(), reverse=True)
     solutions = []
-    for j, var in enumerate(variables):
-        if j in pivot_cols:
+    for j in range(len(variables)):
+        if j in ech.pivots:
             continue
-        sol = {j: Fraction(1)}
-        # back-substitute in decreasing pivot order
-        for p in sorted(ech.pivots, reverse=True):
-            rvec, _ = ech.pivots[p]
-            s = sum((v * sol.get(k, 0) for k, v in rvec.items() if k != p), Fraction(0))
-            if s != 0:
-                sol[p] = -s
-        solutions.append({variables[k]: v for k, v in sol.items() if v != 0})
+        sol = {j: 1}
+        for p, (r, _, _) in pivots:
+            s = sum(x * sol[k] for k, x in r.items() if k in sol)
+            if s:
+                g = gcd(r[p], s)
+                a = r[p] // g
+                if a != 1:
+                    for k in sol:
+                        sol[k] *= a
+                sol[p] = -s // g
+        g = gcd(*sol.values())
+        solutions.append({variables[k]: x // g for k, x in sol.items()})
     return solutions

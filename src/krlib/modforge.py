@@ -5,7 +5,7 @@ basis of g by iterated brackets of the Chevalley generators, realize V(mu) as
 the cyclic span of a highest vector inside tensor products of wedge powers,
 solve the intertwiner g (x) V_s -> V_{s+1} by exact elimination, and assemble
 the graded module with x(x)t acting through the normalized intertwiners.
-Everything is rational and deterministic.
+Everything is exact and deterministic; every integral entry is stored as an int.
 """
 
 from __future__ import annotations
@@ -143,7 +143,8 @@ def _defining(lt: LieType) -> MatrixRep:
     _assert_h_diagonal(hh)
     weights = _weights_from_h(hh, dim)
     rep = MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(hh), weights, 0, weights[0])
-    assert rep.highest_weight == rs.fundamental(1)
+    if rep.highest_weight != rs.fundamental(1):
+        raise TheoremCheckError("defining rep does not have highest weight omega_1")
     return rep
 
 
@@ -219,8 +220,8 @@ class ChevalleyBasis:
                 plus[rc] = rep.e[i - 1]
                 minus[rc] = rep.f[i - 1]
             else:
-                plus[rc] = rep.e[i - 1].bracket(plus[parent])
-                minus[rc] = rep.f[i - 1].bracket(minus[parent])
+                plus[rc] = rep.e[i - 1].bracket(plus[parent]).demote()
+                minus[rc] = rep.f[i - 1].bracket(minus[parent]).demote()
         out = [plus[rc] for rc in self.rs.positive_roots]
         out += [minus[rc] for rc in self.rs.positive_roots]
         out += list(rep.h)
@@ -270,7 +271,8 @@ def adjoint_rep(rs: RootSystem) -> MatrixRep:
     hh = [action_of(cb.h_index(j)) for j in range(1, n + 1)]
     _assert_h_diagonal(hh)
     weights = tuple(cb.label_weight(a) for a in range(D))
-    assert weights == _weights_from_h(hh, D)
+    if weights != _weights_from_h(hh, D):
+        raise TheoremCheckError("adjoint h eigenvalues disagree with the root weights")
     hi = cb.plus_index(rs.theta)
     return MatrixRep(rs, D, tuple(ee), tuple(ff), tuple(hh), weights, hi, rs.root_weight(rs.theta))
 
@@ -321,7 +323,8 @@ def wedge_rep(rs: RootSystem, j: int) -> MatrixRep:
     expect = tuple(
         sum(drep.basis_weights[s][t] for s in range(j)) for t in range(rs.rank)
     )
-    assert weights[0] == expect
+    if weights[0] != expect:
+        raise TheoremCheckError(f"top wedge vector has weight {weights[0]}, expected {expect}")
     return MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(hh), weights, 0, weights[0])
 
 
@@ -662,14 +665,11 @@ def build_kr_fundamental(rs: RootSystem, i: int, max_dim: int | None = None) -> 
             raise TheoremCheckError(
                 f"intertwiner does not transport the highest vector at step {s}"
             )
-        T = T.scale(Fraction(1, 1) / scale)
-        mats = []
-        for a in range(cb.dim_g):
-            m = SpMat(pieces[s + 1].dim, pieces[s].dim)
-            for c in range(pieces[s].dim):
-                for r, v in T.col(a * pieces[s].dim + c).items():
-                    m.set(r, c, v)
-            mats.append(m)
+        T = T.scale(Fraction(1, scale)).demote()
+        dim = pieces[s].dim
+        mats = [SpMat(pieces[s + 1].dim, dim) for _ in range(cb.dim_g)]
+        for c in sorted(T.data):
+            mats[c // dim].data[c % dim] = T.data[c]
         t_action.append(tuple(mats))
     return CurrentModule(rs, i, d, chain, pieces, g_action, tuple(t_action))
 
@@ -705,16 +705,10 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
     k = cm.k
 
     def zmat(z_coeffs, s, t_shift):
-        if t_shift == 0:
-            rows = cols = cm.pieces[s].dim
-            out = SpMat(rows, cols)
-            for z, v in z_coeffs.items():
-                out = out + cm.g_action[s][z].scale(v)
-            return out
-        rows, cols = cm.pieces[s + 1].dim, cm.pieces[s].dim
-        out = SpMat(rows, cols)
+        mats = (cm.g_action, cm.t_action)[t_shift][s]
+        out = SpMat(cm.pieces[s + t_shift].dim, cm.pieces[s].dim)
         for z, v in z_coeffs.items():
-            out = out + cm.t_action[s][z].scale(v)
+            out = out + mats[z].scale(v)
         return out
 
     bracket_pairs = 0

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import TheoremCheckError
+from .linalg import Echelon
+
 Weight = tuple[int, ...]
 RootCoeffs = tuple[Fraction, ...]
 
@@ -100,33 +103,6 @@ def _positive_roots_ambient(family: str, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _solve_in_basis(basis: list[tuple[int, ...]], target: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Express target as a rational combination of linearly independent basis vectors."""
-    m = len(basis)
-    dim = len(target)
-    # columns: basis vectors, augmented with the target
-    rows = [[Fraction(basis[k][d]) for k in range(m)] + [Fraction(target[d])] for d in range(dim)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, dim) if rows[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("basis vectors are linearly dependent")
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(r)
-        r += 1
-    for i in range(r, dim):
-        if rows[i][m] != 0:
-            raise ValueError("target not in the span of the basis")
-    return tuple(rows[pivots[c]][m] for c in range(m))
-
-
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
@@ -146,40 +122,47 @@ class RootSystem:
         self.simple_ambient = _simple_roots_ambient(fam, n)
         self.ambient_dim = len(self.simple_ambient[0])
 
-        pos_ambient = _positive_roots_ambient(fam, n)
+        simple = Echelon()
+        for v in self.simple_ambient:
+            simple.add(dict(enumerate(v)))
         pos: list[tuple[int, ...]] = []
-        for v in pos_ambient:
-            coeffs = _solve_in_basis(self.simple_ambient, v)
-            assert all(c.denominator == 1 and c >= 0 for c in coeffs), v
-            pos.append(tuple(int(c) for c in coeffs))
+        for v in _positive_roots_ambient(fam, n):
+            coeffs = simple.coords(dict(enumerate(v)))
+            if coeffs is None or any(type(c) is not int or c < 0 for c in coeffs.values()):
+                raise TheoremCheckError(f"{v} is not a nonnegative integral sum of simple roots")
+            pos.append(tuple(coeffs.get(k, 0) for k in range(n)))
         pos.sort(key=lambda c: (sum(c), c))
         self.positive_roots: tuple[tuple[int, ...], ...] = tuple(pos)
         self._pos_set = frozenset(pos)
 
         # highest root: the unique root dominating every other one
         theta = max(pos, key=lambda c: (sum(c), c))
-        assert all(all(t - c >= 0 for t, c in zip(theta, a)) for a in pos)
+        if not all(all(t - c >= 0 for t, c in zip(theta, a)) for a in pos):
+            raise TheoremCheckError(f"{theta} does not dominate every positive root")
         self.theta: tuple[int, ...] = theta
 
         theta_ambient = self._root_ambient(theta)
         self.form_scale = Fraction(2, _dot(theta_ambient, theta_ambient))
 
         self.cartan: tuple[tuple[int, ...], ...] = tuple(
-            tuple(
-                int(2 * Fraction(_dot(a, b), _dot(b, b)))
-                for b in self.simple_ambient
-            )
+            tuple(2 * _dot(a, b) // _dot(b, b) for b in self.simple_ambient)
             for a in self.simple_ambient
         )
         self.dcheck: tuple[int, ...] = tuple(
             int(2 / (self.form_scale * _dot(a, a))) for a in self.simple_ambient
         )
-        assert all(d in (1, 2) for d in self.dcheck)
+        if not all(d in (1, 2) for d in self.dcheck):
+            raise TheoremCheckError(f"dcheck {self.dcheck} is not in {{1, 2}}")
 
-        # columns of inv(cartan^T): fundamental weights in simple-root coordinates
-        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        at = [[Fraction(self.cartan[j][i]) for j in range(n)] for i in range(n)]
-        self._inv_cartan_t = _invert(at, ident)
+        # columns of inv(cartan^T): fundamental weights in simple-root coordinates;
+        # row i is the coordinate vector of e_i over the rows of cartan^T
+        at = Echelon()
+        for col in zip(*self.cartan):
+            at.add(dict(enumerate(col)))
+        self._inv_cartan_t = tuple(
+            tuple(Fraction(c.get(k, 0)) for k in range(n))
+            for c in (at.coords({i: 1}) for i in range(n))
+        )
 
     # -- conversions ---------------------------------------------------
 
@@ -306,21 +289,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type})"
-
-
-def _invert(mat: list[list[Fraction]], ident: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(mat)
-    a = [row[:] + ident[i][:] for i, row in enumerate(mat)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if a[i][c] != 0)
-        a[c], a[pr] = a[pr], a[c]
-        pv = a[c][c]
-        a[c] = [x / pv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
 
 
 @lru_cache(maxsize=None)

@@ -115,3 +115,17 @@ def test_in_process_main_matches_subprocess(capsys):
         {"weight": [2, 0], "grade": 0},
         {"weight": [0, 0], "grade": 1},
     ]
+
+
+def test_verify_modforge_same_under_optimize_flag():
+    # explicit checks, not asserts, guard the run, so -O changes nothing
+    argv = ["verify", "modforge", "--algebra", "C2", "--node", "1"]
+    plain = run_cli(*argv)
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "krlib.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout
+    assert "1/1 checks passed" in plain.stdout

@@ -1,8 +1,17 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from krlib.linalg import Echelon, SpMat, nullspace, vec_add
+from krlib.linalg import Echelon, SpMat, nullspace
+
+
+def vec_add(a, b, coeff=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + coeff * v
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def test_spmat_set_get_and_zero_removal():
@@ -104,3 +113,133 @@ def test_nullspace_back_substitution_order():
 def test_spmat_not_hashable():
     with pytest.raises(TypeError):
         hash(SpMat(1, 1))
+
+
+# -- the integer kernel against a Fraction Gauss-Jordan oracle ---------------
+
+
+def _rref(mat, width):
+    """Gauss-Jordan over Fraction, in place; returns the pivot columns."""
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return pivots
+
+
+def _oracle_solve(columns, target, width):
+    """Coefficients c with sum_k c[k] * columns[k] == target, or None;
+    the columns must be independent."""
+    m = len(columns)
+    mat = [
+        [Fraction(col.get(d, 0)) for col in columns] + [Fraction(target.get(d, 0))]
+        for d in range(width)
+    ]
+    if m in _rref(mat, m + 1):
+        return None
+    return [mat[i][m] for i in range(m)]
+
+
+def _oracle_nullspace(rows, width):
+    """One solution per free column, with a 1 there."""
+    mat = [[Fraction(row.get(d, 0)) for d in range(width)] for row in rows]
+    pivots = _rref(mat, width)
+    return {
+        j: {j: 1, **{p: -mat[i][j] for i, p in enumerate(pivots) if mat[i][j]}}
+        for j in range(width)
+        if j not in pivots
+    }
+
+
+def _random_value(rnd):
+    v = rnd.choice([0, 0, 1, -1, 2, -3, 5])
+    if v and rnd.random() < 0.3:
+        return Fraction(v, rnd.choice([2, 3, 4, 6]))
+    return v
+
+
+def _random_system(rnd):
+    """Sparse vectors with int and Fraction entries; about a third are
+    rational combinations of earlier ones, so most systems lose rank."""
+    width = rnd.randint(1, 7)
+    vecs = []
+    for _ in range(rnd.randint(1, 9)):
+        if vecs and rnd.random() < 0.35:
+            acc = {}
+            for v in rnd.sample(vecs, min(len(vecs), 2)):
+                acc = vec_add(acc, v, _random_value(rnd) or Fraction(1, 2))
+        else:
+            acc = {d: x for d in range(width) if (x := _random_value(rnd))}
+        vecs.append(acc)
+    return vecs, width
+
+
+def _exact(x):
+    return type(x) is int or x.denominator != 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_echelon_matches_fraction_oracle(seed):
+    rnd = random.Random(seed)
+    for _ in range(40):
+        vecs, width = _random_system(rnd)
+        ech = Echelon()
+        kept = []
+        for v in vecs:
+            independent = _oracle_solve(kept, v, width) is None
+            count = ech.count
+            got = ech.add(v)
+            if independent:
+                assert got == count == len(kept)
+                kept.append(v)
+            else:
+                # a dependent vector consumes no ordinal
+                assert got is None and ech.count == count
+        assert ech.dim == len(kept)
+        for p, (r, comb, den) in ech.pivots.items():
+            # stored rows are primitive integer vectors led by a positive pivot
+            assert all(type(x) is int for x in [*r.values(), *comb.values(), den])
+            assert min(r) == p and r[p] > 0 and den > 0
+            assert math.gcd(*r.values()) == 1
+            rebuilt = {}
+            for k, c in comb.items():
+                rebuilt = vec_add(rebuilt, kept[k], c)
+            assert rebuilt == {d: den * x for d, x in r.items()}
+        probes = vecs + [
+            {d: x for d in range(width) if (x := _random_value(rnd))} for _ in range(4)
+        ]
+        for probe in probes:
+            want = _oracle_solve(kept, probe, width)
+            got = ech.coords(probe)
+            assert ech.contains(probe) == (want is not None)
+            if want is None:
+                assert got is None
+                continue
+            assert got == {k: c for k, c in enumerate(want) if c != 0}
+            assert all(_exact(c) for c in got.values())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nullspace_matches_fraction_oracle(seed):
+    rnd = random.Random(100 + seed)
+    for _ in range(40):
+        rows, width = _random_system(rnd)
+        names = [f"x{d}" for d in range(width)]
+        sols = nullspace([{names[d]: c for d, c in row.items()} for row in rows], names)
+        want = _oracle_nullspace(rows, width)
+        assert len(sols) == len(want)
+        for (j, expect), sol in zip(sorted(want.items()), sols):
+            assert all(type(x) is int for x in sol.values())
+            assert math.gcd(*sol.values()) == 1 and sol[names[j]] > 0
+            # equal up to scale to the oracle's solution with a 1 at column j
+            scale = sol[names[j]]
+            assert sol == {names[d]: scale * x for d, x in expect.items()}

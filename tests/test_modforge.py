@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -207,6 +208,19 @@ def test_kr_c3_node2_module():
     assert report.ok and report.total_dim == 112
     # the antisymmetrized two-step composite vanished on every pair
     assert report.tsquare_pairs == 21 * 20 // 2
+
+
+def test_kr_c3_node2_stores_integral_entries_as_int():
+    rs = rs_of("C3")
+    cm = modforge.build_kr_fundamental(rs, 2)
+    mats = [m for group in cm.g_action + cm.t_action for m in group]
+    mats += [m for piece in cm.pieces for m in piece.e + piece.f]
+    values = [v for m in mats for _, _, v in m.entries()]
+    assert not [v for v in values if isinstance(v, Fraction) and v.denominator == 1]
+    # non-integral entries remain, exact
+    assert any(isinstance(v, Fraction) for v in values)
+    report = modforge.verify_current_relations(cm)
+    assert report.transport_steps == cm.k == 2
 
 
 def test_kr_b4_node3_module():
