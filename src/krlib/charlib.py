@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-from .errors import DimensionGuardError
+from .errors import DimensionGuardError, TheoremCheckError
 from .rootsys import LieType, RootSystem, Weight, build
 
 WeightCharacter = dict[Weight, int]
@@ -24,11 +24,23 @@ DEFAULT_MAX_DIM = 100_000
 
 
 def dimension_guard(max_dim: int | None = None) -> int:
-    """Effective guard value: explicit argument, else KR_MAX_DIM, else default."""
+    """Effective guard value: explicit argument, else KR_MAX_DIM, else default.
+
+    KR_MAX_DIM must be a positive integer; any other value raises ValueError.
+    """
     if max_dim is not None:
         return max_dim
     env = os.environ.get("KR_MAX_DIM")
-    return int(env) if env else DEFAULT_MAX_DIM
+    if not env:
+        return DEFAULT_MAX_DIM
+    bad = ValueError(f"KR_MAX_DIM must be a positive integer, got {env!r}")
+    try:
+        value = int(env)
+    except ValueError:
+        raise bad from None
+    if value <= 0:
+        raise bad
+    return value
 
 
 def _require_dominant(rs: RootSystem, lam: Weight, what: str = "weight") -> None:
@@ -45,7 +57,8 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     for alpha in rs.positive_roots:
         num *= rs.twice_inner_root(rho_shift, alpha)
         den *= rs.twice_inner_root(rho, alpha)
-    assert num % den == 0
+    if num % den:
+        raise TheoremCheckError(f"Weyl dimension of {lam} is {num}/{den}, not an integer")
     return num // den
 
 
@@ -59,7 +72,7 @@ def _dominant_below(lt: LieType, lam: Weight) -> tuple[Weight, ...]:
     """
     rs = build(lt)
     n = rs.rank
-    bounds = [int(c) for c in rs.to_root_coords(lam)]
+    bounds = [c // rs.root_den for c in rs.scaled_root_coords(lam)]
     cartan_t = [[rs.cartan[k][i] for k in range(n)] for i in range(n)]
     out: list[Weight] = []
 
@@ -116,8 +129,12 @@ def _dominant_mults(lt: LieType, lam: Weight) -> dict[Weight, int]:
             tuple(a + b for a, b in zip(lam, tuple(c + 2 for c in mu))), diff
         )
         # den2 = 2*((lam+rho, lam+rho) - (mu+rho, mu+rho)) = 2*(lam+mu+2rho, lam-mu)
-        assert den2 > 0, (lam, mu)
-        assert (2 * num2) % den2 == 0
+        if den2 <= 0:
+            raise TheoremCheckError(f"Freudenthal denominator {den2} at {mu} in V({lam})")
+        if (2 * num2) % den2:
+            raise TheoremCheckError(
+                f"Freudenthal multiplicity {2 * num2}/{den2} at {mu} in V({lam}) is not an integer"
+            )
         m = (2 * num2) // den2
         if m:
             mults[mu] = m
@@ -125,9 +142,8 @@ def _dominant_mults(lt: LieType, lam: Weight) -> dict[Weight, int]:
 
 
 def _int_root_coords(rs: RootSystem, eta: Weight) -> tuple[int, ...]:
-    rc = rs.to_root_coords(eta)
-    out = tuple(int(c) for c in rc)
-    if any(a != b for a, b in zip(rc, out)):
+    out = rs.int_root_coords(eta)
+    if out is None:
         raise ValueError(f"{eta} is not in the root lattice")
     return out
 
@@ -213,7 +229,8 @@ def tensor_decompose(
         key = tuple(c - 1 for c in dom)
         out[key] = out.get(key, 0) + sign * m
     out = {w: m for w, m in out.items() if m}
-    assert all(m > 0 for m in out.values())
+    if any(m < 0 for m in out.values()):
+        raise TheoremCheckError(f"V({lam}) (x) V({mu}) has a negative multiplicity: {out}")
     return out
 
 
@@ -245,7 +262,7 @@ def decompose_character(rs: RootSystem, chi: WeightCharacter) -> DominantCharact
     work = {w: m for w, m in chi.items() if m}
     out: dict[Weight, int] = {}
     while work:
-        lam = max(work, key=lambda w: (sum(rs.to_root_coords(w)), w))
+        lam = max(work, key=lambda w: (rs.scaled_height(w), w))
         mult = work[lam]
         if not rs.dominant(lam) or mult < 0:
             raise ValueError(f"not a genuine character: maximal weight {lam} x {mult}")
@@ -346,5 +363,6 @@ def hom_dim(
         res = _dominantize_strict(rs, xi)
         if res and res[0] == goal:
             total += res[1] * m
-    assert total >= 0
+    if total < 0:
+        raise TheoremCheckError(f"multiplicity of V({target}) came out as {total}")
     return total

@@ -110,7 +110,7 @@ class _Report:
     def run(self, label: str, fn) -> None:
         try:
             detail = fn()
-        except (TheoremCheckError, ChainConditionError, AssertionError) as err:
+        except (TheoremCheckError, ChainConditionError) as err:
             self.fail(label, err)
         else:
             self.ok(label, detail if isinstance(detail, str) else "")

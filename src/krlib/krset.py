@@ -9,8 +9,11 @@ epsilon_i(theta) and dcheck_i, never by hardcoding nodes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
+from types import MappingProxyType
 
 from . import charlib
 from .errors import ChainConditionError, TheoremCheckError
@@ -96,14 +99,17 @@ def base_set(rs: RootSystem, i: int, m0: int) -> frozenset[Weight]:
 
 
 def sort_chain(rs: RootSystem, weights, top: Weight) -> tuple[Weight, ...]:
-    """Order a base set by increasing height of (top - mu); heights are distinct."""
-    def depth(mu: Weight):
-        rc = rs.to_root_coords(tuple(a - b for a, b in zip(top, mu)))
-        return sum(rc)
+    """Order a base set by increasing height of (top - mu); heights are
+    distinct and the chain starts at top."""
+    def depth(mu: Weight) -> int:
+        return rs.scaled_height(tuple(a - b for a, b in zip(top, mu)))
 
     ordered = sorted(weights, key=depth)
     depths = [depth(mu) for mu in ordered]
-    assert len(set(depths)) == len(depths)
+    if len(set(depths)) != len(depths):
+        raise TheoremCheckError(f"base set {ordered} has repeated depths below {top}")
+    if ordered[0] != top:
+        raise TheoremCheckError(f"chain starts at {ordered[0]}, not at the top weight {top}")
     return tuple(ordered)
 
 
@@ -131,22 +137,15 @@ def verify_chain_conditions(
 
 
 def _in_q_plus(rs: RootSystem, eta: Weight) -> bool:
-    try:
-        rc = charlib._int_root_coords(rs, eta)
-    except ValueError:
-        return False
-    return all(c >= 0 for c in rc)
+    rc = rs.int_root_coords(eta)
+    return rc is not None and all(c >= 0 for c in rc)
 
 
-def enumerate_chain(rs: RootSystem, i: int, m0: int | None = None) -> GradedChain:
-    """The enumerated base set: consecutive differences are positive roots and
-    two-step differences lie in the positive root lattice but are not roots."""
-    d = rs.dcheck[i - 1]
-    if m0 is None:
-        m0 = d
+@lru_cache(maxsize=None)
+def _chain(lt: LieType, i: int, m0: int) -> GradedChain:
+    rs = build(lt)
     top = rs.fundamental(i, m0)
     chain = sort_chain(rs, base_set(rs, i, m0), top)
-    assert chain[0] == top
     verify_chain_conditions(
         rs,
         chain,
@@ -155,6 +154,17 @@ def enumerate_chain(rs: RootSystem, i: int, m0: int | None = None) -> GradedChai
         and not rs.is_positive_root(rs.to_root_coords(diff)),
     )
     return GradedChain(chain)
+
+
+def enumerate_chain(rs: RootSystem, i: int, m0: int | None = None) -> GradedChain:
+    """The enumerated base set: consecutive differences are positive roots and
+    two-step differences lie in the positive root lattice but are not roots.
+
+    Built and verified once per (type, node, level); a failure is not cached.
+    """
+    if m0 is None:
+        m0 = rs.dcheck[i - 1]
+    return _chain(rs.type, i, m0)
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +178,7 @@ def _pplus(lt: LieType, i: int, m: int) -> frozenset[Weight]:
     step = base_set(rs, i, d)
     rest = _pplus(lt, i, m - d)
     return frozenset(
-        tuple(a + b for a, b in zip(x, y)) for x in step for y in rest
+        tuple(map(add, x, y)) for x in step for y in rest
     )
 
 
@@ -180,35 +190,92 @@ def pplus(rs: RootSystem, i: int, m: int) -> frozenset[Weight]:
     return _pplus(rs.type, i, m)
 
 
-def greedy_reduced(
-    chain: tuple[Weight, ...],
-    d: int,
-    m: int,
-    mu: Weight,
-    level_sets,
-    residual_target: Weight,
-) -> tuple[int, ...]:
-    """Greedy reduced expression of mu over the chain.
+# -- grades, level by level ---------------------------------------------------
+#
+# A grade table of level m maps each mu in P+(i, m) to (j*, grade): j* is the
+# least chain index with mu - mu_{j*} in P+(i, m - d), and grade(mu) is
+# j* + grade(mu - mu_{j*}) read from the table of level m - d.  Reading j* off
+# the tables level by level gives the greedy reduced expression.  The base
+# level m mod d holds only its target weight (m mod d) * omega_i, with index
+# -1 and grade 0.  Tables are read-only mappings.
 
-    Picks, at each of the m // d stages, the least chain index whose removal
-    leaves a residual inside the set attached to the remaining level.
-    """
-    m0 = m // d
-    residual = mu
-    js: list[int] = []
-    for r in range(1, m0 + 1):
-        remaining = level_sets(m - r * d)
+GradeTable = Mapping[Weight, tuple[int, int]]
+
+
+def base_grades(target: Weight) -> GradeTable:
+    """Grade table of the base level: only its target, in grade 0."""
+    return MappingProxyType({target: (-1, 0)})
+
+
+def table_grade(table: GradeTable, mu: Weight) -> int:
+    """Grade of mu; a weight missing from the table can only be a base-level
+    residual other than the target."""
+    entry = table.get(mu)
+    if entry is None:
+        (target,) = table
+        raise ValueError(f"residual {mu} != {target} after all stages")
+    return entry[1]
+
+
+def level_grades(
+    chain: tuple[Weight, ...],
+    weights: frozenset[Weight],
+    below_set: frozenset[Weight],
+    below: GradeTable,
+) -> GradeTable:
+    """Grade table of one level from the level d below it."""
+    out: dict[Weight, tuple[int, int]] = {}
+    for mu in weights:
         for j, mu_j in enumerate(chain):
-            cand = tuple(a - b for a, b in zip(residual, mu_j))
-            if cand in remaining:
-                js.append(j)
-                residual = cand
+            residual = tuple(map(sub, mu, mu_j))
+            if residual in below_set:
                 break
         else:
-            raise ValueError(f"no reduced expression: stuck at {residual} (stage {r})")
-    if residual != residual_target:
-        raise ValueError(f"residual {residual} != {residual_target} after all stages")
+            raise ValueError(f"no reduced expression: stuck at {mu}")
+        out[mu] = (j, j + table_grade(below, residual))
+    return MappingProxyType(out)
+
+
+def walk_levels(
+    tables, chain: tuple[Weight, ...], d: int, m: int, mu: Weight
+) -> tuple[int, ...]:
+    """The greedy expression (j_1, ..., j_{m // d}) of mu, read off the grade
+    tables of levels m, m - d, ... through tables(level)."""
+    js = []
+    while m >= d:
+        j = tables(m)[mu][0]
+        js.append(j)
+        mu = tuple(map(sub, mu, chain[j]))
+        m -= d
+    table_grade(tables(m), mu)  # the base level holds only its target
     return tuple(js)
+
+
+def group_by_grade(
+    weights: frozenset[Weight], table: GradeTable, top: Weight, label: str
+) -> GradedCharacter:
+    """The weights of one level grouped by grade; grade 0 must be {top}."""
+    buckets: dict[int, list[Weight]] = {}
+    for mu in sorted(weights):
+        buckets.setdefault(table_grade(table, mu), []).append(mu)
+    gc = GradedCharacter(tuple((s, tuple(ws)) for s, ws in sorted(buckets.items())))
+    if gc.piece(0) != {top: 1}:
+        raise TheoremCheckError(f"grade 0 of {label} is {gc.piece(0)}")
+    total = sum(len(ws) for _, ws in gc.by_grade)
+    if total != len(weights):
+        raise TheoremCheckError("a weight received two grades")
+    return gc
+
+
+@lru_cache(maxsize=None)
+def _grades(lt: LieType, i: int, m: int) -> GradeTable:
+    rs = build(lt)
+    d = rs.dcheck[i - 1]
+    if m < d:
+        return base_grades(rs.fundamental(i, m))
+    return level_grades(
+        _chain(lt, i, d).weights, _pplus(lt, i, m), _pplus(lt, i, m - d), _grades(lt, i, m - d)
+    )
 
 
 def reduced_expression(rs: RootSystem, i: int, m: int, mu: Weight) -> tuple[int, ...]:
@@ -216,37 +283,24 @@ def reduced_expression(rs: RootSystem, i: int, m: int, mu: Weight) -> tuple[int,
     if mu not in pplus(rs, i, m):
         raise ValueError(f"{mu} not in P+({i}, {m})")
     d = rs.dcheck[i - 1]
-    chain = enumerate_chain(rs, i).weights
-    m1 = m % d
-    return greedy_reduced(
-        chain,
-        d,
-        m,
-        mu,
-        lambda lvl: pplus(rs, i, lvl),
-        rs.fundamental(i, m1) if m1 else rs.zero(),
+    return walk_levels(
+        lambda lvl: _grades(rs.type, i, lvl), _chain(rs.type, i, d).weights, d, m, mu
     )
 
 
 def grade(rs: RootSystem, i: int, m: int, mu: Weight) -> int:
     """The grade |mu| = sum of the reduced-expression indices."""
-    return sum(reduced_expression(rs, i, m, mu))
+    if mu not in pplus(rs, i, m):
+        raise ValueError(f"{mu} not in P+({i}, {m})")
+    return table_grade(_grades(rs.type, i, m), mu)
 
 
 def graded_character(rs: RootSystem, i: int, m: int) -> GradedCharacter:
     """All of P+(i, m) grouped by grade; grade 0 is exactly {m omega_i}."""
-    buckets: dict[int, list[Weight]] = {}
-    for mu in sorted(pplus(rs, i, m)):
-        buckets.setdefault(grade(rs, i, m, mu), []).append(mu)
-    gc = GradedCharacter(
-        tuple((s, tuple(sorted(ws))) for s, ws in sorted(buckets.items()))
+    weights = pplus(rs, i, m)
+    return group_by_grade(
+        weights, _grades(rs.type, i, m), rs.fundamental(i, m), f"({i}, {m})"
     )
-    if gc.piece(0) != {rs.fundamental(i, m): 1}:
-        raise TheoremCheckError(f"grade 0 of ({i}, {m}) is {gc.piece(0)}")
-    total = sum(len(ws) for _, ws in gc.by_grade)
-    if total != len(pplus(rs, i, m)):
-        raise TheoremCheckError("a weight received two grades")
-    return gc
 
 
 def weight_character(rs: RootSystem, gc: GradedCharacter) -> dict[Weight, int]:

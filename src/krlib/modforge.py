@@ -656,9 +656,7 @@ def build_kr_fundamental(rs: RootSystem, i: int, max_dim: int | None = None) -> 
             )
         T = sols[0]
         beta = tuple(a - b for a, b in zip(chain[s], chain[s + 1]))
-        bidx = cb.minus_index(
-            tuple(int(c) for c in rs.to_root_coords(beta))
-        )
+        bidx = cb.minus_index(rs.int_root_coords(beta))
         col = T.col(bidx * pieces[s].dim + pieces[s].highest_index)
         scale = col.get(pieces[s + 1].highest_index, 0)
         if scale == 0 or set(col) != {pieces[s + 1].highest_index}:
@@ -818,7 +816,7 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
     transport = 0
     for s in range(k):
         beta = tuple(a - b for a, b in zip(cm.chain[s], cm.chain[s + 1]))
-        a = cb.minus_index(tuple(int(c) for c in rs.to_root_coords(beta)))
+        a = cb.minus_index(rs.int_root_coords(beta))
         got = cm.t_action[s][a].apply(cm.pieces[s].highest_vector)
         if got != cm.pieces[s + 1].highest_vector:
             raise TheoremCheckError(f"transport fails at step {s}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import TheoremCheckError
 from .linalg import Echelon
@@ -155,14 +156,18 @@ class RootSystem:
             raise TheoremCheckError(f"dcheck {self.dcheck} is not in {{1, 2}}")
 
         # columns of inv(cartan^T): fundamental weights in simple-root coordinates;
-        # row i is the coordinate vector of e_i over the rows of cartan^T
+        # row i is the coordinate vector of e_i over the rows of cartan^T.  It is
+        # stored as an integer numerator matrix over one positive denominator.
         at = Echelon()
         for col in zip(*self.cartan):
             at.add(dict(enumerate(col)))
-        self._inv_cartan_t = tuple(
-            tuple(Fraction(c.get(k, 0)) for k in range(n))
-            for c in (at.coords({i: 1}) for i in range(n))
+        inv = [at.coords({i: 1}) for i in range(n)]
+        self.root_den: int = lcm(*(Fraction(c).denominator for row in inv for c in row.values()))
+        self._inv_num: tuple[tuple[int, ...], ...] = tuple(
+            tuple(int(Fraction(row.get(k, 0)) * self.root_den) for k in range(n)) for row in inv
         )
+        # column sums: root_den * height(lam) = _height_num . lam
+        self._height_num: tuple[int, ...] = tuple(sum(col) for col in zip(*self._inv_num))
 
     # -- conversions ---------------------------------------------------
 
@@ -174,13 +179,31 @@ class RootSystem:
                 v[d] += c * a[d]
         return tuple(v)
 
+    def scaled_root_coords(self, lam: Weight) -> tuple[int, ...]:
+        """root_den times the simple-root coordinates of a weight, as integers."""
+        self._check_weight(lam)
+        return tuple(sum(a * c for a, c in zip(row, lam)) for row in self._inv_num)
+
     def to_root_coords(self, lam: Weight) -> RootCoeffs:
         """Coordinates of a weight over the simple roots (rational in general)."""
+        den = self.root_den
+        return tuple(Fraction(c, den) for c in self.scaled_root_coords(lam))
+
+    def int_root_coords(self, lam: Weight) -> tuple[int, ...] | None:
+        """Integer coordinates over the simple roots, or None off the root lattice."""
+        den = self.root_den
+        scaled = self.scaled_root_coords(lam)
+        if any(c % den for c in scaled):
+            return None
+        return tuple(c // den for c in scaled)
+
+    def scaled_height(self, lam: Weight) -> int:
+        """root_den times the height (sum of simple-root coordinates) of a weight.
+
+        An integer, ordered exactly as the height, for comparisons and sorting.
+        """
         self._check_weight(lam)
-        return tuple(
-            sum(self._inv_cartan_t[i][j] * lam[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return sum(h * c for h, c in zip(self._height_num, lam))
 
     def root_weight(self, coeffs: tuple[int, ...]) -> Weight:
         """Fundamental-weight coordinates of an integral root-lattice element."""

@@ -10,16 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import charlib
 from .errors import TheoremCheckError
 from .krset import (
     GradedChain,
     GradedCharacter,
+    GradeTable,
     _omega_step_set,
-    greedy_reduced,
+    base_grades,
+    group_by_grade,
+    level_grades,
     sort_chain,
+    table_grade,
     verify_chain_conditions,
+    walk_levels,
 )
 from .rootsys import LieType, RootSystem, Weight, build
 
@@ -111,7 +117,8 @@ def fixed_point_data(outer: OuterType) -> TwistedData:
     short = _short_positive(g0)
     highest = max(short, key=lambda rc: (sum(rc), rc))
     phi = g0.root_weight(highest)
-    assert g0.dominant(phi)
+    if not g0.dominant(phi):
+        raise TheoremCheckError(f"highest short root {phi} of {g0.type} is not dominant")
     if outer.family == "A_even":
         r1 = frozenset(g0.positive_roots) | frozenset(
             tuple(2 * c for c in rc) for rc in short
@@ -122,7 +129,11 @@ def fixed_point_data(outer: OuterType) -> TwistedData:
         r1 = frozenset(short)
         dsigma = (1,) * n
     g0_dim = 2 * len(g0.positive_roots) + g0.rank
-    assert charlib.weyl_dim(g0, phi) == _ambient_dim(outer.ambient) - g0_dim
+    g1_dim = _ambient_dim(outer.ambient) - g0_dim
+    if charlib.weyl_dim(g0, phi) != g1_dim:
+        raise TheoremCheckError(
+            f"dim V({phi}) = {charlib.weyl_dim(g0, phi)} over {g0.type}, but g1 has dimension {g1_dim}"
+        )
     return TwistedData(outer, g0, r1, phi, dsigma)
 
 
@@ -162,11 +173,23 @@ def base_set_sigma(data: TwistedData, i: int, m0: int) -> frozenset[Weight]:
     )
 
 
-def _int_coords(g0: RootSystem, diff: Weight) -> tuple[int, ...] | None:
-    rc = g0.to_root_coords(diff)
-    if any(c.denominator != 1 for c in rc):
-        return None
-    return tuple(int(c) for c in rc)
+@lru_cache(maxsize=None)
+def _chain_sigma(outer: OuterType, i: int, m0: int) -> GradedChain:
+    data = fixed_point_data(outer)
+    g0 = data.g0
+    chain = sort_chain(g0, base_set_sigma(data, i, m0), g0.fundamental(i, m0))
+
+    def in_r1(diff: Weight) -> bool:
+        return g0.int_root_coords(diff) in data.r1_positive
+
+    if outer.family == "D":
+        two_step = lambda diff: not in_r1(diff)
+    else:
+        two_step = lambda diff: not in_r1(diff) and not g0.is_positive_root(
+            g0.to_root_coords(diff)
+        )
+    verify_chain_conditions(g0, chain, in_r1, two_step)
+    return GradedChain(chain)
 
 
 def enumerate_chain_sigma(data: TwistedData, i: int, m0: int | None = None) -> GradedChain:
@@ -176,25 +199,12 @@ def enumerate_chain_sigma(data: TwistedData, i: int, m0: int | None = None) -> G
     For the A automorphisms two-step differences avoid all of R0+ and R1+; for
     the D automorphism they do land on long positive roots of g0 (omega_j -
     omega_{j-2} = e_{j-1} + e_j there), so only R1+ membership is excluded.
+    Built and verified once per (outer type, node, level); a failure is not
+    cached.
     """
-    g0 = data.g0
     if m0 is None:
         m0 = data.dsigma[i - 1]
-    top = g0.fundamental(i, m0)
-    chain = sort_chain(g0, base_set_sigma(data, i, m0), top)
-    assert chain[0] == top
-
-    def in_r1(diff: Weight) -> bool:
-        return _int_coords(g0, diff) in data.r1_positive
-
-    if data.outer.family == "D":
-        two_step = lambda diff: not in_r1(diff)
-    else:
-        two_step = lambda diff: not in_r1(diff) and not g0.is_positive_root(
-            g0.to_root_coords(diff)
-        )
-    verify_chain_conditions(g0, chain, in_r1, two_step)
-    return GradedChain(chain)
+    return _chain_sigma(data.outer, i, m0)
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +218,7 @@ def _pplus_sigma(outer: OuterType, i: int, m: int) -> frozenset[Weight]:
     step = base_set_sigma(data, i, d)
     rest = _pplus_sigma(outer, i, m - d)
     return frozenset(
-        tuple(a + b for a, b in zip(x, y)) for x in step for y in rest
+        tuple(map(add, x, y)) for x in step for y in rest
     )
 
 
@@ -220,41 +230,49 @@ def pplus_sigma(data: TwistedData, i: int, m: int) -> frozenset[Weight]:
     return _pplus_sigma(data.outer, i, m)
 
 
+@lru_cache(maxsize=None)
+def _grades_sigma(outer: OuterType, i: int, m: int) -> GradeTable:
+    data = fixed_point_data(outer)
+    d = data.dsigma[i - 1]
+    if m < d:
+        return base_grades(data.g0.fundamental(i, m))
+    return level_grades(
+        _chain_sigma(outer, i, d).weights,
+        _pplus_sigma(outer, i, m),
+        _pplus_sigma(outer, i, m - d),
+        _grades_sigma(outer, i, m - d),
+    )
+
+
 def reduced_expression_sigma(data: TwistedData, i: int, m: int, mu: Weight) -> tuple[int, ...]:
     """Greedy reduced expression of mu over the twisted chain."""
     if mu not in pplus_sigma(data, i, m):
         raise ValueError(f"{mu} not in twisted P+({i}, {m})")
     d = data.dsigma[i - 1]
-    chain = enumerate_chain_sigma(data, i).weights
-    m1 = m % d
-    return greedy_reduced(
-        chain,
+    return walk_levels(
+        lambda lvl: _grades_sigma(data.outer, i, lvl),
+        _chain_sigma(data.outer, i, d).weights,
         d,
         m,
         mu,
-        lambda lvl: pplus_sigma(data, i, lvl),
-        data.g0.fundamental(i, m1) if m1 else data.g0.zero(),
     )
 
 
 def grade_sigma(data: TwistedData, i: int, m: int, mu: Weight) -> int:
-    return sum(reduced_expression_sigma(data, i, m, mu))
+    if mu not in pplus_sigma(data, i, m):
+        raise ValueError(f"{mu} not in twisted P+({i}, {m})")
+    return table_grade(_grades_sigma(data.outer, i, m), mu)
 
 
 def graded_character_sigma(data: TwistedData, i: int, m: int) -> GradedCharacter:
     """All of twisted P+(i, m) grouped by grade; grade 0 is {m omega_i}."""
-    buckets: dict[int, list[Weight]] = {}
-    for mu in sorted(pplus_sigma(data, i, m)):
-        buckets.setdefault(grade_sigma(data, i, m, mu), []).append(mu)
-    gc = GradedCharacter(
-        tuple((s, tuple(sorted(ws))) for s, ws in sorted(buckets.items()))
+    weights = pplus_sigma(data, i, m)
+    return group_by_grade(
+        weights,
+        _grades_sigma(data.outer, i, m),
+        data.g0.fundamental(i, m),
+        f"twisted ({i}, {m})",
     )
-    if gc.piece(0) != {data.g0.fundamental(i, m): 1}:
-        raise TheoremCheckError(f"grade 0 of twisted ({i}, {m}) is {gc.piece(0)}")
-    total = sum(len(ws) for _, ws in gc.by_grade)
-    if total != len(pplus_sigma(data, i, m)):
-        raise TheoremCheckError("a weight received two grades")
-    return gc
 
 
 def ev_case_predicate(data: TwistedData, i: int) -> bool:
@@ -262,5 +280,3 @@ def ev_case_predicate(data: TwistedData, i: int) -> bool:
     and the module is an evaluation module."""
     return enumerate_chain_sigma(data, i).k == 0
 
-
-TwistedGradedCharacter = GradedCharacter

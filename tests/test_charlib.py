@@ -161,6 +161,18 @@ def test_dimension_guard_env_override(monkeypatch):
     assert charlib.tensor_decompose(C2, (1, 0), (2, 0))
 
 
+@pytest.mark.parametrize("bad", ["abc", "-5", "0", "2.5"])
+def test_dimension_guard_rejects_bad_env(monkeypatch, bad):
+    from krlib import cli
+
+    monkeypatch.setenv("KR_MAX_DIM", bad)
+    with pytest.raises(ValueError, match="KR_MAX_DIM"):
+        charlib.dimension_guard()
+    # an explicit guard does not read the variable
+    assert charlib.dimension_guard(50) == 50
+    assert cli.main(["verify", "tensor-bound", "--max-rank", "2", "--max-level", "1"]) == 2
+
+
 # ------------------------------------------------------ character arithmetic
 
 

@@ -117,15 +117,31 @@ def test_in_process_main_matches_subprocess(capsys):
     ]
 
 
-def test_verify_modforge_same_under_optimize_flag():
-    # explicit checks, not asserts, guard the run, so -O changes nothing
-    argv = ["verify", "modforge", "--algebra", "C2", "--node", "1"]
-    plain = run_cli(*argv)
-    optimized = subprocess.run(
+def run_optimized(*argv):
+    return subprocess.run(
         [sys.executable, "-O", "-m", "krlib.cli", *argv],
         capture_output=True,
         text=True,
     )
+
+
+def test_verify_modforge_same_under_optimize_flag():
+    # explicit checks, not asserts, guard the run, so -O changes nothing
+    argv = ["verify", "modforge", "--algebra", "C2", "--node", "1"]
+    plain = run_cli(*argv)
+    optimized = run_optimized(*argv)
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout == optimized.stdout
     assert "1/1 checks passed" in plain.stdout
+
+
+def test_chains_and_char_same_under_optimize_flag():
+    for argv in (
+        ["verify", "chains", "--max-rank", "4"],
+        ["char", "--algebra", "C3", "--node", "2", "--level", "4"],
+        ["char", "--algebra", "A4~", "--node", "2", "--level", "5"],
+    ):
+        plain = run_cli(*argv)
+        optimized = run_optimized(*argv)
+        assert plain.returncode == optimized.returncode == 0
+        assert plain.stdout == optimized.stdout

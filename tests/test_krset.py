@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
 from itertools import product
 
 import pytest
 
-from krlib import krset
+from krlib import krset, twisted
 from krlib.errors import ChainConditionError, TheoremCheckError
 from krlib.rootsys import LieType, build
 
@@ -83,6 +85,14 @@ def test_chain_conditions_all_types():
             for s in range(chain.k):
                 diff = tuple(a - b for a, b in zip(chain[s], chain[s + 1]))
                 assert rs.is_positive_root(rs.to_root_coords(diff))
+
+
+def test_sort_chain_checks_raise():
+    # explicit raises, not asserts: repeated depths and a chain not led by top
+    with pytest.raises(TheoremCheckError):
+        krset.sort_chain(C2, [(2, 0), (2, 0)], (2, 0))
+    with pytest.raises(TheoremCheckError):
+        krset.sort_chain(C2, [(0, 0)], (2, 0))
 
 
 def test_chain_condition_error_reports_pair():
@@ -265,3 +275,118 @@ def test_tensor_bound_detects_missing_weight(monkeypatch):
     monkeypatch.setattr(krset, "graded_character", fake)
     with pytest.raises(TheoremCheckError):
         krset.tensor_bound_check(C2, 1, 3)
+
+
+# ------------------------------------------------- level-by-level grade tables
+
+
+def greedy_oracle(chain, d, m, mu, level_set, target):
+    """Stage-by-stage greedy reduced expression, straight from the definition."""
+    residual, js = mu, []
+    for r in range(1, m // d + 1):
+        remaining = level_set(m - r * d)
+        for j, mu_j in enumerate(chain):
+            cand = tuple(a - b for a, b in zip(residual, mu_j))
+            if cand in remaining:
+                js.append(j)
+                residual = cand
+                break
+        else:
+            raise AssertionError(f"oracle stuck at {residual}")
+    assert residual == target
+    return tuple(js)
+
+
+def test_level_grades_match_greedy_oracle():
+    for rs in SWEEP:
+        for i in range(1, rs.rank + 1):
+            d = rs.dcheck[i - 1]
+            chain = krset.enumerate_chain(rs, i).weights
+            for m in range(0, 9):
+                gc = krset.graded_character(rs, i, m)
+                grade_of = {w: s for s, ws in gc.by_grade for w in ws}
+                for mu in krset.pplus(rs, i, m):
+                    want = greedy_oracle(
+                        chain, d, m, mu, lambda lvl: krset.pplus(rs, i, lvl), fw(rs, i, m % d)
+                    )
+                    assert krset.reduced_expression(rs, i, m, mu) == want
+                    assert krset.grade(rs, i, m, mu) == sum(want) == grade_of[mu]
+
+
+def test_twisted_level_grades_match_greedy_oracle():
+    datas = [
+        twisted.fixed_point_data(twisted.OuterType(fam, n))
+        for fam, lo in (("A_odd", 2), ("A_even", 1), ("D", 2))
+        for n in range(lo, 6)
+    ]
+    for data in datas:
+        g0 = data.g0
+        for i in range(1, g0.rank + 1):
+            d = data.dsigma[i - 1]
+            chain = twisted.enumerate_chain_sigma(data, i).weights
+            for m in range(0, 9):
+                gc = twisted.graded_character_sigma(data, i, m)
+                grade_of = {w: s for s, ws in gc.by_grade for w in ws}
+                for mu in twisted.pplus_sigma(data, i, m):
+                    want = greedy_oracle(
+                        chain,
+                        d,
+                        m,
+                        mu,
+                        lambda lvl: twisted.pplus_sigma(data, i, lvl),
+                        g0.fundamental(i, m % d),
+                    )
+                    assert twisted.reduced_expression_sigma(data, i, m, mu) == want
+                    assert twisted.grade_sigma(data, i, m, mu) == sum(want) == grade_of[mu]
+
+
+def test_graded_character_builds_each_chain_once():
+    krset._chain.cache_clear()
+    krset._grades.cache_clear()
+    for m in range(0, 9):
+        krset.graded_character(C3, 2, m)
+        krset.graded_character(B4, 3, m)
+    krset.reduced_expression(C3, 2, 8, (0, 0, 0))
+    assert krset._chain.cache_info().misses == 2
+
+    data = twisted.fixed_point_data(twisted.OuterType("A_even", 2))
+    twisted._chain_sigma.cache_clear()
+    twisted._grades_sigma.cache_clear()
+    for m in range(0, 9):
+        twisted.graded_character_sigma(data, 2, m)
+    assert twisted._chain_sigma.cache_info().misses == 1
+
+
+def test_outsider_errors_unchanged():
+    msg = re.escape("(1, 0) not in P+(1, 4)")
+    with pytest.raises(ValueError, match=msg):
+        krset.reduced_expression(C2, 1, 4, (1, 0))
+    with pytest.raises(ValueError, match=msg):
+        krset.grade(C2, 1, 4, (1, 0))
+    data = twisted.fixed_point_data(twisted.OuterType("A_even", 2))
+    msg = re.escape("(1, 1) not in twisted P+(2, 4)")
+    with pytest.raises(ValueError, match=msg):
+        twisted.reduced_expression_sigma(data, 2, 4, (1, 1))
+    with pytest.raises(ValueError, match=msg):
+        twisted.grade_sigma(data, 2, 4, (1, 1))
+    # a residual that misses the base level's target
+    with pytest.raises(ValueError, match=re.escape("residual (0, 0) != (1, 0) after all stages")):
+        krset.table_grade(krset.base_grades((1, 0)), (0, 0))
+
+
+def test_cached_chains_and_tables_are_read_only():
+    gc = krset.graded_character(C3, 2, 4)
+    edited = gc.as_dict()
+    edited[0][(9, 9, 9)] = 1
+    del edited[1]
+    assert krset.graded_character(C3, 2, 4) == gc
+    assert krset.graded_character(C3, 2, 4).as_dict() != edited
+
+    chain = krset.enumerate_chain(C3, 2)
+    assert chain is krset.enumerate_chain(C3, 2)
+    assert type(chain.weights) is tuple and all(type(w) is tuple for w in chain.weights)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chain.weights = ()
+    table = krset._grades(C3.type, 2, 4)
+    with pytest.raises(TypeError):
+        table[(0, 0, 0)] = (0, 0)

@@ -224,3 +224,51 @@ def test_parse_type():
         parse_type("X2")
     with pytest.raises(ValueError):
         parse_type("C")
+
+
+def _fraction_inverse(mat):
+    """Gauss-Jordan inverse over Fraction: the oracle for the integer route."""
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        piv = aug[c][c]
+        aug[c] = [x / piv for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def test_root_coords_match_fraction_oracle():
+    # inv(cartan^T) applied to fundamental coordinates, over A1-D8, with
+    # random weights on and off the root lattice
+    rng = random.Random(2005)
+    types = (
+        [LieType("A", n) for n in range(1, 9)]
+        + [LieType(f, n) for f in "BC" for n in range(2, 9)]
+        + [LieType("D", n) for n in range(3, 9)]
+    )
+    for lt in types:
+        rs = build(lt)
+        n = rs.rank
+        inv = _fraction_inverse([[rs.cartan[k][i] for k in range(n)] for i in range(n)])
+        off_lattice = 0
+        for _ in range(40):
+            lam = tuple(rng.randrange(-6, 7) for _ in range(n))
+            want = tuple(sum(inv[i][j] * lam[j] for j in range(n)) for i in range(n))
+            got = rs.to_root_coords(lam)
+            assert got == want
+            assert all(type(c) is Fraction for c in got)
+            ints = rs.int_root_coords(lam)
+            if all(c.denominator == 1 for c in want):
+                assert ints == tuple(int(c) for c in want)
+                assert all(type(c) is int for c in ints)
+            else:
+                assert ints is None
+                off_lattice += 1
+            assert rs.scaled_height(lam) == sum(want) * rs.root_den
+        assert off_lattice > 0

@@ -147,7 +147,7 @@ def test_chain_differences_land_in_r1():
             chain = twisted.enumerate_chain_sigma(data, i)
             for s in range(chain.k):
                 diff = tuple(a - b for a, b in zip(chain[s], chain[s + 1]))
-                assert twisted._int_coords(data.g0, diff) in data.r1_positive
+                assert data.g0.int_root_coords(diff) in data.r1_positive
 
 
 def test_chain_rejects_wrong_order():
@@ -158,7 +158,7 @@ def test_chain_rejects_wrong_order():
         twisted.verify_chain_conditions(
             g0,
             bad,
-            lambda d: twisted._int_coords(g0, d) in D4.r1_positive,
+            lambda d: g0.int_root_coords(d) in D4.r1_positive,
             lambda d: True,
         )
 
