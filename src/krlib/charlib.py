@@ -168,12 +168,6 @@ def weight_mults(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> Wei
     return dict(_full_char(rs.type, lam))
 
 
-def dominant_mults(rs: RootSystem, lam: Weight) -> DominantCharacter:
-    """Multiplicities of the dominant weights of V(lam)."""
-    _require_dominant(rs, lam)
-    return dict(_dominant_mults(rs.type, lam))
-
-
 def _dominantize_strict(rs: RootSystem, xi: Weight) -> tuple[Weight, int] | None:
     """Reflect the rho-shifted weight xi to the dominant chamber.
 
@@ -285,20 +279,6 @@ def ext_square(rs: RootSystem, chi: WeightCharacter) -> WeightCharacter:
         if diag:
             key = tuple(2 * c for c in w1)
             out[key] = out.get(key, 0) + diag
-        for w2, m2 in items[i + 1 :]:
-            key = tuple(a + b for a, b in zip(w1, w2))
-            out[key] = out.get(key, 0) + m1 * m2
-    return {w: m for w, m in out.items() if m}
-
-
-def sym_square(rs: RootSystem, chi: WeightCharacter) -> WeightCharacter:
-    """Weight character of the symmetric square of a module with character chi."""
-    items = sorted(chi.items())
-    out: dict[Weight, int] = {}
-    for i, (w1, m1) in enumerate(items):
-        diag = m1 * (m1 + 1) // 2
-        key = tuple(2 * c for c in w1)
-        out[key] = out.get(key, 0) + diag
         for w2, m2 in items[i + 1 :]:
             key = tuple(a + b for a, b in zip(w1, w2))
             out[key] = out.get(key, 0) + m1 * m2

@@ -110,7 +110,6 @@ def wedge_g1_nu(data: twisted.TwistedData) -> Weight | None:
     """Expected non-adjoint constituent of ext^2(V(phi)), or None when the
     square is the g0 adjoint alone (D automorphisms and ambient A_3)."""
     fam, n = data.outer.family, data.outer.n
-    g0 = data.g0
     if fam == "D" or (fam == "A_odd" and n == 2):
         return None
     if fam == "A_odd":

@@ -162,6 +162,7 @@ def enumerate_chain(rs: RootSystem, i: int, m0: int | None = None) -> GradedChai
 
     Built and verified once per (type, node, level); a failure is not cached.
     """
+    rs._check_node(i)
     if m0 is None:
         m0 = rs.dcheck[i - 1]
     return _chain(rs.type, i, m0)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
+from operator import add
 
 from . import charlib, krset
 from .errors import DimensionGuardError, ScopeError, TheoremCheckError
@@ -45,6 +47,15 @@ class MatrixRep:
     def gen(self, kind: str, i: int) -> SpMat:
         return {"e": self.e, "f": self.f, "h": self.h}[kind][i - 1]
 
+    def slot(self):
+        """This module as a tensor_rep factor: operators ("e", i) and
+        ("f", i), every basis vector in grade 0."""
+        cols = {}
+        for kind, mats in (("e", self.e), ("f", self.f)):
+            for i, m in enumerate(mats, start=1):
+                cols[(kind, i)] = {c: list(col.items()) for c, col in m.data.items()}
+        return [0] * self.dim, self.basis_weights, cols
+
 
 def _weights_from_h(hs: list[SpMat], dim: int) -> tuple[Weight, ...]:
     out = []
@@ -65,80 +76,34 @@ def _defining(lt: LieType) -> MatrixRep:
     rs = build(lt)
     n = lt.rank
     fam = lt.family
-    if fam == "A":
-        dim = n + 1
-        pairs = [(i - 1, i) for i in range(1, n + 1)]
-        ee = []
-        ff = []
-        for r, c in pairs:
-            m = SpMat(dim, dim)
-            m.set(r, c, 1)
-            ee.append(m)
-            m = SpMat(dim, dim)
-            m.set(c, r, 1)
-            ff.append(m)
-    elif fam == "C":
-        dim = 2 * n
-        ee = []
-        ff = []
-        for i in range(1, n):
-            m = SpMat(dim, dim)
-            m.set(i - 1, i, 1)
-            m.set(2 * n - 1 - i, 2 * n - i, -1)
-            ee.append(m)
-            m = SpMat(dim, dim)
-            m.set(i, i - 1, 1)
-            m.set(2 * n - i, 2 * n - 1 - i, -1)
-            ff.append(m)
+    dim = n + 1 if fam == "A" else 2 * n + (fam == "B")
+
+    def mat(*entries) -> SpMat:
         m = SpMat(dim, dim)
-        m.set(n - 1, n, 1)
-        ee.append(m)
-        m = SpMat(dim, dim)
-        m.set(n, n - 1, 1)
-        ff.append(m)
+        for r, c, v in entries:
+            m.set(r, c, v)
+        return m
+
+    ee = []
+    ff = []
+    for i in range(1, n + 1 if fam == "A" else n):
+        e, f = [(i - 1, i, 1)], [(i, i - 1, 1)]
+        if fam != "A":
+            # B, C, D: node i also acts, negated, on the mirror image r -> dim - 1 - r
+            e.append((dim - 1 - i, dim - i, -1))
+            f.append((dim - i, dim - 1 - i, -1))
+        ee.append(mat(*e))
+        ff.append(mat(*f))
+    if fam == "C":
+        ee.append(mat((n - 1, n, 1)))
+        ff.append(mat((n, n - 1, 1)))
     elif fam == "B":
-        dim = 2 * n + 1
-        ee = []
-        ff = []
-        for i in range(1, n):
-            m = SpMat(dim, dim)
-            m.set(i - 1, i, 1)
-            m.set(2 * n - i, 2 * n + 1 - i, -1)
-            ee.append(m)
-            m = SpMat(dim, dim)
-            m.set(i, i - 1, 1)
-            m.set(2 * n + 1 - i, 2 * n - i, -1)
-            ff.append(m)
         # short node: the asymmetric 1/2 split keeps all matrices integral
-        m = SpMat(dim, dim)
-        m.set(n - 1, n, 1)
-        m.set(n, n + 1, 2)
-        ee.append(m)
-        m = SpMat(dim, dim)
-        m.set(n, n - 1, 2)
-        m.set(n + 1, n, 1)
-        ff.append(m)
-    else:
-        dim = 2 * n
-        ee = []
-        ff = []
-        for i in range(1, n):
-            m = SpMat(dim, dim)
-            m.set(i - 1, i, 1)
-            m.set(2 * n - 1 - i, 2 * n - i, -1)
-            ee.append(m)
-            m = SpMat(dim, dim)
-            m.set(i, i - 1, 1)
-            m.set(2 * n - i, 2 * n - 1 - i, -1)
-            ff.append(m)
-        m = SpMat(dim, dim)
-        m.set(n - 2, n, 1)
-        m.set(n - 1, n + 1, -1)
-        ee.append(m)
-        m = SpMat(dim, dim)
-        m.set(n, n - 2, 1)
-        m.set(n + 1, n - 1, -1)
-        ff.append(m)
+        ee.append(mat((n - 1, n, 1), (n, n + 1, 2)))
+        ff.append(mat((n, n - 1, 2), (n + 1, n, 1)))
+    elif fam == "D":
+        ee.append(mat((n - 2, n, 1), (n - 1, n + 1, -1)))
+        ff.append(mat((n, n - 2, 1), (n + 1, n - 1, -1)))
     hh = [ee[j].bracket(ff[j]) for j in range(n)]
     _assert_h_diagonal(hh)
     weights = _weights_from_h(hh, dim)
@@ -178,7 +143,7 @@ class ChevalleyBasis:
                     self.recipe[rc] = (i, parent)
                     break
             else:
-                raise AssertionError(f"root {rc} has no simple-root predecessor")
+                raise TheoremCheckError(f"root {rc} has no simple-root predecessor")
         self.labels: list[tuple[str, object]] = (
             [("+", rc) for rc in pos] + [("-", rc) for rc in pos] + [("h", j) for j in range(1, n + 1)]
         )
@@ -328,78 +293,62 @@ def wedge_rep(rs: RootSystem, j: int) -> MatrixRep:
     return MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(hh), weights, 0, weights[0])
 
 
-def tensor_rep(a: MatrixRep, b: MatrixRep) -> MatrixRep:
-    """a (x) b with index ia * b.dim + ib."""
-    rs = a.rs
-    dim = a.dim * b.dim
+class _Tensor:
+    """Operators on a tensor product, applied slot by slot.
 
-    def bothways(ma: SpMat, mb: SpMat) -> SpMat:
-        out = SpMat(dim, dim)
-        for r, c, v in ma.entries():
-            for k in range(b.dim):
-                out.add_to(r * b.dim + k, c * b.dim + k, v)
-        for r, c, v in mb.entries():
-            for k in range(a.dim):
-                out.add_to(k * b.dim + r, k * b.dim + c, v)
-        return out
+    A slot is (grades, weights, cols) for one factor, where cols[op][c] lists
+    the (row, value) pairs of column c of operator op on that factor; every
+    slot has the same operators.  On the
+    product, op acts as the sum over the slots of op on that slot and the
+    identity on the others, so grades and weights add across the slots.
+    Index digits are mixed-radix with the first factor most significant.
+    Only the factor tables are stored, never an operator on the product.
+    """
 
-    n = rs.rank
-    ee = [bothways(a.e[t], b.e[t]) for t in range(n)]
-    ff = [bothways(a.f[t], b.f[t]) for t in range(n)]
-    hh = [bothways(a.h[t], b.h[t]) for t in range(n)]
-    weights = tuple(
-        tuple(x + y for x, y in zip(a.basis_weights[r], b.basis_weights[c]))
-        for r in range(a.dim)
-        for c in range(b.dim)
-    )
-    hi = a.highest_index * b.dim + b.highest_index
-    hw = tuple(x + y for x, y in zip(a.highest_weight, b.highest_weight))
-    return MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(hh), weights, hi, hw)
+    def __init__(self, slots):
+        self.slots = slots
+        sizes = [len(grades) for grades, _, _ in slots]
+        self.dim = prod(sizes)
+        self.layout = [(prod(sizes[t + 1 :]), size) for t, size in enumerate(sizes)]
+        # op -> per slot (stride, size, column -> [(index shift, value)])
+        self.shifts = {
+            op: [
+                (stride, size, {
+                    c: [((r - c) * stride, v) for r, v in pairs]
+                    for c, pairs in cols[op].items()
+                })
+                for (stride, size), (_, _, cols) in zip(self.layout, slots)
+            ]
+            for op in slots[0][2]
+        }
 
+    def grade_weight(self, idx: int) -> tuple[int, Weight]:
+        grade, weight = 0, None
+        for (stride, size), (grades, weights, _) in zip(self.layout, self.slots):
+            d = idx // stride % size
+            grade += grades[d]
+            weight = weights[d] if weight is None else tuple(map(add, weight, weights[d]))
+        return grade, weight
 
-class _Ambient:
-    """Tensor product of factor representations, applied slot-wise without
-    materializing the product matrices."""
-
-    def __init__(self, factors: list[MatrixRep]):
-        self.factors = factors
-        self.dim = 1
-        for fct in factors:
-            self.dim *= fct.dim
-        self.strides = []
-        s = self.dim
-        for fct in factors:
-            s //= fct.dim
-            self.strides.append(s)
-
-    def digits(self, idx: int) -> list[int]:
-        out = []
-        for t, fct in enumerate(self.factors):
-            out.append((idx // self.strides[t]) % fct.dim)
-        return out
-
-    def weight(self, idx: int) -> Weight:
-        digs = self.digits(idx)
-        n = len(self.factors[0].basis_weights[0]) if self.factors else 0
-        return tuple(
-            sum(f.basis_weights[d][t] for f, d in zip(self.factors, digs))
-            for t in range(n)
-        )
-
-    def apply(self, kind: str, i: int, vec: dict[int, object]) -> dict[int, object]:
+    def apply(self, op, vec: dict[int, object]) -> dict[int, object]:
+        tables = self.shifts[op]
         out: dict[int, object] = {}
         for idx, val in vec.items():
-            for t, fct in enumerate(self.factors):
-                stride = self.strides[t]
-                d = (idx // stride) % fct.dim
-                for r, v in fct.gen(kind, i).col(d).items():
-                    k = idx + (r - d) * stride
-                    w = out.get(k, 0) + v * val
-                    if w == 0:
-                        out.pop(k, None)
+            for stride, size, table in tables:
+                for shift, v in table.get(idx // stride % size, ()):
+                    key = idx + shift
+                    w = out.get(key, 0) + v * val
+                    if w:
+                        out[key] = w
                     else:
-                        out[k] = w
+                        del out[key]
         return out
+
+
+def tensor_rep(factors) -> _Tensor:
+    """The tensor product of MatrixReps or CurrentModules as one slot-wise
+    operator; each factor supplies its own slot."""
+    return _Tensor([fct.slot() for fct in factors])
 
 
 def _scope_factors(rs: RootSystem, lam: Weight) -> list[MatrixRep]:
@@ -438,15 +387,14 @@ def highest_module(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> M
         n = rs.rank
         z = SpMat(1, 1)
         return MatrixRep(rs, 1, (z,) * n, (z,) * n, (z,) * n, (rs.zero(),), 0, lam)
-    factors = _scope_factors(rs, lam)
-    amb = _Ambient(factors)
+    amb = tensor_rep(_scope_factors(rs, lam))
     if amb.dim > guard:
         raise DimensionGuardError(f"ambient dim {amb.dim} exceeds {guard}")
 
     n = rs.rank
     v0 = {0: 1}
     for i in range(1, n + 1):
-        if amb.apply("e", i, v0):
+        if amb.apply(("e", i), v0):
             raise TheoremCheckError("top vector is not highest in the ambient space")
 
     blocks: dict[Weight, tuple[Echelon, list[int]]] = {}
@@ -462,13 +410,13 @@ def highest_module(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> M
         basis_wts.append(wt)
         return True
 
-    insert(v0, amb.weight(0))
+    insert(v0, amb.grade_weight(0)[1])
     queue = [0]
     while queue:
         r = queue.pop()
         wt = basis_wts[r]
         for i in range(1, n + 1):
-            img = amb.apply("f", i, basis_vecs[r])
+            img = amb.apply(("f", i), basis_vecs[r])
             if not img:
                 continue
             nwt = tuple(wt[t] - rs.cartan[i - 1][t] for t in range(n))
@@ -496,12 +444,12 @@ def highest_module(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> M
     for r in range(dim):
         wt = basis_wts[r]
         for i in range(1, n + 1):
-            up = amb.apply("e", i, basis_vecs[r])
+            up = amb.apply(("e", i), basis_vecs[r])
             if up:
                 uwt = tuple(wt[t] + rs.cartan[i - 1][t] for t in range(n))
                 for z, v in coords_of(up, uwt).items():
                     ee[i - 1].set(z, r, v)
-            dn = amb.apply("f", i, basis_vecs[r])
+            dn = amb.apply(("f", i), basis_vecs[r])
             if dn:
                 dwt = tuple(wt[t] - rs.cartan[i - 1][t] for t in range(n))
                 for z, v in coords_of(dn, dwt).items():
@@ -543,15 +491,16 @@ def verify_matrix_rep(rep: MatrixRep, check_char: bool = True) -> None:
             raise TheoremCheckError("character disagrees with the weight multiplicities")
 
 
-def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep) -> list[SpMat]:
-    """Basis of the g-equivariant maps source -> target.
+def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMat]:
+    """Basis of the g-equivariant maps from the tensor_rep source to target.
 
     Unknowns are restricted to weight-matched entries; the constraints are
-    commutation with every e_i and f_i.
+    commutation with every e_i and f_i, read off column by column.
     """
+    source_wts = [source.grade_weight(c)[1] for c in range(source.dim)]
     cols_by_wt: dict[Weight, list[int]] = {}
-    for c in range(source.dim):
-        cols_by_wt.setdefault(source.basis_weights[c], []).append(c)
+    for c, wt in enumerate(source_wts):
+        cols_by_wt.setdefault(wt, []).append(c)
     rows_by_wt: dict[Weight, list[int]] = {}
     for r in range(target.dim):
         rows_by_wt.setdefault(target.basis_weights[r], []).append(r)
@@ -566,18 +515,17 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep) -> list[Sp
     def constraint_rows():
         for kind in ("e", "f"):
             for i in range(1, rs.rank + 1):
-                gs = source.gen(kind, i)
                 gt = target.gen(kind, i)
                 for c in range(source.dim):
                     acc: dict[int, dict[tuple[int, int], object]] = {}
-                    for k, v in gs.col(c).items():
-                        for r in rows_by_wt.get(source.basis_weights[k], []):
+                    for k, v in source.apply((kind, i), {c: 1}).items():
+                        for r in rows_by_wt.get(source_wts[k], []):
                             if (r, k) in varset:
                                 row = acc.setdefault(r, {})
                                 row[(r, k)] = row.get((r, k), 0) + v
                     col_vars = [
                         (k, (k, c))
-                        for k in rows_by_wt.get(source.basis_weights[c], [])
+                        for k in rows_by_wt.get(source_wts[c], [])
                         if (k, c) in varset
                     ]
                     for k, var in col_vars:
@@ -624,6 +572,22 @@ class CurrentModule:
             out.append(out[-1] + p.dim)
         return out
 
+    def slot(self):
+        """This module as a tensor_rep factor: operator (a, tpow) is
+        x_a (x) t^tpow, which raises the grade (the piece) by tpow."""
+        offs = self.offsets()
+        grades = [s for s, p in enumerate(self.pieces) for _ in range(p.dim)]
+        weights = [w for p in self.pieces for w in p.basis_weights]
+        cols = {}
+        for tpow, action in enumerate((self.g_action, self.t_action)):
+            for a in range(len(self.g_action[0])):
+                cols[(a, tpow)] = {
+                    offs[s] + c: [(offs[s + tpow] + r, v) for r, v in col.items()]
+                    for s, mats in enumerate(action)
+                    for c, col in mats[a].data.items()
+                }
+        return grades, weights, cols
+
 
 def evaluation_module(rs: RootSystem, node: int, m: int, max_dim: int | None = None) -> CurrentModule:
     """V(m omega_i) with t g[t] acting as zero."""
@@ -648,7 +612,7 @@ def build_kr_fundamental(rs: RootSystem, i: int, max_dim: int | None = None) -> 
 
     t_action = []
     for s in range(len(chain) - 1):
-        src = tensor_rep(adj, pieces[s])
+        src = tensor_rep([adj, pieces[s]])
         sols = intertwiner(rs, src, pieces[s + 1])
         if len(sols) != 1:
             raise TheoremCheckError(
@@ -835,82 +799,6 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
     )
 
 
-class _GradedTensor:
-    """Tensor product of current modules; grades add across the slots."""
-
-    def __init__(self, mods: list[CurrentModule]):
-        self.mods = mods
-        self.rs = mods[0].rs
-        cb = chevalley(self.rs)
-        self.dim_g = cb.dim_g
-        self.tdims = [cm.total_dim for cm in mods]
-        self.dim = 1
-        for d in self.tdims:
-            self.dim *= d
-        self.strides = []
-        s = self.dim
-        for d in self.tdims:
-            s //= d
-            self.strides.append(s)
-        # flattened per-factor tables: grade, weight, and column maps
-        self.meta = []
-        for cm in mods:
-            offs = cm.offsets()
-            grade = [0] * cm.total_dim
-            wts: list[Weight] = [None] * cm.total_dim  # type: ignore[list-item]
-            for s_piece, piece in enumerate(cm.pieces):
-                for r in range(piece.dim):
-                    grade[offs[s_piece] + r] = s_piece
-                    wts[offs[s_piece] + r] = piece.basis_weights[r]
-            g_cols: list[dict[int, list[tuple[int, object]]]] = []
-            t_cols: list[dict[int, list[tuple[int, object]]]] = []
-            for a in range(self.dim_g):
-                cols0: dict[int, list[tuple[int, object]]] = {}
-                cols1: dict[int, list[tuple[int, object]]] = {}
-                for s_piece in range(cm.k + 1):
-                    mat = cm.g_action[s_piece][a]
-                    for c, col in mat.data.items():
-                        cols0[offs[s_piece] + c] = [
-                            (offs[s_piece] + r, v) for r, v in col.items()
-                        ]
-                    if s_piece < cm.k:
-                        tmat = cm.t_action[s_piece][a]
-                        for c, col in tmat.data.items():
-                            cols1[offs[s_piece] + c] = [
-                                (offs[s_piece + 1] + r, v) for r, v in col.items()
-                            ]
-                g_cols.append(cols0)
-                t_cols.append(cols1)
-            self.meta.append((grade, wts, g_cols, t_cols))
-
-    def grade_weight(self, idx: int) -> tuple[int, Weight]:
-        g = 0
-        n = self.rs.rank
-        wt = [0] * n
-        for t, (grade, wts, _, _) in enumerate(self.meta):
-            d = (idx // self.strides[t]) % self.tdims[t]
-            g += grade[d]
-            for j in range(n):
-                wt[j] += wts[d][j]
-        return g, tuple(wt)
-
-    def apply(self, a: int, tpow: int, vec: dict[int, object]) -> dict[int, object]:
-        out: dict[int, object] = {}
-        for idx, val in vec.items():
-            for t in range(len(self.mods)):
-                stride = self.strides[t]
-                d = (idx // stride) % self.tdims[t]
-                cols = self.meta[t][2 + tpow][a]
-                for r, v in cols.get(d, ()):
-                    key = idx + (r - d) * stride
-                    w = out.get(key, 0) + v * val
-                    if w == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = w
-        return out
-
-
 def kr_tensor_submodule(
     rs: RootSystem, i: int, m: int, max_dim: int | None = None
 ) -> dict[int, dict[Weight, int]]:
@@ -943,7 +831,8 @@ def kr_tensor_submodule(
     if total > guard:
         raise DimensionGuardError(f"tensor space dim {total} exceeds {guard}")
 
-    gt = _GradedTensor(factors)
+    gt = tensor_rep(factors)
+    dim_g = chevalley(rs).dim_g
     blocks: dict[tuple[int, Weight], Echelon] = {}
 
     def insert(vec: dict[int, object]) -> tuple[int, Weight] | None:
@@ -958,9 +847,9 @@ def kr_tensor_submodule(
     queue: list[dict[int, object]] = [top]
     while queue:
         vec = queue.pop()
-        for a in range(gt.dim_g):
+        for a in range(dim_g):
             for tpow in (0, 1):
-                img = gt.apply(a, tpow, vec)
+                img = gt.apply((a, tpow), vec)
                 if img and insert(img) is not None:
                     queue.append(img)
 

@@ -202,6 +202,7 @@ def enumerate_chain_sigma(data: TwistedData, i: int, m0: int | None = None) -> G
     Built and verified once per (outer type, node, level); a failure is not
     cached.
     """
+    data.g0._check_node(i)
     if m0 is None:
         m0 = data.dsigma[i - 1]
     return _chain_sigma(data.outer, i, m0)

@@ -194,18 +194,19 @@ def test_decompose_character_rejects_fake():
         charlib.decompose_character(C2, chi)
 
 
-def test_ext_plus_sym_is_square():
+def test_ext_square_matches_adams_identity():
+    # ext^2 chi = (chi * chi - psi^2 chi) / 2, where psi^2 doubles every weight
     rng = random.Random(47)
     for rs in (C2, B3):
         lam = random_dominant(rs, rng, max_dim=200)
         chi = charlib.weight_mults(rs, lam)
-        square = charlib.char_product(chi, chi)
-        ext = charlib.ext_square(rs, chi)
-        sym = charlib.sym_square(rs, chi)
-        combined = dict(ext)
-        for w, m in sym.items():
-            combined[w] = combined.get(w, 0) + m
-        assert combined == square
+        want = charlib.char_product(chi, chi)
+        for w, m in chi.items():
+            doubled = tuple(2 * c for c in w)
+            want[doubled] -= m
+        assert all(m % 2 == 0 for m in want.values())
+        want = {w: m // 2 for w, m in want.items() if m}
+        assert charlib.ext_square(rs, chi) == want
 
 
 def test_ext_square_c2_adjoint():

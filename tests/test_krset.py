@@ -374,6 +374,16 @@ def test_outsider_errors_unchanged():
         krset.table_grade(krset.base_grades((1, 0)), (0, 0))
 
 
+@pytest.mark.parametrize("node", [0, 4])
+def test_enumerate_chain_checks_the_node_first(node):
+    msg = re.escape(f"node {node} out of range 1..3")
+    with pytest.raises(ValueError, match=msg):
+        krset.enumerate_chain(C3, node)
+    data = twisted.fixed_point_data(twisted.OuterType("A_even", 3))
+    with pytest.raises(ValueError, match=msg):
+        twisted.enumerate_chain_sigma(data, node)
+
+
 def test_cached_chains_and_tables_are_read_only():
     gc = krset.graded_character(C3, 2, 4)
     edited = gc.as_dict()

@@ -1,5 +1,8 @@
 import dataclasses
+import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -141,29 +144,135 @@ def test_verify_matrix_rep_detects_damage():
         modforge.verify_matrix_rep(damaged)
 
 
+def kron_sum(ma, mb):
+    """ma (x) 1 + 1 (x) mb with index ia * b + ib, materialized."""
+    a, b = ma.rows, mb.rows
+    out = SpMat(a * b, a * b)
+    for r, c, v in ma.entries():
+        for k in range(b):
+            out.add_to(r * b + k, c * b + k, v)
+    for r, c, v in mb.entries():
+        for k in range(a):
+            out.add_to(k * b + r, k * b + c, v)
+    return out
+
+
+def kron_tensor_rep(a, b):
+    """The materialized tensor product a (x) b: the oracle for tensor_rep."""
+    n = a.rs.rank
+    weights = tuple(
+        tuple(map(add, wa, wb)) for wa in a.basis_weights for wb in b.basis_weights
+    )
+    return modforge.MatrixRep(
+        a.rs,
+        a.dim * b.dim,
+        tuple(kron_sum(a.e[t], b.e[t]) for t in range(n)),
+        tuple(kron_sum(a.f[t], b.f[t]) for t in range(n)),
+        tuple(kron_sum(a.h[t], b.h[t]) for t in range(n)),
+        weights,
+        a.highest_index * b.dim + b.highest_index,
+        tuple(map(add, a.highest_weight, b.highest_weight)),
+    )
+
+
+TENSOR_FACTORS = [
+    ("C2", [None, (2, 0)]),
+    ("B2", [(1, 0), (0, 2), (1, 0)]),
+]
+
+
+@pytest.mark.parametrize("name,lams", TENSOR_FACTORS)
+def test_tensor_rep_matches_kronecker_oracle(name, lams):
+    rs = rs_of(name)
+    factors = [
+        modforge.adjoint_rep(rs) if lam is None else modforge.highest_module(rs, lam)
+        for lam in lams
+    ]
+    op = modforge.tensor_rep(factors)
+    oracle = reduce(kron_tensor_rep, factors)
+    assert op.dim == oracle.dim
+    rng = random.Random(11)
+    for kind in ("e", "f"):
+        for i in range(1, rs.rank + 1):
+            gen = oracle.gen(kind, i)
+            for c in range(op.dim):
+                # same entries in the same order, column by column
+                got = op.apply((kind, i), {c: 1})
+                assert list(got.items()) == list(gen.col(c).items())
+            vec = {c: rng.choice([-2, -1, 1, Fraction(1, 3)]) for c in rng.sample(range(op.dim), 40)}
+            assert op.apply((kind, i), vec) == gen.apply(vec)
+    for c in range(op.dim):
+        assert op.grade_weight(c) == (0, oracle.basis_weights[c])
+
+
+def flat_action(cm, a, tpow):
+    """x_a (x) t^tpow on the whole graded module, materialized."""
+    offs = cm.offsets()
+    out = SpMat(cm.total_dim, cm.total_dim)
+    for s, mats in enumerate((cm.g_action, cm.t_action)[tpow]):
+        for r, c, v in mats[a].entries():
+            out.set(offs[s + tpow] + r, offs[s] + c, v)
+    return out
+
+
+def test_tensor_rep_of_current_modules_adds_grades():
+    rs = rs_of("C2")
+    cm = modforge.build_kr_fundamental(rs, 1)
+    op = modforge.tensor_rep([cm, cm])
+    n = cm.total_dim
+    assert op.dim == n * n
+    grades = [s for s, p in enumerate(cm.pieces) for _ in range(p.dim)]
+    weights = [w for p in cm.pieces for w in p.basis_weights]
+    for idx in range(op.dim):
+        hi, lo = divmod(idx, n)
+        assert op.grade_weight(idx) == (
+            grades[hi] + grades[lo],
+            tuple(map(add, weights[hi], weights[lo])),
+        )
+    moved = 0
+    for a in range(modforge.chevalley(rs).dim_g):
+        for tpow in (0, 1):
+            m = flat_action(cm, a, tpow)
+            oracle = kron_sum(m, m)
+            for c in range(op.dim):
+                got = op.apply((a, tpow), {c: 1})
+                assert got == oracle.col(c)
+                if tpow == 0:
+                    continue
+                # x (x) t moves exactly one slot up one piece
+                for k in got:
+                    changed = [(x, y) for x, y in zip(divmod(c, n), divmod(k, n)) if x != y]
+                    assert len(changed) == 1
+                    (x, y), = changed
+                    assert grades[y] == grades[x] + 1
+                    moved += 1
+    assert moved
+
+
 def test_intertwiner_schur():
     rs = rs_of("C2")
     v1 = modforge.highest_module(rs, (1, 0))
     v2 = modforge.highest_module(rs, (0, 1))
-    assert len(modforge.intertwiner(rs, v1, v1)) == 1
-    assert len(modforge.intertwiner(rs, v1, v2)) == 0
+    assert len(modforge.intertwiner(rs, modforge.tensor_rep([v1]), v1)) == 1
+    assert len(modforge.intertwiner(rs, modforge.tensor_rep([v1]), v2)) == 0
 
 
 def test_intertwiner_matches_hom_dim():
     rs = rs_of("C2")
     adj = modforge.adjoint_rep(rs)
     big = modforge.highest_module(rs, (2, 0))
-    src = modforge.tensor_rep(adj, big)
+    src = modforge.tensor_rep([adj, big])
     achar = charlib.adjoint_char(rs)
     for lam in [(2, 0), (0, 0), (0, 1), (2, 1)]:
         tgt = modforge.highest_module(rs, lam)
         sols = modforge.intertwiner(rs, src, tgt)
         assert len(sols) == charlib.hom_dim(rs, [achar, (2, 0)], lam)
-        # every solution is genuinely equivariant
+        # every solution is genuinely equivariant, column by column
         for t in sols:
             for i in range(1, rs.rank + 1):
                 for kind in ("e", "f"):
-                    assert t @ src.gen(kind, i) == tgt.gen(kind, i) @ t
+                    for c in range(src.dim):
+                        assert t.apply(src.apply((kind, i), {c: 1})) == tgt.gen(kind, i).apply(t.col(c))
 
 
 def test_build_kr_rejects_wrong_nodes():
