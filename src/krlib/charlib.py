@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from operator import add
 
 from .errors import DimensionGuardError, TheoremCheckError
 from .rootsys import LieType, RootSystem, Weight, build
@@ -194,6 +195,22 @@ def _dominantize_strict(rs: RootSystem, xi: Weight) -> tuple[Weight, int] | None
         sign = -sign
 
 
+def _klimyk(rs: RootSystem, lam: Weight, chi: WeightCharacter) -> DominantCharacter:
+    # Klimyk's formula: V(lam) (x) chi = sum over weights nu of chi of the
+    # signed simple at the dominant rho-shifted image of lam + nu + rho;
+    # shifts landing on a wall contribute nothing.  Entries may be 0 or < 0.
+    shifted = tuple(c + 1 for c in lam)
+    out: dict[Weight, int] = {}
+    for nu, m in chi.items():
+        res = _dominantize_strict(rs, tuple(map(add, shifted, nu)))
+        if res is None:
+            continue
+        dom, sign = res
+        key = tuple(c - 1 for c in dom)
+        out[key] = out.get(key, 0) + sign * m
+    return out
+
+
 def tensor_decompose(
     rs: RootSystem, lam: Weight, mu: Weight, max_dim: int | None = None
 ) -> DominantCharacter:
@@ -211,18 +228,7 @@ def tensor_decompose(
         )
     if dm > dl:
         lam, mu = mu, lam
-    n = rs.rank
-    shifted = tuple(c + 1 for c in lam)
-    out: dict[Weight, int] = {}
-    for nu, m in _full_char(rs.type, mu).items():
-        xi = tuple(shifted[j] + nu[j] for j in range(n))
-        res = _dominantize_strict(rs, xi)
-        if res is None:
-            continue
-        dom, sign = res
-        key = tuple(c - 1 for c in dom)
-        out[key] = out.get(key, 0) + sign * m
-    out = {w: m for w, m in out.items() if m}
+    out = {w: m for w, m in _klimyk(rs, lam, _full_char(rs.type, mu)).items() if m}
     if any(m < 0 for m in out.values()):
         raise TheoremCheckError(f"V({lam}) (x) V({mu}) has a negative multiplicity: {out}")
     return out
@@ -334,15 +340,7 @@ def hom_dim(
         # no weight factor left: read the multiplicity off a full decomposition
         return decompose_character(rs, rest).get(target, 0)
 
-    n = rs.rank
-    shifted = tuple(c + 1 for c in base)
-    goal = tuple(c + 1 for c in target)
-    total = 0
-    for nu, m in rest.items():
-        xi = tuple(shifted[j] + nu[j] for j in range(n))
-        res = _dominantize_strict(rs, xi)
-        if res and res[0] == goal:
-            total += res[1] * m
+    total = _klimyk(rs, base, rest).get(target, 0)
     if total < 0:
         raise TheoremCheckError(f"multiplicity of V({target}) came out as {total}")
     return total

@@ -1,7 +1,9 @@
 """Command line front end: graded sets, characters and verification suites.
 
 Exit codes: 0 all good, 1 a structural check failed, 2 invalid input or a
-dimension guard stopped the computation (raise it with KR_MAX_DIM).
+dimension guard stopped the computation (raise it with KR_MAX_DIM).  In a
+verify run a guard stops only its own check, which prints a GUARD line; the
+run exits 1 if any check failed, else 2 if any hit a guard.
 """
 
 from __future__ import annotations
@@ -96,24 +98,26 @@ def cmd_char(args) -> int:
 
 
 class _Report:
+    """One line per check: ok, FAIL (a check failed) or GUARD (a dimension
+    guard or the matrix scope stopped it); either way the next check runs."""
+
     def __init__(self):
         self.lines: list[str] = []
         self.failures = 0
-
-    def ok(self, label: str, detail: str = "") -> None:
-        self.lines.append(f"ok   {label}" + (f": {detail}" if detail else ""))
-
-    def fail(self, label: str, err: Exception) -> None:
-        self.failures += 1
-        self.lines.append(f"FAIL {label}: {err}")
+        self.guards = 0
 
     def run(self, label: str, fn) -> None:
         try:
             detail = fn()
         except (TheoremCheckError, ChainConditionError) as err:
-            self.fail(label, err)
+            self.failures += 1
+            self.lines.append(f"FAIL {label}: {err}")
+        except (DimensionGuardError, ScopeError) as err:
+            self.guards += 1
+            self.lines.append(f"GUARD {label}: {err}")
         else:
-            self.ok(label, detail if isinstance(detail, str) else "")
+            detail = detail if isinstance(detail, str) else ""
+            self.lines.append(f"ok   {label}" + (f": {detail}" if detail else ""))
 
 
 def _untwisted_sweep(max_rank: int) -> list[RootSystem]:
@@ -138,12 +142,16 @@ def suite_chains(rep: _Report, args) -> None:
     max_rank = args.max_rank or 5
     for rs in _untwisted_sweep(max_rank):
         for i in range(1, rs.rank + 1):
-            chain = krset.enumerate_chain(rs, i)
-            rep.ok(f"chain {rs.type} node {i}", f"k={chain.k}")
+            rep.run(
+                f"chain {rs.type} node {i}",
+                lambda a=rs, j=i: f"k={krset.enumerate_chain(a, j).k}",
+            )
     for data in _twisted_sweep(max_rank):
         for i in range(1, data.g0.rank + 1):
-            chain = twisted.enumerate_chain_sigma(data, i)
-            rep.ok(f"chain {data.outer.label} node {i}", f"k={chain.k}")
+            rep.run(
+                f"chain {data.outer.label} node {i}",
+                lambda a=data, j=i: f"k={twisted.enumerate_chain_sigma(a, j).k}",
+            )
 
 
 _HOM_UNTWISTED = ["C2", "C3", "C4", "C5", "B3", "B4", "B5", "D4", "D5"]
@@ -299,8 +307,8 @@ def cmd_verify(args) -> int:
     for line in rep.lines:
         print(line)
     total = len(rep.lines)
-    print(f"{total - rep.failures}/{total} checks passed")
-    return 1 if rep.failures else 0
+    print(f"{total - rep.failures - rep.guards}/{total} checks passed")
+    return 1 if rep.failures else 2 if rep.guards else 0
 
 
 def make_parser() -> argparse.ArgumentParser:

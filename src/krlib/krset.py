@@ -5,13 +5,16 @@ dominant weights built from small base sets by Minkowski sums, together with a
 grade for each element read off a greedy reduced expression over the enumerated
 chain of the base set.  Which base set applies is decided by the invariants
 epsilon_i(theta) and dcheck_i, never by hardcoding nodes.
+
+The machine takes one KRDatum per algebra, so the twisted graded sets (see
+twisted.fixed_point_data) run through the same chains, P+ and grade tables.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add, sub
 from types import MappingProxyType
 
@@ -136,59 +139,87 @@ def verify_chain_conditions(
             )
 
 
-def _in_q_plus(rs: RootSystem, eta: Weight) -> bool:
-    rc = rs.int_root_coords(eta)
-    return rc is not None and all(c >= 0 for c in rc)
+@dataclass(frozen=True, eq=False)
+class KRDatum:
+    """What the graded-set machine needs of one algebra: the root system the
+    weights live in, the level steps, the base sets and the difference
+    conditions along an enumerated chain.  The datum of g (see datum) has
+    steps dcheck and positive roots as chain steps; the twisted datum (see
+    twisted.fixed_point_data) lives in g0 with steps dsigma and chain steps in
+    R1+.  Each algebra has one instance, so the caches below key on identity.
+    """
+
+    rs: RootSystem
+    steps: tuple[int, ...]
+    base_set: Callable[[int, int], frozenset[Weight]]
+    one_step: Callable[[Weight], bool]
+    two_step: Callable[[Weight], bool]
+    label: str  # "" or "twisted ", put in front of P+ in messages
 
 
 @lru_cache(maxsize=None)
-def _chain(lt: LieType, i: int, m0: int) -> GradedChain:
+def datum(lt: LieType) -> KRDatum:
+    """The KR datum of g: consecutive chain differences are positive roots,
+    two-step differences lie in the positive root lattice but are not roots."""
     rs = build(lt)
-    top = rs.fundamental(i, m0)
-    chain = sort_chain(rs, base_set(rs, i, m0), top)
-    verify_chain_conditions(
-        rs,
-        chain,
-        lambda diff: rs.is_positive_root(rs.to_root_coords(diff)),
-        lambda diff: _in_q_plus(rs, diff)
-        and not rs.is_positive_root(rs.to_root_coords(diff)),
-    )
+
+    def is_root(diff: Weight) -> bool:
+        return rs.is_positive_root(rs.to_root_coords(diff))
+
+    def two_step(diff: Weight) -> bool:
+        rc = rs.int_root_coords(diff)
+        return rc is not None and all(c >= 0 for c in rc) and not is_root(diff)
+
+    return KRDatum(rs, rs.dcheck, partial(base_set, rs), is_root, two_step, "")
+
+
+@lru_cache(maxsize=None)
+def _chain(kr: KRDatum, i: int, m0: int) -> GradedChain:
+    chain = sort_chain(kr.rs, kr.base_set(i, m0), kr.rs.fundamental(i, m0))
+    verify_chain_conditions(kr.rs, chain, kr.one_step, kr.two_step)
     return GradedChain(chain)
+
+
+def kr_chain(kr: KRDatum, i: int, m0: int | None = None) -> GradedChain:
+    """The enumerated base set of node i at level m0 (by default the step).
+
+    Built and verified once per (datum, node, level); a failure is not cached.
+    """
+    kr.rs._check_node(i)
+    return _chain(kr, i, kr.steps[i - 1] if m0 is None else m0)
 
 
 def enumerate_chain(rs: RootSystem, i: int, m0: int | None = None) -> GradedChain:
     """The enumerated base set: consecutive differences are positive roots and
-    two-step differences lie in the positive root lattice but are not roots.
-
-    Built and verified once per (type, node, level); a failure is not cached.
-    """
-    rs._check_node(i)
-    if m0 is None:
-        m0 = rs.dcheck[i - 1]
-    return _chain(rs.type, i, m0)
+    two-step differences lie in the positive root lattice but are not roots."""
+    return kr_chain(datum(rs.type), i, m0)
 
 
 @lru_cache(maxsize=None)
-def _pplus(lt: LieType, i: int, m: int) -> frozenset[Weight]:
-    rs = build(lt)
+def _pplus(kr: KRDatum, i: int, m: int) -> frozenset[Weight]:
     if m == 0:
-        return frozenset([rs.zero()])
-    d = rs.dcheck[i - 1]
+        return frozenset([kr.rs.zero()])
+    d = kr.steps[i - 1]
     if m <= d:
-        return base_set(rs, i, m)
-    step = base_set(rs, i, d)
-    rest = _pplus(lt, i, m - d)
+        return kr.base_set(i, m)
+    step = kr.base_set(i, d)
+    rest = _pplus(kr, i, m - d)
     return frozenset(
         tuple(map(add, x, y)) for x in step for y in rest
     )
 
 
-def pplus(rs: RootSystem, i: int, m: int) -> frozenset[Weight]:
+def kr_pplus(kr: KRDatum, i: int, m: int) -> frozenset[Weight]:
     """P+(i, m), defined by base sets and the Minkowski-sum recursion."""
-    rs._check_node(i)
+    kr.rs._check_node(i)
     if m < 0:
         raise ValueError("level must be non-negative")
-    return _pplus(rs.type, i, m)
+    return _pplus(kr, i, m)
+
+
+def pplus(rs: RootSystem, i: int, m: int) -> frozenset[Weight]:
+    """P+(i, m) of g."""
+    return kr_pplus(datum(rs.type), i, m)
 
 
 # -- grades, level by level ---------------------------------------------------
@@ -203,14 +234,9 @@ def pplus(rs: RootSystem, i: int, m: int) -> frozenset[Weight]:
 GradeTable = Mapping[Weight, tuple[int, int]]
 
 
-def base_grades(target: Weight) -> GradeTable:
-    """Grade table of the base level: only its target, in grade 0."""
-    return MappingProxyType({target: (-1, 0)})
-
-
-def table_grade(table: GradeTable, mu: Weight) -> int:
-    """Grade of mu; a weight missing from the table can only be a base-level
-    residual other than the target."""
+def _table_grade(table: GradeTable, mu: Weight) -> int:
+    # a weight missing from a table can only be a base-level residual other
+    # than the target
     entry = table.get(mu)
     if entry is None:
         (target,) = table
@@ -218,99 +244,73 @@ def table_grade(table: GradeTable, mu: Weight) -> int:
     return entry[1]
 
 
-def level_grades(
-    chain: tuple[Weight, ...],
-    weights: frozenset[Weight],
-    below_set: frozenset[Weight],
-    below: GradeTable,
-) -> GradeTable:
-    """Grade table of one level from the level d below it."""
+@lru_cache(maxsize=None)
+def _grades(kr: KRDatum, i: int, m: int) -> GradeTable:
+    d = kr.steps[i - 1]
+    if m < d:
+        return MappingProxyType({kr.rs.fundamental(i, m): (-1, 0)})
+    chain = _chain(kr, i, d).weights
+    below_set, below = _pplus(kr, i, m - d), _grades(kr, i, m - d)
     out: dict[Weight, tuple[int, int]] = {}
-    for mu in weights:
+    for mu in _pplus(kr, i, m):
         for j, mu_j in enumerate(chain):
             residual = tuple(map(sub, mu, mu_j))
             if residual in below_set:
                 break
         else:
             raise ValueError(f"no reduced expression: stuck at {mu}")
-        out[mu] = (j, j + table_grade(below, residual))
+        out[mu] = (j, j + _table_grade(below, residual))
     return MappingProxyType(out)
 
 
-def walk_levels(
-    tables, chain: tuple[Weight, ...], d: int, m: int, mu: Weight
-) -> tuple[int, ...]:
-    """The greedy expression (j_1, ..., j_{m // d}) of mu, read off the grade
-    tables of levels m, m - d, ... through tables(level)."""
+def reduced_expression(kr: KRDatum, i: int, m: int, mu: Weight) -> tuple[int, ...]:
+    """Indices (j_1 <= ... <= j_{m // d}) of the greedy expression of mu in
+    P+(i, m), read off the grade tables of levels m, m - d, ..."""
+    if mu not in kr_pplus(kr, i, m):
+        raise ValueError(f"{mu} not in {kr.label}P+({i}, {m})")
+    d = kr.steps[i - 1]
+    chain = _chain(kr, i, d).weights
     js = []
     while m >= d:
-        j = tables(m)[mu][0]
+        j = _grades(kr, i, m)[mu][0]
         js.append(j)
         mu = tuple(map(sub, mu, chain[j]))
         m -= d
-    table_grade(tables(m), mu)  # the base level holds only its target
+    _table_grade(_grades(kr, i, m), mu)  # the base level holds only its target
     return tuple(js)
 
 
-def group_by_grade(
-    weights: frozenset[Weight], table: GradeTable, top: Weight, label: str
-) -> GradedCharacter:
-    """The weights of one level grouped by grade; grade 0 must be {top}."""
+def kr_grade(kr: KRDatum, i: int, m: int, mu: Weight) -> int:
+    """The grade |mu| = sum of the reduced-expression indices."""
+    if mu not in kr_pplus(kr, i, m):
+        raise ValueError(f"{mu} not in {kr.label}P+({i}, {m})")
+    return _table_grade(_grades(kr, i, m), mu)
+
+
+def grade(rs: RootSystem, i: int, m: int, mu: Weight) -> int:
+    """The grade of mu in P+(i, m) of g."""
+    return kr_grade(datum(rs.type), i, m, mu)
+
+
+def kr_graded_character(kr: KRDatum, i: int, m: int) -> GradedCharacter:
+    """All of P+(i, m) grouped by grade; grade 0 is exactly {m omega_i}."""
+    weights = kr_pplus(kr, i, m)
+    table = _grades(kr, i, m)
     buckets: dict[int, list[Weight]] = {}
     for mu in sorted(weights):
-        buckets.setdefault(table_grade(table, mu), []).append(mu)
+        buckets.setdefault(_table_grade(table, mu), []).append(mu)
     gc = GradedCharacter(tuple((s, tuple(ws)) for s, ws in sorted(buckets.items())))
-    if gc.piece(0) != {top: 1}:
-        raise TheoremCheckError(f"grade 0 of {label} is {gc.piece(0)}")
+    if gc.piece(0) != {kr.rs.fundamental(i, m): 1}:
+        raise TheoremCheckError(f"grade 0 of {kr.label}({i}, {m}) is {gc.piece(0)}")
     total = sum(len(ws) for _, ws in gc.by_grade)
     if total != len(weights):
         raise TheoremCheckError("a weight received two grades")
     return gc
 
 
-@lru_cache(maxsize=None)
-def _grades(lt: LieType, i: int, m: int) -> GradeTable:
-    rs = build(lt)
-    d = rs.dcheck[i - 1]
-    if m < d:
-        return base_grades(rs.fundamental(i, m))
-    return level_grades(
-        _chain(lt, i, d).weights, _pplus(lt, i, m), _pplus(lt, i, m - d), _grades(lt, i, m - d)
-    )
-
-
-def reduced_expression(rs: RootSystem, i: int, m: int, mu: Weight) -> tuple[int, ...]:
-    """Indices (j_1 <= ... <= j_{m0}) of the greedy expression of mu in P+(i, m)."""
-    if mu not in pplus(rs, i, m):
-        raise ValueError(f"{mu} not in P+({i}, {m})")
-    d = rs.dcheck[i - 1]
-    return walk_levels(
-        lambda lvl: _grades(rs.type, i, lvl), _chain(rs.type, i, d).weights, d, m, mu
-    )
-
-
-def grade(rs: RootSystem, i: int, m: int, mu: Weight) -> int:
-    """The grade |mu| = sum of the reduced-expression indices."""
-    if mu not in pplus(rs, i, m):
-        raise ValueError(f"{mu} not in P+({i}, {m})")
-    return table_grade(_grades(rs.type, i, m), mu)
-
-
 def graded_character(rs: RootSystem, i: int, m: int) -> GradedCharacter:
-    """All of P+(i, m) grouped by grade; grade 0 is exactly {m omega_i}."""
-    weights = pplus(rs, i, m)
-    return group_by_grade(
-        weights, _grades(rs.type, i, m), rs.fundamental(i, m), f"({i}, {m})"
-    )
-
-
-def weight_character(rs: RootSystem, gc: GradedCharacter) -> dict[Weight, int]:
-    """Weight character of the whole graded module, grades forgotten."""
-    out: dict[Weight, int] = {}
-    for _, ws in gc.by_grade:
-        for w, m in charlib.expand_dominant(rs, {x: 1 for x in ws}).items():
-            out[w] = out.get(w, 0) + m
-    return out
+    """All of P+(i, m) of g grouped by grade."""
+    return kr_graded_character(datum(rs.type), i, m)
 
 
 def graded_tensor(

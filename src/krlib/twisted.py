@@ -3,29 +3,25 @@
 The ambient algebra is type A or D with a diagram automorphism of order two.
 Everything is computed inside the fixed-point algebra g0; the odd part g1 is
 tracked only through its highest g0-weight phi.  Levels are measured against
-the node-dependent steps dsigma instead of dcheck.
+the node-dependent steps dsigma instead of dcheck.  Only the input is twisted:
+fixed_point_data packs g0, dsigma, the twisted base sets and the R1+ chain
+conditions into a KRDatum, and krset builds chains, P+ and grades from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add
+from functools import lru_cache, partial
 
 from . import charlib
 from .errors import TheoremCheckError
 from .krset import (
     GradedChain,
     GradedCharacter,
-    GradeTable,
+    KRDatum,
     _omega_step_set,
-    base_grades,
-    group_by_grade,
-    level_grades,
-    sort_chain,
-    table_grade,
-    verify_chain_conditions,
-    walk_levels,
+    kr_chain,
+    kr_graded_character,
 )
 from .rootsys import LieType, RootSystem, Weight, build
 
@@ -80,13 +76,15 @@ def outer_from_ambient(family: str, rank: int) -> OuterType:
 
 @dataclass(frozen=True)
 class TwistedData:
-    """Fixed-point algebra g0, the odd-part root set R1+, phi and the steps."""
+    """Fixed-point algebra g0, the odd-part root set R1+, phi, the steps and
+    the KR datum that drives the twisted graded sets."""
 
     outer: OuterType
     g0: RootSystem
     r1_positive: frozenset[tuple[int, ...]]
     phi: Weight
     dsigma: tuple[int, ...]
+    kr: KRDatum
 
 
 def _short_positive(rs: RootSystem) -> list[tuple[int, ...]]:
@@ -134,7 +132,22 @@ def fixed_point_data(outer: OuterType) -> TwistedData:
         raise TheoremCheckError(
             f"dim V({phi}) = {charlib.weyl_dim(g0, phi)} over {g0.type}, but g1 has dimension {g1_dim}"
         )
-    return TwistedData(outer, g0, r1, phi, dsigma)
+
+    def in_r1(diff: Weight) -> bool:
+        return g0.int_root_coords(diff) in r1
+
+    # Two-step chain differences avoid R1+.  For the A automorphisms they also
+    # avoid R0+; for the D automorphism they do land on long positive roots of
+    # g0 (omega_j - omega_{j-2} = e_{j-1} + e_j there).
+    if outer.family == "D":
+        two_step = lambda diff: not in_r1(diff)
+    else:
+        two_step = lambda diff: not in_r1(diff) and not g0.is_positive_root(
+            g0.to_root_coords(diff)
+        )
+    base = partial(_base_set_sigma, outer, g0, dsigma)
+    kr = KRDatum(g0, dsigma, base, in_r1, two_step, "twisted ")
+    return TwistedData(outer, g0, r1, phi, dsigma, kr)
 
 
 def _scaled_ladder(g0: RootSystem, i: int, mult: int) -> frozenset[Weight]:
@@ -144,15 +157,15 @@ def _scaled_ladder(g0: RootSystem, i: int, mult: int) -> frozenset[Weight]:
     )
 
 
-def base_set_sigma(data: TwistedData, i: int, m0: int) -> frozenset[Weight]:
-    """The base set at node i for a level 1 <= m0 <= dsigma_i."""
-    g0 = data.g0
+def _base_set_sigma(
+    outer: OuterType, g0: RootSystem, dsigma: tuple[int, ...], i: int, m0: int
+) -> frozenset[Weight]:
     g0._check_node(i)
-    d = data.dsigma[i - 1]
+    d = dsigma[i - 1]
     if not 1 <= m0 <= d:
         raise ValueError(f"base level {m0} outside 1..{d} at node {i}")
-    fam = data.outer.family
-    n = data.outer.n
+    fam = outer.family
+    n = outer.n
     if fam == "A_odd":
         return _omega_step_set(g0, i, 1)
     if fam == "D":
@@ -173,107 +186,20 @@ def base_set_sigma(data: TwistedData, i: int, m0: int) -> frozenset[Weight]:
     )
 
 
-@lru_cache(maxsize=None)
-def _chain_sigma(outer: OuterType, i: int, m0: int) -> GradedChain:
-    data = fixed_point_data(outer)
-    g0 = data.g0
-    chain = sort_chain(g0, base_set_sigma(data, i, m0), g0.fundamental(i, m0))
-
-    def in_r1(diff: Weight) -> bool:
-        return g0.int_root_coords(diff) in data.r1_positive
-
-    if outer.family == "D":
-        two_step = lambda diff: not in_r1(diff)
-    else:
-        two_step = lambda diff: not in_r1(diff) and not g0.is_positive_root(
-            g0.to_root_coords(diff)
-        )
-    verify_chain_conditions(g0, chain, in_r1, two_step)
-    return GradedChain(chain)
+def base_set_sigma(data: TwistedData, i: int, m0: int) -> frozenset[Weight]:
+    """The base set at node i for a level 1 <= m0 <= dsigma_i."""
+    return data.kr.base_set(i, m0)
 
 
 def enumerate_chain_sigma(data: TwistedData, i: int, m0: int | None = None) -> GradedChain:
     """Enumerated base set: consecutive differences are in R1+, two-step
-    differences are not.
-
-    For the A automorphisms two-step differences avoid all of R0+ and R1+; for
-    the D automorphism they do land on long positive roots of g0 (omega_j -
-    omega_{j-2} = e_{j-1} + e_j there), so only R1+ membership is excluded.
-    Built and verified once per (outer type, node, level); a failure is not
-    cached.
-    """
-    data.g0._check_node(i)
-    if m0 is None:
-        m0 = data.dsigma[i - 1]
-    return _chain_sigma(data.outer, i, m0)
-
-
-@lru_cache(maxsize=None)
-def _pplus_sigma(outer: OuterType, i: int, m: int) -> frozenset[Weight]:
-    data = fixed_point_data(outer)
-    if m == 0:
-        return frozenset([data.g0.zero()])
-    d = data.dsigma[i - 1]
-    if m <= d:
-        return base_set_sigma(data, i, m)
-    step = base_set_sigma(data, i, d)
-    rest = _pplus_sigma(outer, i, m - d)
-    return frozenset(
-        tuple(map(add, x, y)) for x in step for y in rest
-    )
-
-
-def pplus_sigma(data: TwistedData, i: int, m: int) -> frozenset[Weight]:
-    """P+(i, m) over g0, built from twisted base sets by Minkowski sums."""
-    data.g0._check_node(i)
-    if m < 0:
-        raise ValueError("level must be non-negative")
-    return _pplus_sigma(data.outer, i, m)
-
-
-@lru_cache(maxsize=None)
-def _grades_sigma(outer: OuterType, i: int, m: int) -> GradeTable:
-    data = fixed_point_data(outer)
-    d = data.dsigma[i - 1]
-    if m < d:
-        return base_grades(data.g0.fundamental(i, m))
-    return level_grades(
-        _chain_sigma(outer, i, d).weights,
-        _pplus_sigma(outer, i, m),
-        _pplus_sigma(outer, i, m - d),
-        _grades_sigma(outer, i, m - d),
-    )
-
-
-def reduced_expression_sigma(data: TwistedData, i: int, m: int, mu: Weight) -> tuple[int, ...]:
-    """Greedy reduced expression of mu over the twisted chain."""
-    if mu not in pplus_sigma(data, i, m):
-        raise ValueError(f"{mu} not in twisted P+({i}, {m})")
-    d = data.dsigma[i - 1]
-    return walk_levels(
-        lambda lvl: _grades_sigma(data.outer, i, lvl),
-        _chain_sigma(data.outer, i, d).weights,
-        d,
-        m,
-        mu,
-    )
-
-
-def grade_sigma(data: TwistedData, i: int, m: int, mu: Weight) -> int:
-    if mu not in pplus_sigma(data, i, m):
-        raise ValueError(f"{mu} not in twisted P+({i}, {m})")
-    return table_grade(_grades_sigma(data.outer, i, m), mu)
+    differences are not (see fixed_point_data)."""
+    return kr_chain(data.kr, i, m0)
 
 
 def graded_character_sigma(data: TwistedData, i: int, m: int) -> GradedCharacter:
     """All of twisted P+(i, m) grouped by grade; grade 0 is {m omega_i}."""
-    weights = pplus_sigma(data, i, m)
-    return group_by_grade(
-        weights,
-        _grades_sigma(data.outer, i, m),
-        data.g0.fundamental(i, m),
-        f"twisted ({i}, {m})",
-    )
+    return kr_graded_character(data.kr, i, m)
 
 
 def ev_case_predicate(data: TwistedData, i: int) -> bool:

@@ -329,7 +329,7 @@ def test_criterion_9_characters_are_multiplicity_free_and_invariant():
                     assert w not in seen
                     seen.add(w)
         for rs, gc in rng.sample(graded, 25):
-            chi = krset.weight_character(rs, gc)
+            chi = charlib.expand_dominant(rs, {w: 1 for _, ws in gc.by_grade for w in ws})
             for _ in range(50):
                 i = rng.randint(1, rs.rank)
                 w = rng.choice(list(chi))

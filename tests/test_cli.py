@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -145,3 +147,48 @@ def test_chains_and_char_same_under_optimize_flag():
         optimized = run_optimized(*argv)
         assert plain.returncode == optimized.returncode == 0
         assert plain.stdout == optimized.stdout
+
+
+def test_verify_guard_reports_and_continues():
+    env = dict(os.environ, KR_MAX_DIM="50")
+    proc = subprocess.run(
+        [sys.executable, "-m", "krlib.cli", "verify", "modforge"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 2
+    assert lines[0].startswith("ok   modforge C2 node 1: dims [10, 1]")
+    assert lines[1].startswith("ok   modforge C3 node 1: dims [21, 1]")
+    assert "GUARD modforge C3 node 2: dim V((0, 2, 0)) = 90 exceeds 50" in lines
+    assert any(line.startswith("GUARD modforge B4 node 3: ") for line in lines)
+    assert all(line.startswith(("ok   ", "GUARD ")) for line in lines[:-1])
+    assert lines[-1] == "6/8 checks passed"
+
+
+# sha256 of the (argv, exit code, stdout) records of GRADED_SWEEP, recorded
+# before the untwisted and twisted graded sets moved onto one KR datum
+GRADED_DIGEST = "70b5ae6cef4087f6a13d96e156a25c0a34207788990ce747f5cd65077659f197"
+GRADED_SWEEP = (
+    [f"A{n}" for n in range(1, 5)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 5)]
+    + ["D3", "D4"]
+    + [f"A{n}~" for n in range(2, 9)]
+    + [f"D{n}~" for n in range(3, 6)]
+)
+
+
+def test_graded_sets_match_recorded_digest(capsys):
+    records = []
+    for label in GRADED_SWEEP:
+        alg = cli.parse_algebra(label)
+        rank = alg.g0.rank if isinstance(alg, cli.TwistedData) else alg.rank
+        for cmd in ("set", "char"):
+            for node in range(1, rank + 1):
+                for level in range(0, 6):
+                    argv = [cmd, "--algebra", label, "--node", str(node), "--level", str(level)]
+                    code = cli.main(argv)
+                    records.append([argv, code, capsys.readouterr().out])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert (len(records), digest) == (756, GRADED_DIGEST)

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from krlib import krset, twisted
+from krlib import charlib, krset, twisted
 from krlib.errors import ChainConditionError, TheoremCheckError
 from krlib.rootsys import LieType, build
 
@@ -137,15 +137,16 @@ def test_pplus_elements_dominant_below_top():
 
 
 def test_reduced_expression_examples():
-    assert krset.reduced_expression(C2, 1, 4, (2, 0)) == (0, 1)
-    assert krset.reduced_expression(C2, 1, 4, (0, 0)) == (1, 1)
-    assert krset.reduced_expression(C2, 1, 4, (4, 0)) == (0, 0)
+    kr = krset.datum(C2.type)
+    assert krset.reduced_expression(kr, 1, 4, (2, 0)) == (0, 1)
+    assert krset.reduced_expression(kr, 1, 4, (0, 0)) == (1, 1)
+    assert krset.reduced_expression(kr, 1, 4, (4, 0)) == (0, 0)
     assert krset.grade(C2, 1, 4, (2, 0)) == 1
 
 
 def test_reduced_expression_rejects_outsider():
     with pytest.raises(ValueError):
-        krset.reduced_expression(C2, 1, 4, (1, 0))
+        krset.reduced_expression(krset.datum(C2.type), 1, 4, (1, 0))
 
 
 def exhaustive_reduced(rs, i, m, mu):
@@ -185,7 +186,7 @@ def test_reduced_expression_unique_small_sweep():
         for m in range(1, 3 * d + 1):
             for mu in krset.pplus(rs, i, m):
                 found = exhaustive_reduced(rs, i, m, mu)
-                assert found == [krset.reduced_expression(rs, i, m, mu)]
+                assert found == [krset.reduced_expression(krset.datum(rs.type), i, m, mu)]
 
 
 def test_grade_bounded_by_m0_times_k():
@@ -244,7 +245,8 @@ def test_weight_character_is_weyl_invariant():
     import random
 
     rng = random.Random(59)
-    chi = krset.weight_character(C3, krset.graded_character(C3, 2, 2))
+    gc = krset.graded_character(C3, 2, 2)
+    chi = charlib.expand_dominant(C3, {w: 1 for _, ws in gc.by_grade for w in ws})
     assert sum(chi.values()) == 112
     for _ in range(25):
         w = rng.choice(list(chi))
@@ -309,7 +311,7 @@ def test_level_grades_match_greedy_oracle():
                     want = greedy_oracle(
                         chain, d, m, mu, lambda lvl: krset.pplus(rs, i, lvl), fw(rs, i, m % d)
                     )
-                    assert krset.reduced_expression(rs, i, m, mu) == want
+                    assert krset.reduced_expression(krset.datum(rs.type), i, m, mu) == want
                     assert krset.grade(rs, i, m, mu) == sum(want) == grade_of[mu]
 
 
@@ -327,17 +329,17 @@ def test_twisted_level_grades_match_greedy_oracle():
             for m in range(0, 9):
                 gc = twisted.graded_character_sigma(data, i, m)
                 grade_of = {w: s for s, ws in gc.by_grade for w in ws}
-                for mu in twisted.pplus_sigma(data, i, m):
+                for mu in krset.kr_pplus(data.kr, i, m):
                     want = greedy_oracle(
                         chain,
                         d,
                         m,
                         mu,
-                        lambda lvl: twisted.pplus_sigma(data, i, lvl),
+                        lambda lvl: krset.kr_pplus(data.kr, i, lvl),
                         g0.fundamental(i, m % d),
                     )
-                    assert twisted.reduced_expression_sigma(data, i, m, mu) == want
-                    assert twisted.grade_sigma(data, i, m, mu) == sum(want) == grade_of[mu]
+                    assert krset.reduced_expression(data.kr, i, m, mu) == want
+                    assert krset.kr_grade(data.kr, i, m, mu) == sum(want) == grade_of[mu]
 
 
 def test_graded_character_builds_each_chain_once():
@@ -346,32 +348,33 @@ def test_graded_character_builds_each_chain_once():
     for m in range(0, 9):
         krset.graded_character(C3, 2, m)
         krset.graded_character(B4, 3, m)
-    krset.reduced_expression(C3, 2, 8, (0, 0, 0))
+    krset.reduced_expression(krset.datum(C3.type), 2, 8, (0, 0, 0))
     assert krset._chain.cache_info().misses == 2
 
+    # the twisted sets share the one chain cache: one more build, then hits
     data = twisted.fixed_point_data(twisted.OuterType("A_even", 2))
-    twisted._chain_sigma.cache_clear()
-    twisted._grades_sigma.cache_clear()
+    hits = krset._chain.cache_info().hits
     for m in range(0, 9):
         twisted.graded_character_sigma(data, 2, m)
-    assert twisted._chain_sigma.cache_info().misses == 1
+    assert krset._chain.cache_info().misses == 3
+    assert krset._chain.cache_info().hits > hits
 
 
 def test_outsider_errors_unchanged():
     msg = re.escape("(1, 0) not in P+(1, 4)")
     with pytest.raises(ValueError, match=msg):
-        krset.reduced_expression(C2, 1, 4, (1, 0))
+        krset.reduced_expression(krset.datum(C2.type), 1, 4, (1, 0))
     with pytest.raises(ValueError, match=msg):
         krset.grade(C2, 1, 4, (1, 0))
     data = twisted.fixed_point_data(twisted.OuterType("A_even", 2))
     msg = re.escape("(1, 1) not in twisted P+(2, 4)")
     with pytest.raises(ValueError, match=msg):
-        twisted.reduced_expression_sigma(data, 2, 4, (1, 1))
+        krset.reduced_expression(data.kr, 2, 4, (1, 1))
     with pytest.raises(ValueError, match=msg):
-        twisted.grade_sigma(data, 2, 4, (1, 1))
-    # a residual that misses the base level's target
+        krset.kr_grade(data.kr, 2, 4, (1, 1))
+    # a residual that misses the base level's target (1, 0) of C2 node 1
     with pytest.raises(ValueError, match=re.escape("residual (0, 0) != (1, 0) after all stages")):
-        krset.table_grade(krset.base_grades((1, 0)), (0, 0))
+        krset._table_grade(krset._grades(krset.datum(C2.type), 1, 1), (0, 0))
 
 
 @pytest.mark.parametrize("node", [0, 4])
@@ -397,6 +400,6 @@ def test_cached_chains_and_tables_are_read_only():
     assert type(chain.weights) is tuple and all(type(w) is tuple for w in chain.weights)
     with pytest.raises(dataclasses.FrozenInstanceError):
         chain.weights = ()
-    table = krset._grades(C3.type, 2, 4)
+    table = krset._grades(krset.datum(C3.type), 2, 4)
     with pytest.raises(TypeError):
         table[(0, 0, 0)] = (0, 0)

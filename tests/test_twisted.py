@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from krlib import charlib, twisted
+from krlib import charlib, krset, twisted
 from krlib.errors import ChainConditionError
 from krlib.rootsys import LieType
 
@@ -155,7 +155,7 @@ def test_chain_rejects_wrong_order():
     g0 = D4.g0
     bad = ((0, 1, 0), (0, 0, 0), (1, 0, 0))
     with pytest.raises(ChainConditionError):
-        twisted.verify_chain_conditions(
+        krset.verify_chain_conditions(
             g0,
             bad,
             lambda d: g0.int_root_coords(d) in D4.r1_positive,
@@ -167,11 +167,11 @@ def test_chain_rejects_wrong_order():
 
 
 def test_pplus_sigma_recursion_examples():
-    assert twisted.pplus_sigma(A4, 2, 4) == {(0, 4), (2, 0), (0, 0)}
-    assert twisted.pplus_sigma(A4, 2, 5) == {(0, 5), (2, 1), (0, 1)}
-    assert twisted.pplus_sigma(D4, 3, 2) == {(0, 0, 2)}
-    assert twisted.pplus_sigma(A5, 1, 3) == {(3, 0, 0)}
-    assert twisted.pplus_sigma(D4, 1, 2) == {(2, 0, 0), (1, 0, 0), (0, 0, 0)}
+    assert krset.kr_pplus(A4.kr, 2, 4) == {(0, 4), (2, 0), (0, 0)}
+    assert krset.kr_pplus(A4.kr, 2, 5) == {(0, 5), (2, 1), (0, 1)}
+    assert krset.kr_pplus(D4.kr, 3, 2) == {(0, 0, 2)}
+    assert krset.kr_pplus(A5.kr, 1, 3) == {(3, 0, 0)}
+    assert krset.kr_pplus(D4.kr, 1, 2) == {(2, 0, 0), (1, 0, 0), (0, 0, 0)}
 
 
 def test_pplus_sigma_dominant_and_below():
@@ -181,7 +181,7 @@ def test_pplus_sigma_dominant_and_below():
             d = data.dsigma[i - 1]
             for m in range(1, 2 * d + 1):
                 top = fw(data, i, m)
-                for mu in twisted.pplus_sigma(data, i, m):
+                for mu in krset.kr_pplus(data.kr, i, m):
                     assert g0.dominant(mu)
                     diff = tuple(a - b for a, b in zip(top, mu))
                     rc = g0.to_root_coords(diff)
@@ -200,11 +200,11 @@ def test_graded_character_sigma_examples():
 
 
 def test_reduced_expression_sigma():
-    assert twisted.reduced_expression_sigma(A4, 2, 4, (0, 4)) == (0,)
-    assert twisted.reduced_expression_sigma(A4, 2, 4, (2, 0)) == (1,)
-    assert twisted.reduced_expression_sigma(A4, 2, 8, (0, 0)) == (2, 2)
+    assert krset.reduced_expression(A4.kr, 2, 4, (0, 4)) == (0,)
+    assert krset.reduced_expression(A4.kr, 2, 4, (2, 0)) == (1,)
+    assert krset.reduced_expression(A4.kr, 2, 8, (0, 0)) == (2, 2)
     with pytest.raises(ValueError):
-        twisted.reduced_expression_sigma(A4, 2, 4, (1, 1))
+        krset.reduced_expression(A4.kr, 2, 4, (1, 1))
 
 
 def test_graded_character_sigma_sweep_multiplicity_free():
@@ -219,7 +219,7 @@ def test_graded_character_sigma_sweep_multiplicity_free():
                     for w in ws:
                         assert w not in seen
                         seen.add(w)
-                assert seen == set(twisted.pplus_sigma(data, i, m))
+                assert seen == set(krset.kr_pplus(data.kr, i, m))
 
 
 def test_ev_case_predicate():
