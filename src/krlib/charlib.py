@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from operator import add
+from types import MappingProxyType
 
 from .errors import DimensionGuardError, TheoremCheckError
 from .rootsys import LieType, RootSystem, Weight, build
@@ -93,8 +94,8 @@ def _dominant_below(lt: LieType, lam: Weight) -> tuple[Weight, ...]:
 
 
 @lru_cache(maxsize=None)
-def _dominant_mults(lt: LieType, lam: Weight) -> dict[Weight, int]:
-    """Freudenthal multiplicities of the dominant weights of V(lam)."""
+def _dominant_mults(lt: LieType, lam: Weight) -> MappingProxyType[Weight, int]:
+    """Freudenthal multiplicities of the dominant weights of V(lam), read-only."""
     rs = build(lt)
     n = rs.rank
     cands = list(_dominant_below(lt, lam))
@@ -139,7 +140,7 @@ def _dominant_mults(lt: LieType, lam: Weight) -> dict[Weight, int]:
         m = (2 * num2) // den2
         if m:
             mults[mu] = m
-    return mults
+    return MappingProxyType(mults)
 
 
 def _int_root_coords(rs: RootSystem, eta: Weight) -> tuple[int, ...]:
@@ -150,13 +151,13 @@ def _int_root_coords(rs: RootSystem, eta: Weight) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _full_char(lt: LieType, lam: Weight) -> dict[Weight, int]:
+def _full_char(lt: LieType, lam: Weight) -> MappingProxyType[Weight, int]:
     rs = build(lt)
     out: dict[Weight, int] = {}
     for mu, m in _dominant_mults(lt, lam).items():
         for w in rs.weyl_orbit(mu):
             out[w] = m
-    return out
+    return MappingProxyType(out)
 
 
 def weight_mults(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> WeightCharacter:

@@ -3,23 +3,25 @@
 For a node i and level m the module is controlled by a finite set P+(i, m) of
 dominant weights built from small base sets by Minkowski sums, together with a
 grade for each element read off a greedy reduced expression over the enumerated
-chain of the base set.  Which base set applies is decided by the invariants
-epsilon_i(theta) and dcheck_i, never by hardcoding nodes.
+chain of the base set.  The chain is affinely independent, so both come from
+one enumeration of the compositions of the chain.  Which base set applies is
+decided by the invariants epsilon_i(theta) and dcheck_i, never by hardcoding
+nodes.
 
 The machine takes one KRDatum per algebra, so the twisted graded sets (see
-twisted.fixed_point_data) run through the same chains, P+ and grade tables.
+twisted.fixed_point_data) run through the same chains and compositions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Set
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import add, sub
 from types import MappingProxyType
 
 from . import charlib
 from .errors import ChainConditionError, TheoremCheckError
+from .linalg import Echelon
 from .rootsys import LieType, RootSystem, Weight, build
 
 
@@ -57,11 +59,6 @@ class GradedCharacter:
 
     def as_dict(self) -> dict[int, dict[Weight, int]]:
         return {s: {w: 1 for w in ws} for s, ws in self.by_grade}
-
-    def dims(self, rs: RootSystem) -> list[int]:
-        return [
-            sum(charlib.weyl_dim(rs, w) for w in ws) for _, ws in self.by_grade
-        ]
 
 
 def construction_nodes(rs: RootSystem) -> list[int]:
@@ -177,6 +174,13 @@ def datum(lt: LieType) -> KRDatum:
 def _chain(kr: KRDatum, i: int, m0: int) -> GradedChain:
     chain = sort_chain(kr.rs, kr.base_set(i, m0), kr.rs.fundamental(i, m0))
     verify_chain_conditions(kr.rs, chain, kr.one_step, kr.two_step)
+    # affine independence: each weight of P+ has one composition (see _pplus)
+    ech = Echelon()
+    for mu in chain[1:]:
+        if ech.add({t: b - a for t, (a, b) in enumerate(zip(chain[0], mu)) if a != b}) is None:
+            raise TheoremCheckError(
+                f"{kr.label}chain {chain} at node {i} is affinely dependent at {mu}"
+            )
     return GradedChain(chain)
 
 
@@ -195,96 +199,68 @@ def enumerate_chain(rs: RootSystem, i: int, m0: int | None = None) -> GradedChai
     return kr_chain(datum(rs.type), i, m0)
 
 
+# -- P+ as compositions of the chain -------------------------------------------
+#
+# With (q, r) = divmod(m, d), P+(i, m) is q copies of the chain mu_0 > ... > mu_k
+# summed onto the base level {r omega_i}: mu = r omega_i + sum_j c_j mu_j, |c| = q.
+# The chain is affinely independent, so c is unique, and the least j with
+# mu - mu_j in P+(i, m - d), the greedy choice, is the least j with c_j > 0: the
+# greedy reduced expression lists each j c_j times, and the grade is sum_j j c_j.
+
+
 @lru_cache(maxsize=None)
-def _pplus(kr: KRDatum, i: int, m: int) -> frozenset[Weight]:
-    if m == 0:
-        return frozenset([kr.rs.zero()])
+def _pplus(kr: KRDatum, i: int, m: int) -> Mapping[Weight, tuple[int, ...]]:
     d = kr.steps[i - 1]
-    if m <= d:
-        return kr.base_set(i, m)
-    step = kr.base_set(i, d)
-    rest = _pplus(kr, i, m - d)
-    return frozenset(
-        tuple(map(add, x, y)) for x in step for y in rest
-    )
+    q, r = divmod(m, d)
+    start = kr.rs.fundamental(i, r)
+    if r and kr.base_set(i, r) != {start}:
+        raise TheoremCheckError(f"{kr.label}P+({i}, {r}) is not {{{start}}}")
+    chain = _chain(kr, i, d).weights
+    k = len(chain) - 1
+    out: dict[Weight, tuple[int, ...]] = {}
+
+    def fill(j: int, left: int, mu: Weight, c: tuple[int, ...]) -> None:
+        # c_0, ..., c_{j-1} are chosen and summed into mu; spread left over the rest
+        if j == k:
+            out[tuple(x + left * y for x, y in zip(mu, chain[k]))] = c + (left,)
+            return
+        for cj in range(left + 1):
+            fill(j + 1, left - cj, mu, c + (cj,))
+            mu = tuple(x + y for x, y in zip(mu, chain[j]))
+
+    fill(0, q, start, ())
+    return MappingProxyType(out)
 
 
-def kr_pplus(kr: KRDatum, i: int, m: int) -> frozenset[Weight]:
-    """P+(i, m), defined by base sets and the Minkowski-sum recursion."""
+def _level(kr: KRDatum, i: int, m: int) -> Mapping[Weight, tuple[int, ...]]:
     kr.rs._check_node(i)
     if m < 0:
         raise ValueError("level must be non-negative")
     return _pplus(kr, i, m)
 
 
-def pplus(rs: RootSystem, i: int, m: int) -> frozenset[Weight]:
+def kr_pplus(kr: KRDatum, i: int, m: int) -> Set[Weight]:
+    """P+(i, m) as a read-only set, enumerated as compositions of the chain."""
+    return _level(kr, i, m).keys()
+
+
+def pplus(rs: RootSystem, i: int, m: int) -> Set[Weight]:
     """P+(i, m) of g."""
     return kr_pplus(datum(rs.type), i, m)
 
 
-# -- grades, level by level ---------------------------------------------------
-#
-# A grade table of level m maps each mu in P+(i, m) to (j*, grade): j* is the
-# least chain index with mu - mu_{j*} in P+(i, m - d), and grade(mu) is
-# j* + grade(mu - mu_{j*}) read from the table of level m - d.  Reading j* off
-# the tables level by level gives the greedy reduced expression.  The base
-# level m mod d holds only its target weight (m mod d) * omega_i, with index
-# -1 and grade 0.  Tables are read-only mappings.
-
-GradeTable = Mapping[Weight, tuple[int, int]]
-
-
-def _table_grade(table: GradeTable, mu: Weight) -> int:
-    # a weight missing from a table can only be a base-level residual other
-    # than the target
-    entry = table.get(mu)
-    if entry is None:
-        (target,) = table
-        raise ValueError(f"residual {mu} != {target} after all stages")
-    return entry[1]
-
-
-@lru_cache(maxsize=None)
-def _grades(kr: KRDatum, i: int, m: int) -> GradeTable:
-    d = kr.steps[i - 1]
-    if m < d:
-        return MappingProxyType({kr.rs.fundamental(i, m): (-1, 0)})
-    chain = _chain(kr, i, d).weights
-    below_set, below = _pplus(kr, i, m - d), _grades(kr, i, m - d)
-    out: dict[Weight, tuple[int, int]] = {}
-    for mu in _pplus(kr, i, m):
-        for j, mu_j in enumerate(chain):
-            residual = tuple(map(sub, mu, mu_j))
-            if residual in below_set:
-                break
-        else:
-            raise ValueError(f"no reduced expression: stuck at {mu}")
-        out[mu] = (j, j + _table_grade(below, residual))
-    return MappingProxyType(out)
-
-
 def reduced_expression(kr: KRDatum, i: int, m: int, mu: Weight) -> tuple[int, ...]:
     """Indices (j_1 <= ... <= j_{m // d}) of the greedy expression of mu in
-    P+(i, m), read off the grade tables of levels m, m - d, ..."""
-    if mu not in kr_pplus(kr, i, m):
+    P+(i, m): each chain index j repeated c_j times."""
+    c = _level(kr, i, m).get(mu)
+    if c is None:
         raise ValueError(f"{mu} not in {kr.label}P+({i}, {m})")
-    d = kr.steps[i - 1]
-    chain = _chain(kr, i, d).weights
-    js = []
-    while m >= d:
-        j = _grades(kr, i, m)[mu][0]
-        js.append(j)
-        mu = tuple(map(sub, mu, chain[j]))
-        m -= d
-    _table_grade(_grades(kr, i, m), mu)  # the base level holds only its target
-    return tuple(js)
+    return tuple(j for j, cj in enumerate(c) for _ in range(cj))
 
 
 def kr_grade(kr: KRDatum, i: int, m: int, mu: Weight) -> int:
     """The grade |mu| = sum of the reduced-expression indices."""
-    if mu not in kr_pplus(kr, i, m):
-        raise ValueError(f"{mu} not in {kr.label}P+({i}, {m})")
-    return _table_grade(_grades(kr, i, m), mu)
+    return sum(reduced_expression(kr, i, m, mu))
 
 
 def grade(rs: RootSystem, i: int, m: int, mu: Weight) -> int:
@@ -294,17 +270,13 @@ def grade(rs: RootSystem, i: int, m: int, mu: Weight) -> int:
 
 def kr_graded_character(kr: KRDatum, i: int, m: int) -> GradedCharacter:
     """All of P+(i, m) grouped by grade; grade 0 is exactly {m omega_i}."""
-    weights = kr_pplus(kr, i, m)
-    table = _grades(kr, i, m)
+    comps = _level(kr, i, m)
     buckets: dict[int, list[Weight]] = {}
-    for mu in sorted(weights):
-        buckets.setdefault(_table_grade(table, mu), []).append(mu)
+    for mu in sorted(comps):
+        buckets.setdefault(sum(j * cj for j, cj in enumerate(comps[mu])), []).append(mu)
     gc = GradedCharacter(tuple((s, tuple(ws)) for s, ws in sorted(buckets.items())))
     if gc.piece(0) != {kr.rs.fundamental(i, m): 1}:
         raise TheoremCheckError(f"grade 0 of {kr.label}({i}, {m}) is {gc.piece(0)}")
-    total = sum(len(ws) for _, ws in gc.by_grade)
-    if total != len(weights):
-        raise TheoremCheckError("a weight received two grades")
     return gc
 
 

@@ -200,10 +200,3 @@ def enumerate_chain_sigma(data: TwistedData, i: int, m0: int | None = None) -> G
 def graded_character_sigma(data: TwistedData, i: int, m: int) -> GradedCharacter:
     """All of twisted P+(i, m) grouped by grade; grade 0 is {m omega_i}."""
     return kr_graded_character(data.kr, i, m)
-
-
-def ev_case_predicate(data: TwistedData, i: int) -> bool:
-    """True iff the chain is a single weight, so every level stays in grade 0
-    and the module is an evaluation module."""
-    return enumerate_chain_sigma(data, i).k == 0
-

@@ -72,6 +72,22 @@ def test_weight_mults_c2_omega2():
     assert len(chi) == 5
 
 
+def test_cached_characters_are_read_only():
+    for cached in (charlib._dominant_mults, charlib._full_char):
+        first = cached(C3.type, (1, 1, 0))
+        before = dict(first)
+        with pytest.raises(TypeError):
+            first[(0, 0, 0)] = 99
+        with pytest.raises(TypeError):
+            del first[(1, 1, 0)]
+        assert dict(cached(C3.type, (1, 1, 0))) == before
+    # weight_mults hands out a fresh dict each call
+    chi = charlib.weight_mults(C3, (1, 1, 0))
+    before = dict(chi)
+    chi[(0, 0, 0)] = 99
+    assert charlib.weight_mults(C3, (1, 1, 0)) == before
+
+
 def test_freudenthal_mass_equals_weyl_dim():
     rng = random.Random(23)
     for rs in SWEEP:

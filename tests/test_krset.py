@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import re
 from itertools import product
+from math import comb
 
 import pytest
 
-from krlib import charlib, krset, twisted
+from krlib import charlib, cli, krset, twisted
 from krlib.errors import ChainConditionError, TheoremCheckError
 from krlib.rootsys import LieType, build
 
@@ -29,6 +30,11 @@ SWEEP = [
 
 def fw(rs, i, mult=1):
     return rs.fundamental(i, mult)
+
+
+def dims(rs, gc):
+    """Dimension of each graded piece, summed with the Weyl dimension formula."""
+    return [sum(charlib.weyl_dim(rs, w) for w in ws) for _, ws in gc.by_grade]
 
 
 # ------------------------------------------------------------------- base sets
@@ -95,6 +101,51 @@ def test_sort_chain_checks_raise():
         krset.sort_chain(C2, [(0, 0)], (2, 0))
 
 
+# C2 node 1 at its step 2: mu_j = (2, 0) - j * alpha_1 passes permissive step
+# predicates and has strictly increasing depths, but its differences are
+# collinear
+DEPENDENT = frozenset([(2, 0), (0, 1), (-2, 2)])
+
+
+def planted_datum():
+    def base(i, m0):
+        return DEPENDENT if i == 1 else krset.base_set(C2, i, m0)
+
+    anything = lambda diff: True
+    return krset.KRDatum(C2, C2.dcheck, base, anything, anything, "")
+
+
+def test_dependent_chain_raises():
+    kr = planted_datum()
+    with pytest.raises(TheoremCheckError, match="affinely dependent"):
+        krset.kr_chain(kr, 1)
+    with pytest.raises(TheoremCheckError, match="affinely dependent"):
+        krset.kr_pplus(kr, 1, 4)
+    assert krset.kr_chain(kr, 2).k == krset.enumerate_chain(C2, 2).k
+
+
+def test_base_level_must_be_its_top_weight():
+    # P+(i, m) = r omega_i + compositions holds only if P+(i, r) = {r omega_i}
+    def base(i, m0):
+        return frozenset([(1, 0), (0, 0)]) if m0 == 1 else krset.base_set(C2, i, m0)
+
+    real = krset.datum(C2.type)
+    kr = dataclasses.replace(real, base_set=base)
+    assert krset.kr_pplus(kr, 1, 4) == krset.pplus(C2, 1, 4)
+    with pytest.raises(TheoremCheckError, match=re.escape("P+(1, 1) is not {(1, 0)}")):
+        krset.kr_pplus(kr, 1, 3)
+
+
+def test_verify_chains_fails_on_a_dependent_chain(monkeypatch, capsys):
+    planted, real = planted_datum(), krset.datum
+    monkeypatch.setattr(krset, "datum", lambda lt: planted if lt == C2.type else real(lt))
+    assert cli.main(["verify", "chains"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL chain C2 node 1: ")
+    assert "affinely dependent" in fails[0]
+
+
 def test_chain_condition_error_reports_pair():
     bad = ((2, 0), (1, 0))  # difference omega_1 is not a root of C2
     with pytest.raises(ChainConditionError) as err:
@@ -119,6 +170,33 @@ def test_pplus_examples():
 def test_pplus_zero_level():
     for rs in (C2, B3, A3):
         assert krset.pplus(rs, 1, 0) == {rs.zero()}
+
+
+def minkowski_pplus(kr, i, m):
+    """P+(i, m) from the definition: base_set(i, d) + P+(i, m - d) above the
+    base levels 0 < m <= d."""
+    if m == 0:
+        return {kr.rs.zero()}
+    d = kr.steps[i - 1]
+    if m <= d:
+        return set(kr.base_set(i, m))
+    rest = minkowski_pplus(kr, i, m - d)
+    return {tuple(a + b for a, b in zip(x, y)) for x in kr.base_set(i, d) for y in rest}
+
+
+def test_pplus_matches_minkowski_oracle():
+    datums = [krset.datum(rs.type) for rs in SWEEP] + [
+        twisted.fixed_point_data(twisted.outer_from_ambient(fam, r)).kr
+        for fam, lo, hi in (("A", 2, 10), ("D", 3, 6))
+        for r in range(lo, hi + 1)
+    ]
+    for kr in datums:
+        for i in range(1, kr.rs.rank + 1):
+            d, k = kr.steps[i - 1], krset.kr_chain(kr, i).k
+            for m in range(0, 9):
+                got = krset.kr_pplus(kr, i, m)
+                assert got == minkowski_pplus(kr, i, m), (kr.rs.type, kr.label, i, m)
+                assert len(got) == comb(m // d + k, k)
 
 
 def test_pplus_elements_dominant_below_top():
@@ -204,13 +282,13 @@ def test_grade_bounded_by_m0_times_k():
 def test_graded_character_c2_level4():
     gc = krset.graded_character(C2, 1, 4)
     assert gc.as_dict() == {0: {(4, 0): 1}, 1: {(2, 0): 1}, 2: {(0, 0): 1}}
-    assert gc.dims(C2) == [35, 10, 1]
+    assert dims(C2, gc) == [35, 10, 1]
 
 
 def test_graded_character_c3_node2_level2():
     gc = krset.graded_character(C3, 2, 2)
     assert gc.as_dict() == {0: {(0, 2, 0): 1}, 1: {(2, 0, 0): 1}, 2: {(0, 0, 0): 1}}
-    assert gc.dims(C3) == [90, 21, 1]
+    assert dims(C3, gc) == [90, 21, 1]
 
 
 def test_graded_character_b_series():
@@ -220,7 +298,7 @@ def test_graded_character_b_series():
     }
     gc = krset.graded_character(B4, 3, 1)
     assert gc.as_dict() == {0: {(0, 0, 1, 0): 1}, 1: {(1, 0, 0, 0): 1}}
-    assert gc.dims(B4) == [84, 9]
+    assert dims(B4, gc) == [84, 9]
 
 
 def test_graded_character_a_series_degenerate():
@@ -279,7 +357,7 @@ def test_tensor_bound_detects_missing_weight(monkeypatch):
         krset.tensor_bound_check(C2, 1, 3)
 
 
-# ------------------------------------------------- level-by-level grade tables
+# ------------------------------------------------------ greedy grade oracle
 
 
 def greedy_oracle(chain, d, m, mu, level_set, target):
@@ -344,7 +422,7 @@ def test_twisted_level_grades_match_greedy_oracle():
 
 def test_graded_character_builds_each_chain_once():
     krset._chain.cache_clear()
-    krset._grades.cache_clear()
+    krset._pplus.cache_clear()
     for m in range(0, 9):
         krset.graded_character(C3, 2, m)
         krset.graded_character(B4, 3, m)
@@ -372,9 +450,6 @@ def test_outsider_errors_unchanged():
         krset.reduced_expression(data.kr, 2, 4, (1, 1))
     with pytest.raises(ValueError, match=msg):
         krset.kr_grade(data.kr, 2, 4, (1, 1))
-    # a residual that misses the base level's target (1, 0) of C2 node 1
-    with pytest.raises(ValueError, match=re.escape("residual (0, 0) != (1, 0) after all stages")):
-        krset._table_grade(krset._grades(krset.datum(C2.type), 1, 1), (0, 0))
 
 
 @pytest.mark.parametrize("node", [0, 4])
@@ -400,6 +475,9 @@ def test_cached_chains_and_tables_are_read_only():
     assert type(chain.weights) is tuple and all(type(w) is tuple for w in chain.weights)
     with pytest.raises(dataclasses.FrozenInstanceError):
         chain.weights = ()
-    table = krset._grades(krset.datum(C3.type), 2, 4)
+    comps = krset._pplus(krset.datum(C3.type), 2, 4)
     with pytest.raises(TypeError):
-        table[(0, 0, 0)] = (0, 0)
+        comps[(0, 0, 0)] = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        krset.pplus(C3, 2, 4).add((9, 9, 9))
+    assert krset._pplus(krset.datum(C3.type), 2, 4) is comps
