@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from operator import add
+from math import prod
+from operator import add, mul
 from types import MappingProxyType
 
 from .errors import DimensionGuardError, TheoremCheckError
@@ -50,15 +51,24 @@ def _require_dominant(rs: RootSystem, lam: Weight, what: str = "weight") -> None
         raise ValueError(f"{what} {lam} is not dominant")
 
 
+@lru_cache(maxsize=None)
+def _weyl_forms(lt: LieType) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Per positive root alpha the integer form (2 // dcheck_j) * alpha_j, so
+    that 2(lam, alpha) is its dot product with lam, and the product of
+    2(rho, alpha) over the positive roots."""
+    rs = build(lt)
+    forms = tuple(
+        tuple(a * (2 // d) for a, d in zip(alpha, rs.dcheck)) for alpha in rs.positive_roots
+    )
+    return forms, prod(sum(form) for form in forms)
+
+
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the simple module with highest weight lam."""
     _require_dominant(rs, lam)
+    forms, den = _weyl_forms(rs.type)
     rho_shift = tuple(c + 1 for c in lam)
-    rho = (1,) * rs.rank
-    num = den = 1
-    for alpha in rs.positive_roots:
-        num *= rs.twice_inner_root(rho_shift, alpha)
-        den *= rs.twice_inner_root(rho, alpha)
+    num = prod(sum(map(mul, form, rho_shift)) for form in forms)
     if num % den:
         raise TheoremCheckError(f"Weyl dimension of {lam} is {num}/{den}, not an integer")
     return num // den

@@ -42,12 +42,8 @@ def _graded(alg, node: int, level: int):
 
 
 def _entries(gc) -> list[dict]:
-    out = []
-    for s, ws in gc.by_grade:
-        for w in sorted(ws):
-            out.append({"weight": list(w), "grade": s})
-    out.sort(key=lambda e: (e["grade"], e["weight"]))
-    return out
+    # by_grade is sorted by grade, and each grade's weights are sorted
+    return [{"weight": list(w), "grade": s} for s, ws in gc.by_grade for w in ws]
 
 
 def cmd_set(args) -> int:

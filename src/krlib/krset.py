@@ -44,12 +44,10 @@ class GradedChain:
 
 @dataclass(frozen=True)
 class GradedCharacter:
-    """Highest weights of a KR module grouped by grade, all multiplicity one."""
+    """Highest weights of a KR module grouped by grade, all multiplicity one;
+    the grades ascend and each grade's weights are sorted."""
 
     by_grade: tuple[tuple[int, tuple[Weight, ...]], ...]
-
-    def grades(self) -> list[int]:
-        return [s for s, _ in self.by_grade]
 
     def piece(self, s: int) -> dict[Weight, int]:
         for g, ws in self.by_grade:

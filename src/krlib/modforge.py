@@ -3,8 +3,11 @@
 The route: build the defining representation with integer matrices, generate a
 basis of g by iterated brackets of the Chevalley generators, realize V(mu) as
 the cyclic span of a highest vector inside tensor products of wedge powers,
-solve the intertwiner g (x) V_s -> V_{s+1} by exact elimination, and assemble
-the graded module with x(x)t acting through the normalized intertwiners.
+solve the intertwiner g (x) V_s -> V_{s+1} one weight space of V_{s+1} at a
+time (a nullspace for the top weight, then a downward sweep through the e_i,
+checked against the f_i and the character count of the Hom space), and
+assemble the graded module with x(x)t acting through the normalized
+intertwiners.
 Everything is exact and deterministic; every integral entry is stored as an int.
 """
 
@@ -492,57 +495,112 @@ def verify_matrix_rep(rep: MatrixRep, check_char: bool = True) -> None:
 
 
 def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMat]:
-    """Basis of the g-equivariant maps from the tensor_rep source to target.
+    """Basis of the g-equivariant maps from the tensor_rep source M to the
+    simple target V(lam), solved one weight space at a time.
 
-    Unknowns are restricted to weight-matched entries; the constraints are
-    commutation with every e_i and f_i, read off column by column.
+    Hom_g(M, V(lam)) is dual to M_lam / sum_i f_i M_{lam + alpha_i}
+    (Humphreys, sections 20-21), so one nullspace over the source columns of
+    weight lam gives the top of every map.  Below the top, phi(c) for a
+    column c of weight mu is the unique x in V(lam)_mu with e_i x = phi(e_i c)
+    for every i: the weights are visited by increasing depth below lam, so
+    every phi(e_i c) is already known, and x is read off an echelon of the
+    stacked e_i images of V(lam)_mu.  That echelon is injective below the top
+    only if the target is simple, so a dependent insert raises.  A column
+    whose weight V(lam) lacks must have phi(e_i c) = 0, and
+    phi(f_i c) = f_i phi(c) is checked for every column and every i where
+    either side can be nonzero; together with e-equivariance by
+    construction, each returned map is g-equivariant.
     """
-    source_wts = [source.grade_weight(c)[1] for c in range(source.dim)]
+    n = rs.rank
+    lam = target.highest_weight
+    dim = target.dim
+
+    def shift(wt: Weight, i: int, sign: int) -> Weight:
+        return tuple(a + sign * b for a, b in zip(wt, rs.cartan[i - 1]))
+
     cols_by_wt: dict[Weight, list[int]] = {}
-    for c, wt in enumerate(source_wts):
-        cols_by_wt.setdefault(wt, []).append(c)
+    for c in range(source.dim):
+        cols_by_wt.setdefault(source.grade_weight(c)[1], []).append(c)
     rows_by_wt: dict[Weight, list[int]] = {}
-    for r in range(target.dim):
-        rows_by_wt.setdefault(target.basis_weights[r], []).append(r)
+    for r, wt in enumerate(target.basis_weights):
+        rows_by_wt.setdefault(wt, []).append(r)
+    top = target.highest_index
+    if rows_by_wt.get(lam) != [top]:
+        raise TheoremCheckError(f"weight {lam} of the target is not a highest line")
 
-    variables = []
-    for wt, rows in sorted(rows_by_wt.items()):
-        for r in rows:
-            for c in cols_by_wt.get(wt, []):
-                variables.append((r, c))
-    varset = set(variables)
+    # the top: unknowns are the columns of weight lam, rows the f_i images
+    # of the columns of weight lam + alpha_i
+    rows = [
+        source.apply(("f", i), {c: 1})
+        for i in range(1, n + 1)
+        for c in cols_by_wt.get(shift(lam, i, 1), ())
+    ]
+    maps = [
+        SpMat(dim, source.dim, {c: {top: v} for c, v in sol.items()})
+        for sol in nullspace(rows, cols_by_wt.get(lam, []))
+    ]
+    if not maps:
+        return []
 
-    def constraint_rows():
-        for kind in ("e", "f"):
-            for i in range(1, rs.rank + 1):
-                gt = target.gen(kind, i)
-                for c in range(source.dim):
-                    acc: dict[int, dict[tuple[int, int], object]] = {}
-                    for k, v in source.apply((kind, i), {c: 1}).items():
-                        for r in rows_by_wt.get(source_wts[k], []):
-                            if (r, k) in varset:
-                                row = acc.setdefault(r, {})
-                                row[(r, k)] = row.get((r, k), 0) + v
-                    col_vars = [
-                        (k, (k, c))
-                        for k in rows_by_wt.get(source_wts[c], [])
-                        if (k, c) in varset
-                    ]
-                    for k, var in col_vars:
-                        for rr, a in gt.col(k).items():
-                            row = acc.setdefault(rr, {})
-                            row[var] = row.get(var, 0) - a
-                    for row in acc.values():
-                        yield row
+    # downward from lam, which is alone at depth 0
+    depth = {mu: rs.scaled_height(tuple(a - b for a, b in zip(lam, mu))) for mu in rows_by_wt}
+    for mu in sorted(rows_by_wt, key=depth.__getitem__)[1:]:
+        basis = rows_by_wt[mu]
+        ech = Echelon()
+        for r in basis:
+            stacked = {
+                (i - 1) * dim + z: v
+                for i in range(1, n + 1)
+                for z, v in target.e[i - 1].col(r).items()
+            }
+            if ech.add(stacked) is None:
+                raise TheoremCheckError(
+                    f"the e_i are not injective on weight {mu} of V({lam})"
+                )
+        live = [i for i in range(1, n + 1) if shift(mu, i, 1) in rows_by_wt]
+        for c in cols_by_wt.get(mu, ()):
+            ups = [(i, source.apply(("e", i), {c: 1})) for i in live]
+            for phi in maps:
+                rhs = {
+                    (i - 1) * dim + z: v for i, up in ups for z, v in phi.apply(up).items()
+                }
+                if not rhs:
+                    continue
+                x = ech.coords(rhs)
+                if x is None:
+                    raise TheoremCheckError(
+                        f"no vector of weight {mu} in V({lam}) matches the e-images"
+                        f" of source column {c}"
+                    )
+                phi.data[c] = {basis[k]: v for k, v in x.items()}
 
-    sols = nullspace(constraint_rows(), variables)
-    out = []
-    for sol in sols:
-        m = SpMat(target.dim, source.dim)
-        for (r, c), v in sol.items():
-            m.set(r, c, v)
-        out.append(m)
-    return out
+    for nu, cols in cols_by_wt.items():
+        if nu in rows_by_wt:
+            continue
+        for i in range(1, n + 1):
+            if shift(nu, i, 1) not in rows_by_wt:
+                continue
+            for c in cols:
+                up = source.apply(("e", i), {c: 1})
+                if any(phi.apply(up) for phi in maps):
+                    raise TheoremCheckError(
+                        f"source column {c} has weight {nu}, absent from V({lam}),"
+                        f" but its e_{i} image does not map to zero"
+                    )
+
+    for nu, cols in cols_by_wt.items():
+        for i in range(1, n + 1):
+            if nu not in rows_by_wt and shift(nu, i, -1) not in rows_by_wt:
+                continue
+            f = target.f[i - 1]
+            for c in cols:
+                down = source.apply(("f", i), {c: 1})
+                for phi in maps:
+                    if phi.apply(down) != f.apply(phi.col(c)):
+                        raise TheoremCheckError(
+                            f"intertwiner does not commute with f_{i} on source column {c}"
+                        )
+    return maps
 
 
 @dataclass(frozen=True)
@@ -614,6 +672,12 @@ def build_kr_fundamental(rs: RootSystem, i: int, max_dim: int | None = None) -> 
     for s in range(len(chain) - 1):
         src = tensor_rep([adj, pieces[s]])
         sols = intertwiner(rs, src, pieces[s + 1])
+        count = charlib.hom_dim(rs, [adj.highest_weight, chain[s]], chain[s + 1], max_dim)
+        if len(sols) != count:
+            raise TheoremCheckError(
+                f"Hom(g (x) V{chain[s]}, V{chain[s + 1]}) has dimension {len(sols)},"
+                f" the character count is {count}"
+            )
         if len(sols) != 1:
             raise TheoremCheckError(
                 f"Hom(g (x) V{chain[s]}, V{chain[s + 1]}) has dimension {len(sols)}"

@@ -192,3 +192,17 @@ def test_graded_sets_match_recorded_digest(capsys):
                     records.append([argv, code, capsys.readouterr().out])
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert (len(records), digest) == (756, GRADED_DIGEST)
+
+
+# sha256 of the (argv, exit code, stdout) record of `kr verify modforge` over
+# its eight default modules, recorded before the intertwiners were solved one
+# weight space at a time
+MODFORGE_DIGEST = "de69bf181521542d041f0e7a6eff1c3d1bf41422c212aa021d9d117d34a5dae1"
+
+
+def test_verify_modforge_matches_recorded_digest(capsys):
+    argv = ["verify", "modforge"]
+    code = cli.main(argv)
+    record = [argv, code, capsys.readouterr().out]
+    assert code == 0
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == MODFORGE_DIGEST

@@ -307,7 +307,7 @@ def test_graded_character_a_series_degenerate():
         for i in range(1, n + 1):
             for m in range(0, 6):
                 gc = krset.graded_character(rs, i, m)
-                assert gc.grades() == [0]
+                assert [s for s, _ in gc.by_grade] == [0]
                 assert gc.piece(0) == {fw(rs, i, m): 1}
 
 

@@ -6,9 +6,9 @@ from operator import add
 
 import pytest
 
-from krlib import charlib, krset, modforge
+from krlib import charlib, cli, krset, modforge
 from krlib.errors import DimensionGuardError, ScopeError, TheoremCheckError
-from krlib.linalg import SpMat
+from krlib.linalg import SpMat, nullspace
 from krlib.rootsys import build, parse_type
 
 
@@ -273,6 +273,99 @@ def test_intertwiner_matches_hom_dim():
                 for kind in ("e", "f"):
                     for c in range(src.dim):
                         assert t.apply(src.apply((kind, i), {c: 1})) == tgt.gen(kind, i).apply(t.col(c))
+
+
+def nullspace_intertwiner(rs, source, target):
+    """One nullspace over every weight-matched entry, constrained by
+    commutation with every e_i and f_i on every column: the oracle for the
+    weight-space solve of modforge.intertwiner."""
+    source_wts = [source.grade_weight(c)[1] for c in range(source.dim)]
+    cols_by_wt = {}
+    for c, wt in enumerate(source_wts):
+        cols_by_wt.setdefault(wt, []).append(c)
+    rows_by_wt = {}
+    for r in range(target.dim):
+        rows_by_wt.setdefault(target.basis_weights[r], []).append(r)
+    variables = [
+        (r, c)
+        for wt, rows in sorted(rows_by_wt.items())
+        for r in rows
+        for c in cols_by_wt.get(wt, [])
+    ]
+    varset = set(variables)
+
+    def constraint_rows():
+        for kind in ("e", "f"):
+            for i in range(1, rs.rank + 1):
+                gt = target.gen(kind, i)
+                for c in range(source.dim):
+                    acc = {}
+                    for k, v in source.apply((kind, i), {c: 1}).items():
+                        for r in rows_by_wt.get(source_wts[k], []):
+                            if (r, k) in varset:
+                                row = acc.setdefault(r, {})
+                                row[(r, k)] = row.get((r, k), 0) + v
+                    for k in rows_by_wt.get(source_wts[c], []):
+                        if (k, c) in varset:
+                            for rr, a in gt.col(k).items():
+                                row = acc.setdefault(rr, {})
+                                row[(k, c)] = row.get((k, c), 0) - a
+                    yield from acc.values()
+
+    out = []
+    for sol in nullspace(constraint_rows(), variables):
+        m = SpMat(target.dim, source.dim)
+        for (r, c), v in sol.items():
+            m.set(r, c, v)
+        out.append(m)
+    return out
+
+
+def normalized_actions(rs, i):
+    cm = modforge.build_kr_fundamental(rs, i)
+    return [[m.data for m in mats] for mats in cm.g_action + cm.t_action]
+
+
+@pytest.mark.parametrize("name,node", cli._MODFORGE_DEFAULT + [("C4", 2)])
+def test_intertwiner_matches_nullspace_oracle(monkeypatch, name, node):
+    rs = rs_of(name)
+    got = normalized_actions(rs, node)
+    monkeypatch.setattr(modforge, "intertwiner", nullspace_intertwiner)
+    assert got == normalized_actions(rs, node)
+
+
+def test_intertwiner_detects_corrupted_target():
+    rs = rs_of("C3")
+    src = modforge.tensor_rep([modforge.adjoint_rep(rs), modforge.highest_module(rs, (0, 2, 0))])
+    tgt = modforge.highest_module(rs, (2, 0, 0))
+    assert len(modforge.intertwiner(rs, src, tgt)) == 1
+    bad = tgt.f[0].copy()
+    c = min(bad.data)
+    r = min(bad.data[c])
+    bad.set(r, c, bad.get(r, c) + 1)
+    damaged = dataclasses.replace(tgt, f=(bad,) + tgt.f[1:])
+    with pytest.raises(TheoremCheckError):
+        modforge.intertwiner(rs, src, damaged)
+
+
+def test_intertwiner_rejects_reducible_target():
+    rs = rs_of("C2")
+    v1 = modforge.highest_module(rs, (1, 0))
+    both = kron_tensor_rep(v1, v1)
+    with pytest.raises(TheoremCheckError):
+        modforge.intertwiner(rs, modforge.tensor_rep([both]), both)
+
+
+def test_build_kr_checks_hom_dim(monkeypatch):
+    monkeypatch.setattr(charlib, "hom_dim", lambda *a, **k: 2)
+    with pytest.raises(TheoremCheckError):
+        modforge.build_kr_fundamental(rs_of("C2"), 1)
+
+
+def test_build_kr_b5_node3_frontier():
+    cm = modforge.build_kr_fundamental(rs_of("B5"), 3)
+    assert cm.chain == ((0, 0, 1, 0, 0), (1, 0, 0, 0, 0))
+    assert [p.dim for p in cm.pieces] == [165, 11]
 
 
 def test_build_kr_rejects_wrong_nodes():

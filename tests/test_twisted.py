@@ -196,7 +196,7 @@ def test_graded_character_sigma_examples():
         0: {(0, 4): 1}, 1: {(2, 0): 1}, 2: {(0, 0): 1}}
     assert twisted.graded_character_sigma(D4, 3, 2).as_dict() == {0: {(0, 0, 2): 1}}
     gc = twisted.graded_character_sigma(A5, 1, 3)
-    assert gc.grades() == [0]
+    assert [s for s, _ in gc.by_grade] == [0]
 
 
 def test_reduced_expression_sigma():
