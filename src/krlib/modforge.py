@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from operator import add
+from operator import add, ge
 
 from . import charlib, krset
 from .errors import DimensionGuardError, ScopeError, TheoremCheckError
@@ -53,10 +53,10 @@ class MatrixRep:
     def slot(self):
         """This module as a tensor_rep factor: operators ("e", i) and
         ("f", i), every basis vector in grade 0."""
-        cols = {}
-        for kind, mats in (("e", self.e), ("f", self.f)):
-            for i, m in enumerate(mats, start=1):
-                cols[(kind, i)] = {c: list(col.items()) for c, col in m.data.items()}
+
+        def cols(op):
+            return {c: list(col.items()) for c, col in self.gen(*op).data.items()}
+
         return [0] * self.dim, self.basis_weights, cols
 
 
@@ -147,6 +147,7 @@ class ChevalleyBasis:
                     break
             else:
                 raise TheoremCheckError(f"root {rc} has no simple-root predecessor")
+        self.simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         self.labels: list[tuple[str, object]] = (
             [("+", rc) for rc in pos] + [("-", rc) for rc in pos] + [("h", j) for j in range(1, n + 1)]
         )
@@ -233,9 +234,8 @@ def adjoint_rep(rs: RootSystem) -> MatrixRep:
                 m.set(z, b, v)
         return m
 
-    simple_rcs = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    ee = [action_of(cb.plus_index(rc)) for rc in simple_rcs]
-    ff = [action_of(cb.minus_index(rc)) for rc in simple_rcs]
+    ee = [action_of(cb.plus_index(rc)) for rc in cb.simple]
+    ff = [action_of(cb.minus_index(rc)) for rc in cb.simple]
     hh = [action_of(cb.h_index(j)) for j in range(1, n + 1)]
     _assert_h_diagonal(hh)
     weights = tuple(cb.label_weight(a) for a in range(D))
@@ -299,13 +299,14 @@ def wedge_rep(rs: RootSystem, j: int) -> MatrixRep:
 class _Tensor:
     """Operators on a tensor product, applied slot by slot.
 
-    A slot is (grades, weights, cols) for one factor, where cols[op][c] lists
+    A slot is (grades, weights, cols) for one factor, where cols(op)[c] lists
     the (row, value) pairs of column c of operator op on that factor; every
     slot has the same operators.  On the
     product, op acts as the sum over the slots of op on that slot and the
     identity on the others, so grades and weights add across the slots.
     Index digits are mixed-radix with the first factor most significant.
-    Only the factor tables are stored, never an operator on the product.
+    Only the factor tables are stored, never an operator on the product, and
+    an operator's shift tables are built the first time it is applied.
     """
 
     def __init__(self, slots):
@@ -314,16 +315,19 @@ class _Tensor:
         self.dim = prod(sizes)
         self.layout = [(prod(sizes[t + 1 :]), size) for t, size in enumerate(sizes)]
         # op -> per slot (stride, size, column -> [(index shift, value)])
-        self.shifts = {
-            op: [
+        self.shifts: dict[object, list] = {}
+
+    def _tables(self, op) -> list:
+        tables = self.shifts.get(op)
+        if tables is None:
+            tables = self.shifts[op] = [
                 (stride, size, {
                     c: [((r - c) * stride, v) for r, v in pairs]
-                    for c, pairs in cols[op].items()
+                    for c, pairs in cols(op).items()
                 })
-                for (stride, size), (_, _, cols) in zip(self.layout, slots)
+                for (stride, size), (_, _, cols) in zip(self.layout, self.slots)
             ]
-            for op in slots[0][2]
-        }
+        return tables
 
     def grade_weight(self, idx: int) -> tuple[int, Weight]:
         grade, weight = 0, None
@@ -334,7 +338,7 @@ class _Tensor:
         return grade, weight
 
     def apply(self, op, vec: dict[int, object]) -> dict[int, object]:
-        tables = self.shifts[op]
+        tables = self._tables(op)
         out: dict[int, object] = {}
         for idx, val in vec.items():
             for stride, size, table in tables:
@@ -352,6 +356,37 @@ def tensor_rep(factors) -> _Tensor:
     """The tensor product of MatrixReps or CurrentModules as one slot-wise
     operator; each factor supplies its own slot."""
     return _Tensor([fct.slot() for fct in factors])
+
+
+def _lowering_span(
+    rs: RootSystem, space: _Tensor, start: int, keep=lambda wt: True
+) -> dict[tuple[int, Weight], Echelon]:
+    """The span of basis vector `start` of a tensor_rep of CurrentModules
+    under f_i (x) 1 and f_i (x) t, as one Echelon per (grade, weight) block.
+
+    This is the g[t]-submodule that the vector generates whenever the
+    premises of PBW hold: the factors are g (x) C[t]/t^2-modules and the
+    vector is killed by e_i (x) 1, e_i (x) t and h_j (x) t.  A block whose
+    weight fails `keep` is never entered, nor is anything reached through it.
+    """
+    cb = chevalley(rs)
+    ops = [(cb.minus_index(rc), tpow) for rc in cb.simple for tpow in (0, 1)]
+    blocks: dict[tuple[int, Weight], Echelon] = {}
+
+    def insert(vec: dict[int, object]) -> bool:
+        key = space.grade_weight(min(vec))
+        return keep(key[1]) and blocks.setdefault(key, Echelon()).add(vec) is not None
+
+    top = {start: 1}
+    insert(top)
+    queue = [top]
+    while queue:
+        vec = queue.pop()
+        for op in ops:
+            img = space.apply(op, vec)
+            if img and insert(img):
+                queue.append(img)
+    return blocks
 
 
 def _scope_factors(rs: RootSystem, lam: Weight) -> list[MatrixRep]:
@@ -636,14 +671,15 @@ class CurrentModule:
         offs = self.offsets()
         grades = [s for s, p in enumerate(self.pieces) for _ in range(p.dim)]
         weights = [w for p in self.pieces for w in p.basis_weights]
-        cols = {}
-        for tpow, action in enumerate((self.g_action, self.t_action)):
-            for a in range(len(self.g_action[0])):
-                cols[(a, tpow)] = {
-                    offs[s] + c: [(offs[s + tpow] + r, v) for r, v in col.items()]
-                    for s, mats in enumerate(action)
-                    for c, col in mats[a].data.items()
-                }
+
+        def cols(op):
+            a, tpow = op
+            return {
+                offs[s] + c: [(offs[s + tpow] + r, v) for r, v in col.items()]
+                for s, mats in enumerate((self.g_action, self.t_action)[tpow])
+                for c, col in mats[a].data.items()
+            }
+
         return grades, weights, cols
 
 
@@ -718,6 +754,25 @@ class RelationReport:
         return self.cyclic_dim == self.total_dim
 
 
+def _check_tsquare(cm: CurrentModule) -> int:
+    """[x_a (x) t, x_b (x) t] = 0 on every piece, since x (x) t^2 acts as
+    zero; returns the number of pairs checked."""
+    D = len(cm.g_action[0])
+    pairs = 0
+    for s in range(cm.k - 1):
+        for a in range(D):
+            for b in range(a + 1, D):
+                lhs = (cm.t_action[s + 1][a] @ cm.t_action[s][b]) - (
+                    cm.t_action[s + 1][b] @ cm.t_action[s][a]
+                )
+                if not lhs.is_zero():
+                    raise TheoremCheckError(
+                        f"[x_{a} (x) t, x_{b} (x) t] does not vanish on piece {s}"
+                    )
+                pairs += 1
+    return pairs
+
+
 def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | None = None) -> RelationReport:
     """Exact matrix verification of the current-algebra structure and of the
     defining relations of KR(m omega_i) on the generator."""
@@ -761,18 +816,7 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
                     )
                 mixed_pairs += 1
 
-    tsquare_pairs = 0
-    for s in range(k - 1):
-        for a in range(D):
-            for b in range(a + 1, D):
-                lhs = (cm.t_action[s + 1][a] @ cm.t_action[s][b]) - (
-                    cm.t_action[s + 1][b] @ cm.t_action[s][a]
-                )
-                if not lhs.is_zero():
-                    raise TheoremCheckError(
-                        f"[x_{a} (x) t, x_{b} (x) t] does not vanish on piece {s}"
-                    )
-                tsquare_pairs += 1
+    tsquare_pairs = _check_tsquare(cm)
 
     # defining relations on the generator
     v0 = cm.pieces[0].highest_vector
@@ -794,10 +838,7 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
         if k > 0 and cm.t_action[0][cb.h_index(j)].apply(v0):
             raise TheoremCheckError(f"h_{j} (x) t does not kill the generator")
         checks += 1
-    simple_rcs = [
-        tuple(1 if t == j else 0 for t in range(rs.rank)) for j in range(rs.rank)
-    ]
-    for j, rc in enumerate(simple_rcs, start=1):
+    for j, rc in enumerate(cb.simple, start=1):
         a = cb.minus_index(rc)
         if j != i:
             if cm.g_action[0][a].apply(v0):
@@ -818,23 +859,11 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
                 )
             checks += 1
 
-    # cyclicity: the generator reaches the whole space
-    offsets = cm.offsets()
-    ech = Echelon()
-    start = {offsets[0] + cm.pieces[0].highest_index: 1}
-    ech.add(start)
-    queue = [(0, v0)]
-    while queue:
-        s, vec = queue.pop()
-        for a in range(D):
-            img = cm.g_action[s][a].apply(vec)
-            if img and ech.add({offsets[s] + r: v for r, v in img.items()}) is not None:
-                queue.append((s, img))
-            if s < k:
-                img = cm.t_action[s][a].apply(vec)
-                if img and ech.add({offsets[s + 1] + r: v for r, v in img.items()}) is not None:
-                    queue.append((s + 1, img))
-    cyclic_dim = ech.dim
+    # cyclicity: the relations and generator checks above are the premises of
+    # _lowering_span, so the f_i (x) 1 and f_i (x) t images of the generator
+    # span the g[t]-submodule it generates
+    blocks = _lowering_span(rs, tensor_rep([cm]), cm.pieces[0].highest_index)
+    cyclic_dim = sum(ech.dim for ech in blocks.values())
     if cyclic_dim != cm.total_dim:
         raise TheoremCheckError(
             f"generator spans {cyclic_dim} of {cm.total_dim} dimensions"
@@ -866,9 +895,30 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
 def kr_tensor_submodule(
     rs: RootSystem, i: int, m: int, max_dim: int | None = None
 ) -> dict[int, dict[Weight, int]]:
-    """Cyclic submodule generated by the top vector of the tensor product of
+    """Cyclic submodule generated by the top vector v of the tensor product of
     fundamental graded modules; returns grade -> decomposition and checks it
-    against the combinatorial graded character."""
+    against the combinatorial graded character.
+
+    The span is computed under f_i (x) 1 and f_i (x) t alone.  With A the
+    algebra C[t]/t^2, PBW (Humphreys 17.3) gives
+    U(g (x) A) = U(n- (x) A) U(h (x) A) U(n+ (x) A), so the g[t]-span of v is
+    U(n- (x) A) v, which those 2 rank operators generate, provided:
+    - each factor is a g-module: highest_module builds every piece as the
+      cyclic span of a highest vector and realize replays the brackets;
+    - [x (x) 1, y (x) t] = [x, y] (x) t on each factor: the intertwiner is
+      g-equivariant, f by its explicit check and e by construction;
+    - [x (x) t, y (x) t] = 0 on each factor: _check_tsquare, here;
+    - v is killed by e_i (x) 1, e_i (x) t and h_j (x) t, hence by n+ (x) A
+      and h (x) t: checked here.
+    The product is then a g (x) A-module with x (x) t acting slot by slot.
+    Only weights nu with nu - mu in Q+ for a dominant mu <= m omega_i are
+    kept: an f-word only lowers the weight, so every word that ends on a
+    dominant weight passes through kept weights alone.  The span is a
+    g-module, so the multiplicities of its dominant weights, spread over
+    their Weyl orbits, are its character; a grade whose character is not a
+    sum of simple characters, or a decomposition other than the
+    combinatorial one, raises TheoremCheckError.
+    """
     rs._check_node(i)
     if m < 0:
         raise ValueError("level must be non-negative")
@@ -886,6 +936,7 @@ def kr_tensor_submodule(
             fund = build_kr_fundamental(rs, i, max_dim)
         else:
             fund = evaluation_module(rs, i, d, max_dim)
+        _check_tsquare(fund)
         factors.extend([fund] * m0)
 
     guard = charlib.dimension_guard(max_dim)
@@ -896,34 +947,37 @@ def kr_tensor_submodule(
         raise DimensionGuardError(f"tensor space dim {total} exceeds {guard}")
 
     gt = tensor_rep(factors)
-    dim_g = chevalley(rs).dim_g
-    blocks: dict[tuple[int, Weight], Echelon] = {}
+    cb = chevalley(rs)
+    killers = [
+        (f"e_{j} (x) {'t' if tpow else '1'}", (cb.plus_index(rc), tpow))
+        for j, rc in enumerate(cb.simple, start=1)
+        for tpow in (0, 1)
+    ] + [(f"h_{j} (x) t", (cb.h_index(j), 1)) for j in range(1, rs.rank + 1)]
+    for name, op in killers:
+        if gt.apply(op, {0: 1}):
+            raise TheoremCheckError(f"{name} does not kill the top vector")
 
-    def insert(vec: dict[int, object]) -> tuple[int, Weight] | None:
-        key = gt.grade_weight(min(vec))
-        ech = blocks.setdefault(key, Echelon())
-        if ech.add(vec) is None:
-            return None
-        return key
+    lam = gt.grade_weight(0)[1]
+    floors = [rs.scaled_root_coords(mu) for mu in charlib._dominant_below(rs.type, lam)]
 
-    top = {0: 1}
-    insert(top)
-    queue: list[dict[int, object]] = [top]
-    while queue:
-        vec = queue.pop()
-        for a in range(dim_g):
-            for tpow in (0, 1):
-                img = gt.apply((a, tpow), vec)
-                if img and insert(img) is not None:
-                    queue.append(img)
+    @lru_cache(maxsize=None)
+    def above_dominant(nu: Weight) -> bool:
+        sc = rs.scaled_root_coords(nu)
+        return any(all(map(ge, sc, fl)) for fl in floors)
 
-    mass: dict[int, dict[Weight, int]] = {}
+    blocks = _lowering_span(rs, gt, 0, above_dominant)
+    chars: dict[int, dict[Weight, int]] = {}
     for (g, wt), ech in blocks.items():
-        if ech.dim:
-            mass.setdefault(g, {})[wt] = ech.dim
+        if rs.dominant(wt):
+            chi = chars.setdefault(g, {})
+            for w in rs.weyl_orbit(wt):
+                chi[w] = ech.dim
     out: dict[int, dict[Weight, int]] = {}
-    for g, chi in sorted(mass.items()):
-        out[g] = charlib.decompose_character(rs, chi)
+    for g, chi in sorted(chars.items()):
+        try:
+            out[g] = charlib.decompose_character(rs, chi)
+        except ValueError as err:
+            raise TheoremCheckError(f"grade {g} of the span: {err}") from err
     if out != target:
         raise TheoremCheckError(
             f"graded submodule decomposition {out} differs from the"

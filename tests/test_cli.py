@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import dataclasses
 import subprocess
 import sys
 
-from krlib import cli, krset
+from krlib import cli, krset, modforge
 from krlib.errors import TheoremCheckError
+from krlib.linalg import SpMat
 
 
 def run_cli(*argv):
@@ -102,6 +104,27 @@ def test_verify_failure_exits_1(monkeypatch):
     monkeypatch.setattr(krset, "enumerate_chain", broken)
     code = cli.main(["verify", "chains", "--max-rank", "2"])
     assert code == 1
+
+
+def test_verify_fails_on_a_broken_evaluation_factor(monkeypatch, capsys):
+    # f_1 zeroed in the evaluation factor: the span is no longer a g-module,
+    # its character is not genuine, and that is a failed check, not bad input
+    real = modforge.evaluation_module
+
+    def broken(rs, node, m, max_dim=None):
+        cm = real(rs, node, m, max_dim)
+        cb = modforge.chevalley(rs)
+        mats = list(cm.g_action[0])
+        f1 = cb.minus_index(cb.simple[0])
+        mats[f1] = SpMat(mats[f1].rows, mats[f1].cols)
+        return dataclasses.replace(cm, g_action=(tuple(mats),))
+
+    monkeypatch.setattr(modforge, "evaluation_module", broken)
+    code = cli.main(["verify", "modforge", "--algebra", "A2", "--node", "1", "--level", "3"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[0].startswith("FAIL tensor submodule A2 node 1 level 3: grade 0 of the span: not a genuine character")
+    assert out[-1] == "0/1 checks passed"
 
 
 def test_verify_twisted_modforge_rejected():

@@ -8,7 +8,7 @@ import pytest
 
 from krlib import charlib, cli, krset, modforge
 from krlib.errors import DimensionGuardError, ScopeError, TheoremCheckError
-from krlib.linalg import SpMat, nullspace
+from krlib.linalg import Echelon, SpMat, nullspace
 from krlib.rootsys import build, parse_type
 
 
@@ -493,3 +493,90 @@ def test_kr_tensor_submodule_checks_the_character(monkeypatch):
     monkeypatch.setattr(krset, "graded_character", wrong)
     with pytest.raises(TheoremCheckError):
         modforge.kr_tensor_submodule(rs, 1, 2)
+
+
+def all_operator_submodule(rs, i, m):
+    """The span of the top vector under all 2 dim g operators x_a (x) t^p,
+    every (grade, weight) block kept and decomposed as it stands: the oracle
+    for the lowering span of modforge.kr_tensor_submodule, which assumes none
+    of its premises."""
+    d = rs.dcheck[i - 1]
+    m0, m1 = divmod(m, d)
+    factors = [modforge.evaluation_module(rs, i, m1)] if m1 else []
+    if m0:
+        if rs.epsilon(rs.theta, i) == 2:
+            fund = modforge.build_kr_fundamental(rs, i)
+        else:
+            fund = modforge.evaluation_module(rs, i, d)
+        factors += [fund] * m0
+    gt = modforge.tensor_rep(factors)
+    blocks = {}
+
+    def insert(vec):
+        return blocks.setdefault(gt.grade_weight(min(vec)), Echelon()).add(vec) is not None
+
+    top = {0: 1}
+    insert(top)
+    queue = [top]
+    while queue:
+        vec = queue.pop()
+        for a in range(modforge.chevalley(rs).dim_g):
+            for tpow in (0, 1):
+                img = gt.apply((a, tpow), vec)
+                if img and insert(img):
+                    queue.append(img)
+    mass = {}
+    for (g, wt), ech in blocks.items():
+        mass.setdefault(g, {})[wt] = ech.dim
+    return {g: charlib.decompose_character(rs, chi) for g, chi in sorted(mass.items())}
+
+
+ORACLE_CASES = [case[:3] for case in TENSOR_CASES] + [
+    ("A4", 1, 4),
+    ("D4", 1, 3),
+    ("A5", 3, 2),
+    ("C2", 2, 4),
+]
+
+
+@pytest.mark.parametrize("name,node,m", ORACLE_CASES)
+def test_kr_tensor_submodule_matches_all_operator_oracle(name, node, m):
+    rs = rs_of(name)
+    assert modforge.kr_tensor_submodule(rs, node, m) == all_operator_submodule(rs, node, m)
+
+
+def plant(monkeypatch, edit):
+    """Make build_kr_fundamental return its module with t_action edited."""
+    real = modforge.build_kr_fundamental
+
+    def broken(rs, i, max_dim=None):
+        cm = real(rs, i, max_dim)
+        t_action = [[m.copy() for m in mats] for mats in cm.t_action]
+        edit(rs, cm, t_action)
+        return dataclasses.replace(cm, t_action=tuple(tuple(mats) for mats in t_action))
+
+    monkeypatch.setattr(modforge, "build_kr_fundamental", broken)
+
+
+def test_kr_tensor_submodule_checks_the_top_vector(monkeypatch):
+    def edit(rs, cm, t_action):
+        cb = modforge.chevalley(rs)
+        e1 = cb.plus_index(cb.simple[0])
+        t_action[0][e1].set(0, cm.pieces[0].highest_index, 1)
+
+    plant(monkeypatch, edit)
+    with pytest.raises(TheoremCheckError, match=r"e_1 \(x\) t does not kill the top vector"):
+        modforge.kr_tensor_submodule(rs_of("C2"), 1, 2)
+
+
+def test_kr_tensor_submodule_checks_tsquare(monkeypatch):
+    rs = rs_of("C3")
+    cm = modforge.build_kr_fundamental(rs, 2)
+    assert cm.k == 2 and modforge._check_tsquare(cm) == 210
+
+    def edit(rs_, cm_, t_action):
+        t_action[1][0] = t_action[1][0].scale(2)
+
+    plant(monkeypatch, edit)
+    with pytest.raises(TheoremCheckError, match=r"\(x\) t\] does not vanish"):
+        modforge.kr_tensor_submodule(rs, 2, 2)
