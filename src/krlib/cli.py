@@ -95,10 +95,12 @@ def cmd_char(args) -> int:
 
 class _Report:
     """One line per check: ok, FAIL (a check failed) or GUARD (a dimension
-    guard or the matrix scope stopped it); either way the next check runs."""
+    guard or the matrix scope stopped it); either way the next check runs.
+    Each line is printed and flushed as its check finishes, so a long run
+    shows its progress."""
 
     def __init__(self):
-        self.lines: list[str] = []
+        self.total = 0
         self.failures = 0
         self.guards = 0
 
@@ -107,13 +109,15 @@ class _Report:
             detail = fn()
         except (TheoremCheckError, ChainConditionError) as err:
             self.failures += 1
-            self.lines.append(f"FAIL {label}: {err}")
+            line = f"FAIL {label}: {err}"
         except (DimensionGuardError, ScopeError) as err:
             self.guards += 1
-            self.lines.append(f"GUARD {label}: {err}")
+            line = f"GUARD {label}: {err}"
         else:
             detail = detail if isinstance(detail, str) else ""
-            self.lines.append(f"ok   {label}" + (f": {detail}" if detail else ""))
+            line = f"ok   {label}" + (f": {detail}" if detail else "")
+        self.total += 1
+        print(line, flush=True)
 
 
 def _untwisted_sweep(max_rank: int) -> list[RootSystem]:
@@ -300,10 +304,8 @@ def cmd_verify(args) -> int:
     rep = _Report()
     for suite in _SUITES[args.suite]:
         suite(rep, args)
-    for line in rep.lines:
-        print(line)
-    total = len(rep.lines)
-    print(f"{total - rep.failures - rep.guards}/{total} checks passed")
+    passed = rep.total - rep.failures - rep.guards
+    print(f"{passed}/{rep.total} checks passed")
     return 1 if rep.failures else 2 if rep.guards else 0
 
 

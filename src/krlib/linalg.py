@@ -1,13 +1,16 @@
 """Sparse exact linear algebra over the rationals, eliminated over Z.
 
 Matrices are column-major dicts of dicts, vectors are index -> value dicts.
-Values are Python ints or Fractions; zeros are never stored.  Echelon is the
-one elimination kernel: it clears the denominators of each input and
+Values are Python ints or Fractions; zeros are never stored.  The column
+table of a matrix is its data, c -> {r: value}.  Echelon is the one
+elimination kernel: it clears the denominators of each input and
 eliminates fraction-free (Bareiss, Math. Comp. 22, 1968), so every stored
 row is a primitive integer vector, every nullspace solution is a primitive
 integer vector, and every value it returns is an int unless it is
-non-integral.  Everything here is deterministic: echelon forms always pivot
-on the smallest index.
+non-integral.  residue is the product kernel of matrix identities scaled
+to integers: it sums products and multiples of column tables into one
+vector, with no SpMat and no copy.  Everything here is deterministic:
+echelon forms always pivot on the smallest index.
 """
 
 from __future__ import annotations
@@ -157,13 +160,63 @@ class SpMat:
         return f"SpMat({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def _integral(vec: dict[int, object]) -> tuple[dict[int, int], int]:
+def integral(vec: dict[int, object]) -> tuple[dict[int, int], int]:
     """(L * vec as a fresh int vector without zeros, L) for the least L > 0."""
     den = 1
     for x in vec.values():
         if type(x) is not int:
             den = lcm(den, x.denominator)
     return {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}, den
+
+
+def integral_family(mats) -> tuple[list[dict[int, dict[int, int]]], int]:
+    """(tables, d): tables[a] is the column table of d * mats[a], for the
+    least d > 0 that makes every entry of every matrix an int; the stored
+    dicts themselves when d = 1."""
+    den = 1
+    for m in mats:
+        for col in m.data.values():
+            for x in col.values():
+                if type(x) is not int:
+                    den = lcm(den, x.denominator)
+    if den == 1:
+        return [m.data for m in mats], 1
+    return [
+        {c: {r: (x * den).numerator for r, x in col.items()} for c, col in m.data.items()}
+        for m in mats
+    ], den
+
+
+def residue(stride: int, products, linear=()) -> dict[int, object]:
+    """sum k L R over products (k, L, R) plus sum k Z over linear (k, Z),
+    for column tables L, R, Z and scalars k, as one vector keyed
+    c * stride + r (see flatten); stride is at least the number of rows,
+    and zero entries may be stored.  With int tables and scalars no
+    Fraction is built."""
+    acc: dict[int, object] = {}
+    get = acc.get
+    for k, left, right in products:
+        for c, col in right.items():
+            base = c * stride
+            for j, v in col.items():
+                lcol = left.get(j)
+                if lcol:
+                    kv = k * v
+                    for r, w in lcol.items():
+                        key = base + r
+                        acc[key] = get(key, 0) + kv * w
+    for k, z in linear:
+        for c, col in z.items():
+            base = c * stride
+            for r, w in col.items():
+                key = base + r
+                acc[key] = get(key, 0) + k * w
+    return acc
+
+
+def flatten(table, stride: int) -> dict[int, object]:
+    """A column table as one vector, keyed c * stride + r as in residue."""
+    return {c * stride + r: x for c, col in table.items() for r, x in col.items()}
 
 
 def _axpy(v: dict[int, object], a: int, r: dict[int, object], b: int) -> None:
@@ -197,7 +250,7 @@ class Echelon:
         """Eliminate vec fraction-free: returns (v, comb, den, p) with
         den * v = sum_k comb[k] * original_k, original_key being vec itself,
         and p = min(v) a non-pivot index, or None when v reduced to zero."""
-        v, scale = _integral(vec)
+        v, scale = integral(vec)
         comb, den = {key: scale}, 1
         while v:
             p = min(v)

@@ -7,22 +7,25 @@ solve the intertwiner g (x) V_s -> V_{s+1} one weight space of V_{s+1} at a
 time (a nullspace for the top weight, then a downward sweep through the e_i,
 checked against the f_i and the character count of the Hom space), and
 assemble the graded module with x(x)t acting through the normalized
-intertwiners.
+intertwiners.  verify_current_relations checks every relation pair by pair
+over integer column tables (linalg.residue).
 Everything is exact and deterministic; every integral entry is stored as an int.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
 from operator import add, ge
+from types import MappingProxyType
 
 from . import charlib, krset
 from .errors import DimensionGuardError, ScopeError, TheoremCheckError
-from .linalg import Echelon, SpMat, nullspace
+from .linalg import Echelon, SpMat, flatten, integral, integral_family, nullspace, residue
 from .rootsys import LieType, RootSystem, Weight, build
 
 
@@ -127,7 +130,9 @@ class ChevalleyBasis:
     Each positive root alpha of height > 1 stores a recipe (i, parent) with
     x_alpha = [e_i, x_parent]; replaying the recipes inside any representation
     realizes the whole basis there.  Structure constants are read off the
-    defining representation by exact reduction.
+    defining representation one weight at a time: [x_a, x_b] has the weight
+    gamma of the pair, so it is c x_gamma when gamma is a root, lies in the
+    span of the h_j when gamma = 0, and vanishes otherwise.
     """
 
     def __init__(self, rs: RootSystem):
@@ -148,36 +153,32 @@ class ChevalleyBasis:
             else:
                 raise TheoremCheckError(f"root {rc} has no simple-root predecessor")
         self.simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        self.labels: list[tuple[str, object]] = (
-            [("+", rc) for rc in pos] + [("-", rc) for rc in pos] + [("h", j) for j in range(1, n + 1)]
-        )
-        self.index = {lab: a for a, lab in enumerate(self.labels)}
-        self.dim_g = len(self.labels)
+        # the basis: x_alpha for the positive roots, x_-alpha, then h_1..h_n;
+        # roots[a] is the root coordinates of the weight of basis element a
+        self.roots = list(pos) + [tuple(-c for c in rc) for rc in pos] + [(0,) * n] * n
+        self._h0 = 2 * len(pos)
+        self._of_root = {rc: a for a, rc in enumerate(self.roots[: self._h0])}
+        self.dim_g = len(self.roots)
 
         drep = defining_rep(rs)
         self.def_mats = self.realize(drep)
-        self._ech = Echelon()
+        ech = Echelon()
         for m in self.def_mats:
-            if self._ech.add(m.to_flat_vec()) is None:
+            if ech.add(m.to_flat_vec()) is None:
                 raise TheoremCheckError("basis of g is dependent in the defining rep")
-        self._struct: dict[tuple[int, int], dict[int, object]] = {}
+        self._h_ech = Echelon()
+        for m in self.def_mats[self._h0 :]:
+            self._h_ech.add(flatten(m.data, drep.dim))
+        self._struct: list[Mapping[int, object] | None] = [None] * (self.dim_g * self.dim_g)
 
     def plus_index(self, rc) -> int:
-        return self.index[("+", rc)]
+        return self._of_root[rc]
 
     def minus_index(self, rc) -> int:
-        return self.index[("-", rc)]
+        return self._of_root[tuple(-c for c in rc)]
 
     def h_index(self, j: int) -> int:
-        return self.index[("h", j)]
-
-    def label_weight(self, a: int) -> Weight:
-        kind, val = self.labels[a]
-        if kind == "+":
-            return self.rs.root_weight(val)
-        if kind == "-":
-            return tuple(-c for c in self.rs.root_weight(val))
-        return self.rs.zero()
+        return self._h0 + j - 1
 
     def realize(self, rep: MatrixRep) -> list[SpMat]:
         """Matrices of the whole basis inside rep, by replaying the recipes."""
@@ -196,19 +197,40 @@ class ChevalleyBasis:
         out += list(rep.h)
         return out
 
-    def coords_in_basis(self, mat: SpMat) -> dict[int, object]:
-        coords = self._ech.coords(mat.to_flat_vec())
-        if coords is None:
-            raise TheoremCheckError("bracket left the span of the g-basis")
-        return coords
+    def struct(self, a: int, b: int) -> Mapping[int, object]:
+        """[basis_a, basis_b] expressed in the basis; a coefficient is an int
+        unless it is non-integral.  Do not mutate the result."""
+        key = a * self.dim_g + b
+        out = self._struct[key]
+        if out is None:
+            out = self._struct[key] = self._bracket_coords(a, b) or _NO_TERMS
+        return out
 
-    def struct(self, a: int, b: int) -> dict[int, object]:
-        """[basis_a, basis_b] expressed in the basis."""
-        key = (a, b)
-        if key not in self._struct:
-            br = self.def_mats[a].bracket(self.def_mats[b])
-            self._struct[key] = self.coords_in_basis(br)
-        return self._struct[key]
+    def _bracket_coords(self, a: int, b: int) -> dict[int, object]:
+        n = self.def_mats[a].rows
+        x, y = self.def_mats[a].data, self.def_mats[b].data
+        br = {key: v for key, v in residue(n, ((1, x, y), (-1, y, x))).items() if v}
+        gamma = tuple(map(add, self.roots[a], self.roots[b]))
+        z = self._of_root.get(gamma)
+        if z is not None:
+            # the weight space of a root is the line of x_gamma
+            xz = flatten(self.def_mats[z].data, n)
+            key0 = next(iter(xz))
+            c = Fraction(br.get(key0, 0), xz[key0])
+            c = c.numerator if c.denominator == 1 else c
+            if br == {key: c * v for key, v in xz.items() if c}:
+                return {z: c} if c else {}
+        elif not any(gamma):
+            coords = self._h_ech.coords(br)
+            if coords is not None:
+                return {self._h0 + k: v for k, v in coords.items()}
+        elif not br:
+            return {}
+        raise TheoremCheckError("bracket left the span of the g-basis")
+
+
+# the struct of every pair whose bracket vanishes
+_NO_TERMS: Mapping[int, object] = MappingProxyType({})
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +260,7 @@ def adjoint_rep(rs: RootSystem) -> MatrixRep:
     ff = [action_of(cb.minus_index(rc)) for rc in cb.simple]
     hh = [action_of(cb.h_index(j)) for j in range(1, n + 1)]
     _assert_h_diagonal(hh)
-    weights = tuple(cb.label_weight(a) for a in range(D))
+    weights = tuple(rs.root_weight(rc) for rc in cb.roots)
     if weights != _weights_from_h(hh, D):
         raise TheoremCheckError("adjoint h eigenvalues disagree with the root weights")
     hi = cb.plus_index(rs.theta)
@@ -498,37 +520,6 @@ def highest_module(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> M
     )
 
 
-def verify_matrix_rep(rep: MatrixRep, check_char: bool = True) -> None:
-    """Bracket identities, highest-vector relations and (optionally) the full
-    character against the weight multiplicities."""
-    rs = rep.rs
-    n = rs.rank
-    _assert_h_diagonal(rep.h)
-    if rep.basis_weights != _weights_from_h(rep.h, rep.dim):
-        raise TheoremCheckError("h eigenvalues disagree with the recorded weights")
-    for i in range(n):
-        for j in range(n):
-            if rep.h[i].bracket(rep.e[j]) != rep.e[j].scale(rs.cartan[j][i]):
-                raise TheoremCheckError(f"[h_{i+1}, e_{j+1}] failed")
-            if rep.h[i].bracket(rep.f[j]) != rep.f[j].scale(-rs.cartan[j][i]):
-                raise TheoremCheckError(f"[h_{i+1}, f_{j+1}] failed")
-            br = rep.e[i].bracket(rep.f[j])
-            if (br if i != j else br - rep.h[i]) != SpMat(rep.dim, rep.dim):
-                raise TheoremCheckError(f"[e_{i+1}, f_{j+1}] failed")
-    hv = rep.highest_vector
-    for i in range(1, n + 1):
-        if rep.gen("e", i).apply(hv):
-            raise TheoremCheckError("highest vector is not killed by e")
-    if rep.basis_weights[rep.highest_index] != rep.highest_weight:
-        raise TheoremCheckError("highest weight mismatch")
-    if check_char:
-        mass: dict[Weight, int] = {}
-        for w in rep.basis_weights:
-            mass[w] = mass.get(w, 0) + 1
-        if mass != charlib.weight_mults(rs, rep.highest_weight):
-            raise TheoremCheckError("character disagrees with the weight multiplicities")
-
-
 def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMat]:
     """Basis of the g-equivariant maps from the tensor_rep source M to the
     simple target V(lam), solved one weight space at a time.
@@ -756,26 +747,35 @@ class RelationReport:
 
 def _check_tsquare(cm: CurrentModule) -> int:
     """[x_a (x) t, x_b (x) t] = 0 on every piece, since x (x) t^2 acts as
-    zero; returns the number of pairs checked."""
+    zero; returns the number of pairs checked.  With M = e_s t over
+    integers, each pair checks M^{s+1}_a M^s_b = M^{s+1}_b M^s_a."""
     D = len(cm.g_action[0])
+    tvals = [integral_family(mats)[0] for mats in cm.t_action]
     pairs = 0
     for s in range(cm.k - 1):
+        lo, hi = tvals[s], tvals[s + 1]
         for a in range(D):
             for b in range(a + 1, D):
-                lhs = (cm.t_action[s + 1][a] @ cm.t_action[s][b]) - (
-                    cm.t_action[s + 1][b] @ cm.t_action[s][a]
-                )
-                if not lhs.is_zero():
+                res = residue(cm.pieces[s + 2].dim, ((1, hi[a], lo[b]), (-1, hi[b], lo[a])))
+                if any(res.values()):
                     raise TheoremCheckError(
                         f"[x_{a} (x) t, x_{b} (x) t] does not vanish on piece {s}"
                     )
                 pairs += 1
+        tvals[s] = None
     return pairs
 
 
 def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | None = None) -> RelationReport:
     """Exact matrix verification of the current-algebra structure and of the
-    defining relations of KR(m omega_i) on the generator."""
+    defining relations of KR(m omega_i) on the generator.
+
+    With N = d_s x and M = e_s t integral (d_s, e_s least common
+    denominators) and L clearing the structure constants c_z of a pair, it
+    checks L [N_a, N_b] = L d_s sum c_z N_z and
+    L (d_s N^{s+1}_a M_b - d_{s+1} M_b N^s_a) = L d_s d_{s+1} sum c_z M_z:
+    the rational identities times nonzero integers.
+    """
     rs = cm.rs
     cb = chevalley(rs)
     if i is None:
@@ -784,37 +784,45 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
         m = cm.level
     D = cb.dim_g
     k = cm.k
+    dims = [p.dim for p in cm.pieces]
 
-    def zmat(z_coeffs, s, t_shift):
-        mats = (cm.g_action, cm.t_action)[t_shift][s]
-        out = SpMat(cm.pieces[s + t_shift].dim, cm.pieces[s].dim)
-        for z, v in z_coeffs.items():
-            out = out + mats[z].scale(v)
-        return out
-
+    gvals = [integral_family(mats) for mats in cm.g_action]
     bracket_pairs = 0
     for s in range(k + 1):
+        N, d = gvals[s]
         for a in range(D):
             for b in range(a + 1, D):
-                lhs = cm.g_action[s][a].bracket(cm.g_action[s][b])
-                if lhs != zmat(cb.struct(a, b), s, 0):
+                coeffs, L = integral(cb.struct(a, b))
+                res = residue(
+                    dims[s],
+                    ((L, N[a], N[b]), (-L, N[b], N[a])),
+                    [(-d * c, N[z]) for z, c in coeffs.items()],
+                )
+                if any(res.values()):
                     raise TheoremCheckError(
                         f"[x_{a}, x_{b}] fails on piece {s}"
                     )
                 bracket_pairs += 1
 
+    tvals = [integral_family(mats)[0] for mats in cm.t_action]
     mixed_pairs = 0
     for s in range(k):
+        (N0, d0), (N1, d1), M = gvals[s], gvals[s + 1], tvals[s]
         for a in range(D):
             for b in range(D):
-                lhs = (cm.g_action[s + 1][a] @ cm.t_action[s][b]) - (
-                    cm.t_action[s][b] @ cm.g_action[s][a]
+                coeffs, L = integral(cb.struct(a, b))
+                res = residue(
+                    dims[s + 1],
+                    ((L * d0, N1[a], M[b]), (-L * d1, M[b], N0[a])),
+                    [(-d0 * d1 * c, M[z]) for z, c in coeffs.items()],
                 )
-                if lhs != zmat(cb.struct(a, b), s, 1):
+                if any(res.values()):
                     raise TheoremCheckError(
                         f"[x_{a} (x) 1, x_{b} (x) t] fails on piece {s}"
                     )
                 mixed_pairs += 1
+        gvals[s] = tvals[s] = None
+    del gvals, tvals
 
     tsquare_pairs = _check_tsquare(cm)
 

@@ -106,6 +106,23 @@ def test_verify_failure_exits_1(monkeypatch):
     assert code == 1
 
 
+def test_verify_prints_each_line_as_its_check_finishes(monkeypatch, capsys):
+    real = krset.enumerate_chain
+    printed_before = []
+
+    def spy(rs, i, m0=None):
+        printed_before.append(capsys.readouterr().out)
+        return real(rs, i, m0)
+
+    monkeypatch.setattr(krset, "enumerate_chain", spy)
+    assert cli.main(["verify", "chains", "--max-rank", "2"]) == 0
+    # A1, A2, B2 and C2: each check finds the line of the one before it printed
+    assert len(printed_before) == 7
+    assert printed_before[0] == ""
+    for out in printed_before[1:]:
+        assert out.startswith("ok   chain ") and out.count("\n") == 1
+
+
 def test_verify_fails_on_a_broken_evaluation_factor(monkeypatch, capsys):
     # f_1 zeroed in the evaluation factor: the span is no longer a g-module,
     # its character is not genuine, and that is a failed check, not bad input

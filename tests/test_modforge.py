@@ -5,15 +5,48 @@ from functools import reduce
 from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krlib import charlib, cli, krset, modforge
 from krlib.errors import DimensionGuardError, ScopeError, TheoremCheckError
-from krlib.linalg import Echelon, SpMat, nullspace
+from krlib.linalg import Echelon, SpMat, integral, integral_family, nullspace, residue
 from krlib.rootsys import build, parse_type
 
 
 def rs_of(name):
     return build(parse_type(name))
+
+
+def verify_matrix_rep(rep):
+    """Bracket identities, highest-vector relations and the full character
+    against the weight multiplicities: the check of every MatrixRep built
+    here."""
+    rs = rep.rs
+    n = rs.rank
+    modforge._assert_h_diagonal(rep.h)
+    if rep.basis_weights != modforge._weights_from_h(rep.h, rep.dim):
+        raise TheoremCheckError("h eigenvalues disagree with the recorded weights")
+    for i in range(n):
+        for j in range(n):
+            if rep.h[i].bracket(rep.e[j]) != rep.e[j].scale(rs.cartan[j][i]):
+                raise TheoremCheckError(f"[h_{i+1}, e_{j+1}] failed")
+            if rep.h[i].bracket(rep.f[j]) != rep.f[j].scale(-rs.cartan[j][i]):
+                raise TheoremCheckError(f"[h_{i+1}, f_{j+1}] failed")
+            br = rep.e[i].bracket(rep.f[j])
+            if (br if i != j else br - rep.h[i]) != SpMat(rep.dim, rep.dim):
+                raise TheoremCheckError(f"[e_{i+1}, f_{j+1}] failed")
+    hv = rep.highest_vector
+    for i in range(1, n + 1):
+        if rep.gen("e", i).apply(hv):
+            raise TheoremCheckError("highest vector is not killed by e")
+    if rep.basis_weights[rep.highest_index] != rep.highest_weight:
+        raise TheoremCheckError("highest weight mismatch")
+    mass = {}
+    for w in rep.basis_weights:
+        mass[w] = mass.get(w, 0) + 1
+    if mass != charlib.weight_mults(rs, rep.highest_weight):
+        raise TheoremCheckError("character disagrees with the weight multiplicities")
 
 
 DEFINING_DIMS = {
@@ -31,7 +64,7 @@ DEFINING_DIMS = {
 @pytest.mark.parametrize("name", sorted(DEFINING_DIMS))
 def test_defining_rep_verifies(name):
     rep = modforge.defining_rep(rs_of(name))
-    modforge.verify_matrix_rep(rep)
+    verify_matrix_rep(rep)
     assert rep.dim == DEFINING_DIMS[name]
     assert rep.highest_weight == rep.rs.fundamental(1)
     assert rep.highest_index == 0
@@ -78,6 +111,39 @@ def test_chevalley_basis_size_and_struct():
             assert lhs == rhs
 
 
+STRUCT_SWEEP = [
+    f"{fam}{n}" for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 6)
+]
+
+
+@pytest.mark.parametrize("name", STRUCT_SWEEP)
+def test_struct_matches_echelon_oracle(name):
+    # the oracle: coordinates of the flattened bracket over an echelon of
+    # the whole flattened basis, which assumes nothing about weights
+    cb = modforge.ChevalleyBasis(rs_of(name))
+    ech = Echelon()
+    for m in cb.def_mats:
+        ech.add(m.to_flat_vec())
+    for a in range(cb.dim_g):
+        for b in range(cb.dim_g):
+            want = ech.coords(cb.def_mats[a].bracket(cb.def_mats[b]).to_flat_vec())
+            got = cb.struct(a, b)
+            assert got == want
+            assert sorted((z, type(v)) for z, v in got.items()) == sorted(
+                (z, type(v)) for z, v in want.items()
+            )
+
+
+def test_struct_raises_when_a_bracket_leaves_the_basis():
+    rs = rs_of("A2")
+    cb = modforge.ChevalleyBasis(rs)
+    e1, e2 = (cb.plus_index(rc) for rc in cb.simple)
+    # e_1 + f_2 has no weight: its bracket with e_2 is c x_theta - h_2
+    cb.def_mats[e1] = cb.def_mats[e1] + cb.def_mats[cb.minus_index(cb.simple[1])]
+    with pytest.raises(TheoremCheckError, match="bracket left the span of the g-basis"):
+        cb.struct(e1, e2)
+
+
 ADJOINT_DIMS = {"A2": 8, "C2": 10, "B3": 21, "C3": 21, "D4": 28, "B4": 36}
 
 
@@ -85,7 +151,7 @@ ADJOINT_DIMS = {"A2": 8, "C2": 10, "B3": 21, "C3": 21, "D4": 28, "B4": 36}
 def test_adjoint_rep_verifies(name):
     rs = rs_of(name)
     adj = modforge.adjoint_rep(rs)
-    modforge.verify_matrix_rep(adj)
+    verify_matrix_rep(adj)
     assert adj.dim == ADJOINT_DIMS[name]
     assert adj.highest_weight == rs.root_weight(rs.theta)
 
@@ -106,7 +172,7 @@ HIGHEST_DIMS = [
 def test_highest_module_dims(name, lam, want):
     rs = rs_of(name)
     rep = modforge.highest_module(rs, lam)
-    modforge.verify_matrix_rep(rep)
+    verify_matrix_rep(rep)
     assert rep.dim == want == charlib.weyl_dim(rs, lam)
     assert rep.highest_weight == lam
 
@@ -141,7 +207,7 @@ def test_verify_matrix_rep_detects_damage():
     bad_e = rep.e[0].scale(2)
     damaged = dataclasses.replace(rep, e=(bad_e, rep.e[1]))
     with pytest.raises(TheoremCheckError):
-        modforge.verify_matrix_rep(damaged)
+        verify_matrix_rep(damaged)
 
 
 def kron_sum(ma, mb):
@@ -441,6 +507,168 @@ def test_verify_relations_detects_broken_transport():
     broken = dataclasses.replace(cm, t_action=doubled)
     with pytest.raises(TheoremCheckError):
         modforge.verify_current_relations(broken)
+
+
+def spmat_relation_counts(cm):
+    """The bracket, mixed and t^2 checks of verify_current_relations as
+    pairwise SpMat products, with the same messages in the same order: the
+    oracle for the integer relation kernel.  Returns the three pair counts."""
+    cb = modforge.chevalley(cm.rs)
+    D, k = cb.dim_g, cm.k
+
+    def zmat(coeffs, s, tpow):
+        mats = (cm.g_action, cm.t_action)[tpow][s]
+        out = SpMat(cm.pieces[s + tpow].dim, cm.pieces[s].dim)
+        for z, v in coeffs.items():
+            out = out + mats[z].scale(v)
+        return out
+
+    brackets = 0
+    for s in range(k + 1):
+        g = cm.g_action[s]
+        for a in range(D):
+            for b in range(a + 1, D):
+                if g[a].bracket(g[b]) != zmat(cb.struct(a, b), s, 0):
+                    raise TheoremCheckError(f"[x_{a}, x_{b}] fails on piece {s}")
+                brackets += 1
+    mixed = 0
+    for s in range(k):
+        for a in range(D):
+            for b in range(D):
+                t = cm.t_action[s][b]
+                lhs = cm.g_action[s + 1][a] @ t - t @ cm.g_action[s][a]
+                if lhs != zmat(cb.struct(a, b), s, 1):
+                    raise TheoremCheckError(f"[x_{a} (x) 1, x_{b} (x) t] fails on piece {s}")
+                mixed += 1
+    tsquare = 0
+    for s in range(k - 1):
+        lo, hi = cm.t_action[s], cm.t_action[s + 1]
+        for a in range(D):
+            for b in range(a + 1, D):
+                if not (hi[a] @ lo[b] - hi[b] @ lo[a]).is_zero():
+                    raise TheoremCheckError(
+                        f"[x_{a} (x) t, x_{b} (x) t] does not vanish on piece {s}"
+                    )
+                tsquare += 1
+    return brackets, mixed, tsquare
+
+
+@pytest.mark.parametrize("name,node", cli._MODFORGE_DEFAULT + [("C4", 2)])
+def test_relation_kernel_matches_spmat_oracle(name, node):
+    cm = modforge.build_kr_fundamental(rs_of(name), node)
+    report = modforge.verify_current_relations(cm)
+    assert report.ok
+    counts = (report.bracket_pairs, report.mixed_pairs, report.tsquare_pairs)
+    assert counts == spmat_relation_counts(cm)
+
+
+def add_a_third(cm, family, s, a):
+    """cm with 1/3 added to the first stored entry of x_a on piece s
+    (family "g") or of x_a (x) t on step s (family "t")."""
+    field = {"g": "g_action", "t": "t_action"}[family]
+    groups = [list(mats) for mats in getattr(cm, field)]
+    bad = groups[s][a].copy()
+    c = next(iter(bad.data))
+    r = next(iter(bad.data[c]))
+    bad.set(r, c, bad.get(r, c) + Fraction(1, 3))
+    groups[s][a] = bad
+    return dataclasses.replace(cm, **{field: tuple(tuple(mats) for mats in groups)})
+
+
+@pytest.fixture(scope="module")
+def c3_node2():
+    return modforge.build_kr_fundamental(rs_of("C3"), 2)
+
+
+@pytest.mark.parametrize(
+    "family,s,message",
+    [
+        ("g", 0, r"\[x_\d+, x_\d+\] fails on piece 0"),
+        ("g", 1, r"\[x_\d+, x_\d+\] fails on piece 1"),
+        ("t", 0, r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 0"),
+        ("t", 1, r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 1"),
+    ],
+    ids=["g-piece0", "g-piece1", "t-step0", "t-step1"],
+)
+def test_verify_relations_catches_a_planted_entry(c3_node2, family, s, message):
+    cm = c3_node2
+    # the least common denominators of the g-families are 24, 2 and 1, so
+    # the planted 1/3 goes through the integer scaling
+    assert [integral_family(mats)[1] for mats in cm.g_action] == [24, 2, 1]
+    cb = modforge.chevalley(cm.rs)
+    broken = add_a_third(cm, family, s, cb.minus_index(cb.simple[0]))
+    with pytest.raises(TheoremCheckError, match=message) as got:
+        modforge.verify_current_relations(broken)
+    with pytest.raises(TheoremCheckError) as want:
+        spmat_relation_counts(broken)
+    assert str(got.value) == str(want.value)
+
+
+def test_verify_relations_catches_a_tsquare_error():
+    # pieces V(0), g, g with x (x) t acting as v0 -> x and then as ad(x) / 3:
+    # both steps are g-equivariant, so every bracket and mixed check holds,
+    # but [x_a (x) t, x_b (x) t] v0 = 2 [x_a, x_b] / 3
+    rs = rs_of("C2")
+    cb = modforge.chevalley(rs)
+    D = cb.dim_g
+    triv = modforge.highest_module(rs, rs.zero())
+    adj = modforge.adjoint_rep(rs)
+    ad = tuple(cb.realize(adj))
+    lift = tuple(SpMat(D, 1, {0: {b: 1}}) for b in range(D))
+    third = tuple(m.scale(Fraction(1, 3)) for m in ad)
+    theta = adj.highest_weight
+    cm = modforge.CurrentModule(
+        rs, 1, 2, (rs.zero(), theta, theta), (triv, adj, adj),
+        (tuple(cb.realize(triv)), ad, ad), (lift, third),
+    )
+    message = r"\[x_\d+ \(x\) t, x_\d+ \(x\) t\] does not vanish on piece 0"
+    with pytest.raises(TheoremCheckError, match=message) as got:
+        modforge.verify_current_relations(cm)
+    with pytest.raises(TheoremCheckError) as want:
+        spmat_relation_counts(cm)
+    assert str(got.value) == str(want.value)
+
+
+@st.composite
+def rational_families(draw):
+    """(n, four n x n rational SpMats, coefficients on the last two); half
+    the time the third matrix is the bracket of the first two and the
+    coefficients say so, so the identity holds."""
+    n = draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    index = st.integers(0, n - 1)
+
+    def matrix():
+        m = SpMat(n, n)
+        for (r, c), v in draw(st.dictionaries(st.tuples(index, index), entry, max_size=2 * n)).items():
+            m.set(r, c, v)
+        return m.demote()
+
+    x, y = matrix(), matrix()
+    if draw(st.booleans()):
+        return n, [x, y, x.bracket(y).demote(), matrix()], {2: 1}
+    family = [x, y, matrix(), matrix()]
+    return n, family, {z: draw(entry) for z in draw(st.sets(st.integers(2, 3)))}
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(rational_families())
+def test_integer_residue_agrees_with_spmat(case):
+    n, family, coeffs = case
+    want = family[0].bracket(family[1])
+    for z, c in coeffs.items():
+        want = want - family[z].scale(c)
+    N, d = integral_family(family)
+    icoeffs, L = integral(coeffs)
+    res = residue(
+        n, ((L, N[0], N[1]), (-L, N[1], N[0])), [(-d * c, N[z]) for z, c in icoeffs.items()]
+    )
+    # entry by entry, the residue is L d^2 times the rational one
+    assert {key: v for key, v in res.items() if v} == {
+        c * n + r: L * d * d * v for r, c, v in want.entries()
+    }
+    assert all(type(v) is int for v in res.values())
+    assert any(res.values()) == (not want.is_zero())
 
 
 def test_evaluation_module_relations():
