@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import chain
 from math import prod
 from operator import add, mul
 from types import MappingProxyType
@@ -26,13 +27,12 @@ DominantCharacter = dict[Weight, int]
 DEFAULT_MAX_DIM = 100_000
 
 
-def dimension_guard(max_dim: int | None = None) -> int:
-    """Effective guard value: explicit argument, else KR_MAX_DIM, else default.
+def dimension_guard() -> int:
+    """The guard value: KR_MAX_DIM if set, else DEFAULT_MAX_DIM.
 
     KR_MAX_DIM must be a positive integer; any other value raises ValueError.
+    This is the only reader of the variable.
     """
-    if max_dim is not None:
-        return max_dim
     env = os.environ.get("KR_MAX_DIM")
     if not env:
         return DEFAULT_MAX_DIM
@@ -170,13 +170,16 @@ def _full_char(lt: LieType, lam: Weight) -> MappingProxyType[Weight, int]:
     return MappingProxyType(out)
 
 
-def weight_mults(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> WeightCharacter:
+def _guard_dim(lam: Weight, dim: int) -> None:
+    guard = dimension_guard()
+    if dim > guard:
+        raise DimensionGuardError(f"dim V({lam}) = {dim} exceeds the guard {guard}")
+
+
+def weight_mults(rs: RootSystem, lam: Weight) -> WeightCharacter:
     """Full weight character of V(lam) as a weight -> multiplicity map."""
     _require_dominant(rs, lam)
-    if weyl_dim(rs, lam) > dimension_guard(max_dim):
-        raise DimensionGuardError(
-            f"dim V({lam}) = {weyl_dim(rs, lam)} exceeds the guard {dimension_guard(max_dim)}"
-        )
+    _guard_dim(lam, weyl_dim(rs, lam))
     return dict(_full_char(rs.type, lam))
 
 
@@ -222,23 +225,19 @@ def _klimyk(rs: RootSystem, lam: Weight, chi: WeightCharacter) -> DominantCharac
     return out
 
 
-def tensor_decompose(
-    rs: RootSystem, lam: Weight, mu: Weight, max_dim: int | None = None
-) -> DominantCharacter:
+def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> DominantCharacter:
     """Decomposition of V(lam) (x) V(mu) into simple constituents.
 
     Klimyk's reflection count over the weight character of the smaller factor;
-    contributions whose rho-shift lands on a wall cancel and are dropped.
+    contributions whose rho-shift lands on a wall cancel and are dropped.  The
+    guard bounds that factor, the only character the count expands.
     """
     _require_dominant(rs, lam)
     _require_dominant(rs, mu)
     dl, dm = weyl_dim(rs, lam), weyl_dim(rs, mu)
-    if dl * dm > dimension_guard(max_dim):
-        raise DimensionGuardError(
-            f"product dimension {dl * dm} exceeds the guard {dimension_guard(max_dim)}"
-        )
     if dm > dl:
-        lam, mu = mu, lam
+        lam, mu, dm = mu, lam, dl
+    _guard_dim(mu, dm)
     out = {w: m for w, m in _klimyk(rs, lam, _full_char(rs.type, mu)).items() if m}
     if any(m < 0 for m in out.values()):
         raise TheoremCheckError(f"V({lam}) (x) V({mu}) has a negative multiplicity: {out}")
@@ -253,15 +252,6 @@ def char_product(chi1: WeightCharacter, chi2: WeightCharacter) -> WeightCharacte
             key = tuple(a + b for a, b in zip(w1, w2))
             out[key] = out.get(key, 0) + m1 * m2
     return out
-
-
-def expand_dominant(rs: RootSystem, dchar: DominantCharacter) -> WeightCharacter:
-    """Weight character of a sum of simples given by highest weight -> mult."""
-    out: dict[Weight, int] = {}
-    for lam, mult in dchar.items():
-        for w, m in _full_char(rs.type, lam).items():
-            out[w] = out.get(w, 0) + mult * m
-    return {w: m for w, m in out.items() if m}
 
 
 def decompose_character(rs: RootSystem, chi: WeightCharacter) -> DominantCharacter:
@@ -312,12 +302,7 @@ def adjoint_char(rs: RootSystem) -> WeightCharacter:
     return out
 
 
-def hom_dim(
-    rs: RootSystem,
-    factors,
-    target: Weight,
-    max_dim: int | None = None,
-) -> int:
+def hom_dim(rs: RootSystem, factors, target: Weight) -> int:
     """Multiplicity of V(target) in the tensor product of the factors.
 
     Each factor is either a dominant Weight or an explicit weight character.
@@ -337,13 +322,9 @@ def hom_dim(
         weights.remove(base)
 
     rest: WeightCharacter = {rs.zero(): 1}
-    guard = dimension_guard(max_dim)
-    for lam in weights:
-        rest = char_product(rest, weight_mults(rs, lam, max_dim=guard))
-        if len(rest) > guard:
-            raise DimensionGuardError("intermediate character exceeds the guard")
-    for chi in chars:
-        rest = char_product(rest, dict(chi))
+    guard = dimension_guard()
+    for chi in chain((weight_mults(rs, lam) for lam in weights), chars):
+        rest = char_product(rest, chi)
         if len(rest) > guard:
             raise DimensionGuardError("intermediate character exceeds the guard")
 

@@ -168,7 +168,6 @@ def _hom_line(r: homcheck.HomReport) -> str:
 
 
 def suite_homs(rep: _Report, args) -> None:
-    max_dim = None
     if args.algebra:
         alg = parse_algebra(args.algebra, args.twisted)
         if isinstance(alg, TwistedData):
@@ -176,14 +175,14 @@ def suite_homs(rep: _Report, args) -> None:
             for i in nodes:
                 rep.run(
                     f"homs {alg.outer.label} node {i}",
-                    lambda a=alg, j=i: _hom_line(homcheck.cond_twisted(a, j, max_dim)),
+                    lambda a=alg, j=i: _hom_line(homcheck.cond_twisted(a, j)),
                 )
         else:
             nodes = [args.node] if args.node else krset.construction_nodes(alg)
             for i in nodes:
                 rep.run(
                     f"homs {alg.type} node {i}",
-                    lambda a=alg, j=i: _hom_line(homcheck.cond_untwisted(a, j, max_dim)),
+                    lambda a=alg, j=i: _hom_line(homcheck.cond_untwisted(a, j)),
                 )
         return
     cap = args.max_rank or 6
@@ -194,7 +193,7 @@ def suite_homs(rep: _Report, args) -> None:
         for i in krset.construction_nodes(rs):
             rep.run(
                 f"homs {rs.type} node {i}",
-                lambda a=rs, j=i: _hom_line(homcheck.cond_untwisted(a, j, max_dim)),
+                lambda a=rs, j=i: _hom_line(homcheck.cond_untwisted(a, j)),
             )
     for name in _HOM_TWISTED:
         lt = parse_type(name)
@@ -204,7 +203,7 @@ def suite_homs(rep: _Report, args) -> None:
         for i in range(1, data.g0.rank + 1):
             rep.run(
                 f"homs {data.outer.label} node {i}",
-                lambda a=data, j=i: _hom_line(homcheck.cond_twisted(a, j, max_dim)),
+                lambda a=data, j=i: _hom_line(homcheck.cond_twisted(a, j)),
             )
 
 
@@ -277,15 +276,13 @@ def suite_modforge(rep: _Report, args) -> None:
 def suite_tensor_bound(rep: _Report, args) -> None:
     max_rank = args.max_rank or 4
     max_level = args.max_level or 4
-    # the sweep is bounded, so let pairwise products run past the default guard
-    guard = max(charlib.dimension_guard(None), 10_000_000)
     for rs in _untwisted_sweep(max_rank):
         for i in range(1, rs.rank + 1):
             for m in range(1, max_level + 1):
                 rep.run(
                     f"tensor bound {rs.type} node {i} level {m}",
                     lambda a=rs, j=i, mm=m: "bounded"
-                    if krset.tensor_bound_check(a, j, mm, guard)
+                    if krset.tensor_bound_check(a, j, mm)
                     else "",
                 )
 

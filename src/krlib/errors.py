@@ -18,8 +18,8 @@ class TheoremCheckError(AssertionError):
 class DimensionGuardError(RuntimeError):
     """A computation was aborted because it exceeded the dimension guard.
 
-    Raise the limit through the KR_MAX_DIM environment variable or the
-    max_dim argument of the operation.
+    Its one setting is the KR_MAX_DIM environment variable, read by
+    charlib.dimension_guard; each guard bounds the space its step works in.
     """
 
 

@@ -287,7 +287,6 @@ def graded_tensor(
     rs: RootSystem,
     left: dict[int, dict[Weight, int]],
     right: dict[int, dict[Weight, int]],
-    max_dim: int | None = None,
 ) -> dict[int, dict[Weight, int]]:
     """Tensor product of graded sums of simples, grades adding."""
     out: dict[int, dict[Weight, int]] = {}
@@ -296,12 +295,12 @@ def graded_tensor(
             bucket = out.setdefault(s1 + s2, {})
             for lam, m1 in dc1.items():
                 for mu, m2 in dc2.items():
-                    for nu, k in charlib.tensor_decompose(rs, lam, mu, max_dim).items():
+                    for nu, k in charlib.tensor_decompose(rs, lam, mu).items():
                         bucket[nu] = bucket.get(nu, 0) + m1 * m2 * k
     return out
 
 
-def tensor_bound_check(rs: RootSystem, i: int, m: int, max_dim: int | None = None) -> bool:
+def tensor_bound_check(rs: RootSystem, i: int, m: int) -> bool:
     """Gradewise containment of the level-m graded character in the tensor
     product of one level-(m % d) and m // d level-d graded characters."""
     d = rs.dcheck[i - 1]
@@ -311,7 +310,7 @@ def tensor_bound_check(rs: RootSystem, i: int, m: int, max_dim: int | None = Non
     }
     fund = graded_character(rs, i, d).as_dict()
     for _ in range(m0):
-        acc = graded_tensor(rs, acc, fund, max_dim)
+        acc = graded_tensor(rs, acc, fund)
     target = graded_character(rs, i, m)
     for s, ws in target.by_grade:
         have = acc.get(s, {})

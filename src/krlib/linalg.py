@@ -51,9 +51,6 @@ class SpMat:
     def nnz(self) -> int:
         return sum(len(col) for col in self.data.values())
 
-    def is_zero(self) -> bool:
-        return not self.data
-
     def copy(self) -> "SpMat":
         return SpMat(self.rows, self.cols, {c: dict(col) for c, col in self.data.items()})
 
@@ -151,10 +148,6 @@ class SpMat:
         for j, v in enumerate(vals):
             m.set(j, j, v)
         return m
-
-    @classmethod
-    def identity(cls, n: int) -> "SpMat":
-        return cls.from_diag([1] * n)
 
     def __repr__(self):
         return f"SpMat({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -292,9 +285,6 @@ class Echelon:
         # 0 = comb[-1] * vec + sum_k comb[k] * original_k, and comb[-1] > 0
         d = comb.pop(-1)
         return {k: -x // d if x % d == 0 else Fraction(-x, d) for k, x in comb.items()}
-
-    def contains(self, vec: dict[int, object]) -> bool:
-        return self.coords(vec) is not None
 
     @property
     def dim(self) -> int:

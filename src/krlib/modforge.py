@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from operator import add, ge
+from operator import add, ge, sub
 from types import MappingProxyType
 
 from . import charlib, krset
@@ -63,18 +63,23 @@ class MatrixRep:
         return [0] * self.dim, self.basis_weights, cols
 
 
-def _weights_from_h(hs: list[SpMat], dim: int) -> tuple[Weight, ...]:
-    out = []
-    for r in range(dim):
-        out.append(tuple(int(m.get(r, r)) for m in hs))
-    return tuple(out)
-
-
-def _assert_h_diagonal(hs) -> None:
+def _weights_from_h(hs, dim: int) -> tuple[Weight, ...]:
+    """The basis weights read off the diagonal h matrices; an off-diagonal
+    entry raises."""
     for m in hs:
         for r, c, _ in m.entries():
             if r != c:
                 raise TheoremCheckError("h generator is not diagonal")
+    return tuple(tuple(int(m.get(r, r)) for m in hs) for r in range(dim))
+
+
+def _from_generators(rs: RootSystem, ee, ff, top: int = 0) -> MatrixRep:
+    """The module with generators e_j, f_j and h_j = [e_j, f_j], whose basis
+    vector `top` is the highest; the weights come from the diagonal of h."""
+    dim = ee[0].rows
+    hh = tuple(e.bracket(f).demote() for e, f in zip(ee, ff))
+    weights = _weights_from_h(hh, dim)
+    return MatrixRep(rs, dim, tuple(ee), tuple(ff), hh, weights, top, weights[top])
 
 
 @lru_cache(maxsize=None)
@@ -110,10 +115,7 @@ def _defining(lt: LieType) -> MatrixRep:
     elif fam == "D":
         ee.append(mat((n - 2, n, 1), (n - 1, n + 1, -1)))
         ff.append(mat((n, n - 2, 1), (n + 1, n - 1, -1)))
-    hh = [ee[j].bracket(ff[j]) for j in range(n)]
-    _assert_h_diagonal(hh)
-    weights = _weights_from_h(hh, dim)
-    rep = MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(hh), weights, 0, weights[0])
+    rep = _from_generators(rs, ee, ff)
     if rep.highest_weight != rs.fundamental(1):
         raise TheoremCheckError("defining rep does not have highest weight omega_1")
     return rep
@@ -247,7 +249,6 @@ def adjoint_rep(rs: RootSystem) -> MatrixRep:
     Chevalley basis, the highest vector is the theta root vector."""
     cb = chevalley(rs)
     D = cb.dim_g
-    n = rs.rank
 
     def action_of(a: int) -> SpMat:
         m = SpMat(D, D)
@@ -258,13 +259,10 @@ def adjoint_rep(rs: RootSystem) -> MatrixRep:
 
     ee = [action_of(cb.plus_index(rc)) for rc in cb.simple]
     ff = [action_of(cb.minus_index(rc)) for rc in cb.simple]
-    hh = [action_of(cb.h_index(j)) for j in range(1, n + 1)]
-    _assert_h_diagonal(hh)
-    weights = tuple(rs.root_weight(rc) for rc in cb.roots)
-    if weights != _weights_from_h(hh, D):
+    rep = _from_generators(rs, ee, ff, cb.plus_index(rs.theta))
+    if rep.basis_weights != tuple(rs.root_weight(rc) for rc in cb.roots):
         raise TheoremCheckError("adjoint h eigenvalues disagree with the root weights")
-    hi = cb.plus_index(rs.theta)
-    return MatrixRep(rs, D, tuple(ee), tuple(ff), tuple(hh), weights, hi, rs.root_weight(rs.theta))
+    return rep
 
 
 def wedge_rep(rs: RootSystem, j: int) -> MatrixRep:
@@ -305,17 +303,13 @@ def wedge_rep(rs: RootSystem, j: int) -> MatrixRep:
                     out.add_to(pos[tuple(new)], a, sign * v)
         return out
 
-    ee = [act(m) for m in drep.e]
-    ff = [act(m) for m in drep.f]
-    hh = [ee[t].bracket(ff[t]) for t in range(rs.rank)]
-    _assert_h_diagonal(hh)
-    weights = _weights_from_h(hh, dim)
+    rep = _from_generators(rs, [act(m) for m in drep.e], [act(m) for m in drep.f])
     expect = tuple(
         sum(drep.basis_weights[s][t] for s in range(j)) for t in range(rs.rank)
     )
-    if weights[0] != expect:
-        raise TheoremCheckError(f"top wedge vector has weight {weights[0]}, expected {expect}")
-    return MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(hh), weights, 0, weights[0])
+    if rep.highest_weight != expect:
+        raise TheoremCheckError(f"top wedge vector has weight {rep.highest_weight}, expected {expect}")
+    return rep
 
 
 class _Tensor:
@@ -380,35 +374,57 @@ def tensor_rep(factors) -> _Tensor:
     return _Tensor([fct.slot() for fct in factors])
 
 
-def _lowering_span(
-    rs: RootSystem, space: _Tensor, start: int, keep=lambda wt: True
-) -> dict[tuple[int, Weight], Echelon]:
-    """The span of basis vector `start` of a tensor_rep of CurrentModules
-    under f_i (x) 1 and f_i (x) t, as one Echelon per (grade, weight) block.
+def _lowering_span(space: _Tensor, start: int, ops, keep=lambda wt: True):
+    """The span of basis vector `start` of a tensor_rep under the operators
+    `ops`, found depth first; returns (vectors, blocks).
 
-    This is the g[t]-submodule that the vector generates whenever the
-    premises of PBW hold: the factors are g (x) C[t]/t^2-modules and the
-    vector is killed by e_i (x) 1, e_i (x) t and h_j (x) t.  A block whose
-    weight fails `keep` is never entered, nor is anything reached through it.
+    ops lists (op, grade step, root): op maps the block (grade, weight) into
+    (grade + grade step, weight - root), roots in fundamental coordinates.
+    vectors are the accepted vectors in the order found, and blocks maps
+    each (grade, weight) to its Echelon and the positions in vectors of its
+    members.  Past the start, a block whose weight fails `keep` is never
+    entered, nor is anything reached through it.
     """
-    cb = chevalley(rs)
-    ops = [(cb.minus_index(rc), tpow) for rc in cb.simple for tpow in (0, 1)]
-    blocks: dict[tuple[int, Weight], Echelon] = {}
+    vectors: list[dict[int, object]] = []
+    keys: list[tuple[int, Weight]] = []
+    blocks: dict[tuple[int, Weight], tuple[Echelon, list[int]]] = {}
 
-    def insert(vec: dict[int, object]) -> bool:
-        key = space.grade_weight(min(vec))
-        return keep(key[1]) and blocks.setdefault(key, Echelon()).add(vec) is not None
+    def insert(vec: dict[int, object], key: tuple[int, Weight]) -> bool:
+        ech, members = blocks.setdefault(key, (Echelon(), []))
+        if ech.add(vec) is None:
+            return False
+        members.append(len(vectors))
+        vectors.append(vec)
+        keys.append(key)
+        return True
 
-    top = {start: 1}
-    insert(top)
-    queue = [top]
+    insert({start: 1}, space.grade_weight(start))
+    queue = [0]
     while queue:
-        vec = queue.pop()
-        for op in ops:
-            img = space.apply(op, vec)
-            if img and insert(img):
-                queue.append(img)
-    return blocks
+        r = queue.pop()
+        grade, wt = keys[r]
+        for op, dg, root in ops:
+            img = space.apply(op, vectors[r])
+            if not img:
+                continue
+            nwt = tuple(map(sub, wt, root))
+            if keep(nwt) and insert(img, (grade + dg, nwt)):
+                queue.append(len(vectors) - 1)
+    return vectors, blocks
+
+
+def _current_lowering(rs: RootSystem) -> list:
+    """f_i (x) 1 and f_i (x) t as _lowering_span operators on a tensor_rep of
+    CurrentModules.  Their span from a vector is the g[t]-submodule that the
+    vector generates whenever the premises of PBW hold: the factors are
+    g (x) C[t]/t^2-modules and the vector is killed by e_i (x) 1, e_i (x) t
+    and h_j (x) t."""
+    cb = chevalley(rs)
+    return [
+        ((cb.minus_index(rc), tpow), tpow, alpha)
+        for rc, alpha in zip(cb.simple, rs.cartan)
+        for tpow in (0, 1)
+    ]
 
 
 def _scope_factors(rs: RootSystem, lam: Weight) -> list[MatrixRep]:
@@ -434,90 +450,57 @@ def _scope_factors(rs: RootSystem, lam: Weight) -> list[MatrixRep]:
     return factors
 
 
-def highest_module(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> MatrixRep:
+def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
     """V(lam) as the cyclic span of the top vector in a product of wedges."""
     rs._check_weight(lam)
     if not rs.dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     target_dim = charlib.weyl_dim(rs, lam)
-    guard = charlib.dimension_guard(max_dim)
+    guard = charlib.dimension_guard()
     if target_dim > guard:
         raise DimensionGuardError(f"dim V({lam}) = {target_dim} exceeds {guard}")
+    n = rs.rank
     if all(c == 0 for c in lam):
-        n = rs.rank
         z = SpMat(1, 1)
         return MatrixRep(rs, 1, (z,) * n, (z,) * n, (z,) * n, (rs.zero(),), 0, lam)
     amb = tensor_rep(_scope_factors(rs, lam))
     if amb.dim > guard:
         raise DimensionGuardError(f"ambient dim {amb.dim} exceeds {guard}")
 
-    n = rs.rank
     v0 = {0: 1}
     for i in range(1, n + 1):
         if amb.apply(("e", i), v0):
             raise TheoremCheckError("top vector is not highest in the ambient space")
 
-    blocks: dict[Weight, tuple[Echelon, list[int]]] = {}
-    basis_vecs: list[dict[int, object]] = []
-    basis_wts: list[Weight] = []
-
-    def insert(vec: dict[int, object], wt: Weight) -> bool:
-        ech, members = blocks.setdefault(wt, (Echelon(), []))
-        if ech.add(vec) is None:
-            return False
-        members.append(len(basis_vecs))
-        basis_vecs.append(vec)
-        basis_wts.append(wt)
-        return True
-
-    insert(v0, amb.grade_weight(0)[1])
-    queue = [0]
-    while queue:
-        r = queue.pop()
-        wt = basis_wts[r]
-        for i in range(1, n + 1):
-            img = amb.apply(("f", i), basis_vecs[r])
-            if not img:
-                continue
-            nwt = tuple(wt[t] - rs.cartan[i - 1][t] for t in range(n))
-            if insert(img, nwt):
-                queue.append(len(basis_vecs) - 1)
-
-    dim = len(basis_vecs)
+    vecs, blocks = _lowering_span(amb, 0, [(("f", i), 0, a) for i, a in enumerate(rs.cartan, 1)])
+    dim = len(vecs)
     if dim != target_dim:
         raise TheoremCheckError(
             f"cyclic span of V({lam}) has dim {dim}, Weyl dimension is {target_dim}"
         )
 
-    def coords_of(vec: dict[int, object], wt: Weight) -> dict[int, object]:
-        entry = blocks.get(wt)
-        if entry is None:
-            raise TheoremCheckError("span is not stable under the generators")
-        ech, members = entry
-        local = ech.coords(vec)
-        if local is None:
-            raise TheoremCheckError("span is not stable under the generators")
-        return {members[k]: v for k, v in local.items()}
-
     ee = [SpMat(dim, dim) for _ in range(n)]
     ff = [SpMat(dim, dim) for _ in range(n)]
-    for r in range(dim):
-        wt = basis_wts[r]
-        for i in range(1, n + 1):
-            up = amb.apply(("e", i), basis_vecs[r])
-            if up:
-                uwt = tuple(wt[t] + rs.cartan[i - 1][t] for t in range(n))
-                for z, v in coords_of(up, uwt).items():
-                    ee[i - 1].set(z, r, v)
-            dn = amb.apply(("f", i), basis_vecs[r])
-            if dn:
-                dwt = tuple(wt[t] - rs.cartan[i - 1][t] for t in range(n))
-                for z, v in coords_of(dn, dwt).items():
-                    ff[i - 1].set(z, r, v)
+    basis_wts: list[Weight] = [()] * dim
+    for (_, wt), (_, members) in blocks.items():
+        # (operator, its matrix, the block it maps this one into)
+        moves = []
+        for i, alpha in enumerate(rs.cartan, start=1):
+            moves.append((("e", i), ee[i - 1], blocks.get((0, tuple(map(add, wt, alpha))))))
+            moves.append((("f", i), ff[i - 1], blocks.get((0, tuple(map(sub, wt, alpha))))))
+        for r in members:
+            basis_wts[r] = wt
+            for op, mat, entry in moves:
+                img = amb.apply(op, vecs[r])
+                if not img:
+                    continue
+                local = entry[0].coords(img) if entry else None
+                if local is None:
+                    raise TheoremCheckError("span is not stable under the generators")
+                for k, v in local.items():
+                    mat.set(entry[1][k], r, v)
     hh = [SpMat.from_diag([basis_wts[r][i] for r in range(dim)]) for i in range(n)]
-    return MatrixRep(
-        rs, dim, tuple(ee), tuple(ff), tuple(hh), tuple(basis_wts), 0, lam
-    )
+    return MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(hh), tuple(basis_wts), 0, lam)
 
 
 def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMat]:
@@ -674,23 +657,23 @@ class CurrentModule:
         return grades, weights, cols
 
 
-def evaluation_module(rs: RootSystem, node: int, m: int, max_dim: int | None = None) -> CurrentModule:
+def evaluation_module(rs: RootSystem, node: int, m: int) -> CurrentModule:
     """V(m omega_i) with t g[t] acting as zero."""
     lam = rs.fundamental(node, m) if m else rs.zero()
-    piece = highest_module(rs, lam, max_dim)
+    piece = highest_module(rs, lam)
     cb = chevalley(rs)
     mats = tuple(cb.realize(piece))
     return CurrentModule(rs, node, m, (lam,), (piece,), (mats,), ())
 
 
-def build_kr_fundamental(rs: RootSystem, i: int, max_dim: int | None = None) -> CurrentModule:
+def build_kr_fundamental(rs: RootSystem, i: int) -> CurrentModule:
     """The graded module on the chain of node i at level dcheck_i, with x(x)t
     given by the unique normalized intertwiners."""
     if rs.epsilon(rs.theta, i) != 2:
         raise ValueError(f"node {i} of {rs.type} is not a construction node")
     d = rs.dcheck[i - 1]
     chain = krset.enumerate_chain(rs, i).weights
-    pieces = tuple(highest_module(rs, mu, max_dim) for mu in chain)
+    pieces = tuple(highest_module(rs, mu) for mu in chain)
     cb = chevalley(rs)
     g_action = tuple(tuple(cb.realize(p)) for p in pieces)
     adj = adjoint_rep(rs)
@@ -699,7 +682,7 @@ def build_kr_fundamental(rs: RootSystem, i: int, max_dim: int | None = None) -> 
     for s in range(len(chain) - 1):
         src = tensor_rep([adj, pieces[s]])
         sols = intertwiner(rs, src, pieces[s + 1])
-        count = charlib.hom_dim(rs, [adj.highest_weight, chain[s]], chain[s + 1], max_dim)
+        count = charlib.hom_dim(rs, [adj.highest_weight, chain[s]], chain[s + 1])
         if len(sols) != count:
             raise TheoremCheckError(
                 f"Hom(g (x) V{chain[s]}, V{chain[s + 1]}) has dimension {len(sols)},"
@@ -868,10 +851,12 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
             checks += 1
 
     # cyclicity: the relations and generator checks above are the premises of
-    # _lowering_span, so the f_i (x) 1 and f_i (x) t images of the generator
-    # span the g[t]-submodule it generates
-    blocks = _lowering_span(rs, tensor_rep([cm]), cm.pieces[0].highest_index)
-    cyclic_dim = sum(ech.dim for ech in blocks.values())
+    # _current_lowering, so the f_i (x) 1 and f_i (x) t images of the
+    # generator span the g[t]-submodule it generates
+    vecs, _ = _lowering_span(
+        tensor_rep([cm]), cm.pieces[0].highest_index, _current_lowering(rs)
+    )
+    cyclic_dim = len(vecs)
     if cyclic_dim != cm.total_dim:
         raise TheoremCheckError(
             f"generator spans {cyclic_dim} of {cm.total_dim} dimensions"
@@ -900,9 +885,7 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
     )
 
 
-def kr_tensor_submodule(
-    rs: RootSystem, i: int, m: int, max_dim: int | None = None
-) -> dict[int, dict[Weight, int]]:
+def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight, int]]:
     """Cyclic submodule generated by the top vector v of the tensor product of
     fundamental graded modules; returns grade -> decomposition and checks it
     against the combinatorial graded character.
@@ -938,16 +921,16 @@ def kr_tensor_submodule(
 
     factors: list[CurrentModule] = []
     if m1:
-        factors.append(evaluation_module(rs, i, m1, max_dim))
+        factors.append(evaluation_module(rs, i, m1))
     if m0:
         if rs.epsilon(rs.theta, i) == 2:
-            fund = build_kr_fundamental(rs, i, max_dim)
+            fund = build_kr_fundamental(rs, i)
         else:
-            fund = evaluation_module(rs, i, d, max_dim)
+            fund = evaluation_module(rs, i, d)
         _check_tsquare(fund)
         factors.extend([fund] * m0)
 
-    guard = charlib.dimension_guard(max_dim)
+    guard = charlib.dimension_guard()
     total = 1
     for cm in factors:
         total *= cm.total_dim
@@ -973,9 +956,9 @@ def kr_tensor_submodule(
         sc = rs.scaled_root_coords(nu)
         return any(all(map(ge, sc, fl)) for fl in floors)
 
-    blocks = _lowering_span(rs, gt, 0, above_dominant)
+    _, blocks = _lowering_span(gt, 0, _current_lowering(rs), above_dominant)
     chars: dict[int, dict[Weight, int]] = {}
-    for (g, wt), ech in blocks.items():
+    for (g, wt), (ech, _) in blocks.items():
         if rs.dominant(wt):
             chi = chars.setdefault(g, {})
             for w in rs.weyl_orbit(wt):

@@ -250,14 +250,6 @@ class RootSystem:
         self._check_weight(lam)
         return all(c >= 0 for c in lam)
 
-    def reflect(self, lam: Weight, i: int) -> Weight:
-        """Simple reflection s_i acting on fundamental coordinates."""
-        self._check_node(i)
-        self._check_weight(lam)
-        c = lam[i - 1]
-        row = self.cartan[i - 1]
-        return tuple(lam[j] - c * row[j] for j in range(self.rank))
-
     def to_dominant(self, lam: Weight) -> Weight:
         """The dominant representative of the Weyl orbit of lam."""
         cur = tuple(lam)

@@ -27,6 +27,21 @@ def rs_of(name):
     return build(parse_type(name))
 
 
+def reflect(rs, lam, i):
+    """Simple reflection s_i on fundamental coordinates."""
+    c = lam[i - 1]
+    return tuple(a - c * b for a, b in zip(lam, rs.cartan[i - 1]))
+
+
+def expand(rs, dchar):
+    """Weight character of a sum of simples, highest weight -> multiplicity."""
+    out = {}
+    for lam, mult in dchar.items():
+        for w, m in charlib.weight_mults(rs, lam).items():
+            out[w] = out.get(w, 0) + mult * m
+    return out
+
+
 def _outer(family, ambient_rank):
     return twisted.fixed_point_data(twisted.outer_from_ambient(family, ambient_rank))
 
@@ -214,8 +229,7 @@ def test_criterion_5_independent_oracles_agree():
                 continue
             fast = charlib.tensor_decompose(rs, lam, mu)
             chi = charlib.char_product(
-                charlib.expand_dominant(rs, {lam: 1}),
-                charlib.expand_dominant(rs, {mu: 1}),
+                charlib.weight_mults(rs, lam), charlib.weight_mults(rs, mu)
             )
             slow = charlib.decompose_character(rs, chi)
             assert fast == slow, (rs.type, lam, mu)
@@ -228,7 +242,7 @@ def test_criterion_5_independent_oracles_agree():
             assert sum(mults.values()) == charlib.weyl_dim(rs, lam), (rs.type, lam)
             # multiplicities are constant on Weyl orbits
             w = max(mults)
-            assert mults[rs.reflect(w, 1 + len(lam) % rs.rank)] == mults[w]
+            assert mults[reflect(rs, w, 1 + len(lam) % rs.rank)] == mults[w]
             masses += 1
 
     _report(5, "Klimyk = stripping on 200 pairs, Freudenthal mass = Weyl dim on 100", run)
@@ -270,13 +284,12 @@ def test_criterion_7_tensor_submodules_match_graded_characters():
             rs = rs_of(name)
             got = modforge.kr_tensor_submodule(rs, i, m)
             assert got == krset.graded_character(rs, i, m).as_dict(), (name, i, m)
-        guard = 10_000_000
         for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
             for r in range(lo, 5):
                 rs = rs_of(f"{fam}{r}")
                 for i in range(1, r + 1):
                     for m in range(1, 5):
-                        assert krset.tensor_bound_check(rs, i, m, guard)
+                        assert krset.tensor_bound_check(rs, i, m)
 
     _report(7, "matrix submodules equal the combinatorial graded characters", run)
 
@@ -329,10 +342,10 @@ def test_criterion_9_characters_are_multiplicity_free_and_invariant():
                     assert w not in seen
                     seen.add(w)
         for rs, gc in rng.sample(graded, 25):
-            chi = charlib.expand_dominant(rs, {w: 1 for _, ws in gc.by_grade for w in ws})
+            chi = expand(rs, {w: 1 for _, ws in gc.by_grade for w in ws})
             for _ in range(50):
                 i = rng.randint(1, rs.rank)
                 w = rng.choice(list(chi))
-                assert chi[rs.reflect(w, i)] == chi[w]
+                assert chi[reflect(rs, w, i)] == chi[w]
 
     _report(9, "graded characters multiplicity-free, weight characters invariant", run)

@@ -128,8 +128,8 @@ def test_verify_fails_on_a_broken_evaluation_factor(monkeypatch, capsys):
     # its character is not genuine, and that is a failed check, not bad input
     real = modforge.evaluation_module
 
-    def broken(rs, node, m, max_dim=None):
-        cm = real(rs, node, m, max_dim)
+    def broken(rs, node, m):
+        cm = real(rs, node, m)
         cb = modforge.chevalley(rs)
         mats = list(cm.g_action[0])
         f1 = cb.minus_index(cb.simple[0])

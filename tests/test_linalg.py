@@ -20,10 +20,10 @@ def test_spmat_set_get_and_zero_removal():
     assert m.get(0, 1) == 5
     assert m.nnz() == 1
     m.set(0, 1, 0)
-    assert m.is_zero()
+    assert m.data == {}
     m.add_to(2, 2, 3)
     m.add_to(2, 2, -3)
-    assert m.is_zero()
+    assert m.data == {}
 
 
 def test_spmat_apply_and_matmul_agree():
@@ -49,7 +49,7 @@ def test_bracket_antisymmetry_and_identity():
     h = e.bracket(f)
     assert h == SpMat.from_diag([1, -1])
     assert f.bracket(e) == h.scale(-1)
-    assert SpMat.identity(2).bracket(e).is_zero()
+    assert SpMat.from_diag([1, 1]).bracket(e) == SpMat(2, 2)
 
 
 def test_flat_vec_indexing():
@@ -73,7 +73,7 @@ def test_echelon_ordinals_and_coords():
     coords = ech.coords(combo)
     assert coords == {0: 1, 1: -2, 2: 7}
     assert ech.coords({3: 1}) is None
-    assert ech.contains(v2)
+    assert ech.coords(v2) == {1: 1}
 
 
 def test_echelon_fractional_pivots():
@@ -220,7 +220,6 @@ def test_echelon_matches_fraction_oracle(seed):
         for probe in probes:
             want = _oracle_solve(kept, probe, width)
             got = ech.coords(probe)
-            assert ech.contains(probe) == (want is not None)
             if want is None:
                 assert got is None
                 continue

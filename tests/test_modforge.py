@@ -24,7 +24,6 @@ def verify_matrix_rep(rep):
     here."""
     rs = rep.rs
     n = rs.rank
-    modforge._assert_h_diagonal(rep.h)
     if rep.basis_weights != modforge._weights_from_h(rep.h, rep.dim):
         raise TheoremCheckError("h eigenvalues disagree with the recorded weights")
     for i in range(n):
@@ -181,7 +180,7 @@ def test_highest_module_trivial():
     rs = rs_of("B3")
     rep = modforge.highest_module(rs, (0, 0, 0))
     assert rep.dim == 1
-    assert all(m.is_zero() for m in rep.e + rep.f + rep.h)
+    assert not any(m.data for m in rep.e + rep.f + rep.h)
 
 
 def test_highest_module_scope_errors():
@@ -195,11 +194,12 @@ def test_highest_module_scope_errors():
         modforge.highest_module(rs_of("D4"), (0, 0, 0, 2))
 
 
-def test_highest_module_rejects_bad_weights():
+def test_highest_module_rejects_bad_weights(monkeypatch):
     with pytest.raises(ValueError):
         modforge.highest_module(rs_of("C2"), (-1, 0))
+    monkeypatch.setenv("KR_MAX_DIM", "50")
     with pytest.raises(DimensionGuardError):
-        modforge.highest_module(rs_of("C3"), (0, 2, 0), max_dim=50)
+        modforge.highest_module(rs_of("C3"), (0, 2, 0))
 
 
 def test_verify_matrix_rep_detects_damage():
@@ -545,7 +545,7 @@ def spmat_relation_counts(cm):
         lo, hi = cm.t_action[s], cm.t_action[s + 1]
         for a in range(D):
             for b in range(a + 1, D):
-                if not (hi[a] @ lo[b] - hi[b] @ lo[a]).is_zero():
+                if (hi[a] @ lo[b] - hi[b] @ lo[a]).data:
                     raise TheoremCheckError(
                         f"[x_{a} (x) t, x_{b} (x) t] does not vanish on piece {s}"
                     )
@@ -668,7 +668,7 @@ def test_integer_residue_agrees_with_spmat(case):
         c * n + r: L * d * d * v for r, c, v in want.entries()
     }
     assert all(type(v) is int for v in res.values())
-    assert any(res.values()) == (not want.is_zero())
+    assert any(res.values()) == bool(want.data)
 
 
 def test_evaluation_module_relations():
@@ -699,13 +699,14 @@ def test_kr_tensor_submodule(name, node, m, want):
     assert got == krset.graded_character(rs, node, m).as_dict()
 
 
-def test_kr_tensor_submodule_edges():
+def test_kr_tensor_submodule_edges(monkeypatch):
     rs = rs_of("C2")
     assert modforge.kr_tensor_submodule(rs, 1, 0) == {0: {(0, 0): 1}}
     with pytest.raises(ValueError):
         modforge.kr_tensor_submodule(rs, 1, -1)
+    monkeypatch.setenv("KR_MAX_DIM", "100")
     with pytest.raises(DimensionGuardError):
-        modforge.kr_tensor_submodule(rs, 1, 4, max_dim=100)
+        modforge.kr_tensor_submodule(rs, 1, 4)
 
 
 def test_kr_tensor_submodule_checks_the_character(monkeypatch):
@@ -777,8 +778,8 @@ def plant(monkeypatch, edit):
     """Make build_kr_fundamental return its module with t_action edited."""
     real = modforge.build_kr_fundamental
 
-    def broken(rs, i, max_dim=None):
-        cm = real(rs, i, max_dim)
+    def broken(rs, i):
+        cm = real(rs, i)
         t_action = [[m.copy() for m in mats] for mats in cm.t_action]
         edit(rs, cm, t_action)
         return dataclasses.replace(cm, t_action=tuple(tuple(mats) for mats in t_action))

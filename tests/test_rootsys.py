@@ -170,9 +170,16 @@ def test_is_positive_root_rejects():
 # ---------------------------------------------------------------- Weyl action
 
 
+def reflect(rs, lam, i):
+    """Simple reflection s_i on fundamental coordinates."""
+    c = lam[i - 1]
+    return tuple(a - c * b for a, b in zip(lam, rs.cartan[i - 1]))
+
+
 def test_reflect_example():
     a2 = build(LieType("A", 2))
-    assert a2.reflect((1, 0), 1) == (-1, 1)
+    assert reflect(a2, (1, 0), 1) == (-1, 1)
+    assert a2.to_dominant((-1, 1)) == (1, 0)
 
 
 def test_reflection_is_involution():
@@ -182,7 +189,8 @@ def test_reflection_is_involution():
         for _ in range(8):
             lam = tuple(rng.randrange(-3, 4) for _ in range(rs.rank))
             i = rng.randrange(1, rs.rank + 1)
-            assert rs.reflect(rs.reflect(lam, i), i) == lam
+            assert reflect(rs, reflect(rs, lam, i), i) == lam
+            assert rs.to_dominant(reflect(rs, lam, i)) == rs.to_dominant(lam)
 
 
 def test_reflection_preserves_inner():
@@ -193,7 +201,7 @@ def test_reflection_preserves_inner():
             a = tuple(rng.randrange(-2, 3) for _ in range(rs.rank))
             b = tuple(rng.randrange(-2, 3) for _ in range(rs.rank))
             i = rng.randrange(1, rs.rank + 1)
-            assert rs.inner(rs.reflect(a, i), rs.reflect(b, i)) == rs.inner(a, b)
+            assert rs.inner(reflect(rs, a, i), reflect(rs, b, i)) == rs.inner(a, b)
 
 
 def test_orbit_c2_example():
