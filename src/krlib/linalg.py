@@ -2,15 +2,16 @@
 
 Matrices are column-major dicts of dicts, vectors are index -> value dicts.
 Values are Python ints or Fractions; zeros are never stored.  The column
-table of a matrix is its data, c -> {r: value}.  Echelon is the one
-elimination kernel: it clears the denominators of each input and
-eliminates fraction-free (Bareiss, Math. Comp. 22, 1968), so every stored
-row is a primitive integer vector, every nullspace solution is a primitive
-integer vector, and every value it returns is an int unless it is
-non-integral.  residue is the product kernel of matrix identities scaled
-to integers: it sums products and multiples of column tables into one
-vector, with no SpMat and no copy.  Everything here is deterministic:
-echelon forms always pivot on the smallest index.
+table of a matrix is its data, c -> {r: value}.  Echelon spans over Q: it
+clears the denominators of each input and eliminates fraction-free
+(Bareiss, Math. Comp. 22, 1968), so every stored row and every nullspace
+solution is a primitive integer vector, and every value it returns is an
+int unless it is non-integral.  lattice_basis spans over Z: the reduced
+Hermite normal form of a lattice, whose members lattice_coords expresses
+with int coordinates.  residue is the product kernel of matrix identities:
+it sums products and multiples of column tables into one vector, with no
+SpMat and no copy.  Everything here is deterministic: echelon forms always
+pivot on the smallest index.
 """
 
 from __future__ import annotations
@@ -111,14 +112,6 @@ class SpMat:
             {c: {r: a * v for r, v in col.items()} for c, col in self.data.items()},
         )
 
-    def demote(self) -> "SpMat":
-        """Store every integral Fraction entry as an int, in place."""
-        for col in self.data.values():
-            for r, v in col.items():
-                if type(v) is Fraction and v.denominator == 1:
-                    col[r] = v.numerator
-        return self
-
     def bracket(self, other: "SpMat") -> "SpMat":
         return (self @ other) - (other @ self)
 
@@ -129,17 +122,10 @@ class SpMat:
             return False
         return self.data == other.data
 
-    def __hash__(self):
-        raise TypeError("SpMat is not hashable")
-
     def entries(self):
         for c, col in self.data.items():
             for r, v in col.items():
                 yield r, c, v
-
-    def to_flat_vec(self) -> dict[int, object]:
-        """Vectorize with index r * cols + c (row-major flattening)."""
-        return {r * self.cols + c: v for r, c, v in self.entries()}
 
     @classmethod
     def from_diag(cls, values) -> "SpMat":
@@ -160,24 +146,6 @@ def integral(vec: dict[int, object]) -> tuple[dict[int, int], int]:
         if type(x) is not int:
             den = lcm(den, x.denominator)
     return {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}, den
-
-
-def integral_family(mats) -> tuple[list[dict[int, dict[int, int]]], int]:
-    """(tables, d): tables[a] is the column table of d * mats[a], for the
-    least d > 0 that makes every entry of every matrix an int; the stored
-    dicts themselves when d = 1."""
-    den = 1
-    for m in mats:
-        for col in m.data.values():
-            for x in col.values():
-                if type(x) is not int:
-                    den = lcm(den, x.denominator)
-    if den == 1:
-        return [m.data for m in mats], 1
-    return [
-        {c: {r: (x * den).numerator for r, x in col.items()} for c, col in m.data.items()}
-        for m in mats
-    ], den
 
 
 def residue(stride: int, products, linear=()) -> dict[int, object]:
@@ -289,6 +257,54 @@ class Echelon:
     @property
     def dim(self) -> int:
         return len(self.pivots)
+
+
+def lattice_basis(vectors) -> dict[int, dict[int, int]]:
+    """The reduced Hermite normal form of the Z-span of int vectors, as
+    pivot -> row in increasing pivot order: a row's least index is its
+    pivot, its entry there is positive, and its entry at the pivot of any
+    later row lies in [0, that row's pivot entry).  The form is unique per
+    lattice (Cohen, section 2.4.2).  Rows meet at a pivot by Euclid's
+    algorithm, which leaves their gcd in one row and 0 in the other."""
+    rows: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        v = {k: x for k, x in vec.items() if x}
+        while v:
+            p = min(v)
+            row = rows.get(p)
+            if row is None:
+                rows[p] = v if v[p] > 0 else {k: -x for k, x in v.items()}
+                break
+            while p in v:
+                q = v[p] // row[p]
+                if q:
+                    _axpy(v, 1, row, -q)
+                if p in v:
+                    row, v = v, row
+            rows[p] = row
+    order = sorted(rows)
+    for a in range(len(order) - 2, -1, -1):
+        row = rows[order[a]]
+        for p in order[a + 1 :]:
+            q = row.get(p, 0) // rows[p][p]
+            if q:
+                _axpy(row, 1, rows[p], -q)
+    return {p: rows[p] for p in order}
+
+
+def lattice_coords(basis: dict[int, dict[int, int]], vec: dict[int, object]) -> dict[int, int] | None:
+    """Coordinates of vec over the rows of a lattice_basis, all ints, or
+    None when vec is not in their Z-span."""
+    v = dict(vec)
+    out = {}
+    for k, (p, row) in enumerate(basis.items()):
+        if p in v:
+            q, rem = divmod(v[p], row[p])
+            if rem:
+                return None
+            _axpy(v, 1, row, -q)
+            out[k] = q
+    return None if v else out
 
 
 def nullspace(rows, variables) -> list[dict[object, int]]:

@@ -1,22 +1,23 @@
-"""Exact matrix realization of the graded KR construction.
+"""Exact matrix realization of the graded KR construction, over the integers.
 
 The route: build the defining representation with integer matrices, generate a
-basis of g by iterated brackets of the Chevalley generators, realize V(mu) as
-the cyclic span of a highest vector inside tensor products of wedge powers,
-solve the intertwiner g (x) V_s -> V_{s+1} one weight space of V_{s+1} at a
-time (a nullspace for the top weight, then a downward sweep through the e_i,
-checked against the f_i and the character count of the Hom space), and
-assemble the graded module with x(x)t acting through the normalized
-intertwiners.  verify_current_relations checks every relation pair by pair
-over integer column tables (linalg.residue).
-Everything is exact and deterministic; every integral entry is stored as an int.
+Chevalley basis of g (integer structure constants) by iterated brackets of
+the Chevalley generators, realize V(mu) on its Kostant lattice U_Z^- v+
+inside tensor products of wedge powers, solve the intertwiner
+g (x) V_s -> V_{s+1} one weight space of V_{s+1} at a time (a nullspace for
+the top weight, then a downward sweep through the e_i, checked against the
+f_i and the character count of the Hom space), and assemble the graded
+module with x(x)t acting through the normalized intertwiners.  Every
+matrix of a module is an int matrix: each step that relies on Kostant's
+integrality theorem divides exactly or raises TheoremCheckError.
+verify_current_relations checks every relation pair by pair over the
+column tables (linalg.residue).  Everything is exact and deterministic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
@@ -25,7 +26,7 @@ from types import MappingProxyType
 
 from . import charlib, krset
 from .errors import DimensionGuardError, ScopeError, TheoremCheckError
-from .linalg import Echelon, SpMat, flatten, integral, integral_family, nullspace, residue
+from .linalg import Echelon, SpMat, flatten, lattice_basis, lattice_coords, nullspace, residue
 from .rootsys import LieType, RootSystem, Weight, build
 
 
@@ -73,11 +74,23 @@ def _weights_from_h(hs, dim: int) -> tuple[Weight, ...]:
     return tuple(tuple(int(m.get(r, r)) for m in hs) for r in range(dim))
 
 
+def _quotient(vec: dict[int, object], q: int, what: str) -> dict[int, int]:
+    """vec / q for an int vector whose every entry q divides; anything else
+    raises TheoremCheckError naming `what`."""
+    if any(type(v) is not int or v % q for v in vec.values()):
+        raise TheoremCheckError(f"{what} is not an integer vector divisible by {q}")
+    return {r: v // q for r, v in vec.items()}
+
+
+def _divided(m: SpMat, q: int, what: str) -> SpMat:
+    return SpMat(m.rows, m.cols, {c: _quotient(col, q, what) for c, col in m.data.items()})
+
+
 def _from_generators(rs: RootSystem, ee, ff, top: int = 0) -> MatrixRep:
     """The module with generators e_j, f_j and h_j = [e_j, f_j], whose basis
     vector `top` is the highest; the weights come from the diagonal of h."""
     dim = ee[0].rows
-    hh = tuple(e.bracket(f).demote() for e, f in zip(ee, ff))
+    hh = tuple(e.bracket(f) for e, f in zip(ee, ff))
     weights = _weights_from_h(hh, dim)
     return MatrixRep(rs, dim, tuple(ee), tuple(ff), hh, weights, top, weights[top])
 
@@ -127,14 +140,19 @@ def defining_rep(rs: RootSystem) -> MatrixRep:
 
 
 class ChevalleyBasis:
-    """A basis of g built from the generators by iterated brackets.
+    """A Chevalley basis of g (Humphreys, section 25.2), up to sign, built
+    from the generators by iterated brackets.
 
-    Each positive root alpha of height > 1 stores a recipe (i, parent) with
-    x_alpha = [e_i, x_parent]; replaying the recipes inside any representation
-    realizes the whole basis there.  Structure constants are read off the
-    defining representation one weight at a time: [x_a, x_b] has the weight
-    gamma of the pair, so it is c x_gamma when gamma is a root, lies in the
-    span of the h_j when gamma = 0, and vanishes otherwise.
+    Each positive root alpha of height > 1 stores a recipe (i, parent, q)
+    with x_alpha = [e_i, x_parent] / q and x_-alpha = [f_i, x_-parent] / q,
+    where q = p + 1 for the largest p with parent - p alpha_i a root; then
+    every structure constant is an integer.  Replaying the recipes inside a
+    representation on an admissible lattice realizes the whole basis there,
+    and a division that is not exact raises TheoremCheckError.  Structure
+    constants are read off the defining representation one weight at a
+    time: [x_a, x_b] has the weight gamma of the pair, so it is c x_gamma
+    when gamma is a root, lies in the span of the h_j when gamma = 0, and
+    vanishes otherwise.
     """
 
     def __init__(self, rs: RootSystem):
@@ -142,15 +160,18 @@ class ChevalleyBasis:
         n = rs.rank
         pos = rs.positive_roots
         pos_set = set(pos)
-        self.recipe: dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]] = {}
+        self.recipe: dict[tuple[int, ...], tuple[int, tuple[int, ...] | None, int]] = {}
         for rc in pos:
             if sum(rc) == 1:
-                self.recipe[rc] = (rc.index(1) + 1, None)
+                self.recipe[rc] = (rc.index(1) + 1, None, 1)
                 continue
             for i in range(1, n + 1):
-                parent = tuple(c - (1 if j == i - 1 else 0) for j, c in enumerate(rc))
-                if parent in pos_set:
-                    self.recipe[rc] = (i, parent)
+                step = tuple(int(j == i - 1) for j in range(n))
+                chain = [tuple(c - k * s for c, s in zip(rc, step)) for k in range(1, 5)]
+                if chain[0] in pos_set:
+                    # the alpha_i-string through a root has at most 4 roots
+                    q = next(k for k, below in enumerate(chain) if below not in pos_set)
+                    self.recipe[rc] = (i, chain[0], q)
                     break
             else:
                 raise TheoremCheckError(f"root {rc} has no simple-root predecessor")
@@ -166,7 +187,7 @@ class ChevalleyBasis:
         self.def_mats = self.realize(drep)
         ech = Echelon()
         for m in self.def_mats:
-            if ech.add(m.to_flat_vec()) is None:
+            if ech.add(flatten(m.data, drep.dim)) is None:
                 raise TheoremCheckError("basis of g is dependent in the defining rep")
         self._h_ech = Echelon()
         for m in self.def_mats[self._h0 :]:
@@ -187,28 +208,29 @@ class ChevalleyBasis:
         plus: dict[tuple[int, ...], SpMat] = {}
         minus: dict[tuple[int, ...], SpMat] = {}
         for rc in self.rs.positive_roots:
-            i, parent = self.recipe[rc]
+            i, parent, q = self.recipe[rc]
             if parent is None:
                 plus[rc] = rep.e[i - 1]
                 minus[rc] = rep.f[i - 1]
             else:
-                plus[rc] = rep.e[i - 1].bracket(plus[parent]).demote()
-                minus[rc] = rep.f[i - 1].bracket(minus[parent]).demote()
+                what = f"the recipe bracket of root {rc}"
+                plus[rc] = _divided(rep.e[i - 1].bracket(plus[parent]), q, what)
+                minus[rc] = _divided(rep.f[i - 1].bracket(minus[parent]), q, what)
         out = [plus[rc] for rc in self.rs.positive_roots]
         out += [minus[rc] for rc in self.rs.positive_roots]
         out += list(rep.h)
         return out
 
     def struct(self, a: int, b: int) -> Mapping[int, object]:
-        """[basis_a, basis_b] expressed in the basis; a coefficient is an int
-        unless it is non-integral.  Do not mutate the result."""
+        """[basis_a, basis_b] expressed in the basis, with int coefficients.
+        Do not mutate the result."""
         key = a * self.dim_g + b
         out = self._struct[key]
         if out is None:
             out = self._struct[key] = self._bracket_coords(a, b) or _NO_TERMS
         return out
 
-    def _bracket_coords(self, a: int, b: int) -> dict[int, object]:
+    def _bracket_coords(self, a: int, b: int) -> dict[int, int]:
         n = self.def_mats[a].rows
         x, y = self.def_mats[a].data, self.def_mats[b].data
         br = {key: v for key, v in residue(n, ((1, x, y), (-1, y, x))).items() if v}
@@ -218,17 +240,17 @@ class ChevalleyBasis:
             # the weight space of a root is the line of x_gamma
             xz = flatten(self.def_mats[z].data, n)
             key0 = next(iter(xz))
-            c = Fraction(br.get(key0, 0), xz[key0])
-            c = c.numerator if c.denominator == 1 else c
-            if br == {key: c * v for key, v in xz.items() if c}:
+            c, rem = divmod(br.get(key0, 0), xz[key0])
+            if not rem and br == {key: c * v for key, v in xz.items() if c}:
                 return {z: c} if c else {}
         elif not any(gamma):
             coords = self._h_ech.coords(br)
-            if coords is not None:
+            if coords is not None and all(type(v) is int for v in coords.values()):
                 return {self._h0 + k: v for k, v in coords.items()}
         elif not br:
             return {}
-        raise TheoremCheckError("bracket left the span of the g-basis")
+        # off the span, or a non-integral structure constant
+        raise TheoremCheckError("bracket left the span of the g-basis over Z")
 
 
 # the struct of every pair whose bracket vanishes
@@ -282,25 +304,13 @@ def wedge_rep(rs: RootSystem, j: int) -> MatrixRep:
         out = SpMat(dim, dim)
         for a, subset in enumerate(basis):
             inside = set(subset)
-            for t, src in enumerate(subset):
-                col = gmat.col(src)
-                for r, v in col.items():
+            for src in subset:
+                for r, v in gmat.col(src).items():
                     if r in inside and r != src:
                         continue
-                    new = list(subset)
-                    new[t] = r
-                    sign = 1
-                    # bubble the replaced slot into sorted position
-                    k = t
-                    while k > 0 and new[k] < new[k - 1]:
-                        new[k], new[k - 1] = new[k - 1], new[k]
-                        sign = -sign
-                        k += -1
-                    while k < j - 1 and new[k] > new[k + 1]:
-                        new[k], new[k + 1] = new[k + 1], new[k]
-                        sign = -sign
-                        k += 1
-                    out.add_to(pos[tuple(new)], a, sign * v)
+                    # sorting r into the place of src passes the members between them
+                    passed = sum(min(r, src) < x < max(r, src) for x in subset)
+                    out.add_to(pos[tuple(sorted(inside - {src} | {r}))], a, (-1) ** passed * v)
         return out
 
     rep = _from_generators(rs, [act(m) for m in drep.e], [act(m) for m in drep.f])
@@ -376,41 +386,29 @@ def tensor_rep(factors) -> _Tensor:
 
 def _lowering_span(space: _Tensor, start: int, ops, keep=lambda wt: True):
     """The span of basis vector `start` of a tensor_rep under the operators
-    `ops`, found depth first; returns (vectors, blocks).
+    `ops`, found depth first, as an Echelon per (grade, weight) block.
 
     ops lists (op, grade step, root): op maps the block (grade, weight) into
     (grade + grade step, weight - root), roots in fundamental coordinates.
-    vectors are the accepted vectors in the order found, and blocks maps
-    each (grade, weight) to its Echelon and the positions in vectors of its
-    members.  Past the start, a block whose weight fails `keep` is never
-    entered, nor is anything reached through it.
+    Past the start, a block whose weight fails `keep` is never entered, nor
+    is anything reached through it.
     """
-    vectors: list[dict[int, object]] = []
-    keys: list[tuple[int, Weight]] = []
-    blocks: dict[tuple[int, Weight], tuple[Echelon, list[int]]] = {}
-
-    def insert(vec: dict[int, object], key: tuple[int, Weight]) -> bool:
-        ech, members = blocks.setdefault(key, (Echelon(), []))
-        if ech.add(vec) is None:
-            return False
-        members.append(len(vectors))
-        vectors.append(vec)
-        keys.append(key)
-        return True
-
-    insert({start: 1}, space.grade_weight(start))
-    queue = [0]
+    blocks: dict[tuple[int, Weight], Echelon] = {}
+    key = space.grade_weight(start)
+    queue = [({start: 1}, key)]
+    blocks[key] = Echelon()
+    blocks[key].add({start: 1})
     while queue:
-        r = queue.pop()
-        grade, wt = keys[r]
+        vec, (grade, wt) = queue.pop()
         for op, dg, root in ops:
-            img = space.apply(op, vectors[r])
+            img = space.apply(op, vec)
             if not img:
                 continue
             nwt = tuple(map(sub, wt, root))
-            if keep(nwt) and insert(img, (grade + dg, nwt)):
-                queue.append(len(vectors) - 1)
-    return vectors, blocks
+            key = (grade + dg, nwt)
+            if keep(nwt) and blocks.setdefault(key, Echelon()).add(img) is not None:
+                queue.append((img, key))
+    return blocks
 
 
 def _current_lowering(rs: RootSystem) -> list:
@@ -431,27 +429,30 @@ def _scope_factors(rs: RootSystem, lam: Weight) -> list[MatrixRep]:
     n = rs.rank
     fam = rs.type.family
     factors: list[MatrixRep] = []
-    for j in range(1, n + 1):
-        c = lam[j - 1]
-        if c == 0:
+    for j, c in enumerate(lam, start=1):
+        if not c:
             continue
-        if fam == "B" and j == n:
-            if c % 2:
-                raise ScopeError(
-                    f"spin weight {lam} of {rs.type} is outside the matrix scope"
-                )
-            factors.extend(wedge_rep(rs, n) for _ in range(c // 2))
-            continue
-        if fam == "D" and j >= n - 1:
-            raise ScopeError(
-                f"spin weight {lam} of {rs.type} is outside the matrix scope"
-            )
-        factors.extend(wedge_rep(rs, j) for _ in range(c))
+        if (fam == "B" and j == n and c % 2) or (fam == "D" and j >= n - 1):
+            raise ScopeError(f"spin weight {lam} of {rs.type} is outside the matrix scope")
+        # the B spin node enters through the wedge of degree n, 2 omega_n
+        factors += [wedge_rep(rs, j)] * (c // 2 if fam == "B" and j == n else c)
     return factors
 
 
 def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
-    """V(lam) as the cyclic span of the top vector in a product of wedges."""
+    """V(lam) on its Kostant lattice U_Z^- v+ inside a product of wedges
+    (Humphreys, sections 26-27).
+
+    U_Z^- is generated by the divided powers f_i^(k) = f_i^k / k!, so the
+    lattice L_mu of weight mu is the Z-span of f_i^(k) L_{mu + k alpha_i}
+    over i and k >= 1.  The weights of V(lam) are visited by depth below
+    lam; the basis of L_mu is the reduced echelon form of lattice_basis,
+    and its rank must be the Freudenthal multiplicity.  e_i and f_i are
+    read off as int coordinates over these bases, each f_i image computed
+    once: the ambient lattice is admissible and U_Z v+ = U_Z^- v+, so a
+    divided power that does not divide, or an image off the lattice below
+    or above, raises TheoremCheckError.
+    """
     rs._check_weight(lam)
     if not rs.dominant(lam):
         raise ValueError(f"{lam} is not dominant")
@@ -459,47 +460,67 @@ def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
     guard = charlib.dimension_guard()
     if target_dim > guard:
         raise DimensionGuardError(f"dim V({lam}) = {target_dim} exceeds {guard}")
-    n = rs.rank
-    if all(c == 0 for c in lam):
-        z = SpMat(1, 1)
-        return MatrixRep(rs, 1, (z,) * n, (z,) * n, (z,) * n, (rs.zero(),), 0, lam)
     amb = tensor_rep(_scope_factors(rs, lam))
     if amb.dim > guard:
         raise DimensionGuardError(f"ambient dim {amb.dim} exceeds {guard}")
-
+    n = rs.rank
     v0 = {0: 1}
     for i in range(1, n + 1):
         if amb.apply(("e", i), v0):
             raise TheoremCheckError("top vector is not highest in the ambient space")
 
-    vecs, blocks = _lowering_span(amb, 0, [(("f", i), 0, a) for i, a in enumerate(rs.cartan, 1)])
-    dim = len(vecs)
-    if dim != target_dim:
-        raise TheoremCheckError(
-            f"cyclic span of V({lam}) has dim {dim}, Weyl dimension is {target_dim}"
-        )
+    mults = charlib.weight_mults(rs, lam)
+    depth = {mu: rs.scaled_height(tuple(map(sub, lam, mu))) for mu in mults}
+    gens: dict[Weight, list] = {lam: [v0]}
+    # weight -> (i, r, f_i of basis vector r) for each image landing there
+    f_images: dict[Weight, list] = {}
+    lattices: dict[Weight, tuple[dict, int]] = {}
+    ee, ff = [{} for _ in range(n)], [{} for _ in range(n)]
+    basis_wts: list[Weight] = []
 
-    ee = [SpMat(dim, dim) for _ in range(n)]
-    ff = [SpMat(dim, dim) for _ in range(n)]
-    basis_wts: list[Weight] = [()] * dim
-    for (_, wt), (_, members) in blocks.items():
-        # (operator, its matrix, the block it maps this one into)
-        moves = []
-        for i, alpha in enumerate(rs.cartan, start=1):
-            moves.append((("e", i), ee[i - 1], blocks.get((0, tuple(map(add, wt, alpha))))))
-            moves.append((("f", i), ff[i - 1], blocks.get((0, tuple(map(sub, wt, alpha))))))
-        for r in members:
-            basis_wts[r] = wt
-            for op, mat, entry in moves:
-                img = amb.apply(op, vecs[r])
-                if not img:
-                    continue
-                local = entry[0].coords(img) if entry else None
-                if local is None:
-                    raise TheoremCheckError("span is not stable under the generators")
-                for k, v in local.items():
-                    mat.set(entry[1][k], r, v)
-    hh = [SpMat.from_diag([basis_wts[r][i] for r in range(dim)]) for i in range(n)]
+    def read(table, name: str, r: int, img, wt: Weight) -> None:
+        """Column r of a generator's table: img over the lattice basis of wt."""
+        lat, start = lattices.get(wt, ({}, 0))
+        coords = lattice_coords(lat, img) if img else {}
+        if coords is None:
+            raise TheoremCheckError(
+                f"{name} maps basis vector {r} of V({lam}) off the lattice of weight {wt}"
+            )
+        if coords:
+            table[r] = {start + k: v for k, v in coords.items()}
+
+    for mu in sorted(mults, key=depth.__getitem__):
+        lat = lattice_basis(gens.pop(mu, ()))
+        if len(lat) != mults[mu]:
+            raise TheoremCheckError(
+                f"the lattice of weight {mu} in V({lam}) has rank {len(lat)},"
+                f" the multiplicity is {mults[mu]}"
+            )
+        lattices[mu] = (lat, len(basis_wts))
+        for i, r, img in f_images.pop(mu, ()):
+            read(ff[i - 1], f"f_{i}", r, img, mu)
+        for r, vec in enumerate(lat.values(), len(basis_wts)):
+            for i, alpha in enumerate(rs.cartan, start=1):
+                read(ee[i - 1], f"e_{i}", r, amb.apply(("e", i), vec), tuple(map(add, mu, alpha)))
+                # f_i^(k) vec = f_i f_i^(k-1) vec / k, a generator k steps below
+                img, wt, k = amb.apply(("f", i), vec), tuple(map(sub, mu, alpha)), 1
+                if img:
+                    f_images.setdefault(wt, []).append((i, r, img))
+                while img and wt in mults:
+                    gens.setdefault(wt, []).append(img)
+                    k += 1
+                    img = _quotient(amb.apply(("f", i), img), k, f"f_{i}^({k}) of basis vector {r}")
+                    wt = tuple(map(sub, wt, alpha))
+        basis_wts += [mu] * len(lat)
+    for wt, pending in f_images.items():
+        # nonzero f images at weights that V(lam) lacks
+        for i, r, img in pending:
+            read(ff[i - 1], f"f_{i}", r, img, wt)
+    dim = len(basis_wts)
+    if dim != target_dim:
+        raise TheoremCheckError(f"V({lam}) has dim {dim}, Weyl dimension is {target_dim}")
+    hh = [SpMat.from_diag([wt[i] for wt in basis_wts]) for i in range(n)]
+    ee, ff = ([SpMat(dim, dim, m) for m in mats] for mats in (ee, ff))
     return MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(hh), tuple(basis_wts), 0, lam)
 
 
@@ -563,9 +584,7 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
                 for z, v in target.e[i - 1].col(r).items()
             }
             if ech.add(stacked) is None:
-                raise TheoremCheckError(
-                    f"the e_i are not injective on weight {mu} of V({lam})"
-                )
+                raise TheoremCheckError(f"the e_i are not injective on weight {mu} of V({lam})")
         live = [i for i in range(1, n + 1) if shift(mu, i, 1) in rows_by_wt]
         for c in cols_by_wt.get(mu, ()):
             ups = [(i, source.apply(("e", i), {c: 1})) for i in live]
@@ -701,7 +720,7 @@ def build_kr_fundamental(rs: RootSystem, i: int) -> CurrentModule:
             raise TheoremCheckError(
                 f"intertwiner does not transport the highest vector at step {s}"
             )
-        T = T.scale(Fraction(1, scale)).demote()
+        T = _divided(T, scale, f"the intertwiner at step {s} over its transport scale")
         dim = pieces[s].dim
         mats = [SpMat(pieces[s + 1].dim, dim) for _ in range(cb.dim_g)]
         for c in sorted(T.data):
@@ -730,13 +749,11 @@ class RelationReport:
 
 def _check_tsquare(cm: CurrentModule) -> int:
     """[x_a (x) t, x_b (x) t] = 0 on every piece, since x (x) t^2 acts as
-    zero; returns the number of pairs checked.  With M = e_s t over
-    integers, each pair checks M^{s+1}_a M^s_b = M^{s+1}_b M^s_a."""
+    zero; returns the number of pairs checked."""
     D = len(cm.g_action[0])
-    tvals = [integral_family(mats)[0] for mats in cm.t_action]
     pairs = 0
     for s in range(cm.k - 1):
-        lo, hi = tvals[s], tvals[s + 1]
+        lo, hi = [m.data for m in cm.t_action[s]], [m.data for m in cm.t_action[s + 1]]
         for a in range(D):
             for b in range(a + 1, D):
                 res = residue(cm.pieces[s + 2].dim, ((1, hi[a], lo[b]), (-1, hi[b], lo[a])))
@@ -745,7 +762,6 @@ def _check_tsquare(cm: CurrentModule) -> int:
                         f"[x_{a} (x) t, x_{b} (x) t] does not vanish on piece {s}"
                     )
                 pairs += 1
-        tvals[s] = None
     return pairs
 
 
@@ -753,59 +769,37 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
     """Exact matrix verification of the current-algebra structure and of the
     defining relations of KR(m omega_i) on the generator.
 
-    With N = d_s x and M = e_s t integral (d_s, e_s least common
-    denominators) and L clearing the structure constants c_z of a pair, it
-    checks L [N_a, N_b] = L d_s sum c_z N_z and
-    L (d_s N^{s+1}_a M_b - d_{s+1} M_b N^s_a) = L d_s d_{s+1} sum c_z M_z:
-    the rational identities times nonzero integers.
+    With N = x and M = x (x) t as column tables and c_z the structure
+    constants of a pair, it checks [N_a, N_b] = sum c_z N_z and
+    N^{s+1}_a M_b - M_b N^s_a = sum c_z M_z, each as one residue.
     """
     rs = cm.rs
     cb = chevalley(rs)
-    if i is None:
-        i = cm.node
-    if m is None:
-        m = cm.level
+    i = cm.node if i is None else i
+    m = cm.level if m is None else m
     D = cb.dim_g
     k = cm.k
     dims = [p.dim for p in cm.pieces]
 
-    gvals = [integral_family(mats) for mats in cm.g_action]
+    gvals = [[x.data for x in mats] for mats in cm.g_action]
     bracket_pairs = 0
-    for s in range(k + 1):
-        N, d = gvals[s]
+    for s, N in enumerate(gvals):
         for a in range(D):
             for b in range(a + 1, D):
-                coeffs, L = integral(cb.struct(a, b))
-                res = residue(
-                    dims[s],
-                    ((L, N[a], N[b]), (-L, N[b], N[a])),
-                    [(-d * c, N[z]) for z, c in coeffs.items()],
-                )
-                if any(res.values()):
-                    raise TheoremCheckError(
-                        f"[x_{a}, x_{b}] fails on piece {s}"
-                    )
+                terms = [(-c, N[z]) for z, c in cb.struct(a, b).items()]
+                if any(residue(dims[s], ((1, N[a], N[b]), (-1, N[b], N[a])), terms).values()):
+                    raise TheoremCheckError(f"[x_{a}, x_{b}] fails on piece {s}")
                 bracket_pairs += 1
 
-    tvals = [integral_family(mats)[0] for mats in cm.t_action]
     mixed_pairs = 0
-    for s in range(k):
-        (N0, d0), (N1, d1), M = gvals[s], gvals[s + 1], tvals[s]
+    for s, mats in enumerate(cm.t_action):
+        M, N0, N1 = [x.data for x in mats], gvals[s], gvals[s + 1]
         for a in range(D):
             for b in range(D):
-                coeffs, L = integral(cb.struct(a, b))
-                res = residue(
-                    dims[s + 1],
-                    ((L * d0, N1[a], M[b]), (-L * d1, M[b], N0[a])),
-                    [(-d0 * d1 * c, M[z]) for z, c in coeffs.items()],
-                )
-                if any(res.values()):
-                    raise TheoremCheckError(
-                        f"[x_{a} (x) 1, x_{b} (x) t] fails on piece {s}"
-                    )
+                terms = [(-c, M[z]) for z, c in cb.struct(a, b).items()]
+                if any(residue(dims[s + 1], ((1, N1[a], M[b]), (-1, M[b], N0[a])), terms).values()):
+                    raise TheoremCheckError(f"[x_{a} (x) 1, x_{b} (x) t] fails on piece {s}")
                 mixed_pairs += 1
-        gvals[s] = tvals[s] = None
-    del gvals, tvals
 
     tsquare_pairs = _check_tsquare(cm)
 
@@ -840,27 +834,19 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
             for _ in range(m + 1):
                 vec = cm.g_action[0][a].apply(vec)
             if vec:
-                raise TheoremCheckError(
-                    f"(x-_alpha_{i})^{m + 1} does not kill the generator"
-                )
+                raise TheoremCheckError(f"(x-_alpha_{i})^{m + 1} does not kill the generator")
             checks += 1
             if k > 0 and cm.t_action[0][a].apply(v0):
-                raise TheoremCheckError(
-                    f"x-_alpha_{i} (x) t does not kill the generator"
-                )
+                raise TheoremCheckError(f"x-_alpha_{i} (x) t does not kill the generator")
             checks += 1
 
     # cyclicity: the relations and generator checks above are the premises of
     # _current_lowering, so the f_i (x) 1 and f_i (x) t images of the
     # generator span the g[t]-submodule it generates
-    vecs, _ = _lowering_span(
-        tensor_rep([cm]), cm.pieces[0].highest_index, _current_lowering(rs)
-    )
-    cyclic_dim = len(vecs)
+    blocks = _lowering_span(tensor_rep([cm]), cm.pieces[0].highest_index, _current_lowering(rs))
+    cyclic_dim = sum(ech.dim for ech in blocks.values())
     if cyclic_dim != cm.total_dim:
-        raise TheoremCheckError(
-            f"generator spans {cyclic_dim} of {cm.total_dim} dimensions"
-        )
+        raise TheoremCheckError(f"generator spans {cyclic_dim} of {cm.total_dim} dimensions")
 
     # transport along the chain through the normalized intertwiners
     transport = 0
@@ -874,14 +860,7 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
 
     label = f"{rs.type.family}{rs.rank} node {i} level {m}"
     return RelationReport(
-        label,
-        cm.total_dim,
-        bracket_pairs,
-        mixed_pairs,
-        tsquare_pairs,
-        checks,
-        cyclic_dim,
-        transport,
+        label, cm.total_dim, bracket_pairs, mixed_pairs, tsquare_pairs, checks, cyclic_dim, transport
     )
 
 
@@ -956,9 +935,9 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
         sc = rs.scaled_root_coords(nu)
         return any(all(map(ge, sc, fl)) for fl in floors)
 
-    _, blocks = _lowering_span(gt, 0, _current_lowering(rs), above_dominant)
+    blocks = _lowering_span(gt, 0, _current_lowering(rs), above_dominant)
     chars: dict[int, dict[Weight, int]] = {}
-    for (g, wt), (ech, _) in blocks.items():
+    for (g, wt), ech in blocks.items():
         if rs.dominant(wt):
             chi = chars.setdefault(g, {})
             for w in rs.weyl_orbit(wt):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from krlib.linalg import Echelon, SpMat, nullspace
+from krlib.linalg import Echelon, SpMat, flatten, lattice_basis, lattice_coords, nullspace
 
 
 def vec_add(a, b, coeff=1):
@@ -55,7 +55,7 @@ def test_bracket_antisymmetry_and_identity():
 def test_flat_vec_indexing():
     m = SpMat(2, 3)
     m.set(1, 2, 7)
-    assert m.to_flat_vec() == {1 * 3 + 2: 7}
+    assert flatten(m.data, m.rows) == {2 * 2 + 1: 7}
 
 
 def test_echelon_ordinals_and_coords():
@@ -242,3 +242,60 @@ def test_nullspace_matches_fraction_oracle(seed):
             # equal up to scale to the oracle's solution with a 1 at column j
             scale = sol[names[j]]
             assert sol == {names[d]: scale * x for d, x in expect.items()}
+
+
+def _random_int_system(rnd):
+    """Sparse int vectors; about a third are integer combinations of
+    earlier ones, so most systems lose rank or span a proper sublattice."""
+    width = rnd.randint(1, 7)
+    vecs = []
+    for _ in range(rnd.randint(1, 9)):
+        if vecs and rnd.random() < 0.35:
+            acc = {}
+            for v in rnd.sample(vecs, min(len(vecs), 2)):
+                acc = vec_add(acc, v, rnd.choice([-3, -2, -1, 1, 2, 5]))
+        else:
+            acc = {d: x for d in range(width) if (x := rnd.choice([0, 0, 1, -1, 2, -3, 5, 6]))}
+        vecs.append(acc)
+    return vecs, width
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lattice_basis_is_the_reduced_echelon_form(seed):
+    rnd = random.Random(200 + seed)
+    for _ in range(40):
+        vecs, width = _random_int_system(rnd)
+        basis = lattice_basis(vecs)
+        rows = list(basis.items())
+        assert [p for p, _ in rows] == sorted(basis)
+        for a, (p, row) in enumerate(rows):
+            # echelon, led by a positive pivot, reduced at every later pivot
+            assert all(type(x) is int and x for x in row.values())
+            assert min(row) == p and row[p] > 0
+            for q, later in rows[a + 1 :]:
+                assert 0 <= row.get(q, 0) < later[q]
+        for v in vecs:
+            coords = lattice_coords(basis, v)
+            assert all(type(c) is int for c in coords.values())
+            rebuilt = {}
+            for k, c in coords.items():
+                rebuilt = vec_add(rebuilt, rows[k][1], c)
+            assert rebuilt == v
+        ech = Echelon()
+        for v in vecs:
+            ech.add(v)
+        assert len(basis) == ech.dim
+        # the reduced form is unique per lattice
+        shuffled = rnd.sample(vecs, len(vecs))
+        extra = []
+        for _ in range(3):
+            acc = {}
+            for v in vecs:
+                acc = vec_add(acc, v, rnd.randint(-4, 4))
+            extra.append(acc)
+        assert lattice_basis(shuffled + extra) == basis
+        if basis:
+            p, row = rows[-1]
+            # a vector off the lattice: half the last row, or a new index
+            assert lattice_coords(basis, {**row, width: 1}) is None
+            assert lattice_coords(basis, {k: Fraction(x, 2) for k, x in row.items()}) is None

@@ -1,8 +1,9 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from krlib import charlib, cli, krset, modforge
 from krlib.errors import DimensionGuardError, ScopeError, TheoremCheckError
-from krlib.linalg import Echelon, SpMat, integral, integral_family, nullspace, residue
+from krlib.linalg import Echelon, SpMat, nullspace, residue
 from krlib.rootsys import build, parse_type
 
 
@@ -119,13 +120,16 @@ STRUCT_SWEEP = [
 def test_struct_matches_echelon_oracle(name):
     # the oracle: coordinates of the flattened bracket over an echelon of
     # the whole flattened basis, which assumes nothing about weights
+    def flat(m):
+        return {r * m.cols + c: v for r, c, v in m.entries()}
+
     cb = modforge.ChevalleyBasis(rs_of(name))
     ech = Echelon()
     for m in cb.def_mats:
-        ech.add(m.to_flat_vec())
+        ech.add(flat(m))
     for a in range(cb.dim_g):
         for b in range(cb.dim_g):
-            want = ech.coords(cb.def_mats[a].bracket(cb.def_mats[b]).to_flat_vec())
+            want = ech.coords(flat(cb.def_mats[a].bracket(cb.def_mats[b])))
             got = cb.struct(a, b)
             assert got == want
             assert sorted((z, type(v)) for z, v in got.items()) == sorted(
@@ -200,6 +204,97 @@ def test_highest_module_rejects_bad_weights(monkeypatch):
     monkeypatch.setenv("KR_MAX_DIM", "50")
     with pytest.raises(DimensionGuardError):
         modforge.highest_module(rs_of("C3"), (0, 2, 0))
+
+
+def rational_highest_module(rs, lam):
+    """V(lam) on the span basis: the f_i images of the top vector, found
+    depth first and kept when independent of their weight block, with e_i
+    and f_i read off as rational coordinates.  The oracle for the lattice
+    construction of modforge.highest_module; returns the blocks, weight ->
+    (Echelon, basis indices), and the generators, (kind, i) -> SpMat."""
+    amb = modforge.tensor_rep(modforge._scope_factors(rs, lam))
+    vecs, wts, blocks = [], [], {}
+
+    def insert(vec, wt):
+        ech, members = blocks.setdefault(wt, (Echelon(), []))
+        if ech.add(vec) is None:
+            return False
+        members.append(len(vecs))
+        vecs.append(vec)
+        wts.append(wt)
+        return True
+
+    insert({0: 1}, lam)
+    queue = [0]
+    while queue:
+        r = queue.pop()
+        for i, alpha in enumerate(rs.cartan, 1):
+            img = amb.apply(("f", i), vecs[r])
+            if img and insert(img, tuple(map(sub, wts[r], alpha))):
+                queue.append(len(vecs) - 1)
+    mats = {}
+    for kind, move in (("e", add), ("f", sub)):
+        for i, alpha in enumerate(rs.cartan, 1):
+            m = mats[kind, i] = SpMat(len(vecs), len(vecs))
+            for r, vec in enumerate(vecs):
+                img = amb.apply((kind, i), vec)
+                if img:
+                    ech, members = blocks[tuple(map(move, wts[r], alpha))]
+                    for k, v in ech.coords(img).items():
+                        m.set(members[k], r, v)
+    return blocks, mats
+
+
+@pytest.mark.parametrize("name,lam", [("C3", (0, 2, 0)), ("C4", (0, 0, 2, 0))])
+def test_highest_module_is_a_change_of_basis_of_the_span(monkeypatch, name, lam):
+    rs = rs_of(name)
+    rows = []
+    real = modforge.lattice_basis
+
+    def recording(vectors):
+        out = real(vectors)
+        rows.extend(out.values())
+        return out
+
+    # the lattice bases, block by block, are the basis vectors in order
+    monkeypatch.setattr(modforge, "lattice_basis", recording)
+    rep = modforge.highest_module(rs, lam)
+    blocks, mats = rational_highest_module(rs, lam)
+    assert len(rows) == rep.dim == sum(len(members) for _, members in blocks.values())
+    # column j of P is basis vector j over the oracle's basis of its block
+    P = SpMat(rep.dim, rep.dim)
+    for j, row in enumerate(rows):
+        ech, members = blocks[rep.basis_weights[j]]
+        for k, v in ech.coords(row).items():
+            P.set(members[k], j, v)
+    ech = Echelon()
+    assert all(ech.add(P.col(j)) is not None for j in range(rep.dim))
+    for (kind, i), m in mats.items():
+        assert m @ P == P @ rep.gen(kind, i)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ("raise", "has rank 2, the multiplicity is 3"),
+        ("drop", r"off the lattice of weight \(0, -2, 0\)"),
+    ],
+)
+def test_highest_module_checks_the_character(monkeypatch, edit, message):
+    rs = rs_of("C3")
+    real = charlib.weight_mults
+
+    def corrupted(rs_, lam):
+        out = dict(real(rs_, lam))
+        if edit == "raise":
+            out[(2, 0, 0)] += 1
+        else:
+            del out[(0, -2, 0)]
+        return out
+
+    monkeypatch.setattr(charlib, "weight_mults", corrupted)
+    with pytest.raises(TheoremCheckError, match=message):
+        modforge.highest_module(rs, (0, 2, 0))
 
 
 def test_verify_matrix_rep_detects_damage():
@@ -478,17 +573,20 @@ def test_kr_c3_node2_module():
     assert report.tsquare_pairs == 21 * 20 // 2
 
 
-def test_kr_c3_node2_stores_integral_entries_as_int():
-    rs = rs_of("C3")
-    cm = modforge.build_kr_fundamental(rs, 2)
+@pytest.mark.parametrize("name", ["C3", "C4"])
+def test_kr_node2_pieces_are_admissible(name):
+    # an admissible lattice is stable under the divided powers x^k / k!,
+    # whatever basis the construction chose for it
+    cm = modforge.build_kr_fundamental(rs_of(name), 2)
+    for piece in cm.pieces:
+        for gen in piece.e + piece.f:
+            power = gen
+            for k in range(1, 4):
+                assert all(type(v) is int and v % math.factorial(k) == 0 for _, _, v in power.entries())
+                power = power @ gen
     mats = [m for group in cm.g_action + cm.t_action for m in group]
-    mats += [m for piece in cm.pieces for m in piece.e + piece.f]
-    values = [v for m in mats for _, _, v in m.entries()]
-    assert not [v for v in values if isinstance(v, Fraction) and v.denominator == 1]
-    # non-integral entries remain, exact
-    assert any(isinstance(v, Fraction) for v in values)
-    report = modforge.verify_current_relations(cm)
-    assert report.transport_steps == cm.k == 2
+    assert all(type(v) is int for m in mats for _, _, v in m.entries())
+    assert modforge.verify_current_relations(cm).transport_steps == cm.k == 2
 
 
 def test_kr_b4_node3_module():
@@ -592,9 +690,6 @@ def c3_node2():
 )
 def test_verify_relations_catches_a_planted_entry(c3_node2, family, s, message):
     cm = c3_node2
-    # the least common denominators of the g-families are 24, 2 and 1, so
-    # the planted 1/3 goes through the integer scaling
-    assert [integral_family(mats)[1] for mats in cm.g_action] == [24, 2, 1]
     cb = modforge.chevalley(cm.rs)
     broken = add_a_third(cm, family, s, cb.minus_index(cb.simple[0]))
     with pytest.raises(TheoremCheckError, match=message) as got:
@@ -631,22 +726,22 @@ def test_verify_relations_catches_a_tsquare_error():
 
 @st.composite
 def rational_families(draw):
-    """(n, four n x n rational SpMats, coefficients on the last two); half
-    the time the third matrix is the bracket of the first two and the
-    coefficients say so, so the identity holds."""
+    """(n, four n x n SpMats with int or rational entries, coefficients on
+    the last two); half the time the third matrix is the bracket of the
+    first two and the coefficients say so, so the identity holds."""
     n = draw(st.integers(1, 5))
-    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    entry = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(2, 4)))
     index = st.integers(0, n - 1)
 
     def matrix():
         m = SpMat(n, n)
         for (r, c), v in draw(st.dictionaries(st.tuples(index, index), entry, max_size=2 * n)).items():
             m.set(r, c, v)
-        return m.demote()
+        return m
 
     x, y = matrix(), matrix()
     if draw(st.booleans()):
-        return n, [x, y, x.bracket(y).demote(), matrix()], {2: 1}
+        return n, [x, y, x.bracket(y), matrix()], {2: 1}
     family = [x, y, matrix(), matrix()]
     return n, family, {z: draw(entry) for z in draw(st.sets(st.integers(2, 3)))}
 
@@ -658,17 +753,15 @@ def test_integer_residue_agrees_with_spmat(case):
     want = family[0].bracket(family[1])
     for z, c in coeffs.items():
         want = want - family[z].scale(c)
-    N, d = integral_family(family)
-    icoeffs, L = integral(coeffs)
-    res = residue(
-        n, ((L, N[0], N[1]), (-L, N[1], N[0])), [(-d * c, N[z]) for z, c in icoeffs.items()]
-    )
-    # entry by entry, the residue is L d^2 times the rational one
-    assert {key: v for key, v in res.items() if v} == {
-        c * n + r: L * d * d * v for r, c, v in want.entries()
-    }
-    assert all(type(v) is int for v in res.values())
+    N = [m.data for m in family]
+    res = residue(n, ((1, N[0], N[1]), (-1, N[1], N[0])), [(-c, N[z]) for z, c in coeffs.items()])
+    # entry by entry, the residue is the SpMat result
+    assert {key: v for key, v in res.items() if v} == {c * n + r: v for r, c, v in want.entries()}
     assert any(res.values()) == bool(want.data)
+    # with int tables and scalars, no Fraction is built
+    values = [v for m in family for _, _, v in m.entries()] + list(coeffs.values())
+    if all(type(v) is int for v in values):
+        assert all(type(v) is int for v in res.values())
 
 
 def test_evaluation_module_relations():

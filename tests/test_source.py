@@ -64,3 +64,15 @@ def test_only_dimension_guard_reads_the_environment():
             allowed += [f"{path.name}:{line}" for line in reads(guard)]
     assert allowed
     assert found == allowed
+
+
+def test_modforge_imports_nothing_from_fractions():
+    # every module matrix is an int matrix on the Kostant lattice
+    tree = ast.parse((SRC / "modforge.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    ]
+    assert found == []
