@@ -3,7 +3,8 @@
 Exit codes: 0 all good, 1 a structural check failed, 2 invalid input or a
 dimension guard stopped the computation (raise it with KR_MAX_DIM).  In a
 verify run a guard stops only its own check, which prints a GUARD line; the
-run exits 1 if any check failed, else 2 if any hit a guard.
+run exits 1 if any check failed, else 2 if any hit a guard.  A verify bound
+below 1, or bounds that select no check, are invalid input.
 """
 
 from __future__ import annotations
@@ -298,9 +299,15 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    bounds = {"--node": args.node, "--max-rank": args.max_rank, "--max-level": args.max_level}
+    for flag, bound in bounds.items():
+        if bound is not None and bound < 1:
+            raise ValueError(f"{flag} must be at least 1, got {bound}")
     rep = _Report()
     for suite in _SUITES[args.suite]:
         suite(rep, args)
+    if not rep.total:
+        raise ValueError(f"verify {args.suite} selects no check")
     passed = rep.total - rep.failures - rep.guards
     print(f"{passed}/{rep.total} checks passed")
     return 1 if rep.failures else 2 if rep.guards else 0

@@ -2,16 +2,18 @@
 
 Matrices are column-major dicts of dicts, vectors are index -> value dicts.
 Values are Python ints or Fractions; zeros are never stored.  The column
-table of a matrix is its data, c -> {r: value}.  Echelon spans over Q: it
+table of a matrix is its data, c -> {r: value}; its row table (rows) is
+r -> ((c, value), ...), tuples to keep it small.  Echelon spans over Q: it
 clears the denominators of each input and eliminates fraction-free
 (Bareiss, Math. Comp. 22, 1968), so every stored row and every nullspace
 solution is a primitive integer vector, and every value it returns is an
 int unless it is non-integral.  lattice_basis spans over Z: the reduced
 Hermite normal form of a lattice, whose members lattice_coords expresses
 with int coordinates.  residue is the product kernel of matrix identities:
-it sums products and multiples of column tables into one vector, with no
-SpMat and no copy.  Everything here is deterministic: echelon forms always
-pivot on the smallest index.
+it sums products of a column table by a row table (rows turns one into the
+other) and multiples of column tables into one vector, with no SpMat and no
+copy, and a product multiplies only the entries that compose.  Everything
+here is deterministic: echelon forms always pivot on the smallest index.
 """
 
 from __future__ import annotations
@@ -148,24 +150,34 @@ def integral(vec: dict[int, object]) -> tuple[dict[int, int], int]:
     return {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}, den
 
 
+def rows(table) -> dict[int, tuple[tuple[int, object], ...]]:
+    """The row table of a column table: r -> ((c, value), ...) for the
+    stored entries of row r, in the column table's order."""
+    out: dict[int, list] = {}
+    for c, col in table.items():
+        for r, v in col.items():
+            out.setdefault(r, []).append((c, v))
+    return {r: tuple(row) for r, row in out.items()}
+
+
 def residue(stride: int, products, linear=()) -> dict[int, object]:
     """sum k L R over products (k, L, R) plus sum k Z over linear (k, Z),
-    for column tables L, R, Z and scalars k, as one vector keyed
-    c * stride + r (see flatten); stride is at least the number of rows,
-    and zero entries may be stored.  With int tables and scalars no
-    Fraction is built."""
+    for column tables L and Z, row tables R (see rows) and scalars k, as
+    one vector keyed c * stride + r (see flatten); stride is at least the
+    number of rows, and zero entries may be stored.  A product visits only
+    the inner indices j where column j of L and row j of R both have
+    entries.  With int tables and scalars no Fraction is built."""
     acc: dict[int, object] = {}
     get = acc.get
     for k, left, right in products:
-        for c, col in right.items():
-            base = c * stride
-            for j, v in col.items():
-                lcol = left.get(j)
-                if lcol:
-                    kv = k * v
-                    for r, w in lcol.items():
-                        key = base + r
-                        acc[key] = get(key, 0) + kv * w
+        for j in left.keys() & right.keys():
+            lcol = left[j].items()
+            for c, v in right[j]:
+                base = c * stride
+                kv = k * v
+                for r, w in lcol:
+                    key = base + r
+                    acc[key] = get(key, 0) + kv * w
     for k, z in linear:
         for c, col in z.items():
             base = c * stride

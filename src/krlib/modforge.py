@@ -10,8 +10,9 @@ f_i and the character count of the Hom space), and assemble the graded
 module with x(x)t acting through the normalized intertwiners.  Every
 matrix of a module is an int matrix: each step that relies on Kostant's
 integrality theorem divides exactly or raises TheoremCheckError.
-verify_current_relations checks every relation pair by pair over the
-column tables (linalg.residue).  Everything is exact and deterministic.
+verify_current_relations checks every relation pair by pair, each left
+factor a column table and each right factor a row table, in the one product
+kernel linalg.residue.  Everything is exact and deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from types import MappingProxyType
 
 from . import charlib, krset
 from .errors import DimensionGuardError, ScopeError, TheoremCheckError
-from .linalg import Echelon, SpMat, flatten, lattice_basis, lattice_coords, nullspace, residue
+from .linalg import Echelon, SpMat, flatten, lattice_basis, lattice_coords, nullspace, residue, rows
 from .rootsys import LieType, RootSystem, Weight, build
 
 
@@ -185,6 +186,9 @@ class ChevalleyBasis:
 
         drep = defining_rep(rs)
         self.def_mats = self.realize(drep)
+        # the right factors of _bracket_coords; a change to def_mats must
+        # change these too
+        self.def_rows = [rows(m.data) for m in self.def_mats]
         ech = Echelon()
         for m in self.def_mats:
             if ech.add(flatten(m.data, drep.dim)) is None:
@@ -223,17 +227,24 @@ class ChevalleyBasis:
 
     def struct(self, a: int, b: int) -> Mapping[int, object]:
         """[basis_a, basis_b] expressed in the basis, with int coefficients.
-        Do not mutate the result."""
+        For a > b it is the negated struct(b, a): [x, y] = -[y, x] holds for
+        any two matrices, so each unordered pair is bracketed once.  Do not
+        mutate the result."""
         key = a * self.dim_g + b
         out = self._struct[key]
         if out is None:
-            out = self._struct[key] = self._bracket_coords(a, b) or _NO_TERMS
+            if a > b:
+                out = {z: -c for z, c in self.struct(b, a).items()}
+            else:
+                out = self._bracket_coords(a, b)
+            out = self._struct[key] = out or _NO_TERMS
         return out
 
     def _bracket_coords(self, a: int, b: int) -> dict[int, int]:
         n = self.def_mats[a].rows
         x, y = self.def_mats[a].data, self.def_mats[b].data
-        br = {key: v for key, v in residue(n, ((1, x, y), (-1, y, x))).items() if v}
+        products = ((1, x, self.def_rows[b]), (-1, y, self.def_rows[a]))
+        br = {key: v for key, v in residue(n, products).items() if v}
         gamma = tuple(map(add, self.roots[a], self.roots[b]))
         z = self._of_root.get(gamma)
         if z is not None:
@@ -557,6 +568,10 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
     top = target.highest_index
     if rows_by_wt.get(lam) != [top]:
         raise TheoremCheckError(f"weight {lam} of the target is not a highest line")
+    # below[i] holds nu with nu + alpha_i a target weight, above[i] nu with
+    # nu - alpha_i one
+    below = {i: {shift(mu, i, -1) for mu in rows_by_wt} for i in range(1, n + 1)}
+    above = {i: {shift(mu, i, 1) for mu in rows_by_wt} for i in range(1, n + 1)}
 
     # the top: unknowns are the columns of weight lam, rows the f_i images
     # of the columns of weight lam + alpha_i
@@ -585,7 +600,7 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
             }
             if ech.add(stacked) is None:
                 raise TheoremCheckError(f"the e_i are not injective on weight {mu} of V({lam})")
-        live = [i for i in range(1, n + 1) if shift(mu, i, 1) in rows_by_wt]
+        live = [i for i in range(1, n + 1) if mu in below[i]]
         for c in cols_by_wt.get(mu, ()):
             ups = [(i, source.apply(("e", i), {c: 1})) for i in live]
             for phi in maps:
@@ -606,7 +621,7 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
         if nu in rows_by_wt:
             continue
         for i in range(1, n + 1):
-            if shift(nu, i, 1) not in rows_by_wt:
+            if nu not in below[i]:
                 continue
             for c in cols:
                 up = source.apply(("e", i), {c: 1})
@@ -618,7 +633,7 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
 
     for nu, cols in cols_by_wt.items():
         for i in range(1, n + 1):
-            if nu not in rows_by_wt and shift(nu, i, -1) not in rows_by_wt:
+            if nu not in rows_by_wt and nu not in above[i]:
                 continue
             f = target.f[i - 1]
             for c in cols:
@@ -753,7 +768,7 @@ def _check_tsquare(cm: CurrentModule) -> int:
     D = len(cm.g_action[0])
     pairs = 0
     for s in range(cm.k - 1):
-        lo, hi = [m.data for m in cm.t_action[s]], [m.data for m in cm.t_action[s + 1]]
+        lo, hi = [rows(m.data) for m in cm.t_action[s]], [m.data for m in cm.t_action[s + 1]]
         for a in range(D):
             for b in range(a + 1, D):
                 res = residue(cm.pieces[s + 2].dim, ((1, hi[a], lo[b]), (-1, hi[b], lo[a])))
@@ -771,7 +786,9 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
 
     With N = x and M = x (x) t as column tables and c_z the structure
     constants of a pair, it checks [N_a, N_b] = sum c_z N_z and
-    N^{s+1}_a M_b - M_b N^s_a = sum c_z M_z, each as one residue.
+    N^{s+1}_a M_b - M_b N^s_a = sum c_z M_z, each as one residue.  The
+    right factors become row tables one piece (or one step) at a time, as
+    its loop starts.
     """
     rs = cm.rs
     cb = chevalley(rs)
@@ -784,20 +801,22 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
     gvals = [[x.data for x in mats] for mats in cm.g_action]
     bracket_pairs = 0
     for s, N in enumerate(gvals):
+        R = [rows(x) for x in N]
         for a in range(D):
             for b in range(a + 1, D):
                 terms = [(-c, N[z]) for z, c in cb.struct(a, b).items()]
-                if any(residue(dims[s], ((1, N[a], N[b]), (-1, N[b], N[a])), terms).values()):
+                if any(residue(dims[s], ((1, N[a], R[b]), (-1, N[b], R[a])), terms).values()):
                     raise TheoremCheckError(f"[x_{a}, x_{b}] fails on piece {s}")
                 bracket_pairs += 1
 
     mixed_pairs = 0
     for s, mats in enumerate(cm.t_action):
-        M, N0, N1 = [x.data for x in mats], gvals[s], gvals[s + 1]
+        M, N1 = [x.data for x in mats], gvals[s + 1]
+        MR, R0 = [rows(x) for x in M], [rows(x) for x in gvals[s]]
         for a in range(D):
             for b in range(D):
                 terms = [(-c, M[z]) for z, c in cb.struct(a, b).items()]
-                if any(residue(dims[s + 1], ((1, N1[a], M[b]), (-1, M[b], N0[a])), terms).values()):
+                if any(residue(dims[s + 1], ((1, N1[a], MR[b]), (-1, M[b], R0[a])), terms).values()):
                     raise TheoremCheckError(f"[x_{a} (x) 1, x_{b} (x) t] fails on piece {s}")
                 mixed_pairs += 1
 

@@ -5,6 +5,8 @@ import dataclasses
 import subprocess
 import sys
 
+import pytest
+
 from krlib import cli, krset, modforge
 from krlib.errors import TheoremCheckError
 from krlib.linalg import SpMat
@@ -93,6 +95,34 @@ def test_verify_modforge_single_case():
     proc = run_cli("verify", "modforge", "--algebra", "C2", "--node", "1", "--level", "4")
     assert proc.returncode == 0
     assert "grades [0, 1, 2]" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["chains", "--max-rank", "0"], "--max-rank must be at least 1, got 0"),
+        (["chains", "--max-rank", "-1"], "--max-rank must be at least 1, got -1"),
+        (["tensor-bound", "--max-level", "0"], "--max-level must be at least 1, got 0"),
+        (["tensor-bound", "--max-level", "-2"], "--max-level must be at least 1, got -2"),
+        (["homs", "--algebra", "C3", "--node", "0"], "--node must be at least 1, got 0"),
+        (["homs", "--max-rank", "1"], "verify homs selects no check"),
+        (["wedge", "--max-rank", "1"], "verify wedge selects no check"),
+    ],
+)
+def test_verify_rejects_invalid_bounds(capsys, argv, message):
+    # a bound below 1, or one that leaves no check, is an input error and
+    # never a passing run
+    assert cli.main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_smallest_bounds_still_run(capsys):
+    assert cli.main(["verify", "chains", "--max-rank", "1"]) == 0
+    assert capsys.readouterr().out == "ok   chain A1 node 1: k=0\n1/1 checks passed\n"
+    assert cli.main(["verify", "tensor-bound", "--max-rank", "1", "--max-level", "1"]) == 0
+    assert capsys.readouterr().out.endswith("\n1/1 checks passed\n")
 
 
 def test_verify_failure_exits_1(monkeypatch):

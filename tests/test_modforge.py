@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from krlib import charlib, cli, krset, modforge
 from krlib.errors import DimensionGuardError, ScopeError, TheoremCheckError
-from krlib.linalg import Echelon, SpMat, nullspace, residue
+from krlib.linalg import Echelon, SpMat, nullspace, residue, rows
 from krlib.rootsys import build, parse_type
 
 
@@ -141,8 +141,10 @@ def test_struct_raises_when_a_bracket_leaves_the_basis():
     rs = rs_of("A2")
     cb = modforge.ChevalleyBasis(rs)
     e1, e2 = (cb.plus_index(rc) for rc in cb.simple)
-    # e_1 + f_2 has no weight: its bracket with e_2 is c x_theta - h_2
+    # e_1 + f_2 has no weight: its bracket with e_2 is c x_theta - h_2;
+    # struct multiplies by the row tables too, so they change with it
     cb.def_mats[e1] = cb.def_mats[e1] + cb.def_mats[cb.minus_index(cb.simple[1])]
+    cb.def_rows[e1] = rows(cb.def_mats[e1].data)
     with pytest.raises(TheoremCheckError, match="bracket left the span of the g-basis"):
         cb.struct(e1, e2)
 
@@ -678,18 +680,27 @@ def c3_node2():
     return modforge.build_kr_fundamental(rs_of("C3"), 2)
 
 
+@pytest.fixture(scope="module")
+def c4_node1():
+    # pieces [36, 1]: g acts as zero on the last piece, so every mixed pair
+    # of step 0 has an empty left factor
+    return modforge.build_kr_fundamental(rs_of("C4"), 1)
+
+
 @pytest.mark.parametrize(
-    "family,s,message",
+    "module,family,s,message",
     [
-        ("g", 0, r"\[x_\d+, x_\d+\] fails on piece 0"),
-        ("g", 1, r"\[x_\d+, x_\d+\] fails on piece 1"),
-        ("t", 0, r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 0"),
-        ("t", 1, r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 1"),
+        ("c3_node2", "g", 0, r"\[x_\d+, x_\d+\] fails on piece 0"),
+        ("c3_node2", "g", 1, r"\[x_\d+, x_\d+\] fails on piece 1"),
+        ("c3_node2", "t", 0, r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 0"),
+        ("c3_node2", "t", 1, r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 1"),
+        ("c4_node1", "g", 0, r"\[x_\d+, x_\d+\] fails on piece 0"),
+        ("c4_node1", "t", 0, r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 0"),
     ],
-    ids=["g-piece0", "g-piece1", "t-step0", "t-step1"],
+    ids=["g-piece0", "g-piece1", "t-step0", "t-step1", "trivial-last-g-piece0", "trivial-last-t-step0"],
 )
-def test_verify_relations_catches_a_planted_entry(c3_node2, family, s, message):
-    cm = c3_node2
+def test_verify_relations_catches_a_planted_entry(request, module, family, s, message):
+    cm = request.getfixturevalue(module)
     cb = modforge.chevalley(cm.rs)
     broken = add_a_third(cm, family, s, cb.minus_index(cb.simple[0]))
     with pytest.raises(TheoremCheckError, match=message) as got:
@@ -726,40 +737,61 @@ def test_verify_relations_catches_a_tsquare_error():
 
 @st.composite
 def rational_families(draw):
-    """(n, four n x n SpMats with int or rational entries, coefficients on
-    the last two); half the time the third matrix is the bracket of the
-    first two and the coefficients say so, so the identity holds."""
-    n = draw(st.integers(1, 5))
+    """(n, products (k, L, R), linear terms (k, Z)) with int or rational
+    entries: L is n x m and R is m x p, with m drawn per product, and Z is
+    n x p, so a mixed pair N_a M_b - M_b N_a into a 1-dim piece (n = 1) is
+    one of the shapes.  A third of the time the products form a square
+    bracket [x, y]; half the time the linear term is minus the sum of the
+    products, so the identity holds."""
+    sizes = st.integers(1, 5)
+    n, p = draw(sizes), draw(sizes)
     entry = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(2, 4)))
-    index = st.integers(0, n - 1)
 
-    def matrix():
-        m = SpMat(n, n)
-        for (r, c), v in draw(st.dictionaries(st.tuples(index, index), entry, max_size=2 * n)).items():
-            m.set(r, c, v)
-        return m
+    def matrix(nrows, ncols):
+        out = SpMat(nrows, ncols)
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+        for (r, c), v in draw(st.dictionaries(cells, entry, max_size=nrows + ncols)).items():
+            out.set(r, c, v)
+        return out
 
-    x, y = matrix(), matrix()
+    if draw(st.integers(0, 2)) == 0:
+        p = n
+        x, y = matrix(n, n), matrix(n, n)
+        products = [(1, x, y), (-1, y, x)]
+    else:
+        products = []
+        for _ in range(draw(st.integers(1, 2))):
+            m = draw(sizes)
+            products.append((draw(entry), matrix(n, m), matrix(m, p)))
     if draw(st.booleans()):
-        return n, [x, y, x.bracket(y), matrix()], {2: 1}
-    family = [x, y, matrix(), matrix()]
-    return n, family, {z: draw(entry) for z in draw(st.sets(st.integers(2, 3)))}
+        total = SpMat(n, p)
+        for k, left, right in products:
+            total = total + (left @ right).scale(k)
+        return n, products, [(-1, total)]
+    return n, products, [(draw(entry), matrix(n, p)) for _ in range(draw(st.integers(0, 2)))]
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(rational_families())
 def test_integer_residue_agrees_with_spmat(case):
-    n, family, coeffs = case
-    want = family[0].bracket(family[1])
-    for z, c in coeffs.items():
-        want = want - family[z].scale(c)
-    N = [m.data for m in family]
-    res = residue(n, ((1, N[0], N[1]), (-1, N[1], N[0])), [(-c, N[z]) for z, c in coeffs.items()])
+    n, products, linear = case
+    want = SpMat(n, products[0][2].cols)
+    for k, left, right in products:
+        want = want + (left @ right).scale(k)
+    for k, z in linear:
+        want = want + z.scale(k)
+    res = residue(
+        n,
+        [(k, left.data, rows(right.data)) for k, left, right in products],
+        [(k, z.data) for k, z in linear],
+    )
     # entry by entry, the residue is the SpMat result
     assert {key: v for key, v in res.items() if v} == {c * n + r: v for r, c, v in want.entries()}
     assert any(res.values()) == bool(want.data)
     # with int tables and scalars, no Fraction is built
-    values = [v for m in family for _, _, v in m.entries()] + list(coeffs.values())
+    factors = [m for _, left, right in products for m in (left, right)] + [z for _, z in linear]
+    values = [v for m in factors for _, _, v in m.entries()]
+    values += [k for k, _, _ in products] + [k for k, _ in linear]
     if all(type(v) is int for v in values):
         assert all(type(v) is int for v in res.values())
 

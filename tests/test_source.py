@@ -76,3 +76,28 @@ def test_modforge_imports_nothing_from_fractions():
         or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
     ]
     assert found == []
+
+
+def test_relation_checks_use_the_one_product_kernel():
+    # the relation checks multiply through linalg.residue over row tables;
+    # a SpMat product (`@` or .bracket) in them would be a second kernel
+    tree = ast.parse((SRC / "modforge.py").read_text())
+    functions = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("verify_current_relations", "_check_tsquare", "_bracket_coords")
+    }
+    assert sorted(functions) == ["_bracket_coords", "_check_tsquare", "verify_current_relations"]
+    chevalley = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ChevalleyBasis"
+    )
+    assert functions["_bracket_coords"] in chevalley.body
+    found = [
+        f"{name}:{node.lineno}"
+        for name, fn in sorted(functions.items())
+        for node in ast.walk(fn)
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Attribute) and node.attr == "bracket")
+    ]
+    assert found == []
