@@ -3,8 +3,9 @@
 Exit codes: 0 all good, 1 a structural check failed, 2 invalid input or a
 dimension guard stopped the computation (raise it with KR_MAX_DIM).  In a
 verify run a guard stops only its own check, which prints a GUARD line; the
-run exits 1 if any check failed, else 2 if any hit a guard.  A verify bound
-below 1, or bounds that select no check, are invalid input.
+run exits 1 if any check failed, else 2 if any hit a guard.  A verify flag
+the selected suite does not read, a verify bound below 1, or bounds that
+select no check, are invalid input.
 """
 
 from __future__ import annotations
@@ -298,7 +299,22 @@ _SUITES = {
 }
 
 
+def _verify_reads(args) -> set[str]:
+    """The flags the selected verify run reads; any other flag is an error."""
+    if args.suite in ("chains", "wedge"):
+        return {"max_rank"}
+    if args.suite in ("tensor-bound", "all"):
+        return {"max_rank", "max_level"}
+    if args.suite == "homs":
+        return {"algebra", "twisted", "node"} if args.algebra else {"max_rank"}
+    return {"algebra", "twisted", "node", "level"} if args.algebra else set()
+
+
 def cmd_verify(args) -> int:
+    reads = _verify_reads(args)
+    for name in ("algebra", "twisted", "node", "level", "max_rank", "max_level"):
+        if getattr(args, name) is not None and name not in reads:
+            raise ValueError(f"verify {args.suite} does not take --{name.replace('_', '-')}")
     bounds = {"--node": args.node, "--max-rank": args.max_rank, "--max-level": args.max_level}
     for flag, bound in bounds.items():
         if bound is not None and bound < 1:
@@ -338,7 +354,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run structural verification suites")
     p_ver.add_argument("suite", choices=sorted(_SUITES))
     p_ver.add_argument("--algebra")
-    p_ver.add_argument("--twisted", action="store_true")
+    p_ver.add_argument("--twisted", action="store_true", default=None)
     p_ver.add_argument("--node", type=int)
     p_ver.add_argument("--level", type=int)
     p_ver.add_argument("--max-rank", type=int, dest="max_rank")

@@ -10,22 +10,19 @@ vanishing carries the two-step condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import charlib, krset, twisted
 from .errors import DimensionGuardError, TheoremCheckError
 from .rootsys import RootSystem, Weight
 
 
-@dataclass(frozen=True)
-class HomReport:
+class HomReport(
+    namedtuple("HomReport", "label chain next_step two_step three_step", defaults=((),))
+):
     """Computed Hom dimensions along one chain."""
 
-    label: str
-    chain: tuple[Weight, ...]
-    next_step: tuple[int, ...]
-    two_step: tuple[int, ...]
-    three_step: tuple[int, ...] = ()
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -36,13 +33,10 @@ class HomReport:
         )
 
 
-@dataclass(frozen=True)
-class WedgeReport:
+class WedgeReport(namedtuple("WedgeReport", "label decomposition nu")):
     """Decomposition of an exterior square into simples."""
 
-    label: str
-    decomposition: tuple[tuple[Weight, int], ...]
-    nu: Weight | None
+    __slots__ = ()
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.decomposition)

@@ -14,8 +14,8 @@ twisted.fixed_point_data) run through the same chains and compositions.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Set
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping, Set
 from functools import lru_cache, partial
 from types import MappingProxyType
 
@@ -25,11 +25,31 @@ from .linalg import Echelon
 from .rootsys import LieType, RootSystem, Weight, build
 
 
-@dataclass(frozen=True)
-class GradedChain:
-    """The enumeration mu_0 > mu_1 > ... > mu_k of a base set."""
+class _Frozen:
+    """A record whose __slots__ fields are set once, by object.__setattr__ in
+    the constructor; assigning or deleting a field raises AttributeError."""
 
-    weights: tuple[Weight, ...]
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class GradedChain(_Frozen):
+    """The enumeration mu_0 > mu_1 > ... > mu_k of a base set; iterating and
+    indexing run over the weights.  Each chain is built once (see kr_chain)."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: tuple[Weight, ...]) -> None:
+        object.__setattr__(self, "weights", weights)
 
     @property
     def k(self) -> int:
@@ -42,12 +62,12 @@ class GradedChain:
         return self.weights[s]
 
 
-@dataclass(frozen=True)
-class GradedCharacter:
+class GradedCharacter(namedtuple("GradedCharacter", "by_grade")):
     """Highest weights of a KR module grouped by grade, all multiplicity one;
-    the grades ascend and each grade's weights are sorted."""
+    by_grade is ((grade, weights), ...) with the grades ascending and each
+    grade's weights sorted."""
 
-    by_grade: tuple[tuple[int, tuple[Weight, ...]], ...]
+    __slots__ = ()
 
     def piece(self, s: int) -> dict[Weight, int]:
         for g, ws in self.by_grade:
@@ -134,22 +154,22 @@ def verify_chain_conditions(
             )
 
 
-@dataclass(frozen=True, eq=False)
-class KRDatum:
-    """What the graded-set machine needs of one algebra: the root system the
-    weights live in, the level steps, the base sets and the difference
-    conditions along an enumerated chain.  The datum of g (see datum) has
-    steps dcheck and positive roots as chain steps; the twisted datum (see
-    twisted.fixed_point_data) lives in g0 with steps dsigma and chain steps in
-    R1+.  Each algebra has one instance, so the caches below key on identity.
+class KRDatum(_Frozen):
+    """What the graded-set machine needs of one algebra: the root system rs
+    the weights live in, the level steps, base_set(i, m0), the difference
+    conditions one_step(diff) and two_step(diff) along an enumerated chain,
+    and a label ("" or "twisted ") put in front of P+ in messages.  The datum
+    of g (see datum) has steps dcheck and positive roots as chain steps; the
+    twisted datum (see twisted.fixed_point_data) lives in g0 with steps
+    dsigma and chain steps in R1+.  Each algebra has one instance, so the
+    caches below key on identity.
     """
 
-    rs: RootSystem
-    steps: tuple[int, ...]
-    base_set: Callable[[int, int], frozenset[Weight]]
-    one_step: Callable[[Weight], bool]
-    two_step: Callable[[Weight], bool]
-    label: str  # "" or "twisted ", put in front of P+ in messages
+    __slots__ = ("rs", "steps", "base_set", "one_step", "two_step", "label")
+
+    def __init__(self, rs, steps, base_set, one_step, two_step, label) -> None:
+        for name, value in zip(self.__slots__, (rs, steps, base_set, one_step, two_step, label)):
+            object.__setattr__(self, name, value)
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,8 @@ kernel linalg.residue.  Everything is exact and deterministic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
@@ -31,22 +31,16 @@ from .linalg import Echelon, SpMat, flatten, lattice_basis, lattice_coords, null
 from .rootsys import LieType, RootSystem, Weight, build
 
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(
+    namedtuple("MatrixRep", "rs dim e f h basis_weights highest_index highest_weight")
+):
     """A g-module with exact matrices for the Chevalley generators.
 
     Basis vectors are always h-eigenvectors; their weights are recorded in
     fundamental coordinates.  The h matrices are diagonal with those weights.
     """
 
-    rs: RootSystem
-    dim: int
-    e: tuple[SpMat, ...]
-    f: tuple[SpMat, ...]
-    h: tuple[SpMat, ...]
-    basis_weights: tuple[Weight, ...]
-    highest_index: int
-    highest_weight: Weight
+    __slots__ = ()
 
     @property
     def highest_vector(self) -> dict[int, object]:
@@ -646,18 +640,13 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
     return maps
 
 
-@dataclass(frozen=True)
-class CurrentModule:
+class CurrentModule(
+    namedtuple("CurrentModule", "rs node level chain pieces g_action t_action")
+):
     """Graded module for g[t]: pieces V_0..V_k, x(x)1 block-diagonal, x(x)t
     mapping each piece to the next, everything else acting as zero."""
 
-    rs: RootSystem
-    node: int
-    level: int
-    chain: tuple[Weight, ...]
-    pieces: tuple[MatrixRep, ...]
-    g_action: tuple[tuple[SpMat, ...], ...]
-    t_action: tuple[tuple[SpMat, ...], ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -744,18 +733,16 @@ def build_kr_fundamental(rs: RootSystem, i: int) -> CurrentModule:
     return CurrentModule(rs, i, d, chain, pieces, g_action, tuple(t_action))
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(
+    namedtuple(
+        "RelationReport",
+        "label total_dim bracket_pairs mixed_pairs tsquare_pairs generator_checks"
+        " cyclic_dim transport_steps",
+    )
+):
     """Counts of verified identities for one module."""
 
-    label: str
-    total_dim: int
-    bracket_pairs: int
-    mixed_pairs: int
-    tsquare_pairs: int
-    generator_checks: int
-    cyclic_dim: int
-    transport_steps: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

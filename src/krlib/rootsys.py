@@ -9,7 +9,7 @@ root theta, which makes dcheck[j] = 2/(alpha_j, alpha_j) an integer in {1, 2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -23,20 +23,22 @@ RootCoeffs = tuple[Fraction, ...]
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(namedtuple("LieType", "family rank")):
     """A classical family letter together with a rank."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _RANK_MIN:
-            raise ValueError(f"unknown family {self.family!r}, expected one of A, B, C, D")
-        if self.rank < _RANK_MIN[self.family]:
-            raise ValueError(
-                f"rank {self.rank} below the minimum {_RANK_MIN[self.family]} for type {self.family}"
-            )
+    def __new__(cls, family: str, rank: int):
+        if family not in _RANK_MIN:
+            raise ValueError(f"unknown family {family!r}, expected one of A, B, C, D")
+        if rank < _RANK_MIN[family]:
+            raise ValueError(f"rank {rank} below the minimum {_RANK_MIN[family]} for type {family}")
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate the edited copy too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

@@ -10,7 +10,7 @@ conditions into a KRDatum, and krset builds chains, P+ and grades from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 
 from . import charlib
@@ -28,22 +28,26 @@ from .rootsys import LieType, RootSystem, Weight, build
 _MIN_N = {"A_odd": 2, "A_even": 1, "D": 2}
 
 
-@dataclass(frozen=True)
-class OuterType:
+class OuterType(namedtuple("OuterType", "family n")):
     """An order-two diagram automorphism, indexed by the fixed-point rank n.
 
     family "A_odd" means ambient A_{2n-1}, "A_even" ambient A_{2n} and "D"
     ambient D_{n+1}.
     """
 
-    family: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _MIN_N:
-            raise ValueError(f"unknown outer family {self.family!r}")
-        if self.n < _MIN_N[self.family]:
-            raise ValueError(f"{self.family} needs n >= {_MIN_N[self.family]}")
+    def __new__(cls, family: str, n: int):
+        if family not in _MIN_N:
+            raise ValueError(f"unknown outer family {family!r}")
+        if n < _MIN_N[family]:
+            raise ValueError(f"{family} needs n >= {_MIN_N[family]}")
+        return super().__new__(cls, family, n)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate the edited copy too
+        return cls(*iterable)
 
     @property
     def ambient(self) -> LieType:
@@ -74,17 +78,11 @@ def outer_from_ambient(family: str, rank: int) -> OuterType:
     raise ValueError(f"no order-two diagram automorphism handled for {family}_{rank}")
 
 
-@dataclass(frozen=True)
-class TwistedData:
+class TwistedData(namedtuple("TwistedData", "outer g0 r1_positive phi dsigma kr")):
     """Fixed-point algebra g0, the odd-part root set R1+, phi, the steps and
     the KR datum that drives the twisted graded sets."""
 
-    outer: OuterType
-    g0: RootSystem
-    r1_positive: frozenset[tuple[int, ...]]
-    phi: Weight
-    dsigma: tuple[int, ...]
-    kr: KRDatum
+    __slots__ = ()
 
 
 def _short_positive(rs: RootSystem) -> list[tuple[int, ...]]:

@@ -1,15 +1,22 @@
 import hashlib
 import json
 import os
-import dataclasses
 import subprocess
 import sys
 
 import pytest
 
+import krlib
 from krlib import cli, krset, modforge
 from krlib.errors import TheoremCheckError
 from krlib.linalg import SpMat
+
+# child processes import the same krlib as the tests, installed or not
+SRC = os.path.dirname(os.path.dirname(krlib.__file__))
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+)
 
 
 def run_cli(*argv):
@@ -17,6 +24,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "krlib.cli", *argv],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     return proc
 
@@ -125,6 +133,43 @@ def test_verify_smallest_bounds_still_run(capsys):
     assert capsys.readouterr().out.endswith("\n1/1 checks passed\n")
 
 
+# (a valid verify run, a flag that run would ignore)
+SELECTORS = (["--algebra", "C3"], ["--twisted"], ["--node", "1"], ["--level", "1"])
+IGNORED_FLAGS = [
+    *[([suite], flag) for suite in ("chains", "wedge") for flag in SELECTORS],
+    (["chains"], ["--max-level", "2"]),
+    (["wedge"], ["--max-level", "2"]),
+    *[([suite], flag) for suite in ("tensor-bound", "all") for flag in SELECTORS],
+    (["all", "--max-rank", "2"], ["--algebra", "C3"]),
+    (["homs", "--algebra", "C3"], ["--level", "5"]),
+    (["homs", "--algebra", "C3"], ["--max-rank", "3"]),
+    (["homs", "--algebra", "C3"], ["--max-level", "2"]),
+    (["homs"], ["--twisted"]),
+    (["homs"], ["--node", "1"]),
+    (["homs"], ["--level", "1"]),
+    (["homs"], ["--max-level", "2"]),
+    (["modforge"], ["--twisted"]),
+    (["modforge"], ["--node", "2"]),
+    (["modforge"], ["--level", "1"]),
+    (["modforge"], ["--max-rank", "3"]),
+    (["modforge"], ["--max-level", "2"]),
+    (["modforge", "--algebra", "C2", "--node", "1"], ["--max-rank", "3"]),
+    (["modforge", "--algebra", "C2", "--node", "1"], ["--max-level", "2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag", IGNORED_FLAGS, ids=[" ".join(a + f) for a, f in IGNORED_FLAGS]
+)
+def test_verify_rejects_flags_its_run_ignores(capsys, argv, flag):
+    # a flag the suite never reads would let a run report checks the caller
+    # did not ask for; it is an input error before any check runs
+    assert cli.main(["verify", *argv, *flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: verify {argv[0]} does not take {flag[0]}\n"
+
+
 def test_verify_failure_exits_1(monkeypatch):
     real = krset.enumerate_chain
 
@@ -164,7 +209,7 @@ def test_verify_fails_on_a_broken_evaluation_factor(monkeypatch, capsys):
         mats = list(cm.g_action[0])
         f1 = cb.minus_index(cb.simple[0])
         mats[f1] = SpMat(mats[f1].rows, mats[f1].cols)
-        return dataclasses.replace(cm, g_action=(tuple(mats),))
+        return cm._replace(g_action=(tuple(mats),))
 
     monkeypatch.setattr(modforge, "evaluation_module", broken)
     code = cli.main(["verify", "modforge", "--algebra", "A2", "--node", "1", "--level", "3"])
@@ -194,6 +239,7 @@ def run_optimized(*argv):
         [sys.executable, "-O", "-m", "krlib.cli", *argv],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -220,7 +266,7 @@ def test_chains_and_char_same_under_optimize_flag():
 
 
 def test_verify_guard_reports_and_continues():
-    env = dict(os.environ, KR_MAX_DIM="50")
+    env = dict(CHILD_ENV, KR_MAX_DIM="50")
     proc = subprocess.run(
         [sys.executable, "-m", "krlib.cli", "verify", "modforge"],
         capture_output=True,

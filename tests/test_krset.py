@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from itertools import product
 from math import comb
@@ -145,7 +144,7 @@ def test_base_level_must_be_its_top_weight():
         return frozenset([(1, 0), (0, 0)]) if m0 == 1 else krset.base_set(C2, i, m0)
 
     real = krset.datum(C2.type)
-    kr = dataclasses.replace(real, base_set=base)
+    kr = krset.KRDatum(real.rs, real.steps, base, real.one_step, real.two_step, real.label)
     assert krset.kr_pplus(kr, 1, 4) == krset.pplus(C2, 1, 4)
     with pytest.raises(TheoremCheckError, match=re.escape("P+(1, 1) is not {(1, 0)}")):
         krset.kr_pplus(kr, 1, 3)
@@ -488,7 +487,7 @@ def test_cached_chains_and_tables_are_read_only():
     chain = krset.enumerate_chain(C3, 2)
     assert chain is krset.enumerate_chain(C3, 2)
     assert type(chain.weights) is tuple and all(type(w) is tuple for w in chain.weights)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         chain.weights = ()
     comps = krset._pplus(krset.datum(C3.type), 2, 4)
     with pytest.raises(TypeError):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -302,7 +301,7 @@ def test_highest_module_checks_the_character(monkeypatch, edit, message):
 def test_verify_matrix_rep_detects_damage():
     rep = modforge.highest_module(rs_of("C2"), (1, 0))
     bad_e = rep.e[0].scale(2)
-    damaged = dataclasses.replace(rep, e=(bad_e, rep.e[1]))
+    damaged = rep._replace(e=(bad_e, rep.e[1]))
     with pytest.raises(TheoremCheckError):
         verify_matrix_rep(damaged)
 
@@ -506,7 +505,7 @@ def test_intertwiner_detects_corrupted_target():
     c = min(bad.data)
     r = min(bad.data[c])
     bad.set(r, c, bad.get(r, c) + 1)
-    damaged = dataclasses.replace(tgt, f=(bad,) + tgt.f[1:])
+    damaged = tgt._replace(f=(bad,) + tgt.f[1:])
     with pytest.raises(TheoremCheckError):
         modforge.intertwiner(rs, src, damaged)
 
@@ -604,7 +603,7 @@ def test_verify_relations_detects_broken_transport():
     rs = rs_of("C2")
     cm = modforge.build_kr_fundamental(rs, 1)
     doubled = tuple(tuple(m.scale(2) for m in mats) for mats in cm.t_action)
-    broken = dataclasses.replace(cm, t_action=doubled)
+    broken = cm._replace(t_action=doubled)
     with pytest.raises(TheoremCheckError):
         modforge.verify_current_relations(broken)
 
@@ -672,7 +671,7 @@ def add_a_third(cm, family, s, a):
     r = next(iter(bad.data[c]))
     bad.set(r, c, bad.get(r, c) + Fraction(1, 3))
     groups[s][a] = bad
-    return dataclasses.replace(cm, **{field: tuple(tuple(mats) for mats in groups)})
+    return cm._replace(**{field: tuple(tuple(mats) for mats in groups)})
 
 
 @pytest.fixture(scope="module")
@@ -907,7 +906,7 @@ def plant(monkeypatch, edit):
         cm = real(rs, i)
         t_action = [[m.copy() for m in mats] for mats in cm.t_action]
         edit(rs, cm, t_action)
-        return dataclasses.replace(cm, t_action=tuple(tuple(mats) for mats in t_action))
+        return cm._replace(t_action=tuple(tuple(mats) for mats in t_action))
 
     monkeypatch.setattr(modforge, "build_kr_fundamental", broken)
 
