@@ -69,7 +69,7 @@ def cmd_char(args) -> int:
     poly = []
     total = 0
     for s in range(top + 1):
-        ws = sorted(by_grade.get(s, ()))
+        ws = by_grade.get(s, ())
         consts = [
             {"weight": list(w), "mult": 1, "dim": charlib.weyl_dim(weight_rs, w)}
             for w in ws

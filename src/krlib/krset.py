@@ -179,7 +179,7 @@ def datum(lt: LieType) -> KRDatum:
     rs = build(lt)
 
     def is_root(diff: Weight) -> bool:
-        return rs.is_positive_root(rs.to_root_coords(diff))
+        return rs.is_positive_root(rs.int_root_coords(diff))
 
     def two_step(diff: Weight) -> bool:
         rc = rs.int_root_coords(diff)

@@ -1,13 +1,13 @@
-"""Sparse exact linear algebra over the rationals, eliminated over Z.
+"""Sparse exact linear algebra over Z.
 
 Matrices are column-major dicts of dicts, vectors are index -> value dicts.
-Values are Python ints or Fractions; zeros are never stored.  The column
-table of a matrix is its data, c -> {r: value}; its row table (rows) is
-r -> ((c, value), ...), tuples to keep it small.  Echelon spans over Q: it
-clears the denominators of each input and eliminates fraction-free
-(Bareiss, Math. Comp. 22, 1968), so every stored row and every nullspace
-solution is a primitive integer vector, and every value it returns is an
-int unless it is non-integral.  lattice_basis spans over Z: the reduced
+Values are Python ints; zeros are never stored.  The column table of a
+matrix is its data, c -> {r: value}; its row table (rows) is
+r -> ((c, value), ...), tuples to keep it small.  Echelon spans over Q but
+eliminates fraction-free (Bareiss, Math. Comp. 22, 1968), so every stored
+row and every nullspace solution is a primitive integer vector, and a
+rational coordinate comes back as int numerators over one least common
+denominator.  lattice_basis spans over Z: the reduced
 Hermite normal form of a lattice, whose members lattice_coords expresses
 with int coordinates.  residue is the product kernel of matrix identities:
 it sums products of a column table by a row table (rows turns one into the
@@ -18,19 +18,18 @@ here is deterministic: echelon forms always pivot on the smallest index.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
 class SpMat:
-    """Sparse matrix; data[c][r] = value."""
+    """Sparse int matrix; data[c][r] = value."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data=None):
         self.rows = rows
         self.cols = cols
-        self.data: dict[int, dict[int, object]] = data if data is not None else {}
+        self.data: dict[int, dict[int, int]] = data if data is not None else {}
 
     def set(self, r: int, c: int, v) -> None:
         if v == 0:
@@ -48,7 +47,7 @@ class SpMat:
     def add_to(self, r: int, c: int, v) -> None:
         self.set(r, c, self.get(r, c) + v)
 
-    def col(self, c: int) -> dict[int, object]:
+    def col(self, c: int) -> dict[int, int]:
         return self.data.get(c, {})
 
     def nnz(self) -> int:
@@ -57,8 +56,8 @@ class SpMat:
     def copy(self) -> "SpMat":
         return SpMat(self.rows, self.cols, {c: dict(col) for c, col in self.data.items()})
 
-    def apply(self, vec: dict[int, object]) -> dict[int, object]:
-        out: dict[int, object] = {}
+    def apply(self, vec: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
         for c, v in vec.items():
             col = self.data.get(c)
             if col is None:
@@ -76,7 +75,7 @@ class SpMat:
             raise ValueError(f"cannot multiply {self} by {other}")
         out = SpMat(self.rows, other.cols)
         for c, bcol in other.data.items():
-            acc: dict[int, object] = {}
+            acc: dict[int, int] = {}
             for k, v in bcol.items():
                 acol = self.data.get(k)
                 if acol is None:
@@ -141,16 +140,7 @@ class SpMat:
         return f"SpMat({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def integral(vec: dict[int, object]) -> tuple[dict[int, int], int]:
-    """(L * vec as a fresh int vector without zeros, L) for the least L > 0."""
-    den = 1
-    for x in vec.values():
-        if type(x) is not int:
-            den = lcm(den, x.denominator)
-    return {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}, den
-
-
-def rows(table) -> dict[int, tuple[tuple[int, object], ...]]:
+def rows(table) -> dict[int, tuple[tuple[int, int], ...]]:
     """The row table of a column table: r -> ((c, value), ...) for the
     stored entries of row r, in the column table's order."""
     out: dict[int, list] = {}
@@ -160,14 +150,14 @@ def rows(table) -> dict[int, tuple[tuple[int, object], ...]]:
     return {r: tuple(row) for r, row in out.items()}
 
 
-def residue(stride: int, products, linear=()) -> dict[int, object]:
+def residue(stride: int, products, linear=()) -> dict[int, int]:
     """sum k L R over products (k, L, R) plus sum k Z over linear (k, Z),
     for column tables L and Z, row tables R (see rows) and scalars k, as
     one vector keyed c * stride + r (see flatten); stride is at least the
     number of rows, and zero entries may be stored.  A product visits only
     the inner indices j where column j of L and row j of R both have
-    entries.  With int tables and scalars no Fraction is built."""
-    acc: dict[int, object] = {}
+    entries."""
+    acc: dict[int, int] = {}
     get = acc.get
     for k, left, right in products:
         for j in left.keys() & right.keys():
@@ -187,12 +177,12 @@ def residue(stride: int, products, linear=()) -> dict[int, object]:
     return acc
 
 
-def flatten(table, stride: int) -> dict[int, object]:
+def flatten(table, stride: int) -> dict[int, int]:
     """A column table as one vector, keyed c * stride + r as in residue."""
     return {c * stride + r: x for c, col in table.items() for r, x in col.items()}
 
 
-def _axpy(v: dict[int, object], a: int, r: dict[int, object], b: int) -> None:
+def _axpy(v: dict[int, int], a: int, r: dict[int, int], b: int) -> None:
     """v <- a * v + b * r in place, dropping zeros; b and r are nonzero."""
     if a != 1:
         for k in v:
@@ -206,7 +196,7 @@ def _axpy(v: dict[int, object], a: int, r: dict[int, object], b: int) -> None:
 
 
 class Echelon:
-    """Incremental echelon basis over Z with combination tracking.
+    """Incremental echelon basis of int vectors with combination tracking.
 
     Vectors added successfully get consecutive ordinals; a dependent vector
     gets none.  The row stored at pivot p is a primitive integer vector r
@@ -219,12 +209,12 @@ class Echelon:
         self.pivots: dict[int, tuple[dict[int, int], dict[int, int], int]] = {}
         self.count = 0
 
-    def _reduce(self, vec: dict[int, object], key: int):
+    def _reduce(self, vec: dict[int, int], key: int):
         """Eliminate vec fraction-free: returns (v, comb, den, p) with
         den * v = sum_k comb[k] * original_k, original_key being vec itself,
         and p = min(v) a non-pivot index, or None when v reduced to zero."""
-        v, scale = integral(vec)
-        comb, den = {key: scale}, 1
+        v = {k: x for k, x in vec.items() if x}
+        comb, den = {key: 1}, 1
         while v:
             p = min(v)
             row = self.pivots.get(p)
@@ -239,7 +229,7 @@ class Echelon:
             den = m
         return v, comb, den, None
 
-    def add(self, vec: dict[int, object]) -> int | None:
+    def add(self, vec: dict[int, int]) -> int | None:
         """Insert a vector; returns its ordinal, or None if dependent."""
         ordinal = self.count
         v, comb, den, p = self._reduce(vec, ordinal)
@@ -254,17 +244,18 @@ class Echelon:
         self.count += 1
         return ordinal
 
-    def coords(self, vec: dict[int, object]) -> dict[int, object] | None:
-        """Coordinates of vec over the added originals, or None if outside.
-
-        A coordinate is an int unless it is non-integral.
+    def coords(self, vec: dict[int, int]) -> tuple[dict[int, int], int] | None:
+        """(x, d) with d * vec = sum_k x[k] * original_k for the least d > 0,
+        or None if vec is outside the span; the coordinates of vec over the
+        added originals are x[k] / d.
         """
         v, comb, _, _ = self._reduce(vec, -1)
         if v:
             return None
         # 0 = comb[-1] * vec + sum_k comb[k] * original_k, and comb[-1] > 0
-        d = comb.pop(-1)
-        return {k: -x // d if x % d == 0 else Fraction(-x, d) for k, x in comb.items()}
+        g = gcd(*comb.values())
+        d = comb.pop(-1) // g
+        return {k: -x // g for k, x in comb.items()}, d
 
     @property
     def dim(self) -> int:
@@ -304,7 +295,7 @@ def lattice_basis(vectors) -> dict[int, dict[int, int]]:
     return {p: rows[p] for p in order}
 
 
-def lattice_coords(basis: dict[int, dict[int, int]], vec: dict[int, object]) -> dict[int, int] | None:
+def lattice_coords(basis: dict[int, dict[int, int]], vec: dict[int, int]) -> dict[int, int] | None:
     """Coordinates of vec over the rows of a lattice_basis, all ints, or
     None when vec is not in their Z-span."""
     v = dict(vec)

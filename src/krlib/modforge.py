@@ -43,7 +43,7 @@ class MatrixRep(
     __slots__ = ()
 
     @property
-    def highest_vector(self) -> dict[int, object]:
+    def highest_vector(self) -> dict[int, int]:
         return {self.highest_index: 1}
 
     def gen(self, kind: str, i: int) -> SpMat:
@@ -190,7 +190,7 @@ class ChevalleyBasis:
         self._h_ech = Echelon()
         for m in self.def_mats[self._h0 :]:
             self._h_ech.add(flatten(m.data, drep.dim))
-        self._struct: list[Mapping[int, object] | None] = [None] * (self.dim_g * self.dim_g)
+        self._struct: list[Mapping[int, int] | None] = [None] * (self.dim_g * self.dim_g)
 
     def plus_index(self, rc) -> int:
         return self._of_root[rc]
@@ -219,7 +219,7 @@ class ChevalleyBasis:
         out += list(rep.h)
         return out
 
-    def struct(self, a: int, b: int) -> Mapping[int, object]:
+    def struct(self, a: int, b: int) -> Mapping[int, int]:
         """[basis_a, basis_b] expressed in the basis, with int coefficients.
         For a > b it is the negated struct(b, a): [x, y] = -[y, x] holds for
         any two matrices, so each unordered pair is bracketed once.  Do not
@@ -249,9 +249,9 @@ class ChevalleyBasis:
             if not rem and br == {key: c * v for key, v in xz.items() if c}:
                 return {z: c} if c else {}
         elif not any(gamma):
-            coords = self._h_ech.coords(br)
-            if coords is not None and all(type(v) is int for v in coords.values()):
-                return {self._h0 + k: v for k, v in coords.items()}
+            got = self._h_ech.coords(br)
+            if got is not None and got[1] == 1:
+                return {self._h0 + k: v for k, v in got[0].items()}
         elif not br:
             return {}
         # off the span, or a non-integral structure constant
@@ -259,7 +259,7 @@ class ChevalleyBasis:
 
 
 # the struct of every pair whose bracket vanishes
-_NO_TERMS: Mapping[int, object] = MappingProxyType({})
+_NO_TERMS: Mapping[int, int] = MappingProxyType({})
 
 
 @lru_cache(maxsize=None)
@@ -368,9 +368,9 @@ class _Tensor:
             weight = weights[d] if weight is None else tuple(map(add, weight, weights[d]))
         return grade, weight
 
-    def apply(self, op, vec: dict[int, object]) -> dict[int, object]:
+    def apply(self, op, vec: dict[int, int]) -> dict[int, int]:
         tables = self._tables(op)
-        out: dict[int, object] = {}
+        out: dict[int, int] = {}
         for idx, val in vec.items():
             for stride, size, table in tables:
                 for shift, v in table.get(idx // stride % size, ()):
@@ -544,7 +544,9 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
     whose weight V(lam) lacks must have phi(e_i c) = 0, and
     phi(f_i c) = f_i phi(c) is checked for every column and every i where
     either side can be nonzero; together with e-equivariance by
-    construction, each returned map is g-equivariant.
+    construction, each returned map is g-equivariant.  The maps are int
+    matrices: when a column is only rational, the whole map is multiplied by
+    the least denominator that clears it, which keeps the maps a basis.
     """
     n = rs.rank
     lam = target.highest_weight
@@ -603,12 +605,18 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
                 }
                 if not rhs:
                     continue
-                x = ech.coords(rhs)
-                if x is None:
+                got = ech.coords(rhs)
+                if got is None:
                     raise TheoremCheckError(
                         f"no vector of weight {mu} in V({lam}) matches the e-images"
                         f" of source column {c}"
                     )
+                x, d = got
+                if d > 1:
+                    # d * phi stays equivariant and makes this column integral
+                    for col in phi.data.values():
+                        for r in col:
+                            col[r] *= d
                 phi.data[c] = {basis[k]: v for k, v in x.items()}
 
     for nu, cols in cols_by_wt.items():

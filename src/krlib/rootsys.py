@@ -1,16 +1,16 @@
 """Classical root systems of types A-D in Bourbaki coordinates.
 
-All arithmetic is exact.  Weights are integer vectors in the basis of
-fundamental weights, root-lattice elements are vectors of coefficients in
-the basis of simple roots (rational in general, integral for actual roots).
-The invariant form is normalized so that (theta, theta) = 2 for the highest
-root theta, which makes dcheck[j] = 2/(alpha_j, alpha_j) an integer in {1, 2}.
+All arithmetic is over Z.  Weights are integer vectors in the basis of
+fundamental weights, root-lattice elements integer vectors in the basis of
+simple roots; a weight off the root lattice has its simple-root coordinates
+scaled by the common denominator root_den.  The invariant form is
+normalized so that (theta, theta) = 2 for the highest root theta, which
+makes dcheck[j] = 2/(alpha_j, alpha_j) an integer in {1, 2}.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -18,7 +18,6 @@ from .errors import TheoremCheckError
 from .linalg import Echelon
 
 Weight = tuple[int, ...]
-RootCoeffs = tuple[Fraction, ...]
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
 
@@ -130,10 +129,10 @@ class RootSystem:
             simple.add(dict(enumerate(v)))
         pos: list[tuple[int, ...]] = []
         for v in _positive_roots_ambient(fam, n):
-            coeffs = simple.coords(dict(enumerate(v)))
-            if coeffs is None or any(type(c) is not int or c < 0 for c in coeffs.values()):
+            got = simple.coords(dict(enumerate(v)))
+            if got is None or got[1] != 1 or any(c < 0 for c in got[0].values()):
                 raise TheoremCheckError(f"{v} is not a nonnegative integral sum of simple roots")
-            pos.append(tuple(coeffs.get(k, 0) for k in range(n)))
+            pos.append(tuple(got[0].get(k, 0) for k in range(n)))
         pos.sort(key=lambda c: (sum(c), c))
         self.positive_roots: tuple[tuple[int, ...], ...] = tuple(pos)
         self._pos_set = frozenset(pos)
@@ -144,17 +143,16 @@ class RootSystem:
             raise TheoremCheckError(f"{theta} does not dominate every positive root")
         self.theta: tuple[int, ...] = theta
 
-        theta_ambient = self._root_ambient(theta)
-        self.form_scale = Fraction(2, _dot(theta_ambient, theta_ambient))
-
         self.cartan: tuple[tuple[int, ...], ...] = tuple(
             tuple(2 * _dot(a, b) // _dot(b, b) for b in self.simple_ambient)
             for a in self.simple_ambient
         )
-        self.dcheck: tuple[int, ...] = tuple(
-            int(2 / (self.form_scale * _dot(a, a))) for a in self.simple_ambient
-        )
-        if not all(d in (1, 2) for d in self.dcheck):
+        # dcheck[j] = |theta|^2 / |alpha_j|^2 in the ambient coordinates
+        theta_ambient = self._root_ambient(theta)
+        tt = _dot(theta_ambient, theta_ambient)
+        norms = [_dot(a, a) for a in self.simple_ambient]
+        self.dcheck: tuple[int, ...] = tuple(tt // a for a in norms)
+        if not all(tt in (a, 2 * a) for a in norms):
             raise TheoremCheckError(f"dcheck {self.dcheck} is not in {{1, 2}}")
 
         # columns of inv(cartan^T): fundamental weights in simple-root coordinates;
@@ -164,9 +162,9 @@ class RootSystem:
         for col in zip(*self.cartan):
             at.add(dict(enumerate(col)))
         inv = [at.coords({i: 1}) for i in range(n)]
-        self.root_den: int = lcm(*(Fraction(c).denominator for row in inv for c in row.values()))
+        self.root_den: int = lcm(*(d for _, d in inv))
         self._inv_num: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(Fraction(row.get(k, 0)) * self.root_den) for k in range(n)) for row in inv
+            tuple(x.get(k, 0) * (self.root_den // d) for k in range(n)) for x, d in inv
         )
         # column sums: root_den * height(lam) = _height_num . lam
         self._height_num: tuple[int, ...] = tuple(sum(col) for col in zip(*self._inv_num))
@@ -185,11 +183,6 @@ class RootSystem:
         """root_den times the simple-root coordinates of a weight, as integers."""
         self._check_weight(lam)
         return tuple(sum(a * c for a, c in zip(row, lam)) for row in self._inv_num)
-
-    def to_root_coords(self, lam: Weight) -> RootCoeffs:
-        """Coordinates of a weight over the simple roots (rational in general)."""
-        den = self.root_den
-        return tuple(Fraction(c, den) for c in self.scaled_root_coords(lam))
 
     def int_root_coords(self, lam: Weight) -> tuple[int, ...] | None:
         """Integer coordinates over the simple roots, or None off the root lattice."""
@@ -218,29 +211,15 @@ class RootSystem:
         """Coefficient of the i-th simple root in eta (1-based node index)."""
         self._check_node(i)
         c = eta[i - 1]
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError(f"non-integral coefficient {c} at node {i}")
-            return int(c)
+        if c != int(c):
+            raise ValueError(f"non-integral coefficient {c} at node {i}")
         return int(c)
 
     def is_positive_root(self, eta) -> bool:
-        try:
-            key = tuple(int(c) for c in eta)
-        except (TypeError, ValueError):
-            return False
-        if any(Fraction(c) != k for c, k in zip(eta, key)):
-            return False
-        return key in self._pos_set
+        """Whether eta, simple-root coordinates or None, is a positive root."""
+        return eta in self._pos_set
 
     # -- pairings ------------------------------------------------------
-
-    def inner(self, a: Weight, b: Weight) -> Fraction:
-        """Normalized invariant form of two weights in fundamental coordinates."""
-        rb = self.to_root_coords(b)
-        return sum(
-            (rb[j] * a[j]) / self.dcheck[j] for j in range(self.rank)
-        )
 
     def twice_inner_root(self, a: Weight, alpha: tuple[int, ...]) -> int:
         """2*(a, alpha) for a weight a and an integral root-lattice alpha."""
@@ -317,6 +296,6 @@ def build(lietype: LieType) -> RootSystem:
 def parse_type(text: str) -> LieType:
     """Parse a label like 'C3' into a LieType."""
     text = text.strip()
-    if len(text) < 2 or not text[1:].isdigit():
+    if len(text) < 2 or not (text[1:].isascii() and text[1:].isdigit()):
         raise ValueError(f"cannot parse algebra label {text!r}")
     return LieType(text[0].upper(), int(text[1:]))

@@ -87,7 +87,7 @@ class TwistedData(namedtuple("TwistedData", "outer g0 r1_positive phi dsigma kr"
 
 def _short_positive(rs: RootSystem) -> list[tuple[int, ...]]:
     # roots of minimal length; in the simply laced case that is all of them
-    norms = {rc: rs.inner(rs.root_weight(rc), rs.root_weight(rc)) for rc in rs.positive_roots}
+    norms = {rc: rs.twice_inner_root(rs.root_weight(rc), rc) for rc in rs.positive_roots}
     least = min(norms.values())
     return [rc for rc in rs.positive_roots if norms[rc] == least]
 
@@ -141,7 +141,7 @@ def fixed_point_data(outer: OuterType) -> TwistedData:
         two_step = lambda diff: not in_r1(diff)
     else:
         two_step = lambda diff: not in_r1(diff) and not g0.is_positive_root(
-            g0.to_root_coords(diff)
+            g0.int_root_coords(diff)
         )
     base = partial(_base_set_sigma, outer, g0, dsigma)
     kr = KRDatum(g0, dsigma, base, in_r1, two_step, "twisted ")

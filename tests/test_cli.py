@@ -86,6 +86,16 @@ def test_invalid_inputs_exit_2():
     assert run_cli("nonsense").returncode == 2
 
 
+@pytest.mark.parametrize("label", ["C\u00b2", "C\u0663", "B\uff13", "D4\u00b2~"])
+def test_algebra_labels_take_ascii_digits_only(capsys, label):
+    # superscript two, Arabic-Indic three and fullwidth three are digits to
+    # str.isdigit, and int() even reads the last two
+    assert cli.main(["set", "--algebra", label, "--node", "1", "--level", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot parse algebra label {label.rstrip('~')!r}\n"
+
+
 def test_verify_chains_suite():
     proc = run_cli("verify", "chains", "--max-rank", "4")
     assert proc.returncode == 0

@@ -104,7 +104,7 @@ def test_chain_conditions_all_types():
             assert chain[0] == fw(rs, i, rs.dcheck[i - 1])
             for s in range(chain.k):
                 diff = tuple(a - b for a, b in zip(chain[s], chain[s + 1]))
-                assert rs.is_positive_root(rs.to_root_coords(diff))
+                assert rs.is_positive_root(rs.int_root_coords(diff))
 
 
 def test_sort_chain_checks_raise():
@@ -166,7 +166,7 @@ def test_chain_condition_error_reports_pair():
         krset.verify_chain_conditions(
             C2,
             bad,
-            lambda d: C2.is_positive_root(C2.to_root_coords(d)),
+            lambda d: C2.is_positive_root(C2.int_root_coords(d)),
             lambda d: True,
         )
     assert err.value.pair == bad
@@ -221,8 +221,8 @@ def test_pplus_elements_dominant_below_top():
                 for mu in krset.pplus(rs, i, m):
                     assert rs.dominant(mu)
                     diff = tuple(a - b for a, b in zip(top, mu))
-                    rc = rs.to_root_coords(diff)
-                    assert all(c.denominator == 1 and c >= 0 for c in rc)
+                    rc = rs.int_root_coords(diff)
+                    assert rc is not None and all(c >= 0 for c in rc)
 
 
 # ---------------------------------------------------------- reduced expressions

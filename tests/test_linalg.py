@@ -71,16 +71,17 @@ def test_echelon_ordinals_and_coords():
     assert ech.dim == 3
     combo = vec_add(vec_add(v1, v2, -2), v3, 7)
     coords = ech.coords(combo)
-    assert coords == {0: 1, 1: -2, 2: 7}
+    assert coords == ({0: 1, 1: -2, 2: 7}, 1)
     assert ech.coords({3: 1}) is None
-    assert ech.coords(v2) == {1: 1}
+    assert ech.coords(v2) == ({1: 1}, 1)
 
 
 def test_echelon_fractional_pivots():
     ech = Echelon()
     ech.add({0: 2, 1: 4})
+    # 2 * (e0 + 2 e1) = 1 * original_0: the coordinate 1/2 as (1, 2)
     coords = ech.coords({0: 1, 1: 2})
-    assert coords == {0: Fraction(1, 2)}
+    assert coords == ({0: 1}, 2)
 
 
 def test_nullspace_chain_system():
@@ -160,38 +161,31 @@ def _oracle_nullspace(rows, width):
     }
 
 
-def _random_value(rnd):
-    v = rnd.choice([0, 0, 1, -1, 2, -3, 5])
-    if v and rnd.random() < 0.3:
-        return Fraction(v, rnd.choice([2, 3, 4, 6]))
-    return v
+def _random_vector(rnd, width):
+    return {d: x for d in range(width) if (x := rnd.choice([0, 0, 1, -1, 2, -3, 5, 6]))}
 
 
-def _random_system(rnd):
-    """Sparse vectors with int and Fraction entries; about a third are
-    rational combinations of earlier ones, so most systems lose rank."""
+def _random_int_system(rnd):
+    """Sparse int vectors; about a third are integer combinations of
+    earlier ones, so most systems lose rank or span a proper sublattice."""
     width = rnd.randint(1, 7)
     vecs = []
     for _ in range(rnd.randint(1, 9)):
         if vecs and rnd.random() < 0.35:
             acc = {}
             for v in rnd.sample(vecs, min(len(vecs), 2)):
-                acc = vec_add(acc, v, _random_value(rnd) or Fraction(1, 2))
+                acc = vec_add(acc, v, rnd.choice([-3, -2, -1, 1, 2, 5]))
         else:
-            acc = {d: x for d in range(width) if (x := _random_value(rnd))}
+            acc = _random_vector(rnd, width)
         vecs.append(acc)
     return vecs, width
-
-
-def _exact(x):
-    return type(x) is int or x.denominator != 1
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_echelon_matches_fraction_oracle(seed):
     rnd = random.Random(seed)
     for _ in range(40):
-        vecs, width = _random_system(rnd)
+        vecs, width = _random_int_system(rnd)
         ech = Echelon()
         kept = []
         for v in vecs:
@@ -214,24 +208,27 @@ def test_echelon_matches_fraction_oracle(seed):
             for k, c in comb.items():
                 rebuilt = vec_add(rebuilt, kept[k], c)
             assert rebuilt == {d: den * x for d, x in r.items()}
-        probes = vecs + [
-            {d: x for d in range(width) if (x := _random_value(rnd))} for _ in range(4)
-        ]
+        probes = vecs + [_random_vector(rnd, width) for _ in range(4)]
         for probe in probes:
             want = _oracle_solve(kept, probe, width)
             got = ech.coords(probe)
             if want is None:
                 assert got is None
                 continue
-            assert got == {k: c for k, c in enumerate(want) if c != 0}
-            assert all(_exact(c) for c in got.values())
+            x, d = got
+            assert all(type(c) is int for c in [*x.values(), d])
+            assert {k: Fraction(c, d) for k, c in x.items()} == {
+                k: c for k, c in enumerate(want) if c != 0
+            }
+            # d is the least common denominator of the coordinates
+            assert d == math.lcm(*(c.denominator for c in want))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_nullspace_matches_fraction_oracle(seed):
     rnd = random.Random(100 + seed)
     for _ in range(40):
-        rows, width = _random_system(rnd)
+        rows, width = _random_int_system(rnd)
         names = [f"x{d}" for d in range(width)]
         sols = nullspace([{names[d]: c for d, c in row.items()} for row in rows], names)
         want = _oracle_nullspace(rows, width)
@@ -242,22 +239,6 @@ def test_nullspace_matches_fraction_oracle(seed):
             # equal up to scale to the oracle's solution with a 1 at column j
             scale = sol[names[j]]
             assert sol == {names[d]: scale * x for d, x in expect.items()}
-
-
-def _random_int_system(rnd):
-    """Sparse int vectors; about a third are integer combinations of
-    earlier ones, so most systems lose rank or span a proper sublattice."""
-    width = rnd.randint(1, 7)
-    vecs = []
-    for _ in range(rnd.randint(1, 9)):
-        if vecs and rnd.random() < 0.35:
-            acc = {}
-            for v in rnd.sample(vecs, min(len(vecs), 2)):
-                acc = vec_add(acc, v, rnd.choice([-3, -2, -1, 1, 2, 5]))
-        else:
-            acc = {d: x for d in range(width) if (x := rnd.choice([0, 0, 1, -1, 2, -3, 5, 6]))}
-        vecs.append(acc)
-    return vecs, width
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -128,12 +128,10 @@ def test_struct_matches_echelon_oracle(name):
         ech.add(flat(m))
     for a in range(cb.dim_g):
         for b in range(cb.dim_g):
-            want = ech.coords(flat(cb.def_mats[a].bracket(cb.def_mats[b])))
+            want, d = ech.coords(flat(cb.def_mats[a].bracket(cb.def_mats[b])))
             got = cb.struct(a, b)
-            assert got == want
-            assert sorted((z, type(v)) for z, v in got.items()) == sorted(
-                (z, type(v)) for z, v in want.items()
-            )
+            assert d == 1 and got == want
+            assert all(type(v) is int for v in got.values())
 
 
 def test_struct_raises_when_a_bracket_leaves_the_basis():
@@ -207,6 +205,12 @@ def test_highest_module_rejects_bad_weights(monkeypatch):
         modforge.highest_module(rs_of("C3"), (0, 2, 0))
 
 
+def rational_coords(ech, vec):
+    """The coordinates of vec over the originals of ech, as Fractions."""
+    x, d = ech.coords(vec)
+    return {k: Fraction(v, d) for k, v in x.items()}
+
+
 def rational_highest_module(rs, lam):
     """V(lam) on the span basis: the f_i images of the top vector, found
     depth first and kept when independent of their weight block, with e_i
@@ -241,7 +245,7 @@ def rational_highest_module(rs, lam):
                 img = amb.apply((kind, i), vec)
                 if img:
                     ech, members = blocks[tuple(map(move, wts[r], alpha))]
-                    for k, v in ech.coords(img).items():
+                    for k, v in rational_coords(ech, img).items():
                         m.set(members[k], r, v)
     return blocks, mats
 
@@ -264,12 +268,14 @@ def test_highest_module_is_a_change_of_basis_of_the_span(monkeypatch, name, lam)
     assert len(rows) == rep.dim == sum(len(members) for _, members in blocks.values())
     # column j of P is basis vector j over the oracle's basis of its block
     P = SpMat(rep.dim, rep.dim)
-    for j, row in enumerate(rows):
-        ech, members = blocks[rep.basis_weights[j]]
-        for k, v in ech.coords(row).items():
-            P.set(members[k], j, v)
     ech = Echelon()
-    assert all(ech.add(P.col(j)) is not None for j in range(rep.dim))
+    for j, row in enumerate(rows):
+        block, members = blocks[rep.basis_weights[j]]
+        x, d = block.coords(row)
+        for k, v in x.items():
+            P.set(members[k], j, Fraction(v, d))
+        # the columns of P are independent: d times column j is an int vector
+        assert ech.add({members[k]: v for k, v in x.items()}) is not None
     for (kind, i), m in mats.items():
         assert m @ P == P @ rep.gen(kind, i)
 
@@ -429,6 +435,8 @@ def test_intertwiner_matches_hom_dim():
         tgt = modforge.highest_module(rs, lam)
         sols = modforge.intertwiner(rs, src, tgt)
         assert len(sols) == charlib.hom_dim(rs, [achar, (2, 0)], lam)
+        # the maps stay integral, also where a column is solved over Q
+        assert all(type(v) is int for t in sols for _, _, v in t.entries())
         # every solution is genuinely equivariant, column by column
         for t in sols:
             for i in range(1, rs.rank + 1):

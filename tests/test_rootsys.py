@@ -18,6 +18,17 @@ ALL_TYPES = (
 )
 
 
+def root_coords(rs, lam):
+    """The simple-root coordinates of a weight, as Fractions."""
+    return tuple(Fraction(c, rs.root_den) for c in rs.scaled_root_coords(lam))
+
+
+def inner(rs, a, b):
+    """The normalized invariant form of two weights, as a Fraction."""
+    rb = root_coords(rs, b)
+    return sum(rb[j] * a[j] / rs.dcheck[j] for j in range(rs.rank))
+
+
 def weyl_order(lt: LieType) -> int:
     n = lt.rank
     if lt.family == "A":
@@ -74,11 +85,14 @@ def test_theta_norm_and_dcheck():
     for lt in ALL_TYPES:
         rs = build(lt)
         theta_w = rs.root_weight(rs.theta)
-        assert rs.inner(theta_w, theta_w) == 2
+        assert inner(rs, theta_w, theta_w) == 2
+        assert rs.twice_inner_root(theta_w, rs.theta) == 4
         for j, alpha in enumerate(rs.simple_ambient):
-            aw = rs.root_weight(tuple(int(k == j) for k in range(rs.rank)))
-            norm = rs.inner(aw, aw)
+            simple = tuple(int(k == j) for k in range(rs.rank))
+            aw = rs.root_weight(simple)
+            norm = inner(rs, aw, aw)
             assert norm == Fraction(2, rs.dcheck[j])
+            assert rs.twice_inner_root(aw, simple) == 2 * norm
             assert rs.dcheck[j] in (1, 2)
 
 
@@ -132,9 +146,12 @@ def test_epsilon_rejects_fractional():
 
 def test_to_root_coords_examples():
     a1 = build(LieType("A", 1))
-    assert a1.to_root_coords((1,)) == (Fraction(1, 2),)
+    assert root_coords(a1, (1,)) == (Fraction(1, 2),)
+    assert a1.scaled_root_coords((1,)) == (1,) and a1.root_den == 2
+    assert a1.int_root_coords((1,)) is None
     c2 = build(LieType("C", 2))
-    assert c2.to_root_coords((2, 0)) == (Fraction(2), Fraction(1))
+    assert root_coords(c2, (2, 0)) == (Fraction(2), Fraction(1))
+    assert c2.int_root_coords((2, 0)) == (2, 1)
 
 
 def test_root_coords_round_trip():
@@ -143,7 +160,7 @@ def test_root_coords_round_trip():
         rs = build(lt)
         for _ in range(10):
             lam = tuple(rng.randrange(-3, 4) for _ in range(rs.rank))
-            rc = rs.to_root_coords(lam)
+            rc = root_coords(rs, lam)
             back = tuple(
                 sum(rc[k] * rs.cartan[k][i] for k in range(rs.rank))
                 for i in range(rs.rank)
@@ -156,15 +173,17 @@ def test_root_weight_matches_positive_roots():
         rs = build(lt)
         for alpha in rs.positive_roots:
             w = rs.root_weight(alpha)
-            assert rs.to_root_coords(w) == tuple(Fraction(c) for c in alpha)
-            assert rs.is_positive_root(rs.to_root_coords(w))
+            assert rs.int_root_coords(w) == alpha
+            assert rs.is_positive_root(rs.int_root_coords(w))
 
 
 def test_is_positive_root_rejects():
     rs = build(LieType("C", 2))
     assert not rs.is_positive_root((Fraction(1, 2), Fraction(1)))
     assert not rs.is_positive_root((-1, 0))
+    assert not rs.is_positive_root(None)
     assert rs.is_positive_root((2, 1))
+    assert rs.is_positive_root((Fraction(2), Fraction(1)))
 
 
 # ---------------------------------------------------------------- Weyl action
@@ -201,7 +220,7 @@ def test_reflection_preserves_inner():
             a = tuple(rng.randrange(-2, 3) for _ in range(rs.rank))
             b = tuple(rng.randrange(-2, 3) for _ in range(rs.rank))
             i = rng.randrange(1, rs.rank + 1)
-            assert rs.inner(reflect(rs, a, i), reflect(rs, b, i)) == rs.inner(a, b)
+            assert inner(rs, reflect(rs, a, i), reflect(rs, b, i)) == inner(rs, a, b)
 
 
 def test_orbit_c2_example():
@@ -268,9 +287,9 @@ def test_root_coords_match_fraction_oracle():
         for _ in range(40):
             lam = tuple(rng.randrange(-6, 7) for _ in range(n))
             want = tuple(sum(inv[i][j] * lam[j] for j in range(n)) for i in range(n))
-            got = rs.to_root_coords(lam)
-            assert got == want
-            assert all(type(c) is Fraction for c in got)
+            got = rs.scaled_root_coords(lam)
+            assert got == tuple(c * rs.root_den for c in want)
+            assert all(type(c) is int for c in got)
             ints = rs.int_root_coords(lam)
             if all(c.denominator == 1 for c in want):
                 assert ints == tuple(int(c) for c in want)

@@ -4,6 +4,8 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -72,16 +74,72 @@ def test_only_dimension_guard_reads_the_environment():
     assert found == allowed
 
 
-def test_modforge_imports_nothing_from_fractions():
-    # every module matrix is an int matrix on the Kostant lattice
-    tree = ast.parse((SRC / "modforge.py").read_text())
-    found = [
-        node.lineno
+def imports_of(module):
+    """file:line of every import of `module` or a submodule of it."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path, tree in parsed_sources()
         for node in ast.walk(tree)
-        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
-        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+        for name in (
+            [node.module or ""] if isinstance(node, ast.ImportFrom)
+            else [a.name for a in node.names] if isinstance(node, ast.Import)
+            else []
+        )
+        if name.split(".")[0] == module
     ]
-    assert found == []
+
+
+def test_no_module_imports_fractions():
+    # krlib computes over Z: every value it builds is an int, and a rational
+    # is an int vector over one denominator (linalg.Echelon.coords)
+    assert imports_of("fractions") == []
+
+
+def _fraction_solve(columns, target):
+    """x with sum_k x[k] * columns[k] == target, by Gauss-Jordan over
+    Fraction, for independent columns and a target in their span."""
+    n = len(columns)
+    mat = [[Fraction(col[d]) for col in columns] + [Fraction(t)] for d, t in enumerate(target)]
+    for c in range(n):
+        p = next(r for r in range(c, len(mat)) if mat[r][c])
+        mat[c], mat[p] = mat[p], mat[c]
+        mat[c] = [x / mat[c][c] for x in mat[c]]
+        for r in range(len(mat)):
+            if r != c and mat[r][c]:
+                f = mat[r][c]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
+    assert not any(row[n] for row in mat[n:])
+    return [row[n] for row in mat[:n]]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)],
+)
+def test_root_data_match_a_fraction_computation(name):
+    rs = rootsys.build(rootsys.parse_type(name))
+    n = rs.rank
+    simple = rs.simple_ambient
+    pos = []
+    for v in rootsys._positive_roots_ambient(rs.type.family, n):
+        coeffs = _fraction_solve(simple, v)
+        assert all(c.denominator == 1 and c >= 0 for c in coeffs)
+        pos.append(tuple(int(c) for c in coeffs))
+    pos.sort(key=lambda c: (sum(c), c))
+    assert rs.positive_roots == tuple(pos)
+    # dcheck_j = |theta|^2 / |alpha_j|^2 in the ambient coordinates
+    theta = [sum(c * a[d] for c, a in zip(pos[-1], simple)) for d in range(len(simple[0]))]
+    norm = lambda v: sum(x * x for x in v)
+    assert rs.dcheck == tuple(Fraction(norm(theta), norm(a)) for a in simple)
+    # row i of inv(cartan^T): e_i over the columns of the Cartan matrix
+    columns = [[rs.cartan[k][j] for k in range(n)] for j in range(n)]
+    inv = [_fraction_solve(columns, [int(k == i) for k in range(n)]) for i in range(n)]
+    den = lcm(*(x.denominator for row in inv for x in row))
+    assert rs.root_den == den
+    assert rs._inv_num == tuple(tuple(x * den for x in row) for row in inv)
+    assert all(type(x) is int for x in (rs.root_den, *rs.dcheck, *sum(rs._inv_num, ())))
 
 
 def test_relation_checks_use_the_one_product_kernel():
@@ -112,23 +170,13 @@ def test_relation_checks_use_the_one_product_kernel():
 def test_no_module_imports_dataclasses():
     # records are named tuples or plain __slots__ classes: the dataclasses
     # import and its decorators cost more than the rest of krlib's start-up
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path, tree in parsed_sources()
-        for node in ast.walk(tree)
-        for name in (
-            [node.module or ""] if isinstance(node, ast.ImportFrom)
-            else [a.name for a in node.names] if isinstance(node, ast.Import)
-            else []
-        )
-        if name.split(".")[0] == "dataclasses"
-    ]
-    assert found == []
+    assert imports_of("dataclasses") == []
 
 
 def test_cli_import_loads_no_introspection_modules():
     # a clean interpreter (-S: no site hooks) importing the CLI, as every
-    # `kr` process does; these modules only come in through dataclasses
+    # `kr` process does; the first five only come in through dataclasses,
+    # the last three through fractions
     code = "import sys, krlib.cli; print(' '.join(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
@@ -136,7 +184,8 @@ def test_cli_import_loads_no_introspection_modules():
     )
     loaded = set(proc.stdout.split())
     assert "krlib.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+    forbidden = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "numbers"}
+    assert loaded & forbidden == set()
 
 
 def _records():

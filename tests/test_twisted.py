@@ -81,7 +81,7 @@ def test_r1_contents():
     # A_even: R0+ plus doubled short roots
     b2 = A4.g0
     shorts = [rc for rc in b2.positive_roots
-              if b2.inner(b2.root_weight(rc), b2.root_weight(rc)) == 1]
+              if b2.twice_inner_root(b2.root_weight(rc), rc) == 2]
     assert set(b2.positive_roots) <= A4.r1_positive
     for rc in shorts:
         assert tuple(2 * c for c in rc) in A4.r1_positive
@@ -90,7 +90,7 @@ def test_r1_contents():
     c3 = A5.g0
     assert A5.r1_positive == frozenset(
         rc for rc in c3.positive_roots
-        if c3.inner(c3.root_weight(rc), c3.root_weight(rc)) == 1
+        if c3.twice_inner_root(c3.root_weight(rc), rc) == 2
     )
     assert len(D4.r1_positive) == 3  # e_1, e_2, e_3 in B_3
     assert A2.r1_positive == frozenset([(1,), (2,)])
@@ -184,8 +184,8 @@ def test_pplus_sigma_dominant_and_below():
                 for mu in krset.kr_pplus(data.kr, i, m):
                     assert g0.dominant(mu)
                     diff = tuple(a - b for a, b in zip(top, mu))
-                    rc = g0.to_root_coords(diff)
-                    assert all(c.denominator == 1 and c >= 0 for c in rc)
+                    rc = g0.int_root_coords(diff)
+                    assert rc is not None and all(c >= 0 for c in rc)
 
 
 # -------------------------------------------------- grading and ev predicate
