@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import chain
 from math import prod
 from operator import add, mul
 from types import MappingProxyType
@@ -36,14 +35,10 @@ def dimension_guard() -> int:
     env = os.environ.get("KR_MAX_DIM")
     if not env:
         return DEFAULT_MAX_DIM
-    bad = ValueError(f"KR_MAX_DIM must be a positive integer, got {env!r}")
-    try:
-        value = int(env)
-    except ValueError:
-        raise bad from None
-    if value <= 0:
-        raise bad
-    return value
+    # int() would also take " 50", "+50", "1_000" and non-ASCII digits
+    if not (env.isascii() and env.isdigit()) or int(env) == 0:
+        raise ValueError(f"KR_MAX_DIM must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _require_dominant(rs: RootSystem, lam: Weight, what: str = "weight") -> None:
@@ -303,36 +298,26 @@ def adjoint_char(rs: RootSystem) -> WeightCharacter:
 
 
 def hom_dim(rs: RootSystem, factors, target: Weight) -> int:
-    """Multiplicity of V(target) in the tensor product of the factors.
+    """Multiplicity of V(target) in X (x) V(lam), for factors = (X, lam).
 
-    Each factor is either a dominant Weight or an explicit weight character.
-    By complete reducibility this is dim Hom(tensor product, V(target)).
+    X is a dominant weight or a weight character, lam a dominant weight.  By
+    complete reducibility this is dim Hom(X (x) V(lam), V(target)).  Klimyk
+    expands the character of X over V(lam); when X is a weight, it expands
+    the weight of smaller Weyl dimension instead, lam on a tie.
     """
+    x, lam = factors
     _require_dominant(rs, target, "target")
-    weights = [f for f in factors if isinstance(f, tuple)]
-    chars = [f for f in factors if not isinstance(f, tuple)]
-    for lam in weights:
-        _require_dominant(rs, lam, "factor")
-    if not weights and not chars:
-        return int(target == rs.zero())
-
-    base: Weight | None = None
-    if weights:
-        base = max(weights, key=lambda w: weyl_dim(rs, w))
-        weights.remove(base)
-
-    rest: WeightCharacter = {rs.zero(): 1}
+    if isinstance(x, tuple):
+        _require_dominant(rs, x, "factor")
+    _require_dominant(rs, lam, "factor")
     guard = dimension_guard()
-    for chi in chain((weight_mults(rs, lam) for lam in weights), chars):
-        rest = char_product(rest, chi)
-        if len(rest) > guard:
-            raise DimensionGuardError("intermediate character exceeds the guard")
-
-    if base is None:
-        # no weight factor left: read the multiplicity off a full decomposition
-        return decompose_character(rs, rest).get(target, 0)
-
-    total = _klimyk(rs, base, rest).get(target, 0)
+    if isinstance(x, tuple):
+        if weyl_dim(rs, x) >= weyl_dim(rs, lam):
+            x, lam = lam, x
+        x = weight_mults(rs, x)
+    if len(x) > guard:
+        raise DimensionGuardError("intermediate character exceeds the guard")
+    total = _klimyk(rs, lam, x).get(target, 0)
     if total < 0:
         raise TheoremCheckError(f"multiplicity of V({target}) came out as {total}")
     return total

@@ -21,7 +21,7 @@ from .errors import (
     ScopeError,
     TheoremCheckError,
 )
-from .rootsys import RootSystem, build, parse_type
+from .rootsys import LieType, RootSystem, build, parse_type
 from .twisted import TwistedData
 
 
@@ -35,6 +35,10 @@ def parse_algebra(text: str, force_twisted: bool = False):
     if tw or force_twisted:
         return twisted.fixed_point_data(twisted.outer_from_ambient(lt.family, lt.rank))
     return build(lt)
+
+
+def _label(alg) -> str:
+    return alg.outer.label if isinstance(alg, TwistedData) else str(alg.type)
 
 
 def _graded(alg, node: int, level: int):
@@ -79,7 +83,7 @@ def cmd_char(args) -> int:
         poly.append(dim_s)
         total += dim_s
     payload = {
-        "algebra": alg.outer.label if isinstance(alg, TwistedData) else str(alg.type),
+        "algebra": _label(alg),
         "node": args.node,
         "level": args.level,
         "grades": grades,
@@ -122,45 +126,63 @@ class _Report:
         print(line, flush=True)
 
 
-def _untwisted_sweep(max_rank: int) -> list[RootSystem]:
-    out = []
-    starts = {"A": 1, "B": 2, "C": 2, "D": 3}
+def _rootsystems(max_rank: int):
+    """Every RootSystem of rank at most max_rank, family by family, each
+    built when the caller reaches it."""
     for fam in "ABCD":
-        for r in range(starts[fam], max_rank + 1):
-            out.append(build(parse_type(f"{fam}{r}")))
-    return out
+        for r in range(1, max_rank + 1):
+            try:
+                lt = LieType(fam, r)
+            except ValueError:  # below the family's minimum rank
+                continue
+            yield build(lt)
 
 
-def _twisted_sweep(max_ambient: int) -> list[TwistedData]:
-    out = []
-    for r in range(2, max_ambient + 1):
-        out.append(twisted.fixed_point_data(twisted.outer_from_ambient("A", r)))
-    for r in range(3, max_ambient + 1):
-        out.append(twisted.fixed_point_data(twisted.outer_from_ambient("D", r)))
-    return out
+def _sweep(max_rank: int):
+    """_rootsystems(max_rank), then every TwistedData of ambient rank at most
+    max_rank, each built when the caller reaches it."""
+    yield from _rootsystems(max_rank)
+    for fam in "AD":
+        for r in range(1, max_rank + 1):
+            try:
+                outer = twisted.outer_from_ambient(fam, r)
+            except ValueError:  # no diagram automorphism at this rank
+                continue
+            yield twisted.fixed_point_data(outer)
+
+
+def _listed(labels, max_rank: int):
+    """The algebras of the labels whose rank is at most max_rank, in order,
+    each built when the caller reaches it."""
+    for label in labels:
+        if parse_type(label.rstrip("~")).rank <= max_rank:
+            yield parse_algebra(label)
+
+
+def _chain(alg, i: int) -> krset.GradedChain:
+    if isinstance(alg, TwistedData):
+        return twisted.enumerate_chain_sigma(alg, i)
+    return krset.enumerate_chain(alg, i)
 
 
 def suite_chains(rep: _Report, args) -> None:
-    max_rank = args.max_rank or 5
-    for rs in _untwisted_sweep(max_rank):
-        for i in range(1, rs.rank + 1):
-            rep.run(
-                f"chain {rs.type} node {i}",
-                lambda a=rs, j=i: f"k={krset.enumerate_chain(a, j).k}",
-            )
-    for data in _twisted_sweep(max_rank):
-        for i in range(1, data.g0.rank + 1):
-            rep.run(
-                f"chain {data.outer.label} node {i}",
-                lambda a=data, j=i: f"k={twisted.enumerate_chain_sigma(a, j).k}",
-            )
+    for alg in _sweep(args.max_rank or 5):
+        rank = alg.g0.rank if isinstance(alg, TwistedData) else alg.rank
+        for i in range(1, rank + 1):
+            rep.run(f"chain {_label(alg)} node {i}", lambda a=alg, j=i: f"k={_chain(a, j).k}")
 
 
-_HOM_UNTWISTED = ["C2", "C3", "C4", "C5", "B3", "B4", "B5", "D4", "D5"]
-_HOM_TWISTED = ["A3", "A4", "A5", "A6", "D3", "D4", "D5"]
+_HOM_SWEEP = (
+    "C2", "C3", "C4", "C5", "B3", "B4", "B5", "D4", "D5",
+    "A3~", "A4~", "A5~", "A6~", "D3~", "D4~", "D5~",
+)
 
 
-def _hom_line(r: homcheck.HomReport) -> str:
+def _hom_line(alg, i: int) -> str:
+    if isinstance(alg, TwistedData):
+        r = homcheck.cond_twisted(alg, i)
+    else:
+        r = homcheck.cond_untwisted(alg, i)
     parts = [f"one-step Hom dims {r.next_step}"]
     if r.two_step:
         parts.append(f"two-step Hom = {r.two_step}")
@@ -171,63 +193,30 @@ def _hom_line(r: homcheck.HomReport) -> str:
 
 def suite_homs(rep: _Report, args) -> None:
     if args.algebra:
-        alg = parse_algebra(args.algebra, args.twisted)
-        if isinstance(alg, TwistedData):
-            nodes = [args.node] if args.node else range(1, alg.g0.rank + 1)
-            for i in nodes:
-                rep.run(
-                    f"homs {alg.outer.label} node {i}",
-                    lambda a=alg, j=i: _hom_line(homcheck.cond_twisted(a, j)),
-                )
+        algs = [parse_algebra(args.algebra, args.twisted)]
+    else:
+        algs = _listed(_HOM_SWEEP, args.max_rank or 6)
+    for alg in algs:
+        if args.node:
+            nodes = [args.node]
+        elif isinstance(alg, TwistedData):
+            nodes = range(1, alg.g0.rank + 1)
         else:
-            nodes = [args.node] if args.node else krset.construction_nodes(alg)
-            for i in nodes:
-                rep.run(
-                    f"homs {alg.type} node {i}",
-                    lambda a=alg, j=i: _hom_line(homcheck.cond_untwisted(a, j)),
-                )
-        return
-    cap = args.max_rank or 6
-    for name in _HOM_UNTWISTED:
-        rs = build(parse_type(name))
-        if rs.rank > cap:
-            continue
-        for i in krset.construction_nodes(rs):
-            rep.run(
-                f"homs {rs.type} node {i}",
-                lambda a=rs, j=i: _hom_line(homcheck.cond_untwisted(a, j)),
-            )
-    for name in _HOM_TWISTED:
-        lt = parse_type(name)
-        if lt.rank > cap:
-            continue
-        data = twisted.fixed_point_data(twisted.outer_from_ambient(lt.family, lt.rank))
-        for i in range(1, data.g0.rank + 1):
-            rep.run(
-                f"homs {data.outer.label} node {i}",
-                lambda a=data, j=i: _hom_line(homcheck.cond_twisted(a, j)),
-            )
+            nodes = krset.construction_nodes(alg)
+        for i in nodes:
+            rep.run(f"homs {_label(alg)} node {i}", lambda a=alg, j=i: _hom_line(a, j))
+
+
+def _wedge_line(alg) -> str:
+    if isinstance(alg, TwistedData):
+        return f"decomposition {dict(homcheck.wedge_g1_decomp(alg).decomposition)}"
+    return f"nu = {homcheck.wedge_adjoint_nu(alg)}"
 
 
 def suite_wedge(rep: _Report, args) -> None:
-    cap = args.max_rank or 6
-    for name in _HOM_UNTWISTED:
-        rs = build(parse_type(name))
-        if rs.rank > cap:
-            continue
-        rep.run(
-            f"wedge adjoint {rs.type}",
-            lambda a=rs: f"nu = {homcheck.wedge_adjoint_nu(a)}",
-        )
-    for name in _HOM_TWISTED:
-        lt = parse_type(name)
-        if lt.rank > cap:
-            continue
-        data = twisted.fixed_point_data(twisted.outer_from_ambient(lt.family, lt.rank))
-        rep.run(
-            f"wedge g1 {data.outer.label}",
-            lambda a=data: f"decomposition {dict(homcheck.wedge_g1_decomp(a).decomposition)}",
-        )
+    for alg in _listed(_HOM_SWEEP, args.max_rank or 6):
+        kind = "g1" if isinstance(alg, TwistedData) else "adjoint"
+        rep.run(f"wedge {kind} {_label(alg)}", lambda a=alg: _wedge_line(a))
 
 
 _MODFORGE_DEFAULT = [
@@ -278,7 +267,7 @@ def suite_modforge(rep: _Report, args) -> None:
 def suite_tensor_bound(rep: _Report, args) -> None:
     max_rank = args.max_rank or 4
     max_level = args.max_level or 4
-    for rs in _untwisted_sweep(max_rank):
+    for rs in _rootsystems(max_rank):
         for i in range(1, rs.rank + 1):
             for m in range(1, max_level + 1):
                 rep.run(

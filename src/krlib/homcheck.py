@@ -2,10 +2,12 @@
 
 Every check here is a multiplicity count: by complete reducibility the
 dimension of a Hom space out of a tensor product equals the multiplicity of
-the target in the product.  The chain constructions need the one-step Homs to
-be nonzero and the two-step (and, in the twisted D case, three-step) Homs to
-vanish; the exterior-square decompositions pin down the module V(nu) whose
-vanishing carries the two-step condition.
+the target in the product.  g[t] and g[t]^sigma share one walk: a chain of
+weights steps down through the g0-module g1 (g itself when untwisted), each
+one-step Hom out of g1 (x) V(mu_s) must be nonzero, and the Homs two steps
+down out of ext^2(g1) (x) V(mu_s) -- three steps down out of fixed probes
+for the D automorphisms -- must vanish.  The exterior-square decompositions
+pin down the module V(nu) whose vanishing carries the two-step condition.
 """
 
 from __future__ import annotations
@@ -42,11 +44,25 @@ class WedgeReport(namedtuple("WedgeReport", "label decomposition nu")):
         return dict(self.decomposition)
 
 
-def _hom(rs: RootSystem, factors, target: Weight, pair) -> int:
-    try:
-        return charlib.hom_dim(rs, factors, target)
-    except DimensionGuardError as err:
-        raise DimensionGuardError(f"{err} while pairing {pair}") from err
+def _walk(rs: RootSystem, chain, gap: int, factors, word: str = "") -> tuple[int, ...]:
+    """Hom dimensions from each factor (x) V(chain[s]) to V(chain[s + gap]),
+    for every s and then every factor: nonzero at gap 1, where word names g1
+    in the message, zero at gaps 2 and 3."""
+    dims = []
+    for s in range(len(chain) - gap):
+        a, b = chain[s], chain[s + gap]
+        for x in factors:
+            try:
+                d = charlib.hom_dim(rs, [x, a], b)
+            except DimensionGuardError as err:
+                raise DimensionGuardError(f"{err} while pairing {(a, b)}") from err
+            if gap == 1 and d < 1:
+                raise TheoremCheckError(f"{word} step {a} -> {b} has Hom dimension 0")
+            if gap > 1 and d != 0:
+                steps = "two-step" if gap == 2 else "three-step"
+                raise TheoremCheckError(f"{steps} Hom {a} -> {b} is {d}, expected 0")
+            dims.append(d)
+    return tuple(dims)
 
 
 def cond_untwisted(rs: RootSystem, i: int) -> HomReport:
@@ -56,24 +72,21 @@ def cond_untwisted(rs: RootSystem, i: int) -> HomReport:
         raise ValueError(f"node {i} of {rs.type} is not a construction node")
     chain = krset.enumerate_chain(rs, i).weights
     adj = charlib.adjoint_char(rs)
-    nxt = []
-    for s in range(len(chain) - 1):
-        d = _hom(rs, [adj, chain[s]], chain[s + 1], (chain[s], chain[s + 1]))
-        if d < 1:
-            raise TheoremCheckError(
-                f"adjoint step {chain[s]} -> {chain[s + 1]} has Hom dimension 0"
-            )
-        nxt.append(d)
-    wedge = charlib.ext_square(rs, adj)
-    two = []
-    for s in range(len(chain) - 2):
-        d = _hom(rs, [wedge, chain[s]], chain[s + 2], (chain[s], chain[s + 2]))
-        if d != 0:
-            raise TheoremCheckError(
-                f"two-step Hom {chain[s]} -> {chain[s + 2]} is {d}, expected 0"
-            )
-        two.append(d)
-    return HomReport(f"{rs.type.family}{rs.rank} node {i}", chain, tuple(nxt), tuple(two))
+    nxt = _walk(rs, chain, 1, [adj], "adjoint")
+    two = _walk(rs, chain, 2, [charlib.ext_square(rs, adj)])
+    return HomReport(f"{rs.type.family}{rs.rank} node {i}", chain, nxt, two)
+
+
+def _wedge_check(rs: RootSystem, g1, nu: Weight | None, what: str) -> dict[Weight, int]:
+    """Decompose ext^2 of the character g1 and require the adjoint of rs plus
+    V(nu), or the adjoint alone when nu is None."""
+    got = charlib.decompose_character(rs, charlib.ext_square(rs, g1))
+    want = {rs.root_weight(rs.theta): 1}
+    if nu is not None:
+        want[nu] = 1
+    if got != want:
+        raise TheoremCheckError(f"{what} decomposes as {got}, expected {want}")
+    return got
 
 
 _NU_SPECIAL = {("B", 3): (1, 0, 2), ("D", 4): (1, 0, 1, 1)}
@@ -91,12 +104,7 @@ def wedge_adjoint_nu(rs: RootSystem) -> Weight:
         if rs.rank < 3:
             raise ValueError(f"no listed nu for {rs.type}")
         nu = tuple(1 if j in (0, 2) else 0 for j in range(rs.rank))
-    got = charlib.decompose_character(rs, charlib.ext_square(rs, charlib.adjoint_char(rs)))
-    want = {rs.root_weight(rs.theta): 1, nu: 1}
-    if got != want:
-        raise TheoremCheckError(
-            f"ext^2(adjoint) of {rs.type} decomposes as {got}, expected {want}"
-        )
+    _wedge_check(rs, charlib.adjoint_char(rs), nu, f"ext^2(adjoint) of {rs.type}")
     return nu
 
 
@@ -119,16 +127,9 @@ def wedge_g1_decomp(data: twisted.TwistedData) -> WedgeReport:
     """Decompose ext^2 of the odd part as a g0-module and compare with the
     adjoint-plus-nu pattern."""
     g0 = data.g0
-    chi = charlib.ext_square(g0, charlib.weight_mults(g0, data.phi))
-    got = charlib.decompose_character(g0, chi)
     nu = wedge_g1_nu(data)
-    want = {g0.root_weight(g0.theta): 1}
-    if nu is not None:
-        want[nu] = want.get(nu, 0) + 1
-    if got != want:
-        raise TheoremCheckError(
-            f"ext^2(g1) of {data.outer.label} decomposes as {got}, expected {want}"
-        )
+    g1 = charlib.weight_mults(g0, data.phi)
+    got = _wedge_check(g0, g1, nu, f"ext^2(g1) of {data.outer.label}")
     return WedgeReport(data.outer.label, tuple(sorted(got.items())), nu)
 
 
@@ -138,48 +139,21 @@ def cond_twisted(data: twisted.TwistedData, i: int) -> HomReport:
     Homs vanish."""
     g0 = data.g0
     chain = twisted.enumerate_chain_sigma(data, i).weights
-    nxt = []
-    for s in range(len(chain) - 1):
-        d = _hom(g0, [data.phi, chain[s]], chain[s + 1], (chain[s], chain[s + 1]))
-        if d < 1:
-            raise TheoremCheckError(
-                f"odd-part step {chain[s]} -> {chain[s + 1]} has Hom dimension 0"
-            )
-        nxt.append(d)
-    two = []
-    three = []
-    if data.outer.family in ("A_odd", "A_even"):
+    label = f"{data.outer.label} node {i}"
+    nxt = _walk(g0, chain, 1, [data.phi], "odd-part")
+    if data.outer.family != "D":
         wedge = charlib.ext_square(g0, charlib.weight_mults(g0, data.phi))
-        for s in range(len(chain) - 2):
-            d = _hom(g0, [wedge, chain[s]], chain[s + 2], (chain[s], chain[s + 2]))
-            if d != 0:
-                raise TheoremCheckError(
-                    f"two-step Hom {chain[s]} -> {chain[s + 2]} is {d}, expected 0"
-                )
-            two.append(d)
-    else:
-        # ext^2(g1) is the g0 adjoint here, so the two-step condition has no
-        # nu constituent to test; the three-step checks carry the burden.
-        wedge_g1_decomp(data)
-        n = data.outer.n
-        probes = [g0.fundamental(1)]
-        if n >= 3:
-            probes.append(
-                tuple(a + b for a, b in zip(g0.fundamental(1), g0.fundamental(2)))
-            )
-        for s in range(len(chain) - 3):
-            for nu in probes:
-                d = _hom(g0, [nu, chain[s]], chain[s + 3], (chain[s], chain[s + 3]))
-                if d != 0:
-                    raise TheoremCheckError(
-                        f"three-step Hom {chain[s]} -> {chain[s + 3]} is {d}, expected 0"
-                    )
-                three.append(d)
-        if n > 3:
-            triple_decomp(data)
-    return HomReport(
-        f"{data.outer.label} node {i}", chain, tuple(nxt), tuple(two), tuple(three)
-    )
+        return HomReport(label, chain, nxt, _walk(g0, chain, 2, [wedge]))
+    # ext^2(g1) is the g0 adjoint here, so the two-step condition has no
+    # nu constituent to test; the three-step checks carry the burden.
+    wedge_g1_decomp(data)
+    probes = [g0.fundamental(1)]
+    if data.outer.n >= 3:
+        probes.append(tuple(a + b for a, b in zip(g0.fundamental(1), g0.fundamental(2))))
+    three = _walk(g0, chain, 3, probes)
+    if data.outer.n > 3:
+        triple_decomp(data)
+    return HomReport(label, chain, nxt, (), three)
 
 
 def triple_decomp(data: twisted.TwistedData) -> dict[Weight, int]:

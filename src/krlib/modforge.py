@@ -775,7 +775,7 @@ def _check_tsquare(cm: CurrentModule) -> int:
     return pairs
 
 
-def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | None = None) -> RelationReport:
+def verify_current_relations(cm: CurrentModule) -> RelationReport:
     """Exact matrix verification of the current-algebra structure and of the
     defining relations of KR(m omega_i) on the generator.
 
@@ -787,8 +787,8 @@ def verify_current_relations(cm: CurrentModule, i: int | None = None, m: int | N
     """
     rs = cm.rs
     cb = chevalley(rs)
-    i = cm.node if i is None else i
-    m = cm.level if m is None else m
+    i = cm.node
+    m = cm.level
     D = cb.dim_g
     k = cm.k
     dims = [p.dim for p in cm.pieces]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -235,7 +236,9 @@ def test_small_guard_trips_each_entry_point(monkeypatch, name):
         call()
 
 
-@pytest.mark.parametrize("bad", ["abc", "-5", "0", "2.5"])
+@pytest.mark.parametrize(
+    "bad", ["abc", "-5", "0", "2.5", "\uff15", "\u0665\u0660", "1_000", " 50 ", "+50"]
+)
 def test_dimension_guard_rejects_bad_env(monkeypatch, bad):
     from krlib import cli
 
@@ -299,6 +302,15 @@ def test_hom_dim_adjoint_example():
     assert charlib.hom_dim(C2, [theta, (2, 0)], (0, 0)) == 1
 
 
+def test_hom_dim_expands_the_second_weight_on_a_tie(monkeypatch):
+    # V(1,0) and V(0,1) of A2 both have dimension 3: the first factor stays
+    # the Klimyk base, so the guard names the second
+    monkeypatch.setenv("KR_MAX_DIM", "2")
+    for a, b in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
+        with pytest.raises(DimensionGuardError, match=re.escape(f"dim V({b}) = 3")):
+            charlib.hom_dim(A2, [a, b], (0, 0))
+
+
 def test_hom_dim_matches_full_decomposition():
     rng = random.Random(53)
     for rs in (C2, B3, D4):
@@ -311,10 +323,3 @@ def test_hom_dim_matches_full_decomposition():
         probe = (7,) * rs.rank
         assert charlib.hom_dim(rs, [a, b], probe) == dec.get(probe, 0)
         assert missing == probe
-
-
-def test_hom_dim_empty_and_single():
-    assert charlib.hom_dim(C2, [], (0, 0)) == 1
-    assert charlib.hom_dim(C2, [], (1, 0)) == 0
-    assert charlib.hom_dim(C2, [(2, 0)], (2, 0)) == 1
-    assert charlib.hom_dim(C2, [(2, 0)], (0, 1)) == 0

@@ -332,3 +332,31 @@ def test_verify_modforge_matches_recorded_digest(capsys):
     record = [argv, code, capsys.readouterr().out]
     assert code == 0
     assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == MODFORGE_DIGEST
+
+
+# sha256 of the (argv, exit code, stdout) records of the chains, homs and
+# wedge sweeps, two single-algebra homs runs and a homs sweep under a guard
+# of 20, recorded before the untwisted and twisted sweeps shared one loop
+SWEEPS_DIGEST = "1c95aa3e2c38c2fb0a8fa6597f8dc394bb7df4a7c31ed78a26b6c7739d1cc522"
+
+SWEEP_RUNS = [
+    (["verify", "chains"], None),
+    (["verify", "homs"], None),
+    (["verify", "wedge"], None),
+    (["verify", "homs", "--algebra", "A5~"], None),
+    (["verify", "homs", "--algebra", "D5~"], None),
+    (["verify", "homs"], "20"),
+]
+
+
+def test_verify_sweeps_match_recorded_digest(monkeypatch, capsys):
+    records = []
+    for argv, guard in SWEEP_RUNS:
+        if guard is None:
+            monkeypatch.delenv("KR_MAX_DIM", raising=False)
+        else:
+            monkeypatch.setenv("KR_MAX_DIM", guard)
+        code = cli.main(argv)
+        records.append([argv, guard, code, capsys.readouterr().out])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == SWEEPS_DIGEST
