@@ -5,8 +5,9 @@ Chevalley basis of g (integer structure constants) by iterated brackets of
 the Chevalley generators, realize V(mu) on its Kostant lattice U_Z^- v+
 inside tensor products of wedge powers, solve the intertwiner
 g (x) V_s -> V_{s+1} one weight space of V_{s+1} at a time (a nullspace for
-the top weight, then a downward sweep through the e_i, checked against the
-f_i and the character count of the Hom space), and assemble the graded
+the top weight, then a downward sweep through the e_i, f-equivariant by a
+lemma whose premises are checked on the factors, with the dimension of the
+Hom space checked against its character count), and assemble the graded
 module with x(x)t acting through the normalized intertwiners.  Every
 matrix of a module is an int matrix: each step that relies on Kostant's
 integrality theorem divides exactly or raises TheoremCheckError.
@@ -529,6 +530,29 @@ def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
     return MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(hh), tuple(basis_wts), 0, lam)
 
 
+def _check_generators(rs: RootSystem, slot, what: str) -> None:
+    """The premises intertwiner needs of one tensor_rep factor: e_j moves
+    every basis weight by +alpha_j, f_i by -alpha_i, and [e_j, f_i] =
+    delta_ij h_i, with h_i the diagonal of the weights, as one residue each.
+    A failure raises TheoremCheckError naming `what`."""
+    _, weights, cols = slot
+    tabs = {}
+    for kind, sign in (("e", 1), ("f", -1)):
+        for i, alpha in enumerate(rs.cartan, start=1):
+            tab = tabs[kind, i] = {c: dict(pairs) for c, pairs in cols((kind, i)).items()}
+            for c, col in tab.items():
+                want = tuple(w + sign * a for w, a in zip(weights[c], alpha))
+                if any(weights[r] != want for r in col):
+                    raise TheoremCheckError(f"{kind}_{i} of {what} does not move weights by alpha_{i}")
+    row_tabs = {op: rows(tab) for op, tab in tabs.items()}
+    for i in range(1, rs.rank + 1):
+        h = [(-1, {c: {c: wt[i - 1]} for c, wt in enumerate(weights)})]
+        for j in range(1, rs.rank + 1):
+            products = ((1, tabs["e", j], row_tabs["f", i]), (-1, tabs["f", i], row_tabs["e", j]))
+            if any(residue(len(weights), products, h if i == j else ()).values()):
+                raise TheoremCheckError(f"[e_{j}, f_{i}] of {what} is not delta h")
+
+
 def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMat]:
     """Basis of the g-equivariant maps from the tensor_rep source M to the
     simple target V(lam), solved one weight space at a time.
@@ -537,23 +561,30 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
     (Humphreys, sections 20-21), so one nullspace over the source columns of
     weight lam gives the top of every map.  Below the top, phi(c) for a
     column c of weight mu is the unique x in V(lam)_mu with e_i x = phi(e_i c)
-    for every i: the weights are visited by increasing depth below lam, so
-    every phi(e_i c) is already known, and x is read off an echelon of the
-    stacked e_i images of V(lam)_mu.  That echelon is injective below the top
-    only if the target is simple, so a dependent insert raises.  A column
-    whose weight V(lam) lacks must have phi(e_i c) = 0, and
-    phi(f_i c) = f_i phi(c) is checked for every column and every i where
-    either side can be nonzero; together with e-equivariance by
-    construction, each returned map is g-equivariant.  The maps are int
-    matrices: when a column is only rational, the whole map is multiplied by
-    the least denominator that clears it, which keeps the maps a basis.
+    for every i: the weights of V(lam) and those one simple root below them
+    are visited by increasing depth below lam, so every phi(e_i c) is already
+    known, and x is read off an echelon of the stacked e_i images of
+    V(lam)_mu, empty where V(lam) lacks mu.  That echelon is injective below
+    the top only if the target is simple, so a dependent insert raises.  The
+    maps are int matrices: when a column is only rational, the whole map is
+    multiplied by the least denominator that clears it, which keeps the maps
+    a basis.
+
+    Each phi preserves weights and commutes with the e_j by construction,
+    and with the f_i by a lemma whose premises _check_generators checks on
+    the target and on each factor of M.  Let D_i = phi f_i - f_i phi; by
+    [e_j, f_i] = delta_ij h_i it commutes with every e_j.  Take a source
+    weight vector v of maximal weight with D_i v != 0.  Every e_j v lies
+    higher, so D_i v is an n+ invariant of V(lam), which the injectivity
+    check allows only at weight lam.  So v has weight lam + alpha_i, where
+    phi v = 0, and phi f_i v = 0 by the rows of the top nullspace.  Hence
+    D_i = 0.
     """
-    n = rs.rank
     lam = target.highest_weight
     dim = target.dim
-
-    def shift(wt: Weight, i: int, sign: int) -> Weight:
-        return tuple(a + sign * b for a, b in zip(wt, rs.cartan[i - 1]))
+    _check_generators(rs, target.slot(), "the target")
+    for t, slot in enumerate(source.slots):
+        _check_generators(rs, slot, f"source factor {t}")
 
     cols_by_wt: dict[Weight, list[int]] = {}
     for c in range(source.dim):
@@ -564,17 +595,13 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
     top = target.highest_index
     if rows_by_wt.get(lam) != [top]:
         raise TheoremCheckError(f"weight {lam} of the target is not a highest line")
-    # below[i] holds nu with nu + alpha_i a target weight, above[i] nu with
-    # nu - alpha_i one
-    below = {i: {shift(mu, i, -1) for mu in rows_by_wt} for i in range(1, n + 1)}
-    above = {i: {shift(mu, i, 1) for mu in rows_by_wt} for i in range(1, n + 1)}
 
     # the top: unknowns are the columns of weight lam, rows the f_i images
     # of the columns of weight lam + alpha_i
     rows = [
         source.apply(("f", i), {c: 1})
-        for i in range(1, n + 1)
-        for c in cols_by_wt.get(shift(lam, i, 1), ())
+        for i, alpha in enumerate(rs.cartan, start=1)
+        for c in cols_by_wt.get(tuple(map(add, lam, alpha)), ())
     ]
     maps = [
         SpMat(dim, source.dim, {c: {top: v} for c, v in sol.items()})
@@ -583,26 +610,23 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
     if not maps:
         return []
 
-    # downward from lam, which is alone at depth 0
-    depth = {mu: rs.scaled_height(tuple(a - b for a, b in zip(lam, mu))) for mu in rows_by_wt}
-    for mu in sorted(rows_by_wt, key=depth.__getitem__)[1:]:
-        basis = rows_by_wt[mu]
+    # downward from lam, which is alone at depth 0, through the target
+    # weights and those one simple root below them: at any other weight,
+    # phi(c) and every phi(e_i c) are zero
+    weights = {tuple(map(sub, mu, alpha)) for mu in rows_by_wt for alpha in rs.cartan}
+    depth = {mu: rs.scaled_height(tuple(map(sub, lam, mu))) for mu in weights | rows_by_wt.keys()}
+    for mu in sorted(depth.keys() - {lam}, key=lambda mu: (depth[mu], mu)):
+        basis = rows_by_wt.get(mu, ())
         ech = Echelon()
         for r in basis:
-            stacked = {
-                (i - 1) * dim + z: v
-                for i in range(1, n + 1)
-                for z, v in target.e[i - 1].col(r).items()
-            }
-            if ech.add(stacked) is None:
+            if ech.add(flatten({i: e.col(r) for i, e in enumerate(target.e)}, dim)) is None:
                 raise TheoremCheckError(f"the e_i are not injective on weight {mu} of V({lam})")
-        live = [i for i in range(1, n + 1) if mu in below[i]]
+        # the e_i whose images phi can send to nonzero vectors
+        live = [i for i, alpha in enumerate(rs.cartan, 1) if tuple(map(add, mu, alpha)) in rows_by_wt]
         for c in cols_by_wt.get(mu, ()):
             ups = [(i, source.apply(("e", i), {c: 1})) for i in live]
             for phi in maps:
-                rhs = {
-                    (i - 1) * dim + z: v for i, up in ups for z, v in phi.apply(up).items()
-                }
+                rhs = {(i - 1) * dim + z: v for i, up in ups for z, v in phi.apply(up).items()}
                 if not rhs:
                     continue
                 got = ech.coords(rhs)
@@ -618,33 +642,6 @@ def intertwiner(rs: RootSystem, source: _Tensor, target: MatrixRep) -> list[SpMa
                         for r in col:
                             col[r] *= d
                 phi.data[c] = {basis[k]: v for k, v in x.items()}
-
-    for nu, cols in cols_by_wt.items():
-        if nu in rows_by_wt:
-            continue
-        for i in range(1, n + 1):
-            if nu not in below[i]:
-                continue
-            for c in cols:
-                up = source.apply(("e", i), {c: 1})
-                if any(phi.apply(up) for phi in maps):
-                    raise TheoremCheckError(
-                        f"source column {c} has weight {nu}, absent from V({lam}),"
-                        f" but its e_{i} image does not map to zero"
-                    )
-
-    for nu, cols in cols_by_wt.items():
-        for i in range(1, n + 1):
-            if nu not in rows_by_wt and nu not in above[i]:
-                continue
-            f = target.f[i - 1]
-            for c in cols:
-                down = source.apply(("f", i), {c: 1})
-                for phi in maps:
-                    if phi.apply(down) != f.apply(phi.col(c)):
-                        raise TheoremCheckError(
-                            f"intertwiner does not commute with f_{i} on source column {c}"
-                        )
     return maps
 
 
@@ -890,7 +887,8 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
     - each factor is a g-module: highest_module builds every piece as the
       cyclic span of a highest vector and realize replays the brackets;
     - [x (x) 1, y (x) t] = [x, y] (x) t on each factor: the intertwiner is
-      g-equivariant, f by its explicit check and e by construction;
+      g-equivariant, e by construction and f by its lemma, whose premises
+      (weights and [e_j, f_i] = delta_ij h_i on each factor) it checks;
     - [x (x) t, y (x) t] = 0 on each factor: _check_tsquare, here;
     - v is killed by e_i (x) 1, e_i (x) t and h_j (x) t, hence by n+ (x) A
       and h (x) t: checked here.

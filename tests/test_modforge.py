@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -491,6 +492,35 @@ def nullspace_intertwiner(rs, source, target):
     return out
 
 
+def f_check_oracle(rs, source, target, maps):
+    """phi(f_i c) = f_i phi(c) for every map, every source column c and
+    every i where either side can be nonzero: the brute-force check that
+    modforge.intertwiner ran before it took f-equivariance from its lemma."""
+    n = rs.rank
+    cols_by_wt = {}
+    for c in range(source.dim):
+        cols_by_wt.setdefault(source.grade_weight(c)[1], []).append(c)
+    rows_by_wt = {}
+    for r, wt in enumerate(target.basis_weights):
+        rows_by_wt.setdefault(wt, []).append(r)
+    above = {
+        i: {tuple(map(add, mu, rs.cartan[i - 1])) for mu in rows_by_wt} for i in range(1, n + 1)
+    }
+
+    for nu, cols in cols_by_wt.items():
+        for i in range(1, n + 1):
+            if nu not in rows_by_wt and nu not in above[i]:
+                continue
+            f = target.f[i - 1]
+            for c in cols:
+                down = source.apply(("f", i), {c: 1})
+                for phi in maps:
+                    if phi.apply(down) != f.apply(phi.col(c)):
+                        raise TheoremCheckError(
+                            f"intertwiner does not commute with f_{i} on source column {c}"
+                        )
+
+
 def normalized_actions(rs, i):
     cm = modforge.build_kr_fundamental(rs, i)
     return [[m.data for m in mats] for mats in cm.g_action + cm.t_action]
@@ -502,6 +532,22 @@ def test_intertwiner_matches_nullspace_oracle(monkeypatch, name, node):
     got = normalized_actions(rs, node)
     monkeypatch.setattr(modforge, "intertwiner", nullspace_intertwiner)
     assert got == normalized_actions(rs, node)
+
+
+@pytest.mark.parametrize("name,node", cli._MODFORGE_DEFAULT + [("C4", 2), ("C4", 3)])
+def test_intertwiner_passes_the_f_check_oracle(monkeypatch, name, node):
+    solve = modforge.intertwiner
+    calls = []
+
+    def checked(rs, source, target):
+        maps = solve(rs, source, target)
+        f_check_oracle(rs, source, target, maps)
+        calls.append(len(maps))
+        return maps
+
+    monkeypatch.setattr(modforge, "intertwiner", checked)
+    cm = modforge.build_kr_fundamental(rs_of(name), node)
+    assert calls == [1] * cm.k
 
 
 def test_intertwiner_detects_corrupted_target():
@@ -516,6 +562,75 @@ def test_intertwiner_detects_corrupted_target():
     damaged = tgt._replace(f=(bad,) + tgt.f[1:])
     with pytest.raises(TheoremCheckError):
         modforge.intertwiner(rs, src, damaged)
+
+
+def test_intertwiner_detects_corrupted_source_factor():
+    rs = rs_of("C3")
+    adj = modforge.adjoint_rep(rs)
+    piece = modforge.highest_module(rs, (0, 2, 0))
+    tgt = modforge.highest_module(rs, (2, 0, 0))
+    bad = adj.f[0].copy()
+    c = min(bad.data)
+    r = min(bad.data[c])
+    bad.set(r, c, bad.get(r, c) + 1)
+    src = modforge.tensor_rep([adj._replace(f=(bad,) + adj.f[1:]), piece])
+    with pytest.raises(TheoremCheckError, match=r"\[e_1, f_1\] of source factor 0 is not delta h"):
+        modforge.intertwiner(rs, src, tgt)
+
+
+def test_intertwiner_detects_a_generator_entry_off_its_weight():
+    # one e_2 entry of the target moved to a row of another weight
+    rs = rs_of("C3")
+    src = modforge.tensor_rep([modforge.adjoint_rep(rs), modforge.highest_module(rs, (0, 2, 0))])
+    tgt = modforge.highest_module(rs, (2, 0, 0))
+    bad = tgt.e[1].copy()
+    c = min(bad.data)
+    r = min(bad.data[c])
+    wts = tgt.basis_weights
+    moved = next(k for k in range(tgt.dim) if wts[k] != wts[r] and k not in bad.data[c])
+    bad.set(moved, c, bad.get(r, c))
+    bad.set(r, c, 0)
+    damaged = tgt._replace(e=tgt.e[:1] + (bad,) + tgt.e[2:])
+    with pytest.raises(TheoremCheckError, match="e_2 of the target does not move weights by alpha_2"):
+        modforge.intertwiner(rs, src, damaged)
+
+
+PROPERTY_ALGEBRAS = [rs_of(name) for name in ("A2", "B2", "C2", "A3", "B3", "C3")]
+
+
+@st.composite
+def hom_cases(draw):
+    """(algebra of rank 2 or 3, mu, lam): dominant weights inside the matrix
+    scope with Weyl dimension <= 60, lam = mu + a root or mu itself, so that
+    Hom(g (x) V(mu), V(lam)) is mostly nonzero."""
+    rs = draw(st.sampled_from(PROPERTY_ALGEBRAS))
+    n = rs.rank
+
+    def small(lam):
+        spin = rs.type.family == "B" and lam[n - 1] % 2
+        return rs.dominant(lam) and not spin and charlib.weyl_dim(rs, lam) <= 60
+
+    mu = draw(st.sampled_from([lam for lam in itertools.product(range(4), repeat=n) if small(lam)]))
+    roots = [rs.root_weight(rc) for rc in rs.positive_roots]
+    shifted = {mu} | {tuple(map(op, mu, root)) for root in roots for op in (add, sub)}
+    lam = draw(st.sampled_from(sorted(lam for lam in shifted if small(lam))))
+    return rs, mu, lam
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(hom_cases())
+def test_intertwiner_commutes_with_every_generator(case):
+    rs, mu, lam = case
+    adj = modforge.adjoint_rep(rs)
+    src = modforge.tensor_rep([adj, modforge.highest_module(rs, mu)])
+    tgt = modforge.highest_module(rs, lam)
+    maps = modforge.intertwiner(rs, src, tgt)
+    assert len(maps) == charlib.hom_dim(rs, [adj.highest_weight, mu], lam)
+    for t in maps:
+        for kind in ("e", "f"):
+            for i in range(1, rs.rank + 1):
+                for c in range(src.dim):
+                    assert t.apply(src.apply((kind, i), {c: 1})) == tgt.gen(kind, i).apply(t.col(c))
 
 
 def test_intertwiner_rejects_reducible_target():

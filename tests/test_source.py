@@ -146,13 +146,13 @@ def test_relation_checks_use_the_one_product_kernel():
     # the relation checks multiply through linalg.residue over row tables;
     # a SpMat product (`@` or .bracket) in them would be a second kernel
     tree = ast.parse((SRC / "modforge.py").read_text())
+    names = ["_bracket_coords", "_check_generators", "_check_tsquare", "verify_current_relations"]
     functions = {
         node.name: node
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-        and node.name in ("verify_current_relations", "_check_tsquare", "_bracket_coords")
+        if isinstance(node, ast.FunctionDef) and node.name in names
     }
-    assert sorted(functions) == ["_bracket_coords", "_check_tsquare", "verify_current_relations"]
+    assert sorted(functions) == names
     chevalley = next(
         node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ChevalleyBasis"
     )
