@@ -129,7 +129,7 @@ def _dominant_mults(lt: LieType, lam: Weight) -> MappingProxyType[Weight, int]:
                     nu[j] += aw[j]
                 if not ok:
                     break
-                m = mults.get(rs.to_dominant(tuple(nu)), 0)
+                m = mults.get(rs.to_dominant(tuple(nu))[0], 0)
                 if m:
                     num2 += m * rs.twice_inner_root(tuple(nu), alpha)
         den2 = rs.twice_inner_root(
@@ -178,43 +178,17 @@ def weight_mults(rs: RootSystem, lam: Weight) -> WeightCharacter:
     return dict(_full_char(rs.type, lam))
 
 
-def _dominantize_strict(rs: RootSystem, xi: Weight) -> tuple[Weight, int] | None:
-    """Reflect the rho-shifted weight xi to the dominant chamber.
-
-    Returns (dominant representative, sign of the Weyl element), or None if
-    the orbit meets a wall (zero coordinate).
-    """
-    cur = list(xi)
-    sign = 1
-    n = rs.rank
-    while True:
-        neg = -1
-        for j in range(n):
-            if cur[j] < 0:
-                neg = j
-                break
-        if neg < 0:
-            if 0 in cur:
-                return None
-            return tuple(cur), sign
-        c = cur[neg]
-        row = rs.cartan[neg]
-        for k in range(n):
-            cur[k] -= c * row[k]
-        sign = -sign
-
-
 def _klimyk(rs: RootSystem, lam: Weight, chi: WeightCharacter) -> DominantCharacter:
     # Klimyk's formula: V(lam) (x) chi = sum over weights nu of chi of the
-    # signed simple at the dominant rho-shifted image of lam + nu + rho;
-    # shifts landing on a wall contribute nothing.  Entries may be 0 or < 0.
+    # signed simple at the dominant rho-shifted image of lam + nu + rho, the
+    # sign that of the reflections rs.to_dominant applies; shifts landing on
+    # a wall (a zero coordinate) contribute nothing.  Entries may be 0 or < 0.
     shifted = tuple(c + 1 for c in lam)
     out: dict[Weight, int] = {}
     for nu, m in chi.items():
-        res = _dominantize_strict(rs, tuple(map(add, shifted, nu)))
-        if res is None:
+        dom, sign = rs.to_dominant(tuple(map(add, shifted, nu)))
+        if 0 in dom:
             continue
-        dom, sign = res
         key = tuple(c - 1 for c in dom)
         out[key] = out.get(key, 0) + sign * m
     return out

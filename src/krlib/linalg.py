@@ -317,28 +317,20 @@ def nullspace(rows, variables) -> list[dict[object, int]]:
     variables: ordered list of variable ids appearing anywhere.
     Returns one solution per free variable: a primitive integer vector that
     is positive at that variable and zero at every other free variable.
+    The columns go into one Echelon in variable order: a column that depends
+    on the ones before it is free, and Echelon.coords over the bound columns
+    gives its solution (the reduced kernel basis is unique).
     """
-    order = {v: j for j, v in enumerate(variables)}
-    ech = Echelon()
-    for row in rows:
-        if row:
-            ech.add({order[v]: c for v, c in row.items()})
-    # back-substitute in decreasing pivot order, scaling to stay integral
-    pivots = sorted(ech.pivots.items(), reverse=True)
-    solutions = []
-    for j in range(len(variables)):
-        if j in ech.pivots:
+    columns = {v: {} for v in variables}
+    for r, row in enumerate(rows):
+        for v, c in row.items():
+            columns[v][r] = c
+    ech, bound, solutions = Echelon(), [], []
+    for v, col in columns.items():
+        if ech.add(col) is not None:
+            bound.append(v)
             continue
-        sol = {j: 1}
-        for p, (r, _, _) in pivots:
-            s = sum(x * sol[k] for k, x in r.items() if k in sol)
-            if s:
-                g = gcd(r[p], s)
-                a = r[p] // g
-                if a != 1:
-                    for k in sol:
-                        sol[k] *= a
-                sol[p] = -s // g
-        g = gcd(*sol.values())
-        solutions.append({variables[k]: x // g for k, x in sol.items()})
+        # d * col = sum_k x[k] * (column of bound[k]), with gcd(d, x) = 1
+        x, d = ech.coords(col)
+        solutions.append({v: d, **{bound[k]: -c for k, c in x.items()}})
     return solutions

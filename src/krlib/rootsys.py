@@ -1,4 +1,4 @@
-"""Classical root systems of types A-D in Bourbaki coordinates.
+"""Classical root systems of types A-D from the Cartan matrix, Bourbaki numbering.
 
 All arithmetic is over Z.  Weights are integer vectors in the basis of
 fundamental weights, root-lattice elements integer vectors in the basis of
@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import lcm
+from operator import add
 
 from .errors import TheoremCheckError
 from .linalg import Echelon
@@ -43,70 +44,24 @@ class LieType(namedtuple("LieType", "family rank")):
         return f"{self.family}{self.rank}"
 
 
-def _simple_roots_ambient(family: str, n: int) -> list[tuple[int, ...]]:
-    # Bourbaki realizations; ambient coordinates are integers for all four families.
-    def e(i: int, dim: int, c: int = 1) -> list[int]:
-        v = [0] * dim
-        v[i] = c
-        return v
-
-    roots: list[list[int]] = []
-    if family == "A":
-        dim = n + 1
-        for i in range(n):
-            v = e(i, dim)
-            v[i + 1] -= 1
-            roots.append(v)
-    else:
-        dim = n
-        for i in range(n - 1):
-            v = e(i, dim)
-            v[i + 1] -= 1
-            roots.append(v)
-        if family == "B":
-            roots.append(e(n - 1, dim))
-        elif family == "C":
-            roots.append(e(n - 1, dim, 2))
-        else:  # D
-            v = e(n - 2, dim)
-            v[n - 1] += 1
-            roots.append(v)
-    return [tuple(v) for v in roots]
-
-
-def _positive_roots_ambient(family: str, n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    if family == "A":
-        dim = n + 1
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                v = [0] * dim
-                v[i], v[j] = 1, -1
-                out.append(tuple(v))
-        return out
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [0] * n
-            v[i], v[j] = 1, -1
-            out.append(tuple(v))
-            v = [0] * n
-            v[i] = v[j] = 1
-            out.append(tuple(v))
+def _cartan(family: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """cartan[i][j] = <alpha_i, alpha_j^vee>, nodes numbered as in Bourbaki."""
+    c = [[2 if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]
     if family == "B":
-        for i in range(n):
-            v = [0] * n
-            v[i] = 1
-            out.append(tuple(v))
+        c[n - 2][n - 1] = -2
     elif family == "C":
-        for i in range(n):
-            v = [0] * n
-            v[i] = 2
-            out.append(tuple(v))
-    return out
+        c[n - 1][n - 2] = -2
+    elif family == "D":
+        # node n hangs off node n - 2 instead of node n - 1
+        c[n - 1][n - 2] = c[n - 2][n - 1] = 0
+        c[n - 1][n - 3] = c[n - 3][n - 1] = -1
+    return tuple(map(tuple, c))
 
 
-def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+def _dcheck(family: str, n: int) -> tuple[int, ...]:
+    """dcheck[j] = 2 / (alpha_j, alpha_j): 2 on the short simple roots."""
+    short = {"B": range(n - 1, n), "C": range(n - 1)}.get(family, ())
+    return tuple(2 if j in short else 1 for j in range(n))
 
 
 class RootSystem:
@@ -121,39 +76,42 @@ class RootSystem:
         n = lietype.rank
         self.rank = n
         fam = lietype.family
-        self.simple_ambient = _simple_roots_ambient(fam, n)
-        self.ambient_dim = len(self.simple_ambient[0])
+        self.cartan: tuple[tuple[int, ...], ...] = _cartan(fam, n)
+        self.dcheck: tuple[int, ...] = _dcheck(fam, n)
+        c, d = self.cartan, self.dcheck
+        if any(c[i][j] * d[i] != c[j][i] * d[j] for i in range(n) for j in range(i)):
+            raise TheoremCheckError(f"dcheck {d} does not symmetrize the Cartan matrix {c}")
 
-        simple = Echelon()
-        for v in self.simple_ambient:
-            simple.add(dict(enumerate(v)))
-        pos: list[tuple[int, ...]] = []
-        for v in _positive_roots_ambient(fam, n):
-            got = simple.coords(dict(enumerate(v)))
-            if got is None or got[1] != 1 or any(c < 0 for c in got[0].values()):
-                raise TheoremCheckError(f"{v} is not a nonnegative integral sum of simple roots")
-            pos.append(tuple(got[0].get(k, 0) for k in range(n)))
-        pos.sort(key=lambda c: (sum(c), c))
+        # Phi+ by alpha-strings in height order (Humphreys 9.4): beta + alpha_i
+        # is a root iff p - <beta, alpha_i^vee> > 0, where p is the length of
+        # the alpha_i-string below beta.  level pairs each new root beta with
+        # its fundamental coordinates, whose entry i is <beta, alpha_i^vee>.
+        level = [(tuple(int(k == i) for k in range(n)), c[i]) for i in range(n)]
+        found = {beta for beta, _ in level}
+        while level:
+            nxt = []
+            for beta, pairing in level:
+                for i in range(n):
+                    # count the string below only as far as the test needs
+                    p = 0
+                    while p <= pairing[i] and beta[:i] + (beta[i] - p - 1,) + beta[i + 1 :] in found:
+                        p += 1
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                    if p > pairing[i] and up not in found:
+                        found.add(up)
+                        nxt.append((up, tuple(map(add, pairing, c[i]))))
+            level = nxt
+        pos = sorted(found, key=lambda r: (sum(r), r))
         self.positive_roots: tuple[tuple[int, ...], ...] = tuple(pos)
         self._pos_set = frozenset(pos)
 
         # highest root: the unique root dominating every other one
-        theta = max(pos, key=lambda c: (sum(c), c))
+        theta = pos[-1]
         if not all(all(t - c >= 0 for t, c in zip(theta, a)) for a in pos):
             raise TheoremCheckError(f"{theta} does not dominate every positive root")
         self.theta: tuple[int, ...] = theta
-
-        self.cartan: tuple[tuple[int, ...], ...] = tuple(
-            tuple(2 * _dot(a, b) // _dot(b, b) for b in self.simple_ambient)
-            for a in self.simple_ambient
-        )
-        # dcheck[j] = |theta|^2 / |alpha_j|^2 in the ambient coordinates
-        theta_ambient = self._root_ambient(theta)
-        tt = _dot(theta_ambient, theta_ambient)
-        norms = [_dot(a, a) for a in self.simple_ambient]
-        self.dcheck: tuple[int, ...] = tuple(tt // a for a in norms)
-        if not all(tt in (a, 2 * a) for a in norms):
-            raise TheoremCheckError(f"dcheck {self.dcheck} is not in {{1, 2}}")
+        if self.twice_inner_root(self.root_weight(theta), theta) != 4:
+            raise TheoremCheckError(f"(theta, theta) != 2 for theta = {theta} and dcheck {d}")
 
         # columns of inv(cartan^T): fundamental weights in simple-root coordinates;
         # row i is the coordinate vector of e_i over the rows of cartan^T.  It is
@@ -170,14 +128,6 @@ class RootSystem:
         self._height_num: tuple[int, ...] = tuple(sum(col) for col in zip(*self._inv_num))
 
     # -- conversions ---------------------------------------------------
-
-    def _root_ambient(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-        dim = self.ambient_dim
-        v = [0] * dim
-        for c, a in zip(coeffs, self.simple_ambient):
-            for d in range(dim):
-                v[d] += c * a[d]
-        return tuple(v)
 
     def scaled_root_coords(self, lam: Weight) -> tuple[int, ...]:
         """root_den times the simple-root coordinates of a weight, as integers."""
@@ -231,17 +181,22 @@ class RootSystem:
         self._check_weight(lam)
         return all(c >= 0 for c in lam)
 
-    def to_dominant(self, lam: Weight) -> Weight:
-        """The dominant representative of the Weyl orbit of lam."""
+    def to_dominant(self, lam: Weight) -> tuple[Weight, int]:
+        """(dominant, sign): the dominant weight of the Weyl orbit of lam and
+        (-1)^r for the r simple reflections that carry lam there.  The sign
+        is that of the one Weyl element w with w(lam) dominant whenever the
+        dominant weight has no zero coordinate (lies on no wall)."""
         cur = tuple(lam)
+        sign = 1
         while True:
             for j, c in enumerate(cur):
                 if c < 0:
                     row = self.cartan[j]
                     cur = tuple(cur[k] - c * row[k] for k in range(self.rank))
+                    sign = -sign
                     break
             else:
-                return cur
+                return cur, sign
 
     def weyl_orbit(self, lam: Weight) -> frozenset[Weight]:
         """Closure of lam under all simple reflections."""

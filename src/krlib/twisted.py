@@ -92,7 +92,7 @@ def _short_positive(rs: RootSystem) -> list[tuple[int, ...]]:
     return [rc for rc in rs.positive_roots if norms[rc] == least]
 
 
-def _ambient_dim(lt: LieType) -> int:
+def _algebra_dim(lt: LieType) -> int:
     if lt.family == "A":
         return lt.rank * (lt.rank + 2)
     if lt.family == "D":
@@ -125,7 +125,7 @@ def fixed_point_data(outer: OuterType) -> TwistedData:
         r1 = frozenset(short)
         dsigma = (1,) * n
     g0_dim = 2 * len(g0.positive_roots) + g0.rank
-    g1_dim = _ambient_dim(outer.ambient) - g0_dim
+    g1_dim = _algebra_dim(outer.ambient) - g0_dim
     if charlib.weyl_dim(g0, phi) != g1_dim:
         raise TheoremCheckError(
             f"dim V({phi}) = {charlib.weyl_dim(g0, phi)} over {g0.type}, but g1 has dimension {g1_dim}"

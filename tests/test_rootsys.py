@@ -8,6 +8,8 @@ from math import factorial
 
 import pytest
 
+from krlib import rootsys
+from krlib.errors import TheoremCheckError
 from krlib.rootsys import LieType, build, parse_type
 
 ALL_TYPES = (
@@ -87,7 +89,7 @@ def test_theta_norm_and_dcheck():
         theta_w = rs.root_weight(rs.theta)
         assert inner(rs, theta_w, theta_w) == 2
         assert rs.twice_inner_root(theta_w, rs.theta) == 4
-        for j, alpha in enumerate(rs.simple_ambient):
+        for j in range(rs.rank):
             simple = tuple(int(k == j) for k in range(rs.rank))
             aw = rs.root_weight(simple)
             norm = inner(rs, aw, aw)
@@ -198,10 +200,12 @@ def reflect(rs, lam, i):
 def test_reflect_example():
     a2 = build(LieType("A", 2))
     assert reflect(a2, (1, 0), 1) == (-1, 1)
-    assert a2.to_dominant((-1, 1)) == (1, 0)
+    assert a2.to_dominant((-1, 1))[0] == (1, 0)
 
 
 def test_reflection_is_involution():
+    # s_i keeps the dominant part of to_dominant and, off the walls, flips
+    # its sign; a dominant weight needs no reflection, so its sign is +1
     rng = random.Random(11)
     for lt in ALL_TYPES:
         rs = build(lt)
@@ -209,7 +213,12 @@ def test_reflection_is_involution():
             lam = tuple(rng.randrange(-3, 4) for _ in range(rs.rank))
             i = rng.randrange(1, rs.rank + 1)
             assert reflect(rs, reflect(rs, lam, i), i) == lam
-            assert rs.to_dominant(reflect(rs, lam, i)) == rs.to_dominant(lam)
+            dom, sign = rs.to_dominant(lam)
+            dom_i, sign_i = rs.to_dominant(reflect(rs, lam, i))
+            assert dom_i == dom
+            if 0 not in dom:
+                assert sign_i == -sign
+            assert rs.to_dominant(dom) == (dom, 1)
 
 
 def test_reflection_preserves_inner():
@@ -241,7 +250,7 @@ def test_orbit_sizes_divide_weyl_order():
             assert order % len(orbit) == 0
             doms = [w for w in orbit if rs.dominant(w)]
             assert doms == [lam] if rs.dominant(lam) else len(doms) == 1
-            assert rs.to_dominant(lam) == doms[0]
+            assert rs.to_dominant(lam)[0] == doms[0]
 
 
 def test_parse_type():
@@ -299,3 +308,25 @@ def test_root_coords_match_fraction_oracle():
                 off_lattice += 1
             assert rs.scaled_height(lam) == sum(want) * rs.root_den
         assert off_lattice > 0
+
+
+# ---------------------------------------------------------------- planted faults
+
+
+def test_wrong_double_bond_is_caught(monkeypatch):
+    # B with the double bond pointing the C way: dcheck no longer
+    # symmetrizes the Cartan matrix
+    cartan = rootsys._cartan
+    monkeypatch.setattr(rootsys, "_cartan", lambda fam, n: cartan("C" if fam == "B" else fam, n))
+    for n in (2, 3, 5):
+        with pytest.raises(TheoremCheckError, match="symmetrize"):
+            rootsys.RootSystem(LieType("B", n))
+
+
+def test_rescaled_dcheck_is_caught(monkeypatch):
+    # twice the right dcheck still symmetrizes, but makes (theta, theta) = 1
+    dcheck = rootsys._dcheck
+    monkeypatch.setattr(rootsys, "_dcheck", lambda fam, n: tuple(2 * d for d in dcheck(fam, n)))
+    for lt in (LieType("A", 3), LieType("D", 4)):
+        with pytest.raises(TheoremCheckError, match="theta"):
+            rootsys.RootSystem(lt)

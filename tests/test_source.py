@@ -112,6 +112,68 @@ def _fraction_solve(columns, target):
     return [row[n] for row in mat[:n]]
 
 
+def _simple_roots_ambient(family: str, n: int) -> list[tuple[int, ...]]:
+    # Bourbaki realizations; ambient coordinates are integers for all four families.
+    def e(i: int, dim: int, c: int = 1) -> list[int]:
+        v = [0] * dim
+        v[i] = c
+        return v
+
+    roots: list[list[int]] = []
+    if family == "A":
+        dim = n + 1
+        for i in range(n):
+            v = e(i, dim)
+            v[i + 1] -= 1
+            roots.append(v)
+    else:
+        dim = n
+        for i in range(n - 1):
+            v = e(i, dim)
+            v[i + 1] -= 1
+            roots.append(v)
+        if family == "B":
+            roots.append(e(n - 1, dim))
+        elif family == "C":
+            roots.append(e(n - 1, dim, 2))
+        else:  # D
+            v = e(n - 2, dim)
+            v[n - 1] += 1
+            roots.append(v)
+    return [tuple(v) for v in roots]
+
+
+def _positive_roots_ambient(family: str, n: int) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = []
+    if family == "A":
+        dim = n + 1
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                v = [0] * dim
+                v[i], v[j] = 1, -1
+                out.append(tuple(v))
+        return out
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = [0] * n
+            v[i], v[j] = 1, -1
+            out.append(tuple(v))
+            v = [0] * n
+            v[i] = v[j] = 1
+            out.append(tuple(v))
+    if family == "B":
+        for i in range(n):
+            v = [0] * n
+            v[i] = 1
+            out.append(tuple(v))
+    elif family == "C":
+        for i in range(n):
+            v = [0] * n
+            v[i] = 2
+            out.append(tuple(v))
+    return out
+
+
 @pytest.mark.parametrize(
     "name",
     [f"A{n}" for n in range(1, 9)]
@@ -119,20 +181,27 @@ def _fraction_solve(columns, target):
     + [f"D{n}" for n in range(3, 9)],
 )
 def test_root_data_match_a_fraction_computation(name):
+    # the oracle is the Bourbaki realization above, which the library never
+    # reads: it derives its root data from the Cartan matrix alone
     rs = rootsys.build(rootsys.parse_type(name))
     n = rs.rank
-    simple = rs.simple_ambient
+    simple = _simple_roots_ambient(rs.type.family, n)
     pos = []
-    for v in rootsys._positive_roots_ambient(rs.type.family, n):
+    for v in _positive_roots_ambient(rs.type.family, n):
         coeffs = _fraction_solve(simple, v)
         assert all(c.denominator == 1 and c >= 0 for c in coeffs)
         pos.append(tuple(int(c) for c in coeffs))
     pos.sort(key=lambda c: (sum(c), c))
     assert rs.positive_roots == tuple(pos)
+    assert rs.theta == pos[-1]
+    dot = lambda a, b: sum(x * y for x, y in zip(a, b))
+    # cartan[i][j] = 2(alpha_i, alpha_j) / (alpha_j, alpha_j)
+    assert rs.cartan == tuple(
+        tuple(Fraction(2 * dot(a, b), dot(b, b)) for b in simple) for a in simple
+    )
     # dcheck_j = |theta|^2 / |alpha_j|^2 in the ambient coordinates
     theta = [sum(c * a[d] for c, a in zip(pos[-1], simple)) for d in range(len(simple[0]))]
-    norm = lambda v: sum(x * x for x in v)
-    assert rs.dcheck == tuple(Fraction(norm(theta), norm(a)) for a in simple)
+    assert rs.dcheck == tuple(Fraction(dot(theta, theta), dot(a, a)) for a in simple)
     # row i of inv(cartan^T): e_i over the columns of the Cartan matrix
     columns = [[rs.cartan[k][j] for k in range(n)] for j in range(n)]
     inv = [_fraction_solve(columns, [int(k == i) for k in range(n)]) for i in range(n)]
