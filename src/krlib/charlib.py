@@ -275,20 +275,16 @@ def hom_dim(rs: RootSystem, factors, target: Weight) -> int:
     """Multiplicity of V(target) in X (x) V(lam), for factors = (X, lam).
 
     X is a dominant weight or a weight character, lam a dominant weight.  By
-    complete reducibility this is dim Hom(X (x) V(lam), V(target)).  Klimyk
-    expands the character of X over V(lam); when X is a weight, it expands
-    the weight of smaller Weyl dimension instead, lam on a tie.
+    complete reducibility this is dim Hom(X (x) V(lam), V(target)).  When X
+    is a weight, this reads the entry of tensor_decompose; when X is a
+    character, Klimyk expands it over V(lam).
     """
     x, lam = factors
     _require_dominant(rs, target, "target")
     if isinstance(x, tuple):
-        _require_dominant(rs, x, "factor")
+        return tensor_decompose(rs, x, lam).get(target, 0)
     _require_dominant(rs, lam, "factor")
     guard = dimension_guard()
-    if isinstance(x, tuple):
-        if weyl_dim(rs, x) >= weyl_dim(rs, lam):
-            x, lam = lam, x
-        x = weight_mults(rs, x)
     if len(x) > guard:
         raise DimensionGuardError("intermediate character exceeds the guard")
     total = _klimyk(rs, lam, x).get(target, 0)

@@ -55,7 +55,7 @@ class MatrixRep(
         ("f", i), every basis vector in grade 0."""
 
         def cols(op):
-            return {c: list(col.items()) for c, col in self.gen(*op).data.items()}
+            return self.gen(*op).data
 
         return [0] * self.dim, self.basis_weights, cols
 
@@ -63,11 +63,9 @@ class MatrixRep(
 def _weights_from_h(hs, dim: int) -> tuple[Weight, ...]:
     """The basis weights read off the diagonal h matrices; an off-diagonal
     entry raises."""
-    for m in hs:
-        for r, c, _ in m.entries():
-            if r != c:
-                raise TheoremCheckError("h generator is not diagonal")
-    return tuple(tuple(int(m.get(r, r)) for m in hs) for r in range(dim))
+    if any(r != c for m in hs for c, col in m.data.items() for r in col):
+        raise TheoremCheckError("h generator is not diagonal")
+    return tuple(tuple(m.data.get(r, {}).get(r, 0) for m in hs) for r in range(dim))
 
 
 def _quotient(vec: dict[int, object], q: int, what: str) -> dict[int, int]:
@@ -331,9 +329,9 @@ def wedge_rep(rs: RootSystem, j: int) -> MatrixRep:
 class _Tensor:
     """Operators on a tensor product, applied slot by slot.
 
-    A slot is (grades, weights, cols) for one factor, where cols(op)[c] lists
-    the (row, value) pairs of column c of operator op on that factor; every
-    slot has the same operators.  On the
+    A slot is (grades, weights, cols) for one factor, where cols(op) is the
+    column table {c: {r: value}} of operator op on that factor, read-only;
+    every slot has the same operators.  On the
     product, op acts as the sum over the slots of op on that slot and the
     identity on the others, so grades and weights add across the slots.
     Index digits are mixed-radix with the first factor most significant.
@@ -354,8 +352,8 @@ class _Tensor:
         if tables is None:
             tables = self.shifts[op] = [
                 (stride, size, {
-                    c: [((r - c) * stride, v) for r, v in pairs]
-                    for c, pairs in cols(op).items()
+                    c: [((r - c) * stride, v) for r, v in col.items()]
+                    for c, col in cols(op).items()
                 })
                 for (stride, size), (_, _, cols) in zip(self.layout, self.slots)
             ]
@@ -421,8 +419,8 @@ def _current_lowering(rs: RootSystem) -> list:
     """f_i (x) 1 and f_i (x) t as _lowering_span operators on a tensor_rep of
     CurrentModules.  Their span from a vector is the g[t]-submodule that the
     vector generates whenever the premises of PBW hold: the factors are
-    g (x) C[t]/t^2-modules and the vector is killed by e_i (x) 1, e_i (x) t
-    and h_j (x) t."""
+    g (x) C[t]/t^2-modules and the vector is killed by n+ (x) C[t]/t^2 and
+    h (x) t, as the product of generators that pass _check_kr_relations is."""
     cb = chevalley(rs)
     return [
         ((cb.minus_index(rc), tpow), tpow, alpha)
@@ -539,7 +537,7 @@ def _check_generators(rs: RootSystem, slot, what: str) -> None:
     tabs = {}
     for kind, sign in (("e", 1), ("f", -1)):
         for i, alpha in enumerate(rs.cartan, start=1):
-            tab = tabs[kind, i] = {c: dict(pairs) for c, pairs in cols((kind, i)).items()}
+            tab = tabs[kind, i] = cols((kind, i))
             for c, col in tab.items():
                 want = tuple(w + sign * a for w, a in zip(weights[c], alpha))
                 if any(weights[r] != want for r in col):
@@ -677,7 +675,7 @@ class CurrentModule(
         def cols(op):
             a, tpow = op
             return {
-                offs[s] + c: [(offs[s + tpow] + r, v) for r, v in col.items()]
+                offs[s] + c: {offs[s + tpow] + r: v for r, v in col.items()}
                 for s, mats in enumerate((self.g_action, self.t_action)[tpow])
                 for c, col in mats[a].data.items()
             }
@@ -772,6 +770,43 @@ def _check_tsquare(cm: CurrentModule) -> int:
     return pairs
 
 
+def _check_kr_relations(cm: CurrentModule) -> int:
+    """The defining relations of KR(m omega_i) on the generator v, the top
+    of piece 0: x+_a (x) 1, x+_a (x) t, h_j (x) t, x-_alpha_j (x) 1 for
+    j != i, (x-_alpha_i)^(m+1) and x-_alpha_i (x) t kill v, and h_j v =
+    m delta_ij v.  Each row applies one matrix to v a given number of times;
+    on a module without x (x) t the t rows read a zero matrix.  Returns the
+    number of rows checked."""
+    rs, i, m = cm.rs, cm.node, cm.level
+    cb = chevalley(rs)
+    g = cm.g_action[0]
+    t = cm.t_action[0] if cm.t_action else [SpMat(0, cm.pieces[0].dim)] * cb.dim_g
+    top = cm.pieces[0].highest_index
+    eigen = {top: m} if m else {}
+    table = []
+    for a in range(len(rs.positive_roots)):
+        table.append((g[a], 1, {}, f"x+_{a} does not kill the generator"))
+        table.append((t[a], 1, {}, f"x+_{a} (x) t does not kill the generator"))
+    for j in range(1, rs.rank + 1):
+        h = cb.h_index(j)
+        table.append((g[h], 1, eigen if j == i else {}, f"h_{j} eigenvalue on the generator is wrong"))
+        table.append((t[h], 1, {}, f"h_{j} (x) t does not kill the generator"))
+    for j, rc in enumerate(cb.simple, start=1):
+        a = cb.minus_index(rc)
+        if j != i:
+            table.append((g[a], 1, {}, f"x-_alpha_{j} does not kill the generator"))
+        else:
+            table.append((g[a], m + 1, {}, f"(x-_alpha_{i})^{m + 1} does not kill the generator"))
+            table.append((t[a], 1, {}, f"x-_alpha_{i} (x) t does not kill the generator"))
+    for mat, power, want, msg in table:
+        vec = {top: 1}
+        for _ in range(power):
+            vec = mat.apply(vec)
+        if vec != want:
+            raise TheoremCheckError(msg)
+    return len(table)
+
+
 def verify_current_relations(cm: CurrentModule) -> RelationReport:
     """Exact matrix verification of the current-algebra structure and of the
     defining relations of KR(m omega_i) on the generator.
@@ -784,10 +819,7 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
     """
     rs = cm.rs
     cb = chevalley(rs)
-    i = cm.node
-    m = cm.level
     D = cb.dim_g
-    k = cm.k
     dims = [p.dim for p in cm.pieces]
 
     gvals = [[x.data for x in mats] for mats in cm.g_action]
@@ -813,43 +845,7 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
                 mixed_pairs += 1
 
     tsquare_pairs = _check_tsquare(cm)
-
-    # defining relations on the generator
-    v0 = cm.pieces[0].highest_vector
-    checks = 0
-    npos = len(rs.positive_roots)
-    for a in range(npos):
-        if cm.g_action[0][a].apply(v0):
-            raise TheoremCheckError(f"x+_{a} does not kill the generator")
-        checks += 1
-        if k > 0 and cm.t_action[0][a].apply(v0):
-            raise TheoremCheckError(f"x+_{a} (x) t does not kill the generator")
-        checks += 1
-    for j in range(1, rs.rank + 1):
-        got = cm.g_action[0][cb.h_index(j)].apply(v0)
-        want = {cm.pieces[0].highest_index: m} if (j == i and m) else {}
-        if got != want:
-            raise TheoremCheckError(f"h_{j} eigenvalue on the generator is wrong")
-        checks += 1
-        if k > 0 and cm.t_action[0][cb.h_index(j)].apply(v0):
-            raise TheoremCheckError(f"h_{j} (x) t does not kill the generator")
-        checks += 1
-    for j, rc in enumerate(cb.simple, start=1):
-        a = cb.minus_index(rc)
-        if j != i:
-            if cm.g_action[0][a].apply(v0):
-                raise TheoremCheckError(f"x-_alpha_{j} does not kill the generator")
-            checks += 1
-        else:
-            vec = dict(v0)
-            for _ in range(m + 1):
-                vec = cm.g_action[0][a].apply(vec)
-            if vec:
-                raise TheoremCheckError(f"(x-_alpha_{i})^{m + 1} does not kill the generator")
-            checks += 1
-            if k > 0 and cm.t_action[0][a].apply(v0):
-                raise TheoremCheckError(f"x-_alpha_{i} (x) t does not kill the generator")
-            checks += 1
+    checks = _check_kr_relations(cm)
 
     # cyclicity: the relations and generator checks above are the premises of
     # _current_lowering, so the f_i (x) 1 and f_i (x) t images of the
@@ -861,7 +857,7 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
 
     # transport along the chain through the normalized intertwiners
     transport = 0
-    for s in range(k):
+    for s in range(cm.k):
         beta = tuple(a - b for a, b in zip(cm.chain[s], cm.chain[s + 1]))
         a = cb.minus_index(rs.int_root_coords(beta))
         got = cm.t_action[s][a].apply(cm.pieces[s].highest_vector)
@@ -869,7 +865,7 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
             raise TheoremCheckError(f"transport fails at step {s}")
         transport += 1
 
-    label = f"{rs.type.family}{rs.rank} node {i} level {m}"
+    label = f"{rs.type.family}{rs.rank} node {cm.node} level {cm.level}"
     return RelationReport(
         label, cm.total_dim, bracket_pairs, mixed_pairs, tsquare_pairs, checks, cyclic_dim, transport
     )
@@ -890,8 +886,9 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
       g-equivariant, e by construction and f by its lemma, whose premises
       (weights and [e_j, f_i] = delta_ij h_i on each factor) it checks;
     - [x (x) t, y (x) t] = 0 on each factor: _check_tsquare, here;
-    - v is killed by e_i (x) 1, e_i (x) t and h_j (x) t, hence by n+ (x) A
-      and h (x) t: checked here.
+    - each factor's generator satisfies the KR relations: _check_kr_relations,
+      here.  So v, the product of the generators, is killed by n+ (x) A and
+      h (x) t, which act slot by slot.
     The product is then a g (x) A-module with x (x) t acting slot by slot.
     Only weights nu with nu - mu in Q+ for a dominant mu <= m omega_i are
     kept: an f-word only lowers the weight, so every word that ends on a
@@ -913,12 +910,14 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
     factors: list[CurrentModule] = []
     if m1:
         factors.append(evaluation_module(rs, i, m1))
+        _check_kr_relations(factors[0])
     if m0:
         if rs.epsilon(rs.theta, i) == 2:
             fund = build_kr_fundamental(rs, i)
         else:
             fund = evaluation_module(rs, i, d)
         _check_tsquare(fund)
+        _check_kr_relations(fund)
         factors.extend([fund] * m0)
 
     guard = charlib.dimension_guard()
@@ -929,16 +928,6 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
         raise DimensionGuardError(f"tensor space dim {total} exceeds {guard}")
 
     gt = tensor_rep(factors)
-    cb = chevalley(rs)
-    killers = [
-        (f"e_{j} (x) {'t' if tpow else '1'}", (cb.plus_index(rc), tpow))
-        for j, rc in enumerate(cb.simple, start=1)
-        for tpow in (0, 1)
-    ] + [(f"h_{j} (x) t", (cb.h_index(j), 1)) for j in range(1, rs.rank + 1)]
-    for name, op in killers:
-        if gt.apply(op, {0: 1}):
-            raise TheoremCheckError(f"{name} does not kill the top vector")
-
     lam = gt.grade_weight(0)[1]
     floors = [rs.scaled_root_coords(mu) for mu in charlib._dominant_below(rs.type, lam)]
 

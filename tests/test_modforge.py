@@ -1021,15 +1021,16 @@ def test_kr_tensor_submodule_matches_all_operator_oracle(name, node, m):
     assert modforge.kr_tensor_submodule(rs, node, m) == all_operator_submodule(rs, node, m)
 
 
-def plant(monkeypatch, edit):
-    """Make build_kr_fundamental return its module with t_action edited."""
+def plant(monkeypatch, edit, field="t_action"):
+    """Make build_kr_fundamental return its module with the action `field`
+    (t_action or g_action) edited."""
     real = modforge.build_kr_fundamental
 
     def broken(rs, i):
         cm = real(rs, i)
-        t_action = [[m.copy() for m in mats] for mats in cm.t_action]
-        edit(rs, cm, t_action)
-        return cm._replace(t_action=tuple(tuple(mats) for mats in t_action))
+        action = [[m.copy() for m in mats] for mats in getattr(cm, field)]
+        edit(rs, cm, action)
+        return cm._replace(**{field: tuple(tuple(mats) for mats in action)})
 
     monkeypatch.setattr(modforge, "build_kr_fundamental", broken)
 
@@ -1041,7 +1042,27 @@ def test_kr_tensor_submodule_checks_the_top_vector(monkeypatch):
         t_action[0][e1].set(0, cm.pieces[0].highest_index, 1)
 
     plant(monkeypatch, edit)
-    with pytest.raises(TheoremCheckError, match=r"e_1 \(x\) t does not kill the top vector"):
+    # e_1 is x+_1: the positive roots of C2 run (0, 1), (1, 0), ...
+    with pytest.raises(TheoremCheckError, match=r"x\+_1 \(x\) t does not kill the generator"):
+        modforge.kr_tensor_submodule(rs_of("C2"), 1, 2)
+
+
+@pytest.mark.parametrize(
+    "field,j,row,message",
+    [
+        ("g_action", 2, 1, r"x-_alpha_2 does not kill the generator"),
+        ("t_action", 1, 0, r"x-_alpha_1 \(x\) t does not kill the generator"),
+    ],
+)
+def test_kr_tensor_submodule_checks_every_lowering_relation(monkeypatch, field, j, row, message):
+    # x-_alpha_2 (x) 1 and x-_alpha_1 (x) t must kill the generator of the
+    # C2 node 1 fundamental; neither is an e or h (x) t relation
+    def edit(rs, cm, action):
+        cb = modforge.chevalley(rs)
+        action[0][cb.minus_index(cb.simple[j - 1])].set(row, cm.pieces[0].highest_index, 1)
+
+    plant(monkeypatch, edit, field)
+    with pytest.raises(TheoremCheckError, match=message):
         modforge.kr_tensor_submodule(rs_of("C2"), 1, 2)
 
 
