@@ -11,9 +11,11 @@ Hom space checked against its character count), and assemble the graded
 module with x(x)t acting through the normalized intertwiners.  Every
 matrix of a module is an int matrix: each step that relies on Kostant's
 integrality theorem divides exactly or raises TheoremCheckError.
-verify_current_relations checks every relation pair by pair, each left
-factor a column table and each right factor a row table, in the one product
-kernel linalg.residue.  Everything is exact and deterministic.
+verify_current_relations checks the relation of each pair that contains a
+generator e_j or f_j, each left factor a column table and each right factor
+a row table, in the one product kernel linalg.residue; the other pairs
+follow by a lemma, as the generators generate g.  Everything is exact and
+deterministic.
 """
 
 from __future__ import annotations
@@ -147,6 +149,12 @@ class ChevalleyBasis:
     time: [x_a, x_b] has the weight gamma of the pair, so it is c x_gamma
     when gamma is a root, lies in the span of the h_j when gamma = 0, and
     vanishes otherwise.
+
+    The 2 rank generators e_j = x_alpha_j and f_j = x_-alpha_j generate the
+    basis as a Lie algebra (Humphreys, section 14), which the relation checks
+    of verify_current_relations rely on; the constructor checks it from the
+    structure constants: [e_i, x_parent] = q x_alpha and [f_i, x_-parent] =
+    q x_-alpha for every recipe, and [e_j, f_j] = h_j.
     """
 
     def __init__(self, rs: RootSystem):
@@ -190,6 +198,24 @@ class ChevalleyBasis:
         for m in self.def_mats[self._h0 :]:
             self._h_ech.add(flatten(m.data, drep.dim))
         self._struct: list[Mapping[int, int] | None] = [None] * (self.dim_g * self.dim_g)
+        self.generators = tuple(sorted(
+            idx(rc) for idx in (self.plus_index, self.minus_index) for rc in self.simple
+        ))
+        self._check_generation()
+
+    def _check_generation(self) -> None:
+        # read through _bracket_coords, so the struct cache starts empty
+        for rc, (i, parent, q) in self.recipe.items():
+            if parent is None:
+                continue
+            for idx in (self.plus_index, self.minus_index):
+                if self._bracket_coords(idx(self.simple[i - 1]), idx(parent)) != {idx(rc): q}:
+                    raise TheoremCheckError(
+                        f"the generators do not generate the basis: the recipe bracket of root {rc}"
+                    )
+        for j, rc in enumerate(self.simple, start=1):
+            if self._bracket_coords(self.plus_index(rc), self.minus_index(rc)) != {self.h_index(j): 1}:
+                raise TheoremCheckError(f"the generators do not generate the basis: [e_{j}, f_{j}] is not h_{j}")
 
     def plus_index(self, rc) -> int:
         return self._of_root[rc]
@@ -743,7 +769,9 @@ class RelationReport(
         " cyclic_dim transport_steps",
     )
 ):
-    """Counts of verified identities for one module."""
+    """Counts of the identities established for one module: each bracket,
+    mixed and t^2 pair counts whether verify_current_relations checked it
+    directly or its lemma implies it."""
 
     __slots__ = ()
 
@@ -752,21 +780,36 @@ class RelationReport(
         return self.cyclic_dim == self.total_dim
 
 
+def _generator_pairs(gens: tuple[int, ...], D: int):
+    """The pairs a < b < D with a or b in the sorted gens, in lexicographic
+    order."""
+    for a in range(D):
+        if a in gens:
+            yield from ((a, b) for b in range(a + 1, D))
+        else:
+            yield from ((a, b) for b in gens if b > a)
+
+
 def _check_tsquare(cm: CurrentModule) -> int:
     """[x_a (x) t, x_b (x) t] = 0 on every piece, since x (x) t^2 acts as
-    zero; returns the number of pairs checked."""
-    D = len(cm.g_action[0])
+    zero; returns the number of pairs established.
+
+    Only the pairs with a generator are checked: once x (x) t is
+    g-equivariant, {x : [x (x) t, y (x) t] = 0 for all y} is an ideal of g
+    (bracket the identity with z (x) 1), and an ideal that contains the
+    generators is g."""
+    cb = chevalley(cm.rs)
+    D = cb.dim_g
     pairs = 0
     for s in range(cm.k - 1):
         lo, hi = [rows(m.data) for m in cm.t_action[s]], [m.data for m in cm.t_action[s + 1]]
-        for a in range(D):
-            for b in range(a + 1, D):
-                res = residue(cm.pieces[s + 2].dim, ((1, hi[a], lo[b]), (-1, hi[b], lo[a])))
-                if any(res.values()):
-                    raise TheoremCheckError(
-                        f"[x_{a} (x) t, x_{b} (x) t] does not vanish on piece {s}"
-                    )
-                pairs += 1
+        for a, b in _generator_pairs(cb.generators, D):
+            res = residue(cm.pieces[s + 2].dim, ((1, hi[a], lo[b]), (-1, hi[b], lo[a])))
+            if any(res.values()):
+                raise TheoremCheckError(
+                    f"[x_{a} (x) t, x_{b} (x) t] does not vanish on piece {s}"
+                )
+        pairs += D * (D - 1) // 2
     return pairs
 
 
@@ -812,37 +855,53 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
     defining relations of KR(m omega_i) on the generator.
 
     With N = x and M = x (x) t as column tables and c_z the structure
-    constants of a pair, it checks [N_a, N_b] = sum c_z N_z and
-    N^{s+1}_a M_b - M_b N^s_a = sum c_z M_z, each as one residue.  The
-    right factors become row tables one piece (or one step) at a time, as
-    its loop starts.
+    constants of a pair, the relations are [N_a, N_b] = sum c_z N_z and
+    N^{s+1}_a M_b - M_b N^s_a = sum c_z M_z, each checked as one residue.
+    Only the pairs that contain a generator e_j or f_j are checked, in
+    lexicographic order; the report counts every pair, because the rest
+    follow:
+    - struct raises unless [x_a, x_b] lies in the Z-span of the basis, and
+      the bracket loop calls it on every pair with a generator, so that span
+      is closed under the generators and hence, as they generate the basis
+      (checked by ChevalleyBasis), under every bracket: the structure
+      constants are those of a matrix Lie algebra and satisfy Jacobi;
+    - {x : [N_x, N_y] = N_[x,y] for all y} is a Lie subalgebra of g, by
+      Jacobi in g and in End(V): [N_[x,x'], N_y] = [[N_x, N_x'], N_y] =
+      [N_x, N_[x',y]] - [N_x', N_[x,y]] = N_[[x,x'],y];
+    - with every N a representation, {x : N_x M_y - M_y N_x = M_[x,y] for
+      all y} is a Lie subalgebra of g by the same expansion;
+    and a subalgebra that contains the generators is g (Humphreys, sections
+    14 and 25.2).  The right factors become row tables one piece (or one
+    step) at a time, as its loop starts; of N on the source of a step, only
+    the generators'.
     """
     rs = cm.rs
     cb = chevalley(rs)
     D = cb.dim_g
+    gens = cb.generators
     dims = [p.dim for p in cm.pieces]
 
     gvals = [[x.data for x in mats] for mats in cm.g_action]
     bracket_pairs = 0
     for s, N in enumerate(gvals):
         R = [rows(x) for x in N]
-        for a in range(D):
-            for b in range(a + 1, D):
-                terms = [(-c, N[z]) for z, c in cb.struct(a, b).items()]
-                if any(residue(dims[s], ((1, N[a], R[b]), (-1, N[b], R[a])), terms).values()):
-                    raise TheoremCheckError(f"[x_{a}, x_{b}] fails on piece {s}")
-                bracket_pairs += 1
+        for a, b in _generator_pairs(gens, D):
+            terms = [(-c, N[z]) for z, c in cb.struct(a, b).items()]
+            if any(residue(dims[s], ((1, N[a], R[b]), (-1, N[b], R[a])), terms).values()):
+                raise TheoremCheckError(f"[x_{a}, x_{b}] fails on piece {s}")
+        bracket_pairs += D * (D - 1) // 2
 
     mixed_pairs = 0
     for s, mats in enumerate(cm.t_action):
-        M, N1 = [x.data for x in mats], gvals[s + 1]
-        MR, R0 = [rows(x) for x in M], [rows(x) for x in gvals[s]]
-        for a in range(D):
+        M, N0, N1 = [x.data for x in mats], gvals[s], gvals[s + 1]
+        MR = [rows(x) for x in M]
+        for a in gens:
+            R0a = rows(N0[a])
             for b in range(D):
                 terms = [(-c, M[z]) for z, c in cb.struct(a, b).items()]
-                if any(residue(dims[s + 1], ((1, N1[a], MR[b]), (-1, M[b], R0[a])), terms).values()):
+                if any(residue(dims[s + 1], ((1, N1[a], MR[b]), (-1, M[b], R0a)), terms).values()):
                     raise TheoremCheckError(f"[x_{a} (x) 1, x_{b} (x) t] fails on piece {s}")
-                mixed_pairs += 1
+        mixed_pairs += D * D
 
     tsquare_pairs = _check_tsquare(cm)
     checks = _check_kr_relations(cm)
@@ -885,7 +944,9 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
     - [x (x) 1, y (x) t] = [x, y] (x) t on each factor: the intertwiner is
       g-equivariant, e by construction and f by its lemma, whose premises
       (weights and [e_j, f_i] = delta_ij h_i on each factor) it checks;
-    - [x (x) t, y (x) t] = 0 on each factor: _check_tsquare, here;
+    - [x (x) t, y (x) t] = 0 on each factor: _check_tsquare, here, checks
+      the pairs with a generator, and by the previous premise the rest
+      follow;
     - each factor's generator satisfies the KR relations: _check_kr_relations,
       here.  So v, the product of the generators, is killed by n+ (x) A and
       h (x) t, which act slot by slot.

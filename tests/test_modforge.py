@@ -147,6 +147,38 @@ def test_struct_raises_when_a_bracket_leaves_the_basis():
         cb.struct(e1, e2)
 
 
+@pytest.mark.parametrize(
+    "wrong,message",
+    [
+        ("recipe", r"generators do not generate the basis: the recipe bracket of root"),
+        ("h", r"generators do not generate the basis: \[e_1, f_1\] is not h_1"),
+    ],
+)
+def test_chevalley_basis_checks_that_the_generators_generate(monkeypatch, wrong, message):
+    # one bracket of the generation premise comes back wrong: the recipe of
+    # theta with q off by one, or [e_1, f_1] = 2 h_1
+    rs = rs_of("C3")
+    real = modforge.ChevalleyBasis._bracket_coords
+
+    def off(cb, a, b):
+        out = real(cb, a, b)
+        if wrong == "recipe":
+            i, parent, q = cb.recipe[rs.theta]
+            if (a, b) == (cb.plus_index(cb.simple[i - 1]), cb.plus_index(parent)):
+                return {cb.plus_index(rs.theta): q + 1}
+        elif (a, b) == (cb.plus_index(cb.simple[0]), cb.minus_index(cb.simple[0])):
+            return {z: 2 * v for z, v in out.items()}
+        return out
+
+    monkeypatch.setattr(modforge.ChevalleyBasis, "_bracket_coords", off)
+    modforge._chevalley.cache_clear()
+    try:
+        with pytest.raises(TheoremCheckError, match=message):
+            modforge.chevalley(rs)
+    finally:
+        modforge._chevalley.cache_clear()
+
+
 ADJOINT_DIMS = {"A2": 8, "C2": 10, "B3": 21, "C3": 21, "D4": 28, "B4": 36}
 
 
@@ -722,6 +754,13 @@ def test_kr_b4_node3_module():
     assert report.ok and report.cyclic_dim == 93
 
 
+def test_verify_relations_c4_node3_frontier():
+    # recorded when every pair was checked directly
+    cm = modforge.build_kr_fundamental(rs_of("C4"), 3)
+    report = modforge.verify_current_relations(cm)
+    assert tuple(report) == ("C4 node 3 level 2", 1170, 2520, 3888, 1260, 45, 1170, 3)
+
+
 def test_verify_relations_detects_broken_transport():
     rs = rs_of("C2")
     cm = modforge.build_kr_fundamental(rs, 1)
@@ -830,6 +869,31 @@ def test_verify_relations_catches_a_planted_entry(request, module, family, s, me
     with pytest.raises(TheoremCheckError) as want:
         spmat_relation_counts(broken)
     assert str(got.value) == str(want.value)
+
+
+@pytest.fixture(scope="module")
+def c4_node2():
+    return modforge.build_kr_fundamental(rs_of("C4"), 2)
+
+
+@pytest.mark.parametrize(
+    "family,message",
+    [
+        ("g", r"\[x_\d+, x_\d+\] fails on piece 0"),
+        ("t", r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 0"),
+    ],
+)
+def test_verify_relations_catches_a_planted_entry_off_the_generators(c4_node2, family, message):
+    # x_theta is no generator; the fault shows on its pairs with a generator
+    cm = c4_node2
+    cb = modforge.chevalley(cm.rs)
+    theta = cb.plus_index(cm.rs.theta)
+    assert theta not in cb.generators
+    broken = add_a_third(cm, family, 0, theta)
+    with pytest.raises(TheoremCheckError, match=message):
+        modforge.verify_current_relations(broken)
+    with pytest.raises(TheoremCheckError, match=message):
+        spmat_relation_counts(broken)
 
 
 def test_verify_relations_catches_a_tsquare_error():
