@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from krlib import charlib, cli, krset, modforge
 from krlib.errors import DimensionGuardError, ScopeError, TheoremCheckError
-from krlib.linalg import Echelon, SpMat, nullspace, residue, rows
+from krlib.linalg import Echelon, SpMat, flatten, nullspace, residue, rows
 from krlib.rootsys import build, parse_type
 
 
@@ -450,12 +450,138 @@ def test_tensor_rep_of_current_modules_adds_grades():
     assert moved
 
 
+def tensor_intertwiner(rs, source, target):
+    """Basis of the g-equivariant maps from the tensor_rep source to the
+    simple target V(lam), solved one weight space at a time over every column
+    of the source: the oracle for the step solver modforge.intertwiner, which
+    solves on V_s alone.
+
+    One nullspace over the source columns of weight lam gives the top of
+    every map; below the top, phi(c) is the unique x with e_i x = phi(e_i c),
+    read off an echelon of the stacked e_i images of V(lam), which raises
+    unless they are injective below the top.  f-equivariance follows by a
+    lemma from that injectivity and the top nullspace, once the factors pass
+    modforge._check_generators.
+    """
+    lam = target.highest_weight
+    dim = target.dim
+    modforge._check_generators(rs, target.slot(), "the target")
+    for t, slot in enumerate(source.slots):
+        modforge._check_generators(rs, slot, f"source factor {t}")
+
+    cols_by_wt = {}
+    for c in range(source.dim):
+        cols_by_wt.setdefault(source.grade_weight(c)[1], []).append(c)
+    rows_by_wt = {}
+    for r, wt in enumerate(target.basis_weights):
+        rows_by_wt.setdefault(wt, []).append(r)
+    top = target.highest_index
+    if rows_by_wt.get(lam) != [top]:
+        raise TheoremCheckError(f"weight {lam} of the target is not a highest line")
+
+    eqs = [
+        source.apply(("f", i), {c: 1})
+        for i, alpha in enumerate(rs.cartan, start=1)
+        for c in cols_by_wt.get(tuple(map(add, lam, alpha)), ())
+    ]
+    maps = [
+        SpMat(dim, source.dim, {c: {top: v} for c, v in sol.items()})
+        for sol in nullspace(eqs, cols_by_wt.get(lam, []))
+    ]
+    if not maps:
+        return []
+
+    weights = {tuple(map(sub, mu, alpha)) for mu in rows_by_wt for alpha in rs.cartan}
+    depth = {mu: rs.scaled_height(tuple(map(sub, lam, mu))) for mu in weights | rows_by_wt.keys()}
+    for mu in sorted(depth.keys() - {lam}, key=lambda mu: (depth[mu], mu)):
+        basis = rows_by_wt.get(mu, ())
+        ech = Echelon()
+        for r in basis:
+            if ech.add(flatten({i: e.col(r) for i, e in enumerate(target.e)}, dim)) is None:
+                raise TheoremCheckError(f"the e_i are not injective on weight {mu} of V({lam})")
+        live = [i for i, alpha in enumerate(rs.cartan, 1) if tuple(map(add, mu, alpha)) in rows_by_wt]
+        for c in cols_by_wt.get(mu, ()):
+            ups = [(i, source.apply(("e", i), {c: 1})) for i in live]
+            for phi in maps:
+                rhs = {(i - 1) * dim + z: v for i, up in ups for z, v in phi.apply(up).items()}
+                if not rhs:
+                    continue
+                got = ech.coords(rhs)
+                if got is None:
+                    raise TheoremCheckError(
+                        f"no vector of weight {mu} in V({lam}) matches the e-images of source column {c}"
+                    )
+                x, d = got
+                if d > 1:
+                    for col in phi.data.values():
+                        for r in col:
+                            col[r] *= d
+                phi.data[c] = {basis[k]: v for k, v in x.items()}
+    return maps
+
+
+def oracle_t_action(cm, solve):
+    """The t-action of cm recomputed step by step from solve(rs, g (x) V_s,
+    V_{s+1}), a solver of the g-maps on the whole tensor product, with one
+    solution divided by its transport scale and split into the D maps x_b (x) t."""
+    rs = cm.rs
+    cb = modforge.chevalley(rs)
+    adj = modforge.adjoint_rep(rs)
+    out = []
+    for s in range(cm.k):
+        src, tgt = cm.pieces[s], cm.pieces[s + 1]
+        (T,) = solve(rs, modforge.tensor_rep([adj, src]), tgt)
+        beta = tuple(map(sub, cm.chain[s], cm.chain[s + 1]))
+        col = T.col(cb.minus_index(rs.int_root_coords(beta)) * src.dim + src.highest_index)
+        assert set(col) == {tgt.highest_index}
+        scale = col[tgt.highest_index]
+        maps = [{} for _ in range(cb.dim_g)]
+        for c, column in T.data.items():
+            assert all(v % scale == 0 for v in column.values())
+            maps[c // src.dim][c % src.dim] = {r: v // scale for r, v in column.items()}
+        out.append(maps)
+    return out
+
+
+def t_tables(cm):
+    return [[m.data for m in mats] for mats in cm.t_action]
+
+
+@pytest.mark.parametrize("name,node", cli._MODFORGE_DEFAULT + [("C4", 2), ("C4", 3)])
+def test_t_action_matches_tensor_oracle(name, node):
+    cm = modforge.build_kr_fundamental(rs_of(name), node)
+    assert t_tables(cm) == oracle_t_action(cm, tensor_intertwiner)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "C4", "D4", "B6"])
+def test_f_tree_reaches_the_basis_from_theta(name):
+    rs = rs_of(name)
+    cb = modforge.chevalley(rs)
+    reached = [cb.plus_index(rs.theta)]
+    for z, i, b, c in cb.f_tree:
+        # parents first, and c the single structure constant of the edge
+        assert b in reached and z not in reached
+        assert cb.struct(cb.minus_index(cb.simple[i - 1]), b) == {z: c}
+        reached.append(z)
+    assert sorted(reached) == list(range(cb.dim_g))
+
+
+def test_build_kr_pairs_weights_without_grade_weight(monkeypatch):
+    # the step solver finds the columns of g (x) V_s of a weight by pairing
+    # the two factors' weights, never one column at a time
+    def refuse(self, idx):
+        raise AssertionError("grade_weight called")
+
+    monkeypatch.setattr(modforge._Tensor, "grade_weight", refuse)
+    assert modforge.build_kr_fundamental(rs_of("C3"), 2).k == 2
+
+
 def test_intertwiner_schur():
     rs = rs_of("C2")
     v1 = modforge.highest_module(rs, (1, 0))
     v2 = modforge.highest_module(rs, (0, 1))
-    assert len(modforge.intertwiner(rs, modforge.tensor_rep([v1]), v1)) == 1
-    assert len(modforge.intertwiner(rs, modforge.tensor_rep([v1]), v2)) == 0
+    assert len(tensor_intertwiner(rs, modforge.tensor_rep([v1]), v1)) == 1
+    assert len(tensor_intertwiner(rs, modforge.tensor_rep([v1]), v2)) == 0
 
 
 def test_intertwiner_matches_hom_dim():
@@ -466,7 +592,7 @@ def test_intertwiner_matches_hom_dim():
     achar = charlib.adjoint_char(rs)
     for lam in [(2, 0), (0, 0), (0, 1), (2, 1)]:
         tgt = modforge.highest_module(rs, lam)
-        sols = modforge.intertwiner(rs, src, tgt)
+        sols = tensor_intertwiner(rs, src, tgt)
         assert len(sols) == charlib.hom_dim(rs, [achar, (2, 0)], lam)
         # the maps stay integral, also where a column is solved over Q
         assert all(type(v) is int for t in sols for _, _, v in t.entries())
@@ -481,7 +607,7 @@ def test_intertwiner_matches_hom_dim():
 def nullspace_intertwiner(rs, source, target):
     """One nullspace over every weight-matched entry, constrained by
     commutation with every e_i and f_i on every column: the oracle for the
-    weight-space solve of modforge.intertwiner."""
+    maps that modforge.intertwiner replays from one maximal vector."""
     source_wts = [source.grade_weight(c)[1] for c in range(source.dim)]
     cols_by_wt = {}
     for c, wt in enumerate(source_wts):
@@ -526,8 +652,8 @@ def nullspace_intertwiner(rs, source, target):
 
 def f_check_oracle(rs, source, target, maps):
     """phi(f_i c) = f_i phi(c) for every map, every source column c and
-    every i where either side can be nonzero: the brute-force check that
-    modforge.intertwiner ran before it took f-equivariance from its lemma."""
+    every i where either side can be nonzero: the brute-force check of
+    f-equivariance."""
     n = rs.rank
     cols_by_wt = {}
     for c in range(source.dim):
@@ -553,78 +679,172 @@ def f_check_oracle(rs, source, target, maps):
                         )
 
 
-def normalized_actions(rs, i):
-    cm = modforge.build_kr_fundamental(rs, i)
-    return [[m.data for m in mats] for mats in cm.g_action + cm.t_action]
-
-
 @pytest.mark.parametrize("name,node", cli._MODFORGE_DEFAULT + [("C4", 2)])
-def test_intertwiner_matches_nullspace_oracle(monkeypatch, name, node):
-    rs = rs_of(name)
-    got = normalized_actions(rs, node)
-    monkeypatch.setattr(modforge, "intertwiner", nullspace_intertwiner)
-    assert got == normalized_actions(rs, node)
+def test_intertwiner_matches_nullspace_oracle(name, node):
+    cm = modforge.build_kr_fundamental(rs_of(name), node)
+    assert t_tables(cm) == oracle_t_action(cm, nullspace_intertwiner)
 
 
 @pytest.mark.parametrize("name,node", cli._MODFORGE_DEFAULT + [("C4", 2), ("C4", 3)])
-def test_intertwiner_passes_the_f_check_oracle(monkeypatch, name, node):
-    solve = modforge.intertwiner
+def test_intertwiner_passes_the_f_check_oracle(name, node):
+    # the built maps, as one map g (x) V_s -> V_{s+1}, commute with every f_i
+    rs = rs_of(name)
+    cm = modforge.build_kr_fundamental(rs, node)
+    adj = modforge.adjoint_rep(rs)
+    for s, mats in enumerate(cm.t_action):
+        src, tgt = cm.pieces[s], cm.pieces[s + 1]
+        T = SpMat(tgt.dim, len(mats) * src.dim)
+        for b, m in enumerate(mats):
+            T.data.update((b * src.dim + c, col) for c, col in m.data.items())
+        f_check_oracle(rs, modforge.tensor_rep([adj, src]), tgt, [T])
+
+
+def bump_first_entry(m):
+    """A copy of m with 1 added to its first stored entry."""
+    bad = m.copy()
+    c = min(bad.data)
+    r = min(bad.data[c])
+    bad.set(r, c, bad.get(r, c) + 1)
+    return bad
+
+
+def plant_piece(monkeypatch, lam, edit):
+    """Make highest_module return edit(V(lam)) for the weight lam."""
+    real = modforge.highest_module
+    monkeypatch.setattr(
+        modforge, "highest_module", lambda rs, mu: edit(real(rs, mu)) if mu == lam else real(rs, mu)
+    )
+
+
+# C3 node 2 has the chain (0, 2, 0), (2, 0, 0), (0, 0, 0)
+
+
+def test_intertwiner_detects_corrupted_target(monkeypatch):
+    plant_piece(monkeypatch, (2, 0, 0), lambda rep: rep._replace(f=(bump_first_entry(rep.f[0]),) + rep.f[1:]))
+    with pytest.raises(TheoremCheckError, match=r"\[e_1, f_1\] of piece 1 is not delta h"):
+        modforge.build_kr_fundamental(rs_of("C3"), 2)
+
+
+def test_intertwiner_detects_corrupted_source_factor(monkeypatch):
+    real = modforge.adjoint_rep
+
+    def damaged(rs):
+        adj = real(rs)
+        return adj._replace(f=(bump_first_entry(adj.f[0]),) + adj.f[1:])
+
+    monkeypatch.setattr(modforge, "adjoint_rep", damaged)
+    with pytest.raises(TheoremCheckError, match=r"\[e_1, f_1\] of the adjoint is not delta h"):
+        modforge.build_kr_fundamental(rs_of("C3"), 2)
+
+
+def test_intertwiner_detects_a_generator_entry_off_its_weight(monkeypatch):
+    # one e_2 entry of V(2, 0, 0) moved to a row of another weight
+    def edit(rep):
+        bad = rep.e[1].copy()
+        c = min(bad.data)
+        r = min(bad.data[c])
+        wts = rep.basis_weights
+        moved = next(k for k in range(rep.dim) if wts[k] != wts[r] and k not in bad.data[c])
+        bad.set(moved, c, bad.get(r, c))
+        bad.set(r, c, 0)
+        return rep._replace(e=rep.e[:1] + (bad,) + rep.e[2:])
+
+    plant_piece(monkeypatch, (2, 0, 0), edit)
+    with pytest.raises(TheoremCheckError, match="e_2 of piece 1 does not move weights by alpha_2"):
+        modforge.build_kr_fundamental(rs_of("C3"), 2)
+
+
+HOM_C3_STEP0 = r"Hom\(g \(x\) V\(0, 2, 0\), V\(2, 0, 0\)\)"
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ("plus-one", r"no int vector of weight .* matches X e_i of column \d+"),
+        ("zero", rf"the maximal vector of {HOM_C3_STEP0} is zero"),
+        ("transport-zero", rf"{HOM_C3_STEP0} does not transport the highest vector"),
+        ("transport-sign", rf"{HOM_C3_STEP0} does not transport the highest vector"),
+    ],
+    ids=["plus-one", "zero", "transport-zero", "transport-sign"],
+)
+def test_build_kr_checks_the_top_of_the_maximal_vector(monkeypatch, edit, message):
+    # step 0 of C3 node 2: x_theta meets six source columns at the top, so a
+    # +1 on one of X's top values leaves the line of the true top; the top
+    # also holds x_-beta (x) v_top, whose value is the transport scale, and
+    # with its sign flipped the replay sends v_top to minus the top
+    rs = rs_of("C3")
+    cb = modforge.chevalley(rs)
+    theta = cb.plus_index(rs.theta)
+    source = modforge.highest_module(rs, (0, 2, 0))
+    sdim = source.dim
+    transport = cb.minus_index(rs.int_root_coords((-2, 2, 0))) * sdim + source.highest_index
+    real = modforge.nullspace
     calls = []
 
-    def checked(rs, source, target):
-        maps = solve(rs, source, target)
-        f_check_oracle(rs, source, target, maps)
-        calls.append(len(maps))
-        return maps
+    def planted(eqs, variables):
+        sols = real(eqs, variables)
+        if not calls:
+            tops = [c for c in variables if c // sdim == theta]
+            if edit == "plus-one":
+                sols[0][tops[0]] = sols[0].get(tops[0], 0) + 1
+            elif edit == "zero":
+                for c in tops:
+                    sols[0].pop(c, None)
+            elif edit == "transport-zero":
+                del sols[0][transport]
+            else:
+                sols[0][transport] *= -1
+        calls.append(len(sols))
+        return sols
 
-    monkeypatch.setattr(modforge, "intertwiner", checked)
-    cm = modforge.build_kr_fundamental(rs_of(name), node)
-    assert calls == [1] * cm.k
+    monkeypatch.setattr(modforge, "nullspace", planted)
+    with pytest.raises(TheoremCheckError, match=message):
+        modforge.build_kr_fundamental(rs, 2)
+    assert calls == [1]
 
 
-def test_intertwiner_detects_corrupted_target():
+def test_build_kr_checks_that_e_kills_the_maximal_vector(monkeypatch):
+    # a sweep that reads one column of X off wrongly leaves e_i . X != 0
     rs = rs_of("C3")
-    src = modforge.tensor_rep([modforge.adjoint_rep(rs), modforge.highest_module(rs, (0, 2, 0))])
-    tgt = modforge.highest_module(rs, (2, 0, 0))
-    assert len(modforge.intertwiner(rs, src, tgt)) == 1
-    bad = tgt.f[0].copy()
-    c = min(bad.data)
-    r = min(bad.data[c])
-    bad.set(r, c, bad.get(r, c) + 1)
-    damaged = tgt._replace(f=(bad,) + tgt.f[1:])
-    with pytest.raises(TheoremCheckError):
-        modforge.intertwiner(rs, src, damaged)
+    modforge.chevalley(rs).f_tree
+    skewed = []
+
+    class Skewed(Echelon):
+        def coords(self, vec):
+            got = super().coords(vec)
+            if got and not skewed:
+                x, d = got
+                k = min(x)
+                skewed.append(k)
+                return {**x, k: x[k] + d}, d
+            return got
+
+    monkeypatch.setattr(modforge, "Echelon", Skewed)
+    with pytest.raises(TheoremCheckError, match=r"e_\d does not kill the maximal vector of Hom"):
+        modforge.build_kr_fundamental(rs, 2)
+    assert skewed
 
 
-def test_intertwiner_detects_corrupted_source_factor():
+def test_build_kr_checks_each_tree_edge(monkeypatch):
+    # a wrong struct coefficient on one edge of the replay tree
     rs = rs_of("C3")
-    adj = modforge.adjoint_rep(rs)
-    piece = modforge.highest_module(rs, (0, 2, 0))
-    tgt = modforge.highest_module(rs, (2, 0, 0))
-    bad = adj.f[0].copy()
-    c = min(bad.data)
-    r = min(bad.data[c])
-    bad.set(r, c, bad.get(r, c) + 1)
-    src = modforge.tensor_rep([adj._replace(f=(bad,) + adj.f[1:]), piece])
-    with pytest.raises(TheoremCheckError, match=r"\[e_1, f_1\] of source factor 0 is not delta h"):
-        modforge.intertwiner(rs, src, tgt)
+    cb = modforge.chevalley(rs)
+    edges = list(cb.f_tree)
+    z, i, b, c = edges[1]
+    edges[1] = (z, i, b, 3 * c)
+    monkeypatch.setattr(cb, "f_tree", tuple(edges))
+    with pytest.raises(TheoremCheckError, match=r"is not an integer vector divisible by"):
+        modforge.build_kr_fundamental(rs, 2)
 
 
-def test_intertwiner_detects_a_generator_entry_off_its_weight():
-    # one e_2 entry of the target moved to a row of another weight
+def test_build_kr_checks_that_the_e_are_injective_below_the_top(monkeypatch):
+    # V(omega_1) (x) V(omega_1) for V(2 omega_1): the top of its wedge square,
+    # at 2 omega_1 - alpha_1 = omega_2, is killed by every e_i
     rs = rs_of("C3")
-    src = modforge.tensor_rep([modforge.adjoint_rep(rs), modforge.highest_module(rs, (0, 2, 0))])
-    tgt = modforge.highest_module(rs, (2, 0, 0))
-    bad = tgt.e[1].copy()
-    c = min(bad.data)
-    r = min(bad.data[c])
-    wts = tgt.basis_weights
-    moved = next(k for k in range(tgt.dim) if wts[k] != wts[r] and k not in bad.data[c])
-    bad.set(moved, c, bad.get(r, c))
-    bad.set(r, c, 0)
-    damaged = tgt._replace(e=tgt.e[:1] + (bad,) + tgt.e[2:])
-    with pytest.raises(TheoremCheckError, match="e_2 of the target does not move weights by alpha_2"):
-        modforge.intertwiner(rs, src, damaged)
+    v1 = modforge.highest_module(rs, (1, 0, 0))
+    plant_piece(monkeypatch, (2, 0, 0), lambda rep: kron_tensor_rep(v1, v1))
+    with pytest.raises(TheoremCheckError, match=r"the e_i are not injective on weight \(0, 1, 0\)"):
+        modforge.build_kr_fundamental(rs, 2)
 
 
 PROPERTY_ALGEBRAS = [rs_of(name) for name in ("A2", "B2", "C2", "A3", "B3", "C3")]
@@ -656,7 +876,7 @@ def test_intertwiner_commutes_with_every_generator(case):
     adj = modforge.adjoint_rep(rs)
     src = modforge.tensor_rep([adj, modforge.highest_module(rs, mu)])
     tgt = modforge.highest_module(rs, lam)
-    maps = modforge.intertwiner(rs, src, tgt)
+    maps = tensor_intertwiner(rs, src, tgt)
     assert len(maps) == charlib.hom_dim(rs, [adj.highest_weight, mu], lam)
     for t in maps:
         for kind in ("e", "f"):
@@ -670,7 +890,7 @@ def test_intertwiner_rejects_reducible_target():
     v1 = modforge.highest_module(rs, (1, 0))
     both = kron_tensor_rep(v1, v1)
     with pytest.raises(TheoremCheckError):
-        modforge.intertwiner(rs, modforge.tensor_rep([both]), both)
+        tensor_intertwiner(rs, modforge.tensor_rep([both]), both)
 
 
 def test_build_kr_checks_hom_dim(monkeypatch):
@@ -919,6 +1139,20 @@ def test_verify_relations_catches_a_tsquare_error():
     with pytest.raises(TheoremCheckError) as want:
         spmat_relation_counts(cm)
     assert str(got.value) == str(want.value)
+
+
+def test_check_tsquare_catches_a_pair_off_the_generators(c3_node2):
+    # x_theta is no generator: doubling x_theta (x) t on step 1 breaks only
+    # the t^2 pairs with x_theta, one of which the generator a0 = 0 meets
+    cm = c3_node2
+    cb = modforge.chevalley(cm.rs)
+    theta = cb.plus_index(cm.rs.theta)
+    assert cb.generators[0] == 0 and theta not in cb.generators
+    t_action = [list(mats) for mats in cm.t_action]
+    t_action[1][theta] = t_action[1][theta].scale(2)
+    message = rf"\[x_0 \(x\) t, x_{theta} \(x\) t\] does not vanish on piece 0"
+    with pytest.raises(TheoremCheckError, match=message):
+        modforge._check_tsquare(cm._replace(t_action=tuple(map(tuple, t_action))))
 
 
 @st.composite

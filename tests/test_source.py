@@ -211,11 +211,27 @@ def test_root_data_match_a_fraction_computation(name):
     assert all(type(x) is int for x in (rs.root_den, *rs.dcheck, *sum(rs._inv_num, ())))
 
 
+def uses_a_spmat_product(node):
+    return (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)) or (
+        isinstance(node, ast.Attribute) and node.attr == "bracket"
+    )
+
+
 def test_relation_checks_use_the_one_product_kernel():
-    # the relation checks multiply through linalg.residue over row tables;
-    # a SpMat product (`@` or .bracket) in them would be a second kernel
+    # the relation checks, the step solver and every bracket-and-divide
+    # replay multiply through linalg.residue over row tables; a SpMat product
+    # (`@` or .bracket) in them would be a second kernel
     tree = ast.parse((SRC / "modforge.py").read_text())
-    names = ["_bracket_coords", "_check_generators", "_check_tsquare", "verify_current_relations"]
+    names = [
+        "_bracket_coords",
+        "_bracket_quotient",
+        "_check_generators",
+        "_check_tsquare",
+        "_from_generators",
+        "intertwiner",
+        "realize",
+        "verify_current_relations",
+    ]
     functions = {
         node.name: node
         for node in ast.walk(tree)
@@ -226,13 +242,28 @@ def test_relation_checks_use_the_one_product_kernel():
         node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ChevalleyBasis"
     )
     assert functions["_bracket_coords"] in chevalley.body
+    assert functions["realize"] in chevalley.body
     found = [
         f"{name}:{node.lineno}"
         for name, fn in sorted(functions.items())
         for node in ast.walk(fn)
-        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
-        or (isinstance(node, ast.Attribute) and node.attr == "bracket")
+        if uses_a_spmat_product(node)
     ]
+    assert found == []
+
+
+def test_no_spmat_product_outside_spmat():
+    # SpMat's own arithmetic stays for the tests; nothing else in the
+    # library multiplies with it
+    found = []
+    for path, tree in parsed_sources():
+        spmat = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SpMat"]
+        inside = {id(node) for cls in spmat for node in ast.walk(cls)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if uses_a_spmat_product(node) and id(node) not in inside
+        ]
     assert found == []
 
 
