@@ -11,11 +11,10 @@ along a tree of f-brackets from x_theta and normalized by its transport of
 the highest vector; then assemble the graded module.  Every matrix of a
 module is an int matrix: each step that relies on Kostant's integrality
 theorem divides exactly or raises TheoremCheckError.
-verify_current_relations checks the relation of each pair that contains a
-generator e_j or f_j, each left factor a column table and each right factor
-a row table, in the one product kernel linalg.residue; the other pairs
-follow by a lemma, as the generators generate g.  Everything is exact and
-deterministic.
+verify_current_relations checks presentations, Serre's for each piece and
+one maximal vector and its f-tree for each step, each left factor a column
+table and each right factor a row table, in the one product kernel
+linalg.residue; every other relation follows.  All exact and deterministic.
 """
 
 from __future__ import annotations
@@ -574,6 +573,11 @@ def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
     return MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(hh), tuple(basis_wts), 0, lam)
 
 
+def _moves_weights(tab, source, target, shift) -> bool:
+    """Whether tab sends each basis weight w of source to w + shift of target."""
+    return all(target[r] == tuple(map(add, source[c], shift)) for c, col in tab.items() for r in col)
+
+
 def _check_generators(rs: RootSystem, slot, what: str) -> None:
     """The premises intertwiner needs of a piece or the adjoint, as a slot:
     e_j moves every basis weight by +alpha_j, f_i by -alpha_i, and [e_j, f_i]
@@ -584,10 +588,8 @@ def _check_generators(rs: RootSystem, slot, what: str) -> None:
     for kind, sign in (("e", 1), ("f", -1)):
         for i, alpha in enumerate(rs.cartan, start=1):
             tab = tabs[kind, i] = cols((kind, i))
-            for c, col in tab.items():
-                want = tuple(w + sign * a for w, a in zip(weights[c], alpha))
-                if any(weights[r] != want for r in col):
-                    raise TheoremCheckError(f"{kind}_{i} of {what} does not move weights by alpha_{i}")
+            if not _moves_weights(tab, weights, weights, [sign * a for a in alpha]):
+                raise TheoremCheckError(f"{kind}_{i} of {what} does not move weights by alpha_{i}")
     row_tabs = {op: rows(tab) for op, tab in tabs.items()}
     for i in range(1, rs.rank + 1):
         h = [(-1, {c: {c: wt[i - 1]} for c, wt in enumerate(weights)})]
@@ -597,7 +599,7 @@ def _check_generators(rs: RootSystem, slot, what: str) -> None:
                 raise TheoremCheckError(f"[e_{j}, f_{i}] of {what} is not delta h")
 
 
-def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep) -> list[SpMat]:
+def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: MatrixRep) -> list[SpMat]:
     """The maps M_y = y (x) t from V_s = source to V_{s+1} = target, one per
     basis element y of g, that make y (x) v -> M_y v a g-map, normalized so
     that x_-beta (x) t sends top to top, beta the difference of the weights.
@@ -622,7 +624,7 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep) -> list[Sp
     - M_z = f_i . M_b / c along ChevalleyBasis.f_tree, [f_i, x_b] = c x_z,
       each division exact or raising, and M_-beta must send top to top.
     """
-    cb, adj = chevalley(rs), adjoint_rep(rs)
+    cb = chevalley(rs)
     theta_wt, theta = adj.highest_weight, adj.highest_index
     lam, top, dim, sdim = target.highest_weight, target.highest_index, target.dim, source.dim
     hom = f"Hom(g (x) V{source.highest_weight}, V{lam})"
@@ -753,10 +755,11 @@ def build_kr_fundamental(rs: RootSystem, i: int) -> CurrentModule:
     pieces = tuple(highest_module(rs, mu) for mu in chain)
     for s, piece in enumerate(pieces):
         _check_generators(rs, piece.slot(), f"piece {s}")
-    _check_generators(rs, adjoint_rep(rs).slot(), "the adjoint")
+    adj = adjoint_rep(rs)
+    _check_generators(rs, adj.slot(), "the adjoint")
     cb = chevalley(rs)
     g_action = tuple(tuple(cb.realize(p)) for p in pieces)
-    t_action = [tuple(intertwiner(rs, pieces[s], pieces[s + 1])) for s in range(len(chain) - 1)]
+    t_action = [tuple(intertwiner(rs, pieces[s], pieces[s + 1], adj)) for s in range(len(chain) - 1)]
     return CurrentModule(rs, i, d, chain, pieces, g_action, tuple(t_action))
 
 
@@ -778,17 +781,7 @@ class RelationReport(
         return self.cyclic_dim == self.total_dim
 
 
-def _generator_pairs(gens: tuple[int, ...], D: int):
-    """The pairs a < b < D with a or b in the sorted gens, in lexicographic
-    order."""
-    for a in range(D):
-        if a in gens:
-            yield from ((a, b) for b in range(a + 1, D))
-        else:
-            yield from ((a, b) for b in gens if b > a)
-
-
-def _check_tsquare(cm: CurrentModule) -> int:
+def _check_tsquare(cm: CurrentModule, t_rows=None) -> int:
     """[x_a (x) t, x_b (x) t] = 0 on every piece, since x (x) t^2 acts as
     zero; returns the number of pairs established.
 
@@ -802,7 +795,8 @@ def _check_tsquare(cm: CurrentModule) -> int:
     a = cb.generators[0]
     pairs = 0
     for s in range(cm.k - 1):
-        lo, hi = [rows(m.data) for m in cm.t_action[s]], [m.data for m in cm.t_action[s + 1]]
+        lo = t_rows[s] if t_rows else [rows(m.data) for m in cm.t_action[s]]
+        hi = [m.data for m in cm.t_action[s + 1]]
         for b in [b for b in range(D) if b != a]:
             if any(residue(cm.pieces[s + 2].dim, ((1, hi[a], lo[b]), (-1, hi[b], lo[a]))).values()):
                 raise TheoremCheckError(
@@ -855,54 +849,61 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
 
     With N = x and M = x (x) t as column tables and c_z the structure
     constants of a pair, the relations are [N_a, N_b] = sum c_z N_z and
-    N^{s+1}_a M_b - M_b N^s_a = sum c_z M_z, each checked as one residue.
-    Only the pairs that contain a generator e_j or f_j are checked, in
-    lexicographic order; the report counts every pair, because the rest
-    follow:
-    - struct raises unless [x_a, x_b] lies in the Z-span of the basis, and
-      the bracket loop calls it on every pair with a generator, so that span
-      is closed under the generators and hence, as they generate the basis
-      (checked by ChevalleyBasis), under every bracket: the structure
-      constants are those of a matrix Lie algebra and satisfy Jacobi;
-    - {x : [N_x, N_y] = N_[x,y] for all y} is a Lie subalgebra of g, by
-      Jacobi in g and in End(V): [N_[x,x'], N_y] = [[N_x, N_x'], N_y] =
-      [N_x, N_[x',y]] - [N_x', N_[x,y]] = N_[[x,x'],y];
-    - with every N a representation, {x : N_x M_y - M_y N_x = M_[x,y] for
-      all y} is a Lie subalgebra of g by the same expansion;
-    and a subalgebra that contains the generators is g (Humphreys, sections
-    14 and 25.2).  The right factors become row tables one piece (or one
-    step) at a time, as its loop starts; of N on the source of a step, only
-    the generators'.
+    N^{s+1}_a M_b - M_b N^s_a = sum c_z M_z.  A presentation of each is
+    checked, a bracket as one residue in the order of its pair (a, b); the
+    report counts every pair, as the rest follow.
+    Pieces: N_h_j is the weight diagonal h_j, e_j and f_i move weights by
+    +-alpha, [e_j, f_i] = delta_ij h_i, and q N_alpha = [N_e_i, N_parent]
+    for each ChevalleyBasis.recipe and sign.  So [h_i, e_j] = a_ij e_j with
+    a_ij = alpha_j(h_i), and Serre's relations hold: in the finite-
+    dimensional sl_2-module gl(V) under ad (e_i, h_i, f_i), U = (ad e_i)^(1
+    - a_ij) e_j is killed by ad f_i, as [f_i, e_j] = 0, but has weight 2 -
+    a_ij > 0, so U = 0.  By Serre's theorem (Humphreys, section 18.3) N on
+    the generators extends to a representation rho of g, and N = rho by
+    height, as the recipes hold in g (ChevalleyBasis checks them).
+    Steps: X = M_x_theta moves weights by theta, e_i . X = 0, and c M_z =
+    f_i . M_b along each edge of ChevalleyBasis.f_tree, x . Y = N^{s+1}_x Y
+    - Y N^s_x.  So X is 0 or a maximal vector of weight theta in the
+    g-module Hom(V_s, V_{s+1}), x_theta -> X extends to a g-map phi (the
+    lemma of intertwiner), and phi(x_z) = f_i . phi(x_b) / c = M_z.
     """
-    rs = cm.rs
-    cb = chevalley(rs)
-    D = cb.dim_g
-    gens = cb.generators
-    dims = [p.dim for p in cm.pieces]
-
+    rs, cb = cm.rs, chevalley(cm.rs)
+    D, h0, theta = cb.dim_g, cb.h_index(1), cb.plus_index(rs.theta)
+    es, fs = ([idx(rc) for rc in cb.simple] for idx in (cb.plus_index, cb.minus_index))
+    pairs = sorted({(a, b) for a in es for b in fs} | {
+        tuple(sorted((idx(cb.simple[i - 1]), idx(p))))
+        for i, p, _ in cb.recipe.values() if p for idx in (cb.plus_index, cb.minus_index)
+    })
     gvals = [[x.data for x in mats] for mats in cm.g_action]
-    bracket_pairs = 0
-    for s, N in enumerate(gvals):
-        R = [rows(x) for x in N]
-        for a, b in _generator_pairs(gens, D):
-            terms = [(-c, N[z]) for z, c in cb.struct(a, b).items()]
-            if any(residue(dims[s], ((1, N[a], R[b]), (-1, N[b], R[a])), terms).values()):
+    g_rows = [{a: rows(N[a]) for a in {a for pair in pairs for a in pair}} for N in gvals]
+    for s, (N, R) in enumerate(zip(gvals, g_rows)):
+        weights = cm.pieces[s].basis_weights
+        diag = [{c: {c: wt[j]} for c, wt in enumerate(weights) if wt[j]} for j in range(rs.rank)]
+        for j, h in enumerate(diag, start=1):
+            if N[h0 + j - 1] != h:
+                raise TheoremCheckError(f"h_{j} of piece {s} is not the weight diagonal")
+        for a in cb.generators:
+            if not _moves_weights(N[a], weights, weights, rs.root_weight(cb.roots[a])):
+                raise TheoremCheckError(f"x_{a} of piece {s} does not move weights by its root")
+        Z = N[:h0] + diag  # the right-hand sides, with h_i the weight diagonal
+        for a, b in pairs:
+            terms = [(-c, Z[z]) for z, c in cb.struct(a, b).items()]
+            if any(residue(len(weights), ((1, N[a], R[b]), (-1, N[b], R[a])), terms).values()):
                 raise TheoremCheckError(f"[x_{a}, x_{b}] fails on piece {s}")
-        bracket_pairs += D * (D - 1) // 2
 
-    mixed_pairs = 0
+    steps = sorted([(a, theta) for a in es] + [(fs[i - 1], b) for _, i, b, _ in cb.f_tree])
+    t_rows = [[rows(x.data) for x in mats] for mats in cm.t_action]
     for s, mats in enumerate(cm.t_action):
-        M, N0, N1 = [x.data for x in mats], gvals[s], gvals[s + 1]
-        MR = [rows(x) for x in M]
-        for a in gens:
-            R0a = rows(N0[a])
-            for b in range(D):
-                terms = [(-c, M[z]) for z, c in cb.struct(a, b).items()]
-                if any(residue(dims[s + 1], ((1, N1[a], MR[b]), (-1, M[b], R0a)), terms).values()):
-                    raise TheoremCheckError(f"[x_{a} (x) 1, x_{b} (x) t] fails on piece {s}")
-        mixed_pairs += D * D
+        M, N1, R0, MR = [x.data for x in mats], gvals[s + 1], g_rows[s], t_rows[s]
+        target = cm.pieces[s + 1].basis_weights
+        if not _moves_weights(M[theta], cm.pieces[s].basis_weights, target, rs.root_weight(rs.theta)):
+            raise TheoremCheckError(f"x_{theta} (x) t does not move weights by theta on piece {s}")
+        for a, b in steps:
+            terms = [(-c, M[z]) for z, c in cb.struct(a, b).items()]
+            if any(residue(len(target), ((1, N1[a], MR[b]), (-1, M[b], R0[a])), terms).values()):
+                raise TheoremCheckError(f"[x_{a} (x) 1, x_{b} (x) t] fails on piece {s}")
 
-    tsquare_pairs = _check_tsquare(cm)
+    tsquare_pairs = _check_tsquare(cm, t_rows)
     checks = _check_kr_relations(cm)
 
     # cyclicity: the relations and generator checks above are the premises of
@@ -924,9 +925,8 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
         transport += 1
 
     label = f"{rs.type.family}{rs.rank} node {cm.node} level {cm.level}"
-    return RelationReport(
-        label, cm.total_dim, bracket_pairs, mixed_pairs, tsquare_pairs, checks, cyclic_dim, transport
-    )
+    counts = (len(gvals) * D * (D - 1) // 2, cm.k * D * D, tsquare_pairs)
+    return RelationReport(label, cm.total_dim, *counts, checks, cyclic_dim, transport)
 
 
 def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight, int]]:

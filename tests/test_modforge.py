@@ -1043,17 +1043,35 @@ def test_relation_kernel_matches_spmat_oracle(name, node):
     assert counts == spmat_relation_counts(cm)
 
 
-def add_a_third(cm, family, s, a):
-    """cm with 1/3 added to the first stored entry of x_a on piece s
-    (family "g") or of x_a (x) t on step s (family "t")."""
+def edit_first_entry(cm, family, s, a, edit):
+    """cm with the first stored entry (r, c) of x_a on piece s (family "g")
+    or of x_a (x) t on step s (family "t") edited in place by edit(m, r, c)
+    on a copy m."""
     field = {"g": "g_action", "t": "t_action"}[family]
     groups = [list(mats) for mats in getattr(cm, field)]
     bad = groups[s][a].copy()
     c = next(iter(bad.data))
-    r = next(iter(bad.data[c]))
-    bad.set(r, c, bad.get(r, c) + Fraction(1, 3))
+    edit(bad, next(iter(bad.data[c])), c)
     groups[s][a] = bad
     return cm._replace(**{field: tuple(tuple(mats) for mats in groups)})
+
+
+def add_a_third(cm, family, s, a):
+    """cm with 1/3 added to the first stored entry of x_a on piece s
+    (family "g") or of x_a (x) t on step s (family "t")."""
+    return edit_first_entry(cm, family, s, a, lambda m, r, c: m.set(r, c, m.get(r, c) + Fraction(1, 3)))
+
+
+def move_off_its_weight(cm, family, s, a):
+    """cm with the first stored entry of x_a on piece s or of x_a (x) t on
+    step s moved to a row of another weight."""
+    weights = cm.pieces[s + (family == "t")].basis_weights
+
+    def move(m, r, c):
+        m.set(next(k for k, wt in enumerate(weights) if wt != weights[r]), c, m.get(r, c))
+        m.set(r, c, 0)
+
+    return edit_first_entry(cm, family, s, a, move)
 
 
 @pytest.fixture(scope="module")
@@ -1084,11 +1102,12 @@ def test_verify_relations_catches_a_planted_entry(request, module, family, s, me
     cm = request.getfixturevalue(module)
     cb = modforge.chevalley(cm.rs)
     broken = add_a_third(cm, family, s, cb.minus_index(cb.simple[0]))
-    with pytest.raises(TheoremCheckError, match=message) as got:
+    with pytest.raises(TheoremCheckError, match=message):
         modforge.verify_current_relations(broken)
-    with pytest.raises(TheoremCheckError) as want:
+    # the oracle fails on the same piece or step; its first failing pair may
+    # be one that the presentation implies, as the fault is in its c_z terms
+    with pytest.raises(TheoremCheckError, match=message):
         spmat_relation_counts(broken)
-    assert str(got.value) == str(want.value)
 
 
 @pytest.fixture(scope="module")
@@ -1114,6 +1133,100 @@ def test_verify_relations_catches_a_planted_entry_off_the_generators(c4_node2, f
         modforge.verify_current_relations(broken)
     with pytest.raises(TheoremCheckError, match=message):
         spmat_relation_counts(broken)
+
+
+def test_verify_relations_checks_each_recipe_identity(c4_node2):
+    # 1/3 on x_alpha of piece 0, alpha = alpha_1 + alpha_2: no generator and
+    # no recipe's parent, so of all the checks only its own recipe meets it
+    cm = c4_node2
+    cb = modforge.chevalley(cm.rs)
+    rc = (1, 1, 0, 0)
+    i, parent, _ = cb.recipe[rc]
+    assert parent is not None and rc not in [p for _, p, _ in cb.recipe.values()]
+    a, b = sorted((cb.plus_index(cb.simple[i - 1]), cb.plus_index(parent)))
+    broken = add_a_third(cm, "g", 0, cb.plus_index(rc))
+    with pytest.raises(TheoremCheckError, match=rf"^\[x_{a}, x_{b}\] fails on piece 0$"):
+        modforge.verify_current_relations(broken)
+    with pytest.raises(TheoremCheckError, match=r"fails on piece 0$"):
+        spmat_relation_counts(broken)
+
+
+def test_verify_relations_checks_each_tree_edge(c4_node1):
+    # 1/3 on x_z (x) t for a leaf z of the f-tree that is a negative root, no
+    # generator and not -theta (the transport): only the edge that reaches z
+    # meets it, and with one step there is no t^2 pair
+    cm = c4_node1
+    cb = modforge.chevalley(cm.rs)
+    parents = {b for _, _, b, _ in cb.f_tree}
+    pos = len(cm.rs.positive_roots)
+    z, i, b, _ = next(
+        (z, i, b, c) for z, i, b, c in cb.f_tree
+        if pos <= z < 2 * pos and z not in parents | set(cb.generators) | {cb.minus_index(cm.rs.theta)}
+    )
+    broken = add_a_third(cm, "t", 0, z)
+    f_i = cb.minus_index(cb.simple[i - 1])
+    with pytest.raises(TheoremCheckError, match=rf"^\[x_{f_i} \(x\) 1, x_{b} \(x\) t\] fails on piece 0$"):
+        modforge.verify_current_relations(broken)
+    with pytest.raises(TheoremCheckError, match=r"fails on piece 0$"):
+        spmat_relation_counts(broken)
+
+
+def test_verify_relations_checks_that_h_is_the_weight_diagonal(c3_node2):
+    # a wrong diagonal entry of N_h_1 off the top of piece 0: the generator
+    # brackets read h_1 off the weights, so only the diagonal check meets it
+    cm = c3_node2
+    cb = modforge.chevalley(cm.rs)
+    g_action = [list(mats) for mats in cm.g_action]
+    h = g_action[0][cb.h_index(1)].copy()
+    last = cm.pieces[0].dim - 1
+    assert last != cm.pieces[0].highest_index
+    h.set(last, last, h.get(last, last) + 1)
+    g_action[0][cb.h_index(1)] = h
+    broken = cm._replace(g_action=tuple(map(tuple, g_action)))
+    with pytest.raises(TheoremCheckError, match=r"^h_1 of piece 0 is not the weight diagonal$"):
+        modforge.verify_current_relations(broken)
+    with pytest.raises(TheoremCheckError, match=r"fails on piece 0$"):
+        spmat_relation_counts(broken)
+
+
+def test_verify_relations_checks_the_weights_of_the_generators(c3_node2):
+    cb = modforge.chevalley(c3_node2.rs)
+    e2 = cb.plus_index(cb.simple[1])
+    broken = move_off_its_weight(c3_node2, "g", 1, e2)
+    with pytest.raises(TheoremCheckError, match=rf"^x_{e2} of piece 1 does not move weights by its root$"):
+        modforge.verify_current_relations(broken)
+
+
+def test_verify_relations_checks_the_weight_of_the_maximal_vector(c3_node2):
+    # the e_i . X check would catch this fault too, but the weight comes first
+    theta = modforge.chevalley(c3_node2.rs).plus_index(c3_node2.rs.theta)
+    broken = move_off_its_weight(c3_node2, "t", 0, theta)
+    message = rf"^x_{theta} \(x\) t does not move weights by theta on piece 0$"
+    with pytest.raises(TheoremCheckError, match=message):
+        modforge.verify_current_relations(broken)
+    with pytest.raises(TheoremCheckError, match=r"fails on piece 0$"):
+        spmat_relation_counts(broken)
+
+
+def test_verify_relations_residue_budget(monkeypatch, c4_node2):
+    # the presentations bound the product-kernel work: rank^2 + 2 (|Phi+| -
+    # rank) residues per piece, rank + D - 1 per step, D - 1 per t^2 step; a
+    # loop over the pairs with a generator would take 2 rank D per piece
+    cm = c4_node2
+    rs = cm.rs
+    n, D, pos = rs.rank, modforge.chevalley(rs).dim_g, len(rs.positive_roots)
+    real = modforge.residue
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(modforge, "residue", counted)
+    modforge.verify_current_relations(cm)
+    assert cm.k == 2
+    piece, step, tsquare = n * n + 2 * (pos - n), n + D - 1, D - 1
+    assert len(calls) <= (cm.k + 1) * piece + cm.k * step + (cm.k - 1) * tsquare
 
 
 def test_verify_relations_catches_a_tsquare_error():
