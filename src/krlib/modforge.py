@@ -578,11 +578,9 @@ def _moves_weights(tab, source, target, shift) -> bool:
     return all(target[r] == tuple(map(add, source[c], shift)) for c, col in tab.items() for r in col)
 
 
-def _check_generators(rs: RootSystem, slot, what: str) -> None:
-    """The premises intertwiner needs of a piece or the adjoint, as a slot:
-    e_j moves every basis weight by +alpha_j, f_i by -alpha_i, and [e_j, f_i]
-    = delta_ij h_i, with h_i the diagonal of the weights, as one residue
-    each.  A failure raises TheoremCheckError naming `what`."""
+def _generator_tables(rs: RootSystem, slot, what: str):
+    """The tables of e_i, f_i of a slot keyed (kind, i) and the weight
+    diagonals h_i; TheoremCheckError unless they move weights by +-alpha_i."""
     _, weights, cols = slot
     tabs = {}
     for kind, sign in (("e", 1), ("f", -1)):
@@ -590,12 +588,18 @@ def _check_generators(rs: RootSystem, slot, what: str) -> None:
             tab = tabs[kind, i] = cols((kind, i))
             if not _moves_weights(tab, weights, weights, [sign * a for a in alpha]):
                 raise TheoremCheckError(f"{kind}_{i} of {what} does not move weights by alpha_{i}")
+    return tabs, [{c: {c: wt[i]} for c, wt in enumerate(weights) if wt[i]} for i in range(rs.rank)]
+
+
+def _check_generators(rs: RootSystem, slot, what: str) -> None:
+    """The premises intertwiner needs of a piece or the adjoint, as a slot:
+    _generator_tables, then [e_j, f_i] = delta_ij h_i, one residue each."""
+    tabs, diag = _generator_tables(rs, slot, what)
     row_tabs = {op: rows(tab) for op, tab in tabs.items()}
     for i in range(1, rs.rank + 1):
-        h = [(-1, {c: {c: wt[i - 1]} for c, wt in enumerate(weights)})]
         for j in range(1, rs.rank + 1):
             products = ((1, tabs["e", j], row_tabs["f", i]), (-1, tabs["f", i], row_tabs["e", j]))
-            if any(residue(len(weights), products, h if i == j else ()).values()):
+            if any(residue(len(slot[1]), products, [(-1, diag[i - 1])] if i == j else ()).values()):
                 raise TheoremCheckError(f"[e_{j}, f_{i}] of {what} is not delta h")
 
 
@@ -799,9 +803,7 @@ def _check_tsquare(cm: CurrentModule, t_rows=None) -> int:
         hi = [m.data for m in cm.t_action[s + 1]]
         for b in [b for b in range(D) if b != a]:
             if any(residue(cm.pieces[s + 2].dim, ((1, hi[a], lo[b]), (-1, hi[b], lo[a]))).values()):
-                raise TheoremCheckError(
-                    f"[x_{a} (x) t, x_{b} (x) t] does not vanish on piece {s}"
-                )
+                raise TheoremCheckError(f"[x_{a} (x) t, x_{b} (x) t] does not vanish on piece {s}")
         pairs += D * (D - 1) // 2
     return pairs
 
@@ -870,6 +872,7 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
     rs, cb = cm.rs, chevalley(cm.rs)
     D, h0, theta = cb.dim_g, cb.h_index(1), cb.plus_index(rs.theta)
     es, fs = ([idx(rc) for rc in cb.simple] for idx in (cb.plus_index, cb.minus_index))
+    index = {(kind, i): a for kind, xs in (("e", es), ("f", fs)) for i, a in enumerate(xs, start=1)}
     pairs = sorted({(a, b) for a in es for b in fs} | {
         tuple(sorted((idx(cb.simple[i - 1]), idx(p))))
         for i, p, _ in cb.recipe.values() if p for idx in (cb.plus_index, cb.minus_index)
@@ -877,18 +880,15 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
     gvals = [[x.data for x in mats] for mats in cm.g_action]
     g_rows = [{a: rows(N[a]) for a in {a for pair in pairs for a in pair}} for N in gvals]
     for s, (N, R) in enumerate(zip(gvals, g_rows)):
-        weights = cm.pieces[s].basis_weights
-        diag = [{c: {c: wt[j]} for c, wt in enumerate(weights) if wt[j]} for j in range(rs.rank)]
+        weights, n = cm.pieces[s].basis_weights, cm.pieces[s].dim
+        _, diag = _generator_tables(rs, (None, weights, {op: N[a] for op, a in index.items()}.get), f"piece {s}")
         for j, h in enumerate(diag, start=1):
-            if N[h0 + j - 1] != h:
+            if {k: v for k, v in flatten(N[h0 + j - 1], n).items() if v} != flatten(h, n):
                 raise TheoremCheckError(f"h_{j} of piece {s} is not the weight diagonal")
-        for a in cb.generators:
-            if not _moves_weights(N[a], weights, weights, rs.root_weight(cb.roots[a])):
-                raise TheoremCheckError(f"x_{a} of piece {s} does not move weights by its root")
         Z = N[:h0] + diag  # the right-hand sides, with h_i the weight diagonal
         for a, b in pairs:
             terms = [(-c, Z[z]) for z, c in cb.struct(a, b).items()]
-            if any(residue(len(weights), ((1, N[a], R[b]), (-1, N[b], R[a])), terms).values()):
+            if any(residue(n, ((1, N[a], R[b]), (-1, N[b], R[a])), terms).values()):
                 raise TheoremCheckError(f"[x_{a}, x_{b}] fails on piece {s}")
 
     steps = sorted([(a, theta) for a in es] + [(fs[i - 1], b) for _, i, b, _ in cb.f_tree])

@@ -228,6 +228,7 @@ def test_relation_checks_use_the_one_product_kernel():
         "_check_generators",
         "_check_tsquare",
         "_from_generators",
+        "_generator_tables",
         "_moves_weights",
         "intertwiner",
         "realize",
