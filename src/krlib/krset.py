@@ -17,10 +17,11 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping, Set
 from functools import lru_cache, partial
+from math import comb
 from types import MappingProxyType
 
 from . import charlib
-from .errors import ChainConditionError, TheoremCheckError
+from .errors import ChainConditionError, DimensionGuardError, TheoremCheckError
 from .linalg import Echelon
 from .rootsys import LieType, RootSystem, Weight, build
 
@@ -251,9 +252,17 @@ def _pplus(kr: KRDatum, i: int, m: int) -> Mapping[Weight, tuple[int, ...]]:
 
 
 def _level(kr: KRDatum, i: int, m: int) -> Mapping[Weight, tuple[int, ...]]:
+    """The compositions of P+(i, m); |P+(i, m)| = C(q + k, k), q = m // d and
+    k + 1 the chain length, is guarded here, outside the cache of _pplus, so
+    that a set cached under a larger guard is still refused."""
     kr.rs._check_node(i)
     if m < 0:
         raise ValueError("level must be non-negative")
+    d = kr.steps[i - 1]
+    k = _chain(kr, i, d).k
+    size, guard = comb(m // d + k, k), charlib.dimension_guard()
+    if size > guard:
+        raise DimensionGuardError(f"|{kr.label}P+({i}, {m})| = {size} exceeds {guard}")
     return _pplus(kr, i, m)
 
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
-from itertools import combinations
-from math import prod
+from itertools import combinations, combinations_with_replacement, count
+from math import comb, prod
 from operator import add, ge, sub
 from types import MappingProxyType
 
@@ -371,53 +371,97 @@ def wedge_rep(rs: RootSystem, j: int) -> MatrixRep:
     return rep
 
 
+def _derivation(col, stride: int, monos, ranks):
+    """The shifts of an operator with factor column table col on S^k, as a
+    function of the monomial's rank c: the operator acts as a derivation,
+    so over the distinct entries d of the monomial, one copy of d becomes
+    each row r of column d, and the value is multiplied by the copies of d."""
+
+    def shifts(c: int) -> list:
+        mono, out = monos[c], []
+        for at, d in enumerate(mono):
+            if d in col and not (at and mono[at - 1] == d):
+                rest, copies = mono[:at] + mono[at + 1 :], mono.count(d)
+                for r, v in col[d].items():
+                    out.append(((ranks[tuple(sorted(rest + (r,)))] - c) * stride, copies * v))
+        return out
+
+    return shifts
+
+
 class _Tensor:
-    """Operators on a tensor product, applied slot by slot.
+    """Operators on a tensor product of symmetric powers, applied slot by slot.
 
     A slot is (grades, weights, cols) for one factor, where cols(op) is the
     column table {c: {r: value}} of operator op on that factor, read-only;
-    every slot has the same operators.  On the
-    product, op acts as the sum over the slots of op on that slot and the
-    identity on the others, so grades and weights add across the slots.
-    Index digits are mixed-radix with the first factor most significant.
-    Only the factor tables are stored, never an operator on the product, and
-    an operator's shift tables are built the first time it is applied.
+    every slot has the same operators.  Slot t is S^k(factor), k = powers[t]:
+    k = 1 is the factor itself, a plain slot, and for k > 1 the basis is
+    the sorted k-tuples of factor indices (the monomials), ranked in
+    lexicographic order, on which op acts as a derivation.  On the product,
+    op acts as the sum over the slots of op on that slot and the identity on
+    the others, so grades and weights add over the entries of every slot.
+    Index digits are mixed-radix with the first slot most significant.  Only
+    the factor tables are stored, never an operator on the product: an
+    operator's shifts on a plain slot are built the first time it is
+    applied, and on S^k one monomial at a time, the first time it is met.
     """
 
-    def __init__(self, slots):
-        self.slots = slots
-        sizes = [len(grades) for grades, _, _ in slots]
+    def __init__(self, slots, powers):
+        self.slots, self.powers = slots, powers
+        sizes = [comb(len(grades) + k - 1, k) for (grades, _, _), k in zip(slots, powers)]
         self.dim = prod(sizes)
         self.layout = [(prod(sizes[t + 1 :]), size) for t, size in enumerate(sizes)]
-        # op -> per slot (stride, size, column -> [(index shift, value)])
+        # op -> per slot (stride, size, [(index shift, value)] per column, fill),
+        # a column of S^k None until fill(column) builds it
         self.shifts: dict[object, list] = {}
+
+    @cached_property
+    def monomials(self) -> list:
+        """Per slot S^k, k > 1, the monomials and their ranks; None on a
+        plain slot."""
+        out = []
+        for (grades, _, _), k in zip(self.slots, self.powers):
+            if k == 1:
+                out.append(None)
+            else:
+                monos = list(combinations_with_replacement(range(len(grades)), k))
+                out.append((monos, dict(zip(monos, count()))))
+        return out
 
     def _tables(self, op) -> list:
         tables = self.shifts.get(op)
         if tables is None:
-            tables = self.shifts[op] = [
-                (stride, size, {
-                    c: [((r - c) * stride, v) for r, v in col.items()]
-                    for c, col in cols(op).items()
-                })
-                for (stride, size), (_, _, cols) in zip(self.layout, self.slots)
-            ]
+            tables = self.shifts[op] = []
+            for (stride, size), (_, _, cols), ranked in zip(self.layout, self.slots, self.monomials):
+                col = cols(op)
+                if ranked and col:
+                    table, fill = [None] * size, _derivation(col, stride, *ranked)
+                else:
+                    table, fill = [()] * size, None
+                    for c, entries in col.items():
+                        table[c] = [((r - c) * stride, v) for r, v in entries.items()]
+                tables.append((stride, size, table, fill))
         return tables
 
     def grade_weight(self, idx: int) -> tuple[int, Weight]:
         grade, weight = 0, None
-        for (stride, size), (grades, weights, _) in zip(self.layout, self.slots):
-            d = idx // stride % size
-            grade += grades[d]
-            weight = weights[d] if weight is None else tuple(map(add, weight, weights[d]))
+        for (stride, size), (grades, weights, _), ranked in zip(self.layout, self.slots, self.monomials):
+            digit = idx // stride % size
+            for d in (digit,) if ranked is None else ranked[0][digit]:
+                grade += grades[d]
+                weight = weights[d] if weight is None else tuple(map(add, weight, weights[d]))
         return grade, weight
 
     def apply(self, op, vec: dict[int, int]) -> dict[int, int]:
         tables = self._tables(op)
         out: dict[int, int] = {}
         for idx, val in vec.items():
-            for stride, size, table in tables:
-                for shift, v in table.get(idx // stride % size, ()):
+            for stride, size, table, fill in tables:
+                digit = idx // stride % size
+                shifts = table[digit]
+                if shifts is None:
+                    shifts = table[digit] = fill(digit)
+                for shift, v in shifts:
                     key = idx + shift
                     w = out.get(key, 0) + v * val
                     if w:
@@ -427,10 +471,11 @@ class _Tensor:
         return out
 
 
-def tensor_rep(factors) -> _Tensor:
+def tensor_rep(factors, powers=None) -> _Tensor:
     """The tensor product of MatrixReps or CurrentModules as one slot-wise
-    operator; each factor supplies its own slot."""
-    return _Tensor([fct.slot() for fct in factors])
+    operator; each factor supplies its own slot, S^k(factor) where powers
+    gives k (by default 1 for every factor)."""
+    return _Tensor([fct.slot() for fct in factors], powers or [1] * len(factors))
 
 
 def _lowering_span(space: _Tensor, start: int, ops, keep=lambda wt: True):
@@ -950,9 +995,15 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
       here.  So v, the product of the generators, is killed by n+ (x) A and
       h (x) t, which act slot by slot.
     The product is then a g (x) A-module with x (x) t acting slot by slot.
-    Only weights nu with nu - mu in Q+ for a dominant mu <= m omega_i are
-    kept: an f-word only lowers the weight, so every word that ends on a
-    dominant weight passes through kept weights alone.  The span is a
+    The m0 fundamental factors are spanned in S^m0(fund), not fund^(x)m0:
+    x (x) t^p acts slot by slot, so it commutes with permuting the identical
+    factors; the generator v_m1 (x) v^(x)m0 is symmetric, so its span lies in
+    the symmetric tensors, which over Q are S^m0(fund), x (x) t^p acting on
+    the monomials as a derivation; and the dimensions of the (grade, weight)
+    blocks do not depend on the basis.  Only weights nu with nu - mu in Q+
+    for a dominant mu <= m omega_i are kept: an f-word only lowers the
+    weight, so every word that ends on a dominant weight passes through kept
+    weights alone.  The span is a
     g-module, so the multiplicities of its dominant weights, spread over
     their Weyl orbits, are its character; a grade whose character is not a
     sum of simple characters, or a decomposition other than the
@@ -968,8 +1019,10 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
         return {0: {rs.zero(): 1}}
 
     factors: list[CurrentModule] = []
+    powers: list[int] = []
     if m1:
         factors.append(evaluation_module(rs, i, m1))
+        powers.append(1)
         _check_kr_relations(factors[0])
     if m0:
         if rs.epsilon(rs.theta, i) == 2:
@@ -978,16 +1031,13 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
             fund = evaluation_module(rs, i, d)
         _check_tsquare(fund)
         _check_kr_relations(fund)
-        factors.extend([fund] * m0)
+        factors.append(fund)
+        powers.append(m0)
 
+    gt = tensor_rep(factors, powers)
     guard = charlib.dimension_guard()
-    total = 1
-    for cm in factors:
-        total *= cm.total_dim
-    if total > guard:
-        raise DimensionGuardError(f"tensor space dim {total} exceeds {guard}")
-
-    gt = tensor_rep(factors)
+    if gt.dim > guard:
+        raise DimensionGuardError(f"tensor space dim {gt.dim} exceeds {guard}")
     lam = gt.grade_weight(0)[1]
     floors = [rs.scaled_root_coords(mu) for mu in charlib._dominant_below(rs.type, lam)]
 

@@ -217,12 +217,13 @@ def _guarded_entry_points():
         "cond_twisted": (lambda: homcheck.cond_twisted(a5, 1), r"= 14 exceeds"),
         "wedge_g1_decomp": (lambda: homcheck.wedge_g1_decomp(a5), r"= 14 exceeds"),
         "triple_decomp": (lambda: homcheck.triple_decomp(d5), r"= 9 exceeds"),
+        "pplus": (lambda: krset.pplus(C2, 1, 10), r"\|P\+\(1, 10\)\| = 6 exceeds 5"),
         "highest_module": (lambda: modforge.highest_module(C2, (0, 1)), "ambient dim 6"),
         "evaluation_module": (lambda: modforge.evaluation_module(C2, 1, 2), dim10),
         "build_kr_fundamental": (lambda: modforge.build_kr_fundamental(C2, 1), dim10),
         "kr_tensor_submodule": (
             lambda: modforge.kr_tensor_submodule(A2, 1, 2),
-            "tensor space dim 9",
+            "tensor space dim 6",
         ),
     }
 

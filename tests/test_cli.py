@@ -293,6 +293,29 @@ def test_verify_guard_reports_and_continues():
     assert lines[-1] == "6/8 checks passed"
 
 
+def test_verify_modforge_b3_node2_level4_at_and_below_the_default_guard():
+    argv = ["verify", "modforge", "--algebra", "B3", "--node", "2", "--level", "4"]
+    proc = run_cli(*argv)
+    assert proc.returncode == 0
+    assert proc.stdout == "ok   tensor submodule B3 node 2 level 4: grades [0, 1, 2, 3, 4]\n1/1 checks passed\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "krlib.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(CHILD_ENV, KR_MAX_DIM="1000"),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout.startswith(
+        "GUARD tensor submodule B3 node 2 level 4: tensor space dim 12650 exceeds 1000\n"
+    )
+
+
+def test_set_guards_the_size_of_pplus(capsys):
+    # |P+(5, 60)| of C6 is C(30 + 4, 4) = 324632, refused before it is listed
+    assert cli.main(["set", "--algebra", "C6", "--node", "5", "--level", "60"]) == 2
+    assert "|P+(5, 60)| = 324632 exceeds 100000" in capsys.readouterr().err
+
+
 # sha256 of the (argv, exit code, stdout) records of GRADED_SWEEP, recorded
 # before the untwisted and twisted graded sets moved onto one KR datum
 GRADED_DIGEST = "70b5ae6cef4087f6a13d96e156a25c0a34207788990ce747f5cd65077659f197"

@@ -1381,8 +1381,9 @@ def test_kr_tensor_submodule_edges(monkeypatch):
     assert modforge.kr_tensor_submodule(rs, 1, 0) == {0: {(0, 0): 1}}
     with pytest.raises(ValueError):
         modforge.kr_tensor_submodule(rs, 1, -1)
-    monkeypatch.setenv("KR_MAX_DIM", "100")
-    with pytest.raises(DimensionGuardError):
+    # the span lies in S^2 of the 11-dim fundamental, C(12, 2) = 66 dims
+    monkeypatch.setenv("KR_MAX_DIM", "60")
+    with pytest.raises(DimensionGuardError, match="tensor space dim 66 exceeds 60"):
         modforge.kr_tensor_submodule(rs, 1, 4)
 
 
@@ -1401,11 +1402,9 @@ def test_kr_tensor_submodule_checks_the_character(monkeypatch):
         modforge.kr_tensor_submodule(rs, 1, 2)
 
 
-def all_operator_submodule(rs, i, m):
-    """The span of the top vector under all 2 dim g operators x_a (x) t^p,
-    every (grade, weight) block kept and decomposed as it stands: the oracle
-    for the lowering span of modforge.kr_tensor_submodule, which assumes none
-    of its premises."""
+def full_product(rs, i, m):
+    """V_m1 (x) fund^(x)m0 with every factor its own slot, the product that
+    modforge.kr_tensor_submodule replaces by V_m1 (x) S^m0(fund)."""
     d = rs.dcheck[i - 1]
     m0, m1 = divmod(m, d)
     factors = [modforge.evaluation_module(rs, i, m1)] if m1 else []
@@ -1415,7 +1414,15 @@ def all_operator_submodule(rs, i, m):
         else:
             fund = modforge.evaluation_module(rs, i, d)
         factors += [fund] * m0
-    gt = modforge.tensor_rep(factors)
+    return modforge.tensor_rep(factors)
+
+
+def all_operator_submodule(rs, i, m):
+    """The span of the top vector under all 2 dim g operators x_a (x) t^p,
+    every (grade, weight) block kept and decomposed as it stands: the oracle
+    for the lowering span of modforge.kr_tensor_submodule, which assumes none
+    of its premises."""
+    gt = full_product(rs, i, m)
     blocks = {}
 
     def insert(vec):
@@ -1449,6 +1456,34 @@ ORACLE_CASES = [case[:3] for case in TENSOR_CASES] + [
 def test_kr_tensor_submodule_matches_all_operator_oracle(name, node, m):
     rs = rs_of(name)
     assert modforge.kr_tensor_submodule(rs, node, m) == all_operator_submodule(rs, node, m)
+
+
+@pytest.mark.parametrize("name,node,m", ORACLE_CASES + [("A2", 1, 8), ("C2", 2, 5), ("B3", 1, 4)])
+def test_symmetric_power_span_matches_the_full_product(monkeypatch, name, node, m):
+    # the same operators and weight filter on fund^(x)m0 give the same
+    # (grade, weight) block dimensions as kr_tensor_submodule's S^m0(fund)
+    rs = rs_of(name)
+    real = modforge._lowering_span
+    spans = []
+
+    def recorded(space, start, ops, keep):
+        spans.append((space, start, ops, keep, real(space, start, ops, keep)))
+        return spans[-1][-1]
+
+    monkeypatch.setattr(modforge, "_lowering_span", recorded)
+    modforge.kr_tensor_submodule(rs, node, m)
+    ((space, start, ops, keep, blocks),) = spans
+    full = full_product(rs, node, m)
+    assert space.dim <= full.dim and start == 0
+    oracle = real(full, 0, ops, keep)
+    assert {key: ech.dim for key, ech in blocks.items()} == {key: ech.dim for key, ech in oracle.items()}
+
+
+@pytest.mark.frontier
+@pytest.mark.parametrize("name,node,m", [("B3", 2, 5), ("B4", 2, 4), ("D4", 2, 4)])
+def test_kr_tensor_submodule_frontier_at_the_default_guard(name, node, m):
+    rs = rs_of(name)
+    assert modforge.kr_tensor_submodule(rs, node, m) == krset.graded_character(rs, node, m).as_dict()
 
 
 def plant(monkeypatch, edit, field="t_action"):
