@@ -229,6 +229,19 @@ def decompose_character(rs: RootSystem, chi: WeightCharacter) -> DominantCharact
     Repeatedly strips the character of the maximal remaining weight.  Raises
     ValueError if the input was not a non-negative sum of simple characters.
     """
+    return _strip(rs, chi, _full_char)
+
+
+def decompose_dominant(rs: RootSystem, chi: DominantCharacter) -> DominantCharacter:
+    """decompose_character for a Weyl-invariant character given by its
+    dominant weights alone, stripping the dominant part of each simple
+    character.  The result and any ValueError are the same as for the full
+    character: the maximal weight of a Weyl-invariant character is dominant,
+    as each weight lies below the dominant weight of its orbit."""
+    return _strip(rs, chi, _dominant_mults)
+
+
+def _strip(rs: RootSystem, chi, char_of) -> DominantCharacter:
     work = {w: m for w, m in chi.items() if m}
     out: dict[Weight, int] = {}
     while work:
@@ -237,7 +250,7 @@ def decompose_character(rs: RootSystem, chi: WeightCharacter) -> DominantCharact
         if not rs.dominant(lam) or mult < 0:
             raise ValueError(f"not a genuine character: maximal weight {lam} x {mult}")
         out[lam] = mult
-        for w, m in _full_char(rs.type, lam).items():
+        for w, m in char_of(rs.type, lam).items():
             nv = work.get(w, 0) - mult * m
             if nv:
                 work[w] = nv

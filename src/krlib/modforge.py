@@ -1004,8 +1004,8 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
     for a dominant mu <= m omega_i are kept: an f-word only lowers the
     weight, so every word that ends on a dominant weight passes through kept
     weights alone.  The span is a
-    g-module, so the multiplicities of its dominant weights, spread over
-    their Weyl orbits, are its character; a grade whose character is not a
+    g-module, so its character is Weyl-invariant and the multiplicities of
+    its dominant weights determine it; a grade whose character is not a
     sum of simple characters, or a decomposition other than the
     combinatorial one, raises TheoremCheckError.
     """
@@ -1050,13 +1050,11 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
     chars: dict[int, dict[Weight, int]] = {}
     for (g, wt), ech in blocks.items():
         if rs.dominant(wt):
-            chi = chars.setdefault(g, {})
-            for w in rs.weyl_orbit(wt):
-                chi[w] = ech.dim
+            chars.setdefault(g, {})[wt] = ech.dim
     out: dict[int, dict[Weight, int]] = {}
     for g, chi in sorted(chars.items()):
         try:
-            out[g] = charlib.decompose_character(rs, chi)
+            out[g] = charlib.decompose_dominant(rs, chi)
         except ValueError as err:
             raise TheoremCheckError(f"grade {g} of the span: {err}") from err
     if out != target:

@@ -263,6 +263,28 @@ def test_decompose_character_round_trip():
         assert charlib.decompose_character(rs, chi) == dchar
 
 
+def test_decompose_dominant_matches_the_full_character():
+    rng = random.Random(44)
+    for rs in (C2, B3, A2, D4):
+        dchar = {}
+        for _ in range(3):
+            lam = random_dominant(rs, rng, max_dim=500)
+            dchar[lam] = dchar.get(lam, 0) + rng.randrange(1, 3)
+        chi = expand(rs, dchar)
+        dom = {w: m for w, m in chi.items() if rs.dominant(w)}
+        assert charlib.decompose_dominant(rs, dom) == charlib.decompose_character(rs, chi) == dchar
+        # a Weyl-invariant character with a negative part fails alike
+        top = max(dchar)
+        for w in charlib.weight_mults(rs, top):
+            chi[w] -= 2 * dchar[top]
+        dom = {w: m for w, m in chi.items() if rs.dominant(w)}
+        with pytest.raises(ValueError) as full:
+            charlib.decompose_character(rs, chi)
+        with pytest.raises(ValueError) as short:
+            charlib.decompose_dominant(rs, dom)
+        assert str(short.value) == str(full.value)
+
+
 def test_decompose_character_rejects_fake():
     chi = charlib.weight_mults(C2, (1, 0))
     chi[(1, 0)] += 1  # no longer Weyl-invariant
