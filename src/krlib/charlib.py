@@ -7,6 +7,15 @@ weights off a raw weight character.  The routes cross-check each other and
 none of them is ever collapsed into the other.
 
 Everything is integer arithmetic; weights are fundamental-coordinate tuples.
+
+Products are computed once per process: Weyl dimensions keyed (type,
+weight), Freudenthal multiplicities and full characters keyed (type,
+highest weight), and Klimyk products keyed (type, lam, mu) after
+tensor_decompose has swapped the smaller factor into mu.  The cached maps
+are read-only, and the public functions hand out fresh dicts.  No cached
+function reads the dimension guard or checks dominance: the public
+functions do both on every call, before they read a cached product, so a
+lowered KR_MAX_DIM takes effect at once.
 """
 
 from __future__ import annotations
@@ -61,7 +70,12 @@ def _weyl_forms(lt: LieType) -> tuple[tuple[tuple[int, ...], ...], int]:
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the simple module with highest weight lam."""
     _require_dominant(rs, lam)
-    forms, den = _weyl_forms(rs.type)
+    return _weyl_dim(rs.type, lam)
+
+
+@lru_cache(maxsize=None)
+def _weyl_dim(lt: LieType, lam: Weight) -> int:
+    forms, den = _weyl_forms(lt)
     rho_shift = tuple(c + 1 for c in lam)
     num = prod(sum(map(mul, form, rho_shift)) for form in forms)
     if num % den:
@@ -199,7 +213,9 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> DominantCharact
 
     Klimyk's reflection count over the weight character of the smaller factor;
     contributions whose rho-shift lands on a wall cancel and are dropped.  The
-    guard bounds that factor, the only character the count expands.
+    guard bounds that factor, the only character the count expands, and is
+    read on every call.  The product is cached per (type, lam, mu) after the
+    swap that puts the smaller factor in mu, and handed out as a fresh dict.
     """
     _require_dominant(rs, lam)
     _require_dominant(rs, mu)
@@ -207,10 +223,16 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> DominantCharact
     if dm > dl:
         lam, mu, dm = mu, lam, dl
     _guard_dim(mu, dm)
-    out = {w: m for w, m in _klimyk(rs, lam, _full_char(rs.type, mu)).items() if m}
+    return dict(_klimyk_product(rs.type, lam, mu))
+
+
+@lru_cache(maxsize=None)
+def _klimyk_product(lt: LieType, lam: Weight, mu: Weight) -> MappingProxyType[Weight, int]:
+    """V(lam) (x) V(mu) by Klimyk over the character of V(mu), read-only."""
+    out = {w: m for w, m in _klimyk(build(lt), lam, _full_char(lt, mu)).items() if m}
     if any(m < 0 for m in out.values()):
         raise TheoremCheckError(f"V({lam}) (x) V({mu}) has a negative multiplicity: {out}")
-    return out
+    return MappingProxyType(out)
 
 
 def char_product(chi1: WeightCharacter, chi2: WeightCharacter) -> WeightCharacter:

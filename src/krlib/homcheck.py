@@ -13,10 +13,12 @@ pin down the module V(nu) whose vanishing carries the two-step condition.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import charlib, krset, twisted
 from .errors import DimensionGuardError, TheoremCheckError
-from .rootsys import RootSystem, Weight
+from .rootsys import LieType, RootSystem, Weight, build
 
 
 class HomReport(
@@ -71,16 +73,32 @@ def cond_untwisted(rs: RootSystem, i: int) -> HomReport:
     if rs.epsilon(rs.theta, i) != 2:
         raise ValueError(f"node {i} of {rs.type} is not a construction node")
     chain = krset.enumerate_chain(rs, i).weights
-    adj = charlib.adjoint_char(rs)
-    nxt = _walk(rs, chain, 1, [adj], "adjoint")
-    two = _walk(rs, chain, 2, [charlib.ext_square(rs, adj)])
+    nxt = _walk(rs, chain, 1, [charlib.adjoint_char(rs)], "adjoint")
+    two = _walk(rs, chain, 2, [_adjoint_ext_square(rs.type)])
     return HomReport(f"{rs.type.family}{rs.rank} node {i}", chain, nxt, two)
 
 
-def _wedge_check(rs: RootSystem, g1, nu: Weight | None, what: str) -> dict[Weight, int]:
-    """Decompose ext^2 of the character g1 and require the adjoint of rs plus
-    V(nu), or the adjoint alone when nu is None."""
-    got = charlib.decompose_character(rs, charlib.ext_square(rs, g1))
+# The exterior squares below carry no guard of their own: each caller reads
+# its guard first (hom_dim on every call, weight_mults before the g1 square),
+# so a cached square never stands in for a guard.
+@lru_cache(maxsize=None)
+def _adjoint_ext_square(lt: LieType) -> MappingProxyType[Weight, int]:
+    """ext^2 of the adjoint character of lt, read-only."""
+    rs = build(lt)
+    return MappingProxyType(charlib.ext_square(rs, charlib.adjoint_char(rs)))
+
+
+@lru_cache(maxsize=None)
+def _g1_ext_square(lt: LieType, phi: Weight) -> MappingProxyType[Weight, int]:
+    """ext^2 of the character of V(phi) over lt, read-only."""
+    return MappingProxyType(charlib.ext_square(build(lt), charlib._full_char(lt, phi)))
+
+
+def _wedge_check(rs: RootSystem, ext2, nu: Weight | None, what: str) -> dict[Weight, int]:
+    """Decompose the exterior square ext2 and require the adjoint of rs plus
+    V(nu), or the adjoint alone when nu is None.  ext2 is Weyl-invariant, so
+    its dominant weights decompose it (charlib.decompose_dominant)."""
+    got = charlib.decompose_dominant(rs, {w: m for w, m in ext2.items() if rs.dominant(w)})
     want = {rs.root_weight(rs.theta): 1}
     if nu is not None:
         want[nu] = 1
@@ -104,7 +122,7 @@ def wedge_adjoint_nu(rs: RootSystem) -> Weight:
         if rs.rank < 3:
             raise ValueError(f"no listed nu for {rs.type}")
         nu = tuple(1 if j in (0, 2) else 0 for j in range(rs.rank))
-    _wedge_check(rs, charlib.adjoint_char(rs), nu, f"ext^2(adjoint) of {rs.type}")
+    _wedge_check(rs, _adjoint_ext_square(rs.type), nu, f"ext^2(adjoint) of {rs.type}")
     return nu
 
 
@@ -128,8 +146,9 @@ def wedge_g1_decomp(data: twisted.TwistedData) -> WedgeReport:
     adjoint-plus-nu pattern."""
     g0 = data.g0
     nu = wedge_g1_nu(data)
-    g1 = charlib.weight_mults(g0, data.phi)
-    got = _wedge_check(g0, g1, nu, f"ext^2(g1) of {data.outer.label}")
+    charlib.weight_mults(g0, data.phi)  # the guard on g1
+    ext2 = _g1_ext_square(g0.type, data.phi)
+    got = _wedge_check(g0, ext2, nu, f"ext^2(g1) of {data.outer.label}")
     return WedgeReport(data.outer.label, tuple(sorted(got.items())), nu)
 
 
@@ -142,7 +161,8 @@ def cond_twisted(data: twisted.TwistedData, i: int) -> HomReport:
     label = f"{data.outer.label} node {i}"
     nxt = _walk(g0, chain, 1, [data.phi], "odd-part")
     if data.outer.family != "D":
-        wedge = charlib.ext_square(g0, charlib.weight_mults(g0, data.phi))
+        charlib.weight_mults(g0, data.phi)  # the guard on g1
+        wedge = _g1_ext_square(g0.type, data.phi)
         return HomReport(label, chain, nxt, _walk(g0, chain, 2, [wedge]))
     # ext^2(g1) is the g0 adjoint here, so the two-step condition has no
     # nu constituent to test; the three-step checks carry the burden.
@@ -163,7 +183,7 @@ def triple_decomp(data: twisted.TwistedData) -> dict[Weight, int]:
     if data.outer.family != "D" or data.outer.n <= 3:
         raise ValueError("triple product decomposition applies to D with n > 3")
     phi_char = charlib.weight_mults(g0, data.phi)
-    chi = charlib.char_product(phi_char, charlib.ext_square(g0, phi_char))
+    chi = charlib.char_product(phi_char, _g1_ext_square(g0.type, data.phi))
     got = charlib.decompose_character(g0, chi)
     want = {
         tuple(a + b for a, b in zip(g0.fundamental(1), g0.fundamental(2))): 1,

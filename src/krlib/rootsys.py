@@ -79,6 +79,11 @@ class RootSystem:
         self.cartan: tuple[tuple[int, ...], ...] = _cartan(fam, n)
         self.dcheck: tuple[int, ...] = _dcheck(fam, n)
         c, d = self.cartan, self.dcheck
+        # the nonzero (k, cartan[j][k]) of each row, at most four: a simple
+        # reflection s_j moves only these coordinates of a weight
+        self._reflections: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((k, a) for k, a in enumerate(row) if a) for row in c
+        )
         if any(c[i][j] * d[i] != c[j][i] * d[j] for i in range(n) for j in range(i)):
             raise TheoremCheckError(f"dcheck {d} does not symmetrize the Cartan matrix {c}")
 
@@ -186,17 +191,17 @@ class RootSystem:
         (-1)^r for the r simple reflections that carry lam there.  The sign
         is that of the one Weyl element w with w(lam) dominant whenever the
         dominant weight has no zero coordinate (lies on no wall)."""
-        cur = tuple(lam)
+        cur = list(lam)
         sign = 1
         while True:
             for j, c in enumerate(cur):
                 if c < 0:
-                    row = self.cartan[j]
-                    cur = tuple(cur[k] - c * row[k] for k in range(self.rank))
+                    for k, a in self._reflections[j]:
+                        cur[k] -= c * a
                     sign = -sign
                     break
             else:
-                return cur, sign
+                return tuple(cur), sign
 
     def weyl_orbit(self, lam: Weight) -> frozenset[Weight]:
         """Closure of lam under all simple reflections."""
@@ -206,12 +211,13 @@ class RootSystem:
         while frontier:
             nxt = []
             for w in frontier:
-                for j in range(self.rank):
-                    c = w[j]
+                for j, c in enumerate(w):
                     if c == 0:
                         continue
-                    row = self.cartan[j]
-                    r = tuple(w[k] - c * row[k] for k in range(self.rank))
+                    r = list(w)
+                    for k, a in self._reflections[j]:
+                        r[k] -= c * a
+                    r = tuple(r)
                     if r not in seen:
                         seen.add(r)
                         nxt.append(r)

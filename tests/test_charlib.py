@@ -89,19 +89,61 @@ def test_weight_mults_c2_omega2():
 
 
 def test_cached_characters_are_read_only():
-    for cached in (charlib._dominant_mults, charlib._full_char):
-        first = cached(C3.type, (1, 1, 0))
+    from krlib import homcheck
+
+    lt = C3.type
+    for cached in (
+        lambda: charlib._dominant_mults(lt, (1, 1, 0)),
+        lambda: charlib._full_char(lt, (1, 1, 0)),
+        lambda: charlib._klimyk_product(lt, (1, 1, 0), (1, 0, 0)),
+        lambda: homcheck._adjoint_ext_square(lt),
+        lambda: homcheck._g1_ext_square(lt, (1, 1, 0)),
+    ):
+        first = cached()
+        assert cached() is first
         before = dict(first)
         with pytest.raises(TypeError):
             first[(0, 0, 0)] = 99
         with pytest.raises(TypeError):
-            del first[(1, 1, 0)]
-        assert dict(cached(C3.type, (1, 1, 0))) == before
-    # weight_mults hands out a fresh dict each call
-    chi = charlib.weight_mults(C3, (1, 1, 0))
-    before = dict(chi)
-    chi[(0, 0, 0)] = 99
-    assert charlib.weight_mults(C3, (1, 1, 0)) == before
+            del first[max(first)]
+        assert dict(cached()) == before
+    # weight_mults and tensor_decompose hand out a fresh dict each call
+    for call in (
+        lambda: charlib.weight_mults(C3, (1, 1, 0)),
+        lambda: charlib.tensor_decompose(C3, (1, 0, 0), (1, 1, 0)),
+    ):
+        chi = call()
+        before = dict(chi)
+        chi[(0, 0, 0)] = 99
+        del chi[max(before)]
+        assert call() == before
+
+
+def test_tensor_bound_sweep_computes_each_klimyk_product_once(monkeypatch, capsys):
+    # every key the sweep asks for, read through a wrapper around the cache:
+    # one miss per distinct key, taken after the swap that puts the smaller
+    # factor second, and the repeats are hits
+    from krlib import cli
+
+    cached = charlib._klimyk_product
+    keys = []
+
+    def recording(*key):
+        keys.append(key)
+        return cached(*key)
+
+    cached.cache_clear()
+    charlib._weyl_dim.cache_clear()
+    monkeypatch.setattr(charlib, "_klimyk_product", recording)
+    assert cli.main(["verify", "tensor-bound", "--max-rank", "3", "--max-level", "3"]) == 0
+    capsys.readouterr()
+    info = cached.cache_info()
+    assert info.misses == len(set(keys)) == info.currsize
+    assert info.hits == len(keys) - len(set(keys)) > 0
+    assert all(
+        charlib.weyl_dim(build(lt), lam) >= charlib.weyl_dim(build(lt), mu) for lt, lam, mu in keys
+    )
+    assert charlib._weyl_dim.cache_info().hits > 0
 
 
 def test_freudenthal_mass_equals_weyl_dim():

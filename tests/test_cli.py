@@ -293,6 +293,30 @@ def test_verify_guard_reports_and_continues():
     assert lines[-1] == "6/8 checks passed"
 
 
+def test_warm_character_caches_keep_every_guard_line(monkeypatch, capsys):
+    # the character caches outlive a cli.main call; every guard is read on
+    # every call, ahead of any cached product, so a warm in-process run under
+    # a lower KR_MAX_DIM prints what a cold process prints, GUARD lines too
+    for guard in (None, "20", "50"):
+        env = dict(CHILD_ENV)
+        if guard is None:
+            monkeypatch.delenv("KR_MAX_DIM", raising=False)
+            env.pop("KR_MAX_DIM", None)
+        else:
+            monkeypatch.setenv("KR_MAX_DIM", guard)
+            env["KR_MAX_DIM"] = guard
+        code = cli.main(["verify", "homs"])
+        warm = capsys.readouterr().out
+        cold = subprocess.run(
+            [sys.executable, "-m", "krlib.cli", "verify", "homs"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (code, warm) == (cold.returncode, cold.stdout)
+        assert ("GUARD " in warm) == (guard is not None)
+
+
 def test_verify_modforge_b3_node2_level4_at_and_below_the_default_guard():
     argv = ["verify", "modforge", "--algebra", "B3", "--node", "2", "--level", "4"]
     proc = run_cli(*argv)

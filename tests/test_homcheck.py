@@ -114,6 +114,32 @@ def test_wedge_g1_a3_is_adjoint_only():
     assert rep.as_dict() == {(2, 0): 1}  # adjoint of C_2
 
 
+def full_route_message(rs, g1, nu, what):
+    """The wedge check's message when ext^2(g1) is stripped by whole simple
+    characters (decompose_character), the oracle for the dominant route."""
+    got = charlib.decompose_character(rs, charlib.ext_square(rs, g1))
+    want = {rs.root_weight(rs.theta): 1, nu: 1}
+    return f"{what} decomposes as {got}, expected {want}"
+
+
+def test_wedge_check_fails_as_the_full_character_route(monkeypatch):
+    # a planted wrong nu: decomposing the dominant part of ext^2 gives the
+    # same decomposition, in the same order, as the full character
+    monkeypatch.setitem(homcheck._NU_SPECIAL, ("B", 3), (1, 0, 0))
+    with pytest.raises(TheoremCheckError) as err:
+        homcheck.wedge_adjoint_nu(B3)
+    adj = charlib.adjoint_char(B3)
+    assert str(err.value) == full_route_message(B3, adj, (1, 0, 0), "ext^2(adjoint) of B3")
+
+    data = tdata("A", 5)
+    monkeypatch.setattr(homcheck, "wedge_g1_nu", lambda d: (0, 1, 0))
+    with pytest.raises(TheoremCheckError) as err:
+        homcheck.wedge_g1_decomp(data)
+    g1 = charlib.weight_mults(data.g0, data.phi)
+    want = full_route_message(data.g0, g1, (0, 1, 0), f"ext^2(g1) of {data.outer.label}")
+    assert str(err.value) == want
+
+
 # ------------------------------------------------------------- twisted chains
 
 

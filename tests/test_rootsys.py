@@ -253,6 +253,43 @@ def test_orbit_sizes_divide_weyl_order():
             assert rs.to_dominant(lam)[0] == doms[0]
 
 
+def dense_orbit(rs, lam):
+    """The Weyl orbit by reflections over every coordinate: the oracle for
+    the sparse Cartan rows of RootSystem.weyl_orbit."""
+    seen, frontier = {lam}, [lam]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(1, rs.rank + 1):
+                r = reflect(rs, w, i)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return seen
+
+
+def dense_to_dominant(rs, lam):
+    """to_dominant by dense reflections at the first negative coordinate."""
+    sign = 1
+    while any(c < 0 for c in lam):
+        lam = reflect(rs, lam, 1 + next(j for j, c in enumerate(lam) if c < 0))
+        sign = -sign
+    return lam, sign
+
+
+def test_sparse_reflections_match_dense_ones():
+    rng = random.Random(29)
+    for lt in ALL_TYPES:
+        rs = build(lt)
+        for _ in range(3):
+            lam = tuple(rng.choice((0, 0, 1, 2)) for _ in range(rs.rank))
+            orbit = rs.weyl_orbit(lam)
+            assert orbit == dense_orbit(rs, lam), (lt, lam)
+            for w in rng.sample(sorted(orbit), min(len(orbit), 20)):
+                assert rs.to_dominant(w) == dense_to_dominant(rs, w), (lt, w)
+
+
 def test_parse_type():
     assert parse_type("C3") == LieType("C", 3)
     assert parse_type("d10") == LieType("D", 10)

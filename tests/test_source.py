@@ -74,6 +74,32 @@ def test_only_dimension_guard_reads_the_environment():
     assert found == allowed
 
 
+def _name_of(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_no_cached_function_reads_the_guard():
+    # a cache hit skips the body, so a guard read inside an lru_cache or
+    # cached_property would not run again once the result is cached (and a
+    # lowered KR_MAX_DIM would go unseen); guards are read at the call site
+    cached, found = [], []
+    for path, tree in parsed_sources():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or not any(
+                _name_of(d) in ("lru_cache", "cache", "cached_property") for d in fn.decorator_list
+            ):
+                continue
+            cached.append(fn.name)
+            found += [
+                f"{path.name}:{node.lineno} in {fn.name}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and _name_of(node) in ("dimension_guard", "_guard_dim")
+            ]
+    assert {"_weyl_dim", "_klimyk_product", "_adjoint_ext_square", "_g1_ext_square"} <= set(cached)
+    assert found == []
+
+
 def imports_of(module):
     """file:line of every import of `module` or a submodule of it."""
     return [
