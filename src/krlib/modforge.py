@@ -3,14 +3,17 @@
 The route: build the defining representation with integer matrices, generate a
 Chevalley basis of g (integer structure constants) by iterated brackets of
 the Chevalley generators, realize V(mu) on its Kostant lattice U_Z^- v+
-inside tensor products of wedge powers, and give x(x)t from V_s to V_{s+1} as
-the g-orbit of one maximal vector of weight theta in Hom(V_s, V_{s+1}) (the
-top from one small nullspace, checked against the character count of the
-Hom space, the rest by a downward sweep through the e_i on V_s), replayed
-along a tree of f-brackets from x_theta and normalized by its transport of
-the highest vector; then assemble the graded module.  Every matrix of a
-module is an int matrix: each step that relies on Kostant's integrality
-theorem divides exactly or raises TheoremCheckError.
+inside a product of wedge powers of the defining representation, and give
+x(x)t from V_s to V_{s+1} as the g-orbit of one maximal vector of weight
+theta in Hom(V_s, V_{s+1}) (the top from one small nullspace, checked
+against the character count of the Hom space, the rest by a downward sweep
+through the e_i on V_s), replayed along a tree of f-brackets from x_theta
+and normalized by its transport of the highest vector; then assemble the
+graded module.  One tensor engine, _Tensor, acts on every product, with
+wedge and symmetric powers of a factor as slots: the ambient of V(mu) and
+the KR tensor products are spanned in it.  Every matrix of a module is an
+int matrix: each step that relies on Kostant's integrality theorem divides
+exactly or raises TheoremCheckError.
 verify_current_relations checks presentations, Serre's for each piece and
 one maximal vector and its f-tree for each step, each left factor a column
 table and each right factor a row table, in the one product kernel
@@ -19,6 +22,7 @@ linalg.residue; every other relation follows.  All exact and deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
@@ -336,46 +340,16 @@ def adjoint_rep(rs: RootSystem) -> MatrixRep:
     return rep
 
 
-def wedge_rep(rs: RootSystem, j: int) -> MatrixRep:
-    """The j-th wedge power of the defining representation.
-
-    Irreducible except in type C; the cyclic span in highest_module extracts
-    the top component there.
-    """
-    drep = defining_rep(rs)
-    if not 1 <= j <= drep.dim:
-        raise ValueError(f"wedge degree {j} out of range")
-    basis = list(combinations(range(drep.dim), j))
-    pos = {s: a for a, s in enumerate(basis)}
-    dim = len(basis)
-
-    def act(gmat: SpMat) -> SpMat:
-        out = SpMat(dim, dim)
-        for a, subset in enumerate(basis):
-            inside = set(subset)
-            for src in subset:
-                for r, v in gmat.col(src).items():
-                    if r in inside and r != src:
-                        continue
-                    # sorting r into the place of src passes the members between them
-                    passed = sum(min(r, src) < x < max(r, src) for x in subset)
-                    out.add_to(pos[tuple(sorted(inside - {src} | {r}))], a, (-1) ** passed * v)
-        return out
-
-    rep = _from_generators(rs, [act(m) for m in drep.e], [act(m) for m in drep.f])
-    expect = tuple(
-        sum(drep.basis_weights[s][t] for s in range(j)) for t in range(rs.rank)
-    )
-    if rep.highest_weight != expect:
-        raise TheoremCheckError(f"top wedge vector has weight {rep.highest_weight}, expected {expect}")
-    return rep
-
-
-def _derivation(col, stride: int, monos, ranks):
-    """The shifts of an operator with factor column table col on S^k, as a
-    function of the monomial's rank c: the operator acts as a derivation,
-    so over the distinct entries d of the monomial, one copy of d becomes
-    each row r of column d, and the value is multiplied by the copies of d."""
+def _derivation(col, stride: int, monos, ranks, exterior: bool):
+    """The shifts of an operator with factor column table col on S^k or
+    wedge^k, as a function of the monomial's rank c: the operator acts as a
+    derivation, so over the distinct entries d of the monomial, one copy of
+    d becomes each row r of column d, the value multiplied by the copies of
+    d.  With to the index at which r sorts into the rest of the monomial,
+    the image is that monomial; on wedge^k the term vanishes when r is
+    already in the rest, and otherwise sorting r into place passes the
+    |to - at| entries between d and r, each flipping the sign (Fulton-Harris,
+    Lecture 6)."""
 
     def shifts(c: int) -> list:
         mono, out = monos[c], []
@@ -383,48 +357,58 @@ def _derivation(col, stride: int, monos, ranks):
             if d in col and not (at and mono[at - 1] == d):
                 rest, copies = mono[:at] + mono[at + 1 :], mono.count(d)
                 for r, v in col[d].items():
-                    out.append(((ranks[tuple(sorted(rest + (r,)))] - c) * stride, copies * v))
+                    to = bisect(rest, r)
+                    if exterior:
+                        if to and rest[to - 1] == r:
+                            continue
+                        v = -v if (to - at) % 2 else v
+                    out.append(((ranks[rest[:to] + (r,) + rest[to:]] - c) * stride, copies * v))
         return out
 
     return shifts
 
 
 class _Tensor:
-    """Operators on a tensor product of symmetric powers, applied slot by slot.
+    """Operators on a tensor product of symmetric or exterior powers,
+    applied slot by slot.
 
     A slot is (grades, weights, cols) for one factor, where cols(op) is the
     column table {c: {r: value}} of operator op on that factor, read-only;
-    every slot has the same operators.  Slot t is S^k(factor), k = powers[t]:
-    k = 1 is the factor itself, a plain slot, and for k > 1 the basis is
-    the sorted k-tuples of factor indices (the monomials), ranked in
-    lexicographic order, on which op acts as a derivation.  On the product,
-    op acts as the sum over the slots of op on that slot and the identity on
-    the others, so grades and weights add over the entries of every slot.
-    Index digits are mixed-radix with the first slot most significant.  Only
-    the factor tables are stored, never an operator on the product: an
-    operator's shifts on a plain slot are built the first time it is
-    applied, and on S^k one monomial at a time, the first time it is met.
+    every slot has the same operators.  Slot t is S^k(factor), or wedge^k
+    (factor) when exterior is set, k = powers[t]: k = 1 is the factor
+    itself, a plain slot, and for k > 1 the basis is the monomials, the
+    sorted k-tuples of factor indices (strictly increasing on wedge^k),
+    ranked in lexicographic order, on which op acts as a derivation
+    (_derivation).  On the product, op acts as the sum over the slots of op
+    on that slot and the identity on the others, so grades and weights add
+    over the entries of every slot.  Index digits are mixed-radix with the
+    first slot most significant.  Only the factor tables are stored, never
+    an operator on the product: an operator's shifts on a plain slot are
+    built the first time it is applied, and on a power one monomial at a
+    time, the first time it is met.
     """
 
-    def __init__(self, slots, powers):
-        self.slots, self.powers = slots, powers
-        sizes = [comb(len(grades) + k - 1, k) for (grades, _, _), k in zip(slots, powers)]
+    def __init__(self, slots, powers, exterior: bool = False):
+        self.slots, self.powers, self.exterior = slots, powers, exterior
+        # C(n, k) monomials on wedge^k, C(n + k - 1, k) on S^k
+        sizes = [comb(len(g) + (not exterior) * (k - 1), k) for (g, _, _), k in zip(slots, powers)]
         self.dim = prod(sizes)
         self.layout = [(prod(sizes[t + 1 :]), size) for t, size in enumerate(sizes)]
         # op -> per slot (stride, size, [(index shift, value)] per column, fill),
-        # a column of S^k None until fill(column) builds it
+        # a column of a power None until fill(column) builds it
         self.shifts: dict[object, list] = {}
 
     @cached_property
     def monomials(self) -> list:
-        """Per slot S^k, k > 1, the monomials and their ranks; None on a
+        """Per power slot, k > 1, the monomials and their ranks; None on a
         plain slot."""
+        power = combinations if self.exterior else combinations_with_replacement
         out = []
         for (grades, _, _), k in zip(self.slots, self.powers):
             if k == 1:
                 out.append(None)
             else:
-                monos = list(combinations_with_replacement(range(len(grades)), k))
+                monos = list(power(range(len(grades)), k))
                 out.append((monos, dict(zip(monos, count()))))
         return out
 
@@ -435,7 +419,7 @@ class _Tensor:
             for (stride, size), (_, _, cols), ranked in zip(self.layout, self.slots, self.monomials):
                 col = cols(op)
                 if ranked and col:
-                    table, fill = [None] * size, _derivation(col, stride, *ranked)
+                    table, fill = [None] * size, _derivation(col, stride, *ranked, self.exterior)
                 else:
                     table, fill = [()] * size, None
                     for c, entries in col.items():
@@ -471,11 +455,12 @@ class _Tensor:
         return out
 
 
-def tensor_rep(factors, powers=None) -> _Tensor:
+def tensor_rep(factors, powers=None, exterior: bool = False) -> _Tensor:
     """The tensor product of MatrixReps or CurrentModules as one slot-wise
-    operator; each factor supplies its own slot, S^k(factor) where powers
-    gives k (by default 1 for every factor)."""
-    return _Tensor([fct.slot() for fct in factors], powers or [1] * len(factors))
+    operator; each factor supplies its own slot, S^k(factor), or wedge^k
+    (factor) when exterior is set, where powers gives k (by default 1 for
+    every factor)."""
+    return _Tensor([fct.slot() for fct in factors], powers or [1] * len(factors), exterior)
 
 
 def _lowering_span(space: _Tensor, start: int, ops, keep=lambda wt: True):
@@ -519,23 +504,26 @@ def _current_lowering(rs: RootSystem) -> list:
     ]
 
 
-def _scope_factors(rs: RootSystem, lam: Weight) -> list[MatrixRep]:
+def _ambient(rs: RootSystem, lam: Weight) -> _Tensor:
+    """The product of wedge powers of the defining representation whose top
+    vector has weight lam, one wedge^j per unit of the coefficient of
+    omega_j; nothing is built until an operator is applied."""
     n = rs.rank
     fam = rs.type.family
-    factors: list[MatrixRep] = []
+    degrees: list[int] = []
     for j, c in enumerate(lam, start=1):
         if not c:
             continue
         if (fam == "B" and j == n and c % 2) or (fam == "D" and j >= n - 1):
             raise ScopeError(f"spin weight {lam} of {rs.type} is outside the matrix scope")
         # the B spin node enters through the wedge of degree n, 2 omega_n
-        factors += [wedge_rep(rs, j)] * (c // 2 if fam == "B" and j == n else c)
-    return factors
+        degrees += [j] * (c // 2 if fam == "B" and j == n else c)
+    return tensor_rep([defining_rep(rs)] * len(degrees), degrees, exterior=True)
 
 
 def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
-    """V(lam) on its Kostant lattice U_Z^- v+ inside a product of wedges
-    (Humphreys, sections 26-27).
+    """V(lam) on its Kostant lattice U_Z^- v+ inside _ambient, a product of
+    wedge powers (Humphreys, sections 26-27).
 
     U_Z^- is generated by the divided powers f_i^(k) = f_i^k / k!, so the
     lattice L_mu of weight mu is the Z-span of f_i^(k) L_{mu + k alpha_i}
@@ -554,10 +542,15 @@ def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
     guard = charlib.dimension_guard()
     if target_dim > guard:
         raise DimensionGuardError(f"dim V({lam}) = {target_dim} exceeds {guard}")
-    amb = tensor_rep(_scope_factors(rs, lam))
+    amb = _ambient(rs, lam)
     if amb.dim > guard:
         raise DimensionGuardError(f"ambient dim {amb.dim} exceeds {guard}")
+    # the top vector, index 0, is 0 ^ 1 ^ ... ^ (k - 1) in each wedge^k slot
     n = rs.rank
+    tops = [w for (_, weights, _), k in zip(amb.slots, amb.powers) for w in weights[:k]]
+    top = tuple(sum(w[t] for w in tops) for t in range(n))
+    if top != lam:
+        raise TheoremCheckError(f"the top ambient vector has weight {top}, expected {lam}")
     v0 = {0: 1}
     for i in range(1, n + 1):
         if amb.apply(("e", i), v0):

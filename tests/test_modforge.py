@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -238,6 +240,54 @@ def test_highest_module_rejects_bad_weights(monkeypatch):
         modforge.highest_module(rs_of("C3"), (0, 2, 0))
 
 
+def test_highest_module_checks_the_top_weight_of_the_ambient(monkeypatch):
+    real = modforge._ambient
+    monkeypatch.setattr(modforge, "_ambient", lambda rs, lam: real(rs, (1, 0)))
+    with pytest.raises(TheoremCheckError, match=r"top ambient vector has weight \(1, 0\), expected \(0, 1\)"):
+        modforge.highest_module(rs_of("C2"), (0, 1))
+
+
+def test_highest_module_reads_the_ambient_guard_before_any_work(monkeypatch):
+    # C2 omega_2 has dim 5, its ambient wedge^2 of the 4-dim defining rep 6:
+    # the guard trips before any matrix or operator table is built
+    rs = rs_of("C2")
+    modforge.defining_rep(rs)
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for owner, name in [(modforge, "_from_generators"), (modforge, "_derivation"), (modforge._Tensor, "_tables")]:
+        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
+    monkeypatch.setenv("KR_MAX_DIM", "5")
+    with pytest.raises(DimensionGuardError, match="ambient dim 6 exceeds 5"):
+        modforge.highest_module(rs, (0, 1))
+    assert calls == []
+
+
+# sha256 over the sorted entries of every g_action and t_action matrix of
+# the `kr verify modforge` modules and C4 node 2, then of e and f of three
+# highest modules (the B3 spin node enters through the third wedge),
+# recorded before the wedge powers became slots of the tensor engine
+MATRIX_DIGEST = "0139fc1a290563fd9b10a95cb755c21b474325f8abad4f5abd69da699b471d9d"
+
+
+def test_module_matrices_match_recorded_digest():
+    records = []
+    for name, node in cli._MODFORGE_DEFAULT + [("C4", 2)]:
+        cm = modforge.build_kr_fundamental(rs_of(name), node)
+        for mats in cm.g_action + cm.t_action:
+            records.append([sorted(m.entries()) for m in mats])
+    for name, lam in [("B3", (1, 0, 2)), ("C3", (1, 1, 1)), ("D4", (1, 1, 0, 0))]:
+        rep = modforge.highest_module(rs_of(name), lam)
+        records.append([sorted(m.entries()) for m in rep.e + rep.f])
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == MATRIX_DIGEST
+
+
 def rational_coords(ech, vec):
     """The coordinates of vec over the originals of ech, as Fractions."""
     x, d = ech.coords(vec)
@@ -250,7 +300,7 @@ def rational_highest_module(rs, lam):
     and f_i read off as rational coordinates.  The oracle for the lattice
     construction of modforge.highest_module; returns the blocks, weight ->
     (Echelon, basis indices), and the generators, (kind, i) -> SpMat."""
-    amb = modforge.tensor_rep(modforge._scope_factors(rs, lam))
+    amb = modforge._ambient(rs, lam)
     vecs, wts, blocks = [], [], {}
 
     def insert(vec, wt):
@@ -374,6 +424,48 @@ def kron_tensor_rep(a, b):
         a.highest_index * b.dim + b.highest_index,
         tuple(map(add, a.highest_weight, b.highest_weight)),
     )
+
+
+def wedge_oracle(rep, j):
+    """wedge^j of rep with e_i and f_i written out, over the j-subsets of
+    its basis in lexicographic order: the oracle for the wedge slots of
+    tensor_rep.  Returns the basis weights and (kind, i) -> SpMat."""
+    basis = list(itertools.combinations(range(rep.dim), j))
+    pos = {s: a for a, s in enumerate(basis)}
+
+    def act(gmat):
+        out = SpMat(len(basis), len(basis))
+        for a, subset in enumerate(basis):
+            inside = set(subset)
+            for src in subset:
+                for r, v in gmat.col(src).items():
+                    if r in inside and r != src:
+                        continue
+                    # sorting r into the place of src passes the members between them
+                    passed = sum(min(r, src) < x < max(r, src) for x in subset)
+                    out.add_to(pos[tuple(sorted(inside - {src} | {r}))], a, (-1) ** passed * v)
+        return out
+
+    weights = [tuple(map(sum, zip(*(rep.basis_weights[d] for d in s)))) for s in basis]
+    mats = {(kind, i): act(rep.gen(kind, i)) for kind in ("e", "f") for i in range(1, rep.rs.rank + 1)}
+    return weights, mats
+
+
+WEDGE_ALGEBRAS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5"]
+
+
+@pytest.mark.parametrize("name", WEDGE_ALGEBRAS)
+def test_wedge_slots_match_the_written_out_wedge(name):
+    drep = modforge.defining_rep(rs_of(name))
+    for j in range(1, drep.dim + 1):
+        op = modforge.tensor_rep([drep], [j], exterior=True)
+        weights, mats = wedge_oracle(drep, j)
+        assert op.dim == math.comb(drep.dim, j) == len(weights)
+        for c in range(op.dim):
+            assert op.grade_weight(c) == (0, weights[c])
+        for (kind, i), m in mats.items():
+            for c in range(op.dim):
+                assert op.apply((kind, i), {c: 1}) == m.col(c)
 
 
 TENSOR_FACTORS = [

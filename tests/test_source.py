@@ -295,6 +295,23 @@ def test_no_spmat_product_outside_spmat():
     assert found == []
 
 
+def test_only_the_tensor_engine_lists_monomials():
+    # symmetric and exterior powers are slots of modforge._Tensor, listed in
+    # _Tensor.monomials; a combinations call anywhere else would be a second
+    # power engine
+    powers = ("combinations", "combinations_with_replacement")
+    found, inside = [], []
+    for path, tree in parsed_sources():
+        tensor = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Tensor"]
+        monomials = [n for cls in tensor for n in cls.body if getattr(n, "name", None) == "monomials"]
+        allowed = {id(node) for fn in monomials for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and _name_of(node) in powers:
+                (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 2
+    assert found == []
+
+
 def test_no_module_imports_dataclasses():
     # records are named tuples or plain __slots__ classes: the dataclasses
     # import and its decorators cost more than the rest of krlib's start-up
