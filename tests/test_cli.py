@@ -215,11 +215,9 @@ def test_verify_fails_on_a_broken_evaluation_factor(monkeypatch, capsys):
 
     def broken(rs, node, m):
         cm = real(rs, node, m)
-        cb = modforge.chevalley(rs)
-        mats = list(cm.g_action[0])
-        f1 = cb.minus_index(cb.simple[0])
-        mats[f1] = SpMat(mats[f1].rows, mats[f1].cols)
-        return cm._replace(g_action=(tuple(mats),))
+        (piece,) = cm.pieces
+        f = (SpMat(piece.dim, piece.dim),) + piece.f[1:]
+        return cm._replace(pieces=(piece._replace(f=f),))
 
     monkeypatch.setattr(modforge, "evaluation_module", broken)
     code = cli.main(["verify", "modforge", "--algebra", "A2", "--node", "1", "--level", "3"])

@@ -312,6 +312,21 @@ def test_only_the_tensor_engine_lists_monomials():
     assert found == []
 
 
+def test_only_the_chevalley_basis_realizes_root_matrices():
+    # a module's g-action is its pieces' generators; ChevalleyBasis realizes
+    # the whole basis on the defining representation alone, and a realize
+    # call anywhere else would store the root matrices again
+    found, inside = [], []
+    for path, tree in parsed_sources():
+        chevalley = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ChevalleyBasis"]
+        allowed = {id(node) for cls in chevalley for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "realize":
+                (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 1
+    assert found == []
+
+
 def test_no_module_imports_dataclasses():
     # records are named tuples or plain __slots__ classes: the dataclasses
     # import and its decorators cost more than the rest of krlib's start-up
