@@ -1643,15 +1643,18 @@ def test_kr_tensor_submodule_checks_the_top_vector(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field,j,row,message",
+    "where,j,row,message",
     [
-        ("f", 2, 1, r"x-_alpha_2 does not kill the generator"),
+        ("g_action", 2, 1, r"x-_alpha_2 does not kill the generator"),
         ("t_action", 1, 0, r"x-_alpha_1 \(x\) t does not kill the generator"),
     ],
 )
-def test_kr_tensor_submodule_checks_every_lowering_relation(monkeypatch, field, j, row, message):
+def test_kr_tensor_submodule_checks_every_lowering_relation(monkeypatch, where, j, row, message):
     # x-_alpha_2 (x) 1 and x-_alpha_1 (x) t must kill the generator of the
-    # C2 node 1 fundamental; neither is an e or h (x) t relation
+    # C2 node 1 fundamental; neither is an e or h (x) t relation. A fault in
+    # the g-action is planted in piece 0's own generator f_2.
+    field = "f" if where == "g_action" else where
+
     def edit(rs, cm, action):
         cb = modforge.chevalley(rs)
         a = j - 1 if field == "f" else cb.minus_index(cb.simple[j - 1])
