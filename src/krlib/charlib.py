@@ -7,6 +7,8 @@ weights off a raw weight character.  The routes cross-check each other and
 none of them is ever collapsed into the other.
 
 Everything is integer arithmetic; weights are fundamental-coordinate tuples.
+Weyl dimensions and Freudenthal read each positive root's weight and parent
+from the root tables of RootSystem instead of redoing root arithmetic.
 
 Products are computed once per process: Weyl dimensions keyed (type,
 weight), Freudenthal multiplicities and full characters keyed (type,
@@ -23,7 +25,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from math import prod
-from operator import add, mul
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from .errors import DimensionGuardError, TheoremCheckError
@@ -55,16 +57,22 @@ def _require_dominant(rs: RootSystem, lam: Weight, what: str = "weight") -> None
         raise ValueError(f"{what} {lam} is not dominant")
 
 
+def _rho_pairings(rs: RootSystem, lam: Weight) -> int:
+    """The product of 2(lam + rho, alpha) over the positive roots alpha: with
+    p_j = (2 // dcheck_j) * (lam_j + 1) the term of a root is that of its
+    parent plus p_i.  A simple root reads terms[-1], still 0: theta comes last."""
+    p = [(2 // d) * (c + 1) for d, c in zip(rs.dcheck, lam)]
+    terms = [0] * len(rs.root_parents)
+    for k, (up, i) in enumerate(rs.root_parents):
+        terms[k] = terms[up] + p[i]
+    return prod(terms)
+
+
 @lru_cache(maxsize=None)
-def _weyl_forms(lt: LieType) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Per positive root alpha the integer form (2 // dcheck_j) * alpha_j, so
-    that 2(lam, alpha) is its dot product with lam, and the product of
-    2(rho, alpha) over the positive roots."""
+def _weyl_den(lt: LieType) -> tuple[RootSystem, int]:
+    """The root system and Weyl's denominator, the product of 2(rho, alpha)."""
     rs = build(lt)
-    forms = tuple(
-        tuple(a * (2 // d) for a, d in zip(alpha, rs.dcheck)) for alpha in rs.positive_roots
-    )
-    return forms, prod(sum(form) for form in forms)
+    return rs, _rho_pairings(rs, rs.zero())
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
@@ -75,9 +83,8 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 
 @lru_cache(maxsize=None)
 def _weyl_dim(lt: LieType, lam: Weight) -> int:
-    forms, den = _weyl_forms(lt)
-    rho_shift = tuple(c + 1 for c in lam)
-    num = prod(sum(map(mul, form, rho_shift)) for form in forms)
+    rs, den = _weyl_den(lt)
+    num = _rho_pairings(rs, lam)
     if num % den:
         raise TheoremCheckError(f"Weyl dimension of {lam} is {num}/{den}, not an integer")
     return num // den
@@ -89,23 +96,29 @@ def _dominant_below(lt: LieType, lam: Weight) -> tuple[Weight, ...]:
 
     The coefficient of alpha_i in lam - mu is bounded by the coefficient of
     alpha_i in lam itself because inv(cartan^T) has non-negative entries, so
-    a finite box of coefficient vectors suffices.
+    a finite box of coefficient vectors suffices.  A branch is pruned once a
+    coordinate no later node moves is negative; the order is the full box's.
     """
     rs = build(lt)
-    n = rs.rank
-    bounds = [c // rs.root_den for c in rs.scaled_root_coords(lam)]
-    cartan_t = [[rs.cartan[k][i] for k in range(n)] for i in range(n)]
+    n, c = rs.rank, rs.cartan
+    bounds = [x // rs.root_den for x in rs.scaled_root_coords(lam)]
+    # node k moves coordinate j iff c[k][j]; last[j] is the last node that does
+    last = [max(k for k in range(n) if c[k][j]) for j in range(n)]
+    settled = [[j for j in range(n) if last[j] == i - 1] for i in range(n + 1)]
     out: list[Weight] = []
 
     def rec(i: int, mu: list[int]) -> None:
+        if any(mu[j] < 0 for j in settled[i]):
+            return
         if i == n:
-            if all(x >= 0 for x in mu):
-                out.append(tuple(mu))
+            out.append(tuple(mu))
             return
         rec(i + 1, mu)
         cur = mu
         for _ in range(bounds[i]):
-            cur = [cur[j] - cartan_t[j][i] for j in range(n)]
+            cur = list(map(sub, cur, c[i]))
+            if cur[i] < 0 and last[i] == i:
+                return  # coordinate i only falls from here on
             rec(i + 1, cur)
 
     rec(0, list(lam))
@@ -114,41 +127,33 @@ def _dominant_below(lt: LieType, lam: Weight) -> tuple[Weight, ...]:
 
 @lru_cache(maxsize=None)
 def _dominant_mults(lt: LieType, lam: Weight) -> MappingProxyType[Weight, int]:
-    """Freudenthal multiplicities of the dominant weights of V(lam), read-only."""
+    """Freudenthal multiplicities of the dominant weights of V(lam), read-only.
+
+    Per positive root alpha: its support, its weight and the form that pairs
+    a weight nu to 2(nu, alpha); k * alpha stays below lam - mu on the support.
+    """
     rs = build(lt)
-    n = rs.rank
-    cands = list(_dominant_below(lt, lam))
-    by_depth = sorted(
-        cands,
-        key=lambda mu: (sum(_int_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))), mu),
-    )
-    mults: dict[Weight, int] = {}
-    for mu in by_depth:
-        if mu == lam:
-            mults[mu] = 1
-            continue
-        diff = _int_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))
+    norms = [2 // d for d in rs.dcheck]
+    roots = [
+        (tuple((j, a) for j, a in enumerate(alpha) if a), weight, tuple(map(mul, alpha, norms)))
+        for alpha, weight in zip(rs.positive_roots, rs.root_pairings)
+    ]
+    diffs = {mu: rs.int_root_coords(tuple(map(sub, lam, mu))) for mu in _dominant_below(lt, lam)}
+    if None in diffs.values():
+        raise TheoremCheckError(f"a weight listed below {lam} is off the root lattice")
+    mults: dict[Weight, int] = {lam: 1}
+    # lam itself, at depth 0, sorts first
+    for mu in sorted(diffs, key=lambda mu: (sum(diffs[mu]), mu))[1:]:
+        diff = diffs[mu]
         num2 = 0
-        for alpha in rs.positive_roots:
-            aw = rs.root_weight(alpha)
-            rem = list(diff)
-            nu = list(mu)
-            while True:
-                ok = True
-                for j in range(n):
-                    rem[j] -= alpha[j]
-                    if rem[j] < 0:
-                        ok = False
-                for j in range(n):
-                    nu[j] += aw[j]
-                if not ok:
-                    break
-                m = mults.get(rs.to_dominant(tuple(nu))[0], 0)
+        for support, weight, form in roots:
+            nu = mu
+            for _ in range(min(diff[j] // a for j, a in support)):
+                nu = tuple(map(add, nu, weight))
+                m = mults.get(rs.to_dominant(nu)[0])
                 if m:
-                    num2 += m * rs.twice_inner_root(tuple(nu), alpha)
-        den2 = rs.twice_inner_root(
-            tuple(a + b for a, b in zip(lam, tuple(c + 2 for c in mu))), diff
-        )
+                    num2 += m * sum(map(mul, form, nu))
+        den2 = rs.twice_inner_root(tuple(a + b + 2 for a, b in zip(lam, mu)), diff)
         # den2 = 2*((lam+rho, lam+rho) - (mu+rho, mu+rho)) = 2*(lam+mu+2rho, lam-mu)
         if den2 <= 0:
             raise TheoremCheckError(f"Freudenthal denominator {den2} at {mu} in V({lam})")
@@ -160,13 +165,6 @@ def _dominant_mults(lt: LieType, lam: Weight) -> MappingProxyType[Weight, int]:
         if m:
             mults[mu] = m
     return MappingProxyType(mults)
-
-
-def _int_root_coords(rs: RootSystem, eta: Weight) -> tuple[int, ...]:
-    out = rs.int_root_coords(eta)
-    if out is None:
-        raise ValueError(f"{eta} is not in the root lattice")
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +217,7 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> DominantCharact
     """
     _require_dominant(rs, lam)
     _require_dominant(rs, mu)
-    dl, dm = weyl_dim(rs, lam), weyl_dim(rs, mu)
+    dl, dm = _weyl_dim(rs.type, lam), _weyl_dim(rs.type, mu)
     if dm > dl:
         lam, mu, dm = mu, lam, dl
     _guard_dim(mu, dm)
@@ -240,7 +238,7 @@ def char_product(chi1: WeightCharacter, chi2: WeightCharacter) -> WeightCharacte
     out: dict[Weight, int] = {}
     for w1, m1 in chi1.items():
         for w2, m2 in chi2.items():
-            key = tuple(a + b for a, b in zip(w1, w2))
+            key = tuple(map(add, w1, w2))
             out[key] = out.get(key, 0) + m1 * m2
     return out
 
@@ -291,7 +289,7 @@ def ext_square(rs: RootSystem, chi: WeightCharacter) -> WeightCharacter:
             key = tuple(2 * c for c in w1)
             out[key] = out.get(key, 0) + diag
         for w2, m2 in items[i + 1 :]:
-            key = tuple(a + b for a, b in zip(w1, w2))
+            key = tuple(map(add, w1, w2))
             out[key] = out.get(key, 0) + m1 * m2
     return {w: m for w, m in out.items() if m}
 
@@ -299,8 +297,7 @@ def ext_square(rs: RootSystem, chi: WeightCharacter) -> WeightCharacter:
 def adjoint_char(rs: RootSystem) -> WeightCharacter:
     """Weight character of the adjoint module: all roots plus rank * zero."""
     out: dict[Weight, int] = {rs.zero(): rs.rank}
-    for alpha in rs.positive_roots:
-        w = rs.root_weight(alpha)
+    for w in rs.root_pairings:
         out[w] = 1
         out[tuple(-c for c in w)] = 1
     return out

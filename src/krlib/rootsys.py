@@ -64,11 +64,38 @@ def _dcheck(family: str, n: int) -> tuple[int, ...]:
     return tuple(2 if j in short else 1 for j in range(n))
 
 
+def _alpha_strings(c, n: int) -> dict:
+    """Phi+ by alpha-strings in height order (Humphreys 9.4): beta + alpha_i
+    is a root iff p - <beta, alpha_i^vee> > 0, p the length of the alpha_i-string
+    below beta.  Maps each root to its fundamental coordinates, entry i being
+    <root, alpha_i^vee>, a root parent and i with parent + alpha_i = root."""
+    level = [(tuple(int(k == i) for k in range(n)), c[i]) for i in range(n)]
+    found = {beta: (pairing, None, i) for i, (beta, pairing) in enumerate(level)}
+    while level:
+        nxt = []
+        for beta, pairing in level:
+            for i, q in enumerate(pairing):
+                # count the string below only as far as the test needs
+                p = 0
+                while p <= q and beta[:i] + (beta[i] - p - 1,) + beta[i + 1 :] in found:
+                    p += 1
+                if p > q:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                    if up not in found:
+                        found[up] = (tuple(map(add, pairing, c[i])), beta, i)
+                        nxt.append((up, found[up][0]))
+        level = nxt
+    return found
+
+
 class RootSystem:
     """Root data of one classical simple type, with exact weight arithmetic.
 
     Nodes are numbered 1..rank as in the Bourbaki tables.  positive_roots and
     theta are stored as integer coefficient vectors over the simple roots.
+    Checked tables from the alpha-string walk, aligned with positive_roots:
+    root_pairings[k] is the weight of root k, and root k is positive_roots[up]
+    + alpha_i (alpha_i alone if up = -1) for (up, i) = root_parents[k].
     """
 
     def __init__(self, lietype: LieType):
@@ -87,28 +114,18 @@ class RootSystem:
         if any(c[i][j] * d[i] != c[j][i] * d[j] for i in range(n) for j in range(i)):
             raise TheoremCheckError(f"dcheck {d} does not symmetrize the Cartan matrix {c}")
 
-        # Phi+ by alpha-strings in height order (Humphreys 9.4): beta + alpha_i
-        # is a root iff p - <beta, alpha_i^vee> > 0, where p is the length of
-        # the alpha_i-string below beta.  level pairs each new root beta with
-        # its fundamental coordinates, whose entry i is <beta, alpha_i^vee>.
-        level = [(tuple(int(k == i) for k in range(n)), c[i]) for i in range(n)]
-        found = {beta for beta, _ in level}
-        while level:
-            nxt = []
-            for beta, pairing in level:
-                for i in range(n):
-                    # count the string below only as far as the test needs
-                    p = 0
-                    while p <= pairing[i] and beta[:i] + (beta[i] - p - 1,) + beta[i + 1 :] in found:
-                        p += 1
-                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                    if p > pairing[i] and up not in found:
-                        found.add(up)
-                        nxt.append((up, tuple(map(add, pairing, c[i]))))
-            level = nxt
-        pos = sorted(found, key=lambda r: (sum(r), r))
+        walk = _alpha_strings(c, n)
+        pos = sorted(walk, key=lambda r: (sum(r), r))
         self.positive_roots: tuple[tuple[int, ...], ...] = tuple(pos)
         self._pos_set = frozenset(pos)
+        index = {r: k for k, r in enumerate(pos)}
+        self.root_pairings: tuple[Weight, ...] = tuple(walk[r][0] for r in pos)
+        self.root_parents = tuple((index.get(walk[r][1], -1), walk[r][2]) for r in pos)
+        for k, (root, weight, (up, i)) in enumerate(zip(pos, self.root_pairings, self.root_parents)):
+            # a parent precedes its root; (-1,) * n plus alpha_i is no root
+            below = (0,) * n if up == -1 else pos[up] if 0 <= up < k else (-1,) * n
+            if below[:i] + (below[i] + 1,) + below[i + 1 :] != root or weight != self.root_weight(root):
+                raise TheoremCheckError(f"table entry {weight}, {(up, i)} of the root {root} is wrong")
 
         # highest root: the unique root dominating every other one
         theta = pos[-1]
@@ -157,10 +174,11 @@ class RootSystem:
 
     def root_weight(self, coeffs: tuple[int, ...]) -> Weight:
         """Fundamental-weight coordinates of an integral root-lattice element."""
-        return tuple(
-            sum(c * self.cartan[k][i] for k, c in enumerate(coeffs))
-            for i in range(self.rank)
-        )
+        out = [0] * self.rank
+        for k, c in enumerate(coeffs):
+            for j, a in self._reflections[k] if c else ():
+                out[j] += c * a
+        return tuple(out)
 
     def epsilon(self, eta, i: int) -> int:
         """Coefficient of the i-th simple root in eta (1-based node index)."""

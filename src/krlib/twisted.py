@@ -87,7 +87,7 @@ class TwistedData(namedtuple("TwistedData", "outer g0 r1_positive phi dsigma kr"
 
 def _short_positive(rs: RootSystem) -> list[tuple[int, ...]]:
     # roots of minimal length; in the simply laced case that is all of them
-    norms = {rc: rs.twice_inner_root(rs.root_weight(rc), rc) for rc in rs.positive_roots}
+    norms = {rc: rs.twice_inner_root(w, rc) for rc, w in zip(rs.positive_roots, rs.root_pairings)}
     least = min(norms.values())
     return [rc for rc in rs.positive_roots if norms[rc] == least]
 

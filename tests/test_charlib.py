@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
+from math import prod
+from operator import mul
 
 import pytest
 
 from krlib import charlib
 from krlib.errors import DimensionGuardError
 from krlib.rootsys import LieType, build
+from krlib.twisted import TwistedData
 
 A2 = build(LieType("A", 2))
 C2 = build(LieType("C", 2))
@@ -388,3 +392,127 @@ def test_hom_dim_matches_full_decomposition():
         probe = (7,) * rs.rank
         assert charlib.hom_dim(rs, [a, b], probe) == dec.get(probe, 0)
         assert missing == probe
+
+
+# ------------------------------------------- oracles for the table kernels
+#
+# The Weyl dimension as a product of forms, the full box of coefficient
+# vectors below lam and the Freudenthal loop over root_weight and
+# twice_inner_root, as they stood before the kernels read the root tables.
+
+
+def oracle_weyl_dim(rs, lam):
+    forms = tuple(
+        tuple(a * (2 // d) for a, d in zip(alpha, rs.dcheck)) for alpha in rs.positive_roots
+    )
+    den = prod(sum(form) for form in forms)
+    rho_shift = tuple(c + 1 for c in lam)
+    num = prod(sum(map(mul, form, rho_shift)) for form in forms)
+    assert num % den == 0
+    return num // den
+
+
+def oracle_dominant_below(rs, lam):
+    n = rs.rank
+    bounds = [c // rs.root_den for c in rs.scaled_root_coords(lam)]
+    cartan_t = [[rs.cartan[k][i] for k in range(n)] for i in range(n)]
+    out = []
+
+    def rec(i, mu):
+        if i == n:
+            if all(x >= 0 for x in mu):
+                out.append(tuple(mu))
+            return
+        rec(i + 1, mu)
+        cur = mu
+        for _ in range(bounds[i]):
+            cur = [cur[j] - cartan_t[j][i] for j in range(n)]
+            rec(i + 1, cur)
+
+    rec(0, list(lam))
+    return tuple(out)
+
+
+def oracle_dominant_mults(rs, lam, cands):
+    # cands: oracle_dominant_below(rs, lam), computed once by the caller
+    n = rs.rank
+    by_depth = sorted(
+        cands,
+        key=lambda mu: (sum(rs.int_root_coords(tuple(a - b for a, b in zip(lam, mu)))), mu),
+    )
+    mults = {}
+    for mu in by_depth:
+        if mu == lam:
+            mults[mu] = 1
+            continue
+        diff = rs.int_root_coords(tuple(a - b for a, b in zip(lam, mu)))
+        num2 = 0
+        for alpha in rs.positive_roots:
+            aw = rs.root_weight(alpha)
+            rem = list(diff)
+            nu = list(mu)
+            while True:
+                ok = True
+                for j in range(n):
+                    rem[j] -= alpha[j]
+                    if rem[j] < 0:
+                        ok = False
+                for j in range(n):
+                    nu[j] += aw[j]
+                if not ok:
+                    break
+                m = mults.get(rs.to_dominant(tuple(nu))[0], 0)
+                if m:
+                    num2 += m * rs.twice_inner_root(tuple(nu), alpha)
+        den2 = rs.twice_inner_root(
+            tuple(a + b for a, b in zip(lam, tuple(c + 2 for c in mu))), diff
+        )
+        assert den2 > 0 and (2 * num2) % den2 == 0
+        m = (2 * num2) // den2
+        if m:
+            mults[mu] = m
+    return mults
+
+
+def assert_kernels_match_oracles(rs, lam):
+    assert charlib.weyl_dim(rs, lam) == oracle_weyl_dim(rs, lam), (rs.type, lam)
+    box = oracle_dominant_below(rs, lam)
+    assert charlib._dominant_below(rs.type, lam) == box, (rs.type, lam)
+    want = oracle_dominant_mults(rs, lam, box)
+    assert dict(charlib._dominant_mults(rs.type, lam)) == want, (rs.type, lam)
+
+
+ORACLE_TYPES = [
+    LieType(f, n)
+    for f, lo, hi in (("A", 1, 6), ("B", 2, 5), ("C", 2, 5), ("D", 3, 6))
+    for n in range(lo, hi + 1)
+]
+
+
+@pytest.mark.parametrize("lt", ORACLE_TYPES, ids=str)
+def test_table_kernels_match_the_oracles_on_small_weights(lt):
+    # every dominant lam with coordinate sum at most 3, within the guard
+    rs = build(lt)
+    guard = charlib.dimension_guard()
+    checked = 0
+    for lam in itertools.product(range(4), repeat=rs.rank):
+        if sum(lam) <= 3 and oracle_weyl_dim(rs, lam) <= guard:
+            assert_kernels_match_oracles(rs, lam)
+            checked += 1
+    assert checked > rs.rank
+
+
+def test_table_kernels_match_the_oracles_on_the_wedge_sweep():
+    # the constituents the wedge suite decomposes: theta and nu of the
+    # adjoint square, phi and nu of the g1 square
+    from krlib import cli, homcheck
+
+    for label in cli._HOM_SWEEP:
+        alg = cli.parse_algebra(label)
+        if isinstance(alg, TwistedData):
+            rs, weights = alg.g0, [alg.phi, homcheck.wedge_g1_nu(alg)]
+        else:
+            rs, weights = alg, [alg.root_weight(alg.theta), homcheck.wedge_adjoint_nu(alg)]
+        for lam in weights:
+            if lam is not None:
+                assert_kernels_match_oracles(rs, lam)

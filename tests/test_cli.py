@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -259,6 +260,15 @@ def test_verify_modforge_same_under_optimize_flag():
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout == optimized.stdout
     assert "1/1 checks passed" in plain.stdout
+
+
+def test_verify_all_same_under_optimize_flag():
+    # every suite at run time: python -O strips asserts, not the checks
+    plain = run_cli("verify", "all")
+    optimized = run_optimized("verify", "all")
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout
+    assert re.search(r"^(\d+)/\1 checks passed$", plain.stdout, re.M)
 
 
 def test_chains_and_char_same_under_optimize_flag():

@@ -179,6 +179,33 @@ def test_root_weight_matches_positive_roots():
             assert rs.is_positive_root(rs.int_root_coords(w))
 
 
+def test_root_tables_match_the_roots():
+    for lt in ALL_TYPES:
+        rs = build(lt)
+        pos = rs.positive_roots
+        assert len(rs.root_pairings) == len(rs.root_parents) == len(pos)
+        simple = 0
+        for k, (alpha, weight, (up, i)) in enumerate(zip(pos, rs.root_pairings, rs.root_parents)):
+            assert weight == rs.root_weight(alpha)
+            below = list(pos[up]) if up >= 0 else [0] * rs.rank
+            assert up < k
+            below[i] += 1
+            assert tuple(below) == alpha
+            simple += up == -1
+        assert simple == rs.rank
+
+
+def test_root_tables_are_read_only():
+    rs = build(LieType("C", 3))
+    for table in (rs.root_pairings, rs.root_parents):
+        assert type(table) is tuple and all(type(row) is tuple for row in table)
+        with pytest.raises(TypeError):
+            table[0] = table[1]
+        with pytest.raises(TypeError):
+            table[0][0] = 7
+    assert rs.root_pairings == build(LieType("C", 3)).root_pairings
+
+
 def test_is_positive_root_rejects():
     rs = build(LieType("C", 2))
     assert not rs.is_positive_root((Fraction(1, 2), Fraction(1)))
@@ -366,4 +393,41 @@ def test_rescaled_dcheck_is_caught(monkeypatch):
     monkeypatch.setattr(rootsys, "_dcheck", lambda fam, n: tuple(2 * d for d in dcheck(fam, n)))
     for lt in (LieType("A", 3), LieType("D", 4)):
         with pytest.raises(TheoremCheckError, match="theta"):
+            rootsys.RootSystem(lt)
+
+
+WALK = rootsys._alpha_strings
+
+
+def planted_walk(monkeypatch, edit):
+    # the alpha-string walk with the entry (pairing, parent, i) of the
+    # highest root rewritten by edit(theta, pairing, parent, i)
+    def planted(c, n):
+        found = WALK(c, n)
+        theta = max(found, key=sum)
+        found[theta] = edit(theta, *found[theta])
+        return found
+
+    monkeypatch.setattr(rootsys, "_alpha_strings", planted)
+
+
+PLANTED_TYPES = [LieType("A", 1), LieType("B", 3), LieType("C", 4), LieType("D", 5)]
+
+
+@pytest.mark.parametrize("lt", PLANTED_TYPES, ids=str)
+def test_wrong_root_weight_in_the_table_is_caught(monkeypatch, lt):
+    planted_walk(monkeypatch, lambda theta, w, parent, i: ((w[0] + 1,) + w[1:], parent, i))
+    with pytest.raises(TheoremCheckError, match="table entry"):
+        rootsys.RootSystem(lt)
+
+
+@pytest.mark.parametrize("lt", PLANTED_TYPES, ids=str)
+def test_wrong_root_parent_in_the_table_is_caught(monkeypatch, lt):
+    # a root as its own parent, and (rank 2 up) the right parent at the wrong node
+    planted_walk(monkeypatch, lambda theta, w, parent, i: (w, theta, i))
+    with pytest.raises(TheoremCheckError, match="table entry"):
+        rootsys.RootSystem(lt)
+    if lt.rank > 1:
+        planted_walk(monkeypatch, lambda theta, w, parent, i: (w, parent, (i + 1) % lt.rank))
+        with pytest.raises(TheoremCheckError, match="table entry"):
             rootsys.RootSystem(lt)
