@@ -10,9 +10,10 @@ select no check, are invalid input.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import charlib, homcheck, krset, modforge, twisted
 from .errors import (
@@ -318,43 +319,120 @@ def cmd_verify(args) -> int:
     return 1 if rep.failures else 2 if rep.guards else 0
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kr",
-        description="Graded Kirillov-Reshetikhin characters for current algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- command line ------------------------------------------------------
 
-    def common(p, need_node=True):
-        p.add_argument("--algebra", required=need_node, help="e.g. C3, B4, A5~, D4~")
-        p.add_argument("--twisted", action="store_true", help="treat the algebra as the ambient of a diagram automorphism")
-        if need_node:
-            p.add_argument("--node", type=int, required=True)
-            p.add_argument("--level", type=int, required=True)
+# option -> kind: str, int (read by int(), as argparse reads it) or bool, a flag
+_KINDS = dict(algebra=str, twisted=bool, node=int, level=int, max_rank=int, max_level=int)
+_SPELL = {name: "--" + name.replace("_", "-") for name in _KINDS}
+_WORDS = {name: _SPELL[name] + f" {name.upper()}" * (k is not bool) for name, k in _KINDS.items()}
+_GRADED = (("algebra", "node", "level"), ("twisted",))
+# command -> (handler, help, (required options, other options)); verify also takes a suite
+_COMMANDS = {
+    "set": (cmd_set, "graded set of highest weights as JSON", _GRADED),
+    "char": (cmd_char, "graded character with dimensions as JSON", _GRADED),
+    "verify": (cmd_verify, "run structural verification suites", ((), tuple(_KINDS))),
+}
 
-    p_set = sub.add_parser("set", help="graded set of highest weights as JSON")
-    common(p_set)
-    p_set.set_defaults(fn=cmd_set)
 
-    p_char = sub.add_parser("char", help="graded character with dimensions as JSON")
-    common(p_char)
-    p_char.set_defaults(fn=cmd_char)
+def _exit(command, error=None):
+    """Print the help of kr (command None) or of a command and exit 0, or,
+    given an error, the usage and the error on stderr and exit 2."""
+    if command is None:
+        prog, words = "kr", ["{" + ",".join(_COMMANDS) + "} ..."]
+        about = "Graded Kirillov-Reshetikhin characters for current algebras.\n\n" + "\n".join(
+            f"  {name:<7} {spec[1]}" for name, spec in _COMMANDS.items())
+    else:
+        prog, (_, about, (required, other)) = f"kr {command}", _COMMANDS[command]
+        words = [_WORDS[n] for n in required] + [f"[{_WORDS[n]}]" for n in other]
+        words += ["{" + ",".join(sorted(_SUITES)) + "}"] * (command == "verify")
+        about += "\n\nALGEBRA is a label such as C3, B4, A5~ or D4~; --twisted adds the ~."
+    usage = " ".join([f"usage: {prog} [-h]", *words])
+    if error is not None:
+        print(f"{usage}\n{prog}: error: {error}", file=sys.stderr)
+        sys.exit(2)
+    print(f"{usage}\n\n{about}\n-h, --help prints this help.")
+    sys.exit(0)
 
-    p_ver = sub.add_parser("verify", help="run structural verification suites")
-    p_ver.add_argument("suite", choices=sorted(_SUITES))
-    p_ver.add_argument("--algebra")
-    p_ver.add_argument("--twisted", action="store_true", default=None)
-    p_ver.add_argument("--node", type=int)
-    p_ver.add_argument("--level", type=int)
-    p_ver.add_argument("--max-rank", type=int, dest="max_rank")
-    p_ver.add_argument("--max-level", type=int, dest="max_level")
-    p_ver.set_defaults(fn=cmd_verify)
-    return parser
+
+def _option(tok: str, names: dict, command):
+    """None if argparse reads tok as a value, else (option, text after '='
+    or None); the option is None if the command has no such option."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    head, eq, value = tok.partition("=")
+    if head in names:
+        hits = [(head, value if eq else None)]
+    elif tok[1] == "-":  # a prefix of long options
+        hits = [(opt, value if eq else None) for opt in names if opt.startswith(head)]
+    else:  # -h with text glued on
+        hits = [(tok[:2], tok[2:])] if tok[:2] in names else []
+    if len(hits) > 1:
+        _exit(command, f"ambiguous option: {tok} could match {', '.join(o for o, _ in hits)}")
+    if not hits:
+        return None if re.match(r"^-\d+$|^-\d*\.\d+$", tok) or " " in tok else (None, None)
+    opt, value = hits[0]
+    return names[opt], None if opt == "-h" and value and not value.strip("h") else value  # -hh
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """Read a kr command line as argparse reads it: --opt value, --opt=value
+    or a unique prefix of --opt, in any order around the positionals, the
+    last repeat winning; -h/--help; `--` ends the options.  Help and usage
+    errors are printed and end in SystemExit (0 and 2)."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    command = fn = suite = None
+    values, extras, names, j = dict.fromkeys(_KINDS), [], {"-h": "help", "--help": "help"}, 0
+    while j < len(argv):
+        found = _option(argv[j], names, command) if j < cut else None
+        if found is None and command is None:  # the command; the rest is its own
+            command, j = argv[j], j + 1
+            if command not in _COMMANDS:
+                _exit(None, f"argument command: invalid choice: {command!r}")
+            fn, _, (required, other) = _COMMANDS[command]
+            names = {**names, **{_SPELL[n]: n for n in required + other}}
+            values["twisted"] = None if command == "verify" else False
+            for tok in argv[j:cut]:  # an ambiguous option is reported first
+                _option(tok, names, command)
+        elif found is None:  # a positional, or the `--` at cut
+            at = j + (j == cut)  # verify's suite takes a `--` on either side
+            if command == "verify" and suite is None and at < len(argv):
+                suite, j = argv[at], at + 1 + (at + 1 == cut)
+                if suite not in _SUITES:
+                    _exit(command, f"argument suite: invalid choice: {suite!r}")
+            else:
+                extras.append(argv[j])
+                j += 1
+        else:
+            (name, value), kind, flag = found, _KINDS.get(found[0]), _SPELL.get(found[0], "-h")
+            j += 1
+            if name is None:
+                extras.append(argv[j - 1])
+            elif name == "help" or kind is bool and value is not None:  # or a flag given a value
+                _exit(command, value if value is None else f"{flag} takes no value, got {value!r}")
+            elif kind is bool:
+                values[name] = True
+            else:
+                if value is None and (j >= cut or _option(argv[j], names, command)):
+                    _exit(command, f"argument {flag}: expected one argument")
+                elif value is None:
+                    value, j = argv[j], j + 1
+                try:
+                    values[name] = kind(value)
+                except ValueError:
+                    _exit(command, f"argument {flag}: invalid int value: {value!r}")
+    missing = [_SPELL[n] for n in required if values[n] is None] if command else ["command"]
+    if missing or command == "verify" and suite is None:
+        _exit(command, "the following arguments are required: " + (", ".join(missing) or "SUITE"))
+    if extras:
+        _exit(None, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=command, suite=suite, fn=fn, **values)
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except SystemExit as stop:  # help, or a usage error, printed by parse_args
+        return stop.code
     try:
         return args.fn(args)
     except (ValueError, ScopeError, DimensionGuardError) as err:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -6,9 +7,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import krlib
 from krlib import cli, krset, modforge
+from krlib.cli import _SUITES, cmd_char, cmd_set, cmd_verify
 from krlib.errors import TheoremCheckError
 from krlib.linalg import SpMat
 
@@ -415,3 +419,237 @@ def test_verify_sweeps_match_recorded_digest(monkeypatch, capsys):
         records.append([argv, guard, code, capsys.readouterr().out])
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == SWEEPS_DIGEST
+
+
+# -- command line parsing ------------------------------------------------
+
+
+def make_parser() -> argparse.ArgumentParser:
+    """The argparse parser kr used before cli.parse_args: the oracle the
+    table-driven parser is checked against."""
+    parser = argparse.ArgumentParser(
+        prog="kr",
+        description="Graded Kirillov-Reshetikhin characters for current algebras.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, need_node=True):
+        p.add_argument("--algebra", required=need_node, help="e.g. C3, B4, A5~, D4~")
+        p.add_argument("--twisted", action="store_true", help="treat the algebra as the ambient of a diagram automorphism")
+        if need_node:
+            p.add_argument("--node", type=int, required=True)
+            p.add_argument("--level", type=int, required=True)
+
+    p_set = sub.add_parser("set", help="graded set of highest weights as JSON")
+    common(p_set)
+    p_set.set_defaults(fn=cmd_set)
+
+    p_char = sub.add_parser("char", help="graded character with dimensions as JSON")
+    common(p_char)
+    p_char.set_defaults(fn=cmd_char)
+
+    p_ver = sub.add_parser("verify", help="run structural verification suites")
+    p_ver.add_argument("suite", choices=sorted(_SUITES))
+    p_ver.add_argument("--algebra")
+    p_ver.add_argument("--twisted", action="store_true", default=None)
+    p_ver.add_argument("--node", type=int)
+    p_ver.add_argument("--level", type=int)
+    p_ver.add_argument("--max-rank", type=int, dest="max_rank")
+    p_ver.add_argument("--max-level", type=int, dest="max_level")
+    p_ver.set_defaults(fn=cmd_verify)
+    return parser
+
+
+ATTRS = ("command", "suite", "algebra", "twisted", "node", "level", "max_rank", "max_level", "fn")
+
+
+def parsed(parse, argv, capsys):
+    """('ok', attribute values) or ('exit', code) of one parse; what it
+    printed is dropped."""
+    try:
+        args = parse(list(argv))
+    except SystemExit as stop:
+        return "exit", stop.code
+    finally:
+        capsys.readouterr()
+    return "ok", tuple(getattr(args, name, None) for name in ATTRS)
+
+
+def assert_parses_as_argparse(argv, capsys):
+    expected = parsed(make_parser().parse_args, argv, capsys)
+    assert parsed(cli.parse_args, argv, capsys) == expected, argv
+    if expected[0] == "exit":  # help, or a usage error: main returns the code
+        assert cli.main(argv) == expected[1]
+        out, err = capsys.readouterr()
+        if expected[1] == 0:
+            assert err == "" and out.startswith("usage: kr")
+        else:
+            assert out == ""
+            usage, error = err.splitlines()
+            assert usage.startswith("usage: kr") and re.match(r"kr( \w+)?: error: ", error)
+
+
+INTS = ["0", "1", "2", "4", "-1", "-3", "1_0", " 2", "x"]
+LABELS = ["C3", "B4", "A4~", "D4~", "Q7", "-1", "-x", ""]
+# each command's options, and the values drawn for them (None: a flag)
+GRADED_OPTIONS = {"--algebra": LABELS, "--twisted": None, "--node": INTS, "--level": INTS}
+COMMAND_OPTIONS = {
+    "set": GRADED_OPTIONS,
+    "char": GRADED_OPTIONS,
+    "verify": {**GRADED_OPTIONS, "--max-rank": INTS, "--max-level": INTS},
+}
+# every option, each prefix of it from "--a" on (some ambiguous, as --max), and -h
+SPELLINGS = sorted(
+    {name[:k] for name in [*COMMAND_OPTIONS["verify"], "--help"] for k in range(3, len(name) + 1)}
+) + ["-h"]
+VALUES = sorted(set(INTS + LABELS))
+WORDS = (
+    ["set", "char", "verify", "nonsense", *sorted(_SUITES), "--", "-", "-hh", "-hx", "1.5", ""]
+    + SPELLINGS
+    + VALUES
+    + [f"{name}={value}" for name in SPELLINGS if name.startswith("--") for value in VALUES]
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its options in any order, each spelled in full or by a
+    prefix, its value apart or after '='; verify's suite among them, perhaps
+    with a `--` next to it; then perhaps a word of noise put anywhere."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    options = COMMAND_OPTIONS[command]
+    names = [] if command == "verify" else ["--algebra", "--node", "--level"]
+    names = draw(st.permutations(names + draw(st.lists(st.sampled_from(sorted(options)), max_size=2))))
+    argv = [command]
+    for name in names:
+        spelled = name[: draw(st.integers(3, len(name)))] if draw(st.booleans()) else name
+        if options[name] is None:
+            argv.append(spelled)
+        else:
+            value = draw(st.sampled_from(options[name]))
+            argv += [f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value]
+    if command == "verify":
+        suite = [draw(st.sampled_from(sorted(_SUITES)))]
+        suite = draw(st.sampled_from([suite, suite, ["--", *suite], [*suite, "--"]]))
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = suite
+    if draw(st.integers(0, 2)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(WORDS)))
+    return argv
+
+
+@settings(
+    max_examples=600,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(command_lines(), st.lists(st.sampled_from(WORDS), max_size=6)))
+def test_parser_matches_argparse(capsys, argv):
+    # where argparse accepts a command line, parse_args gives the same
+    # attributes; where argparse prints help or exits 2, so does kr (each
+    # parse reads its own output off capsys)
+    assert_parses_as_argparse(argv, capsys)
+
+
+EDGE_CASES = [
+    ["set", "--alg", "C3", "--n", "1", "--l", "2"],
+    ["verify", "--max-rank", "2", "chains"],
+    ["verify", "chains", "--max", "2"],
+    ["verify", "--", "chains"],
+    ["verify", "chains", "--"],
+    ["verify", "chains", "--max-rank", "2", "--"],
+    ["verify", "--", "chains", "--max-rank", "2"],
+    ["set", "--algebra", "C3", "--node", "1", "--level", "1", "--"],
+    ["--", "set", "--algebra", "C3", "--node", "1", "--level", "1"],
+    ["set", "--algebra", "-x", "--node", "1", "--level", "1"],
+    ["set", "--algebra", "-1", "--node", "1", "--level", "1"],
+    ["set", "--algebra", "-x y", "--node", "1", "--level", "1"],
+    ["set", "--algebra=C3", "--node=1", "--level=2", "--tw"],
+    ["set", "--algebra", "C3", "--node", "1", "--level", "1", "--algebra", "B3"],
+    ["verify", "homs", "--twisted=1"],
+    ["verify", "homs", "--twisted", "--twisted"],
+    ["verify", "chains", "extra"],
+    ["verify", "chains", "--max-rank", "-1"],
+    ["verify", "chains", "--max-rank", "-1_0"],
+    ["verify", "chains", "--max-rank", "٣"],
+    [],
+    ["set", "--algebra", "C3", "--node=", "--level", "1"],
+    ["set", "--algebra", "C3", "--node", "1_0", "--level", "1"],
+    ["set", "--algebra", "C3", "--node", "--level", "1"],
+    ["-h"],
+    ["--he"],
+    ["-hh"],
+    ["-hx"],
+    ["--help=x"],
+    ["--bogus", "-h"],
+    ["--bogus", "set", "-h"],
+    ["set", "-h", "--max"],
+    ["set", "--=x"],
+    ["verify", "-h", "--node", "x"],
+    ["verify", "--node", "x", "-h"],
+    ["verify", "bogus", "-h"],
+    ["verify", "chains", "extra", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_CASES, ids=[" ".join(a) or "(empty)" for a in EDGE_CASES])
+def test_parser_edge_cases_match_argparse(capsys, argv):
+    assert_parses_as_argparse(argv, capsys)
+
+
+def test_option_value_after_equals_may_be_a_double_dash(capsys):
+    # argparse 3.11 strips a `--` given as `--opt=--` and stores an empty
+    # list, which crashes later; kr reads it as the text "--"
+    assert cli.parse_args(["set", "--algebra=--", "--node", "1", "--level", "1"]).algebra == "--"
+    assert cli.main(["set", "--algebra=--", "--node", "1", "--level", "1"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse algebra label '--'\n"
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["nonsense"], "kr: error: argument command: invalid choice: 'nonsense'"),
+        ([], "kr: error: the following arguments are required: command"),
+        (
+            ["set", "--algebra", "C3"],
+            "kr set: error: the following arguments are required: --node, --level",
+        ),
+    ],
+)
+def test_usage_errors_return_2_in_process(capsys, argv, error):
+    # a bad command line is input error like any other: main returns 2 and
+    # raises nothing, with the usage and the reason on stderr
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, reason = err.splitlines()
+    assert usage.startswith("usage: kr")
+    assert reason == error
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["kr", "set", "--algebra", "C2", "--node", "1", "--level", "2"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"weight": [2, 0], "grade": 0},
+        {"weight": [0, 0], "grade": 1},
+    ]
+    monkeypatch.setattr(sys, "argv", ["kr", "set"])
+    assert cli.main() == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["set", "--help"], ["char", "-h"], ["verify", "-h"]])
+def test_help_names_every_command_and_option(argv):
+    # the names come from the argparse oracle, the suites from _SUITES
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    parser = make_parser()
+    if argv[0] != "-h":
+        parser = parser._subparsers._group_actions[0].choices[argv[0]]
+    for action in parser._actions:
+        names = action.option_strings or list(action.choices or ())
+        assert all(name in proc.stdout for name in names), (names, proc.stdout)
+    if argv[0] == "verify":
+        assert "{" + ",".join(sorted(_SUITES)) + "}" in proc.stdout

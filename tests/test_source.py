@@ -1,6 +1,7 @@
 """Static checks over the library sources."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -334,17 +335,25 @@ def test_no_module_imports_dataclasses():
 
 
 def test_cli_import_loads_no_introspection_modules():
-    # a clean interpreter (-S: no site hooks) importing the CLI, as every
-    # `kr` process does; the first five only come in through dataclasses,
-    # the last three through fractions
-    code = "import sys, krlib.cli; print(' '.join(sorted(sys.modules)))"
+    # a clean interpreter (-S: no site hooks) importing the CLI and running
+    # one command, as every `kr` process does; the first five only come in
+    # through dataclasses, the next three through fractions, and the last
+    # three through argparse, whose gettext imports locale on first use
+    code = (
+        "import sys, krlib.cli\n"
+        "krlib.cli.main(['char', '--algebra', 'C2', '--node', '1', '--level', '2'])\n"
+        "print(' '.join(sorted(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    loaded = set(proc.stdout.split())
+    char_json, modules = proc.stdout.splitlines()
+    assert json.loads(char_json)["dim_poly"] == [10, 1]
+    loaded = set(modules.split())
     assert "krlib.cli" in loaded
     forbidden = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "numbers"}
+    forbidden |= {"argparse", "gettext", "locale"}
     assert loaded & forbidden == set()
 
 
