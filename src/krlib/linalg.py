@@ -2,18 +2,17 @@
 
 Matrices are column-major dicts of dicts, vectors are index -> value dicts.
 Values are Python ints; zeros are never stored.  The column table of a
-matrix is its data, c -> {r: value}; its row table (rows) is
-r -> ((c, value), ...), tuples to keep it small.  Echelon spans over Q but
-eliminates fraction-free (Bareiss, Math. Comp. 22, 1968), so every stored
-row and every nullspace solution is a primitive integer vector, and a
-rational coordinate comes back as int numerators over one least common
-denominator.  lattice_basis spans over Z: the reduced
+matrix is its data, c -> {r: value}, the one layout every matrix has.
+Echelon spans over Q but eliminates fraction-free (Bareiss, Math. Comp. 22,
+1968), so every stored row and every nullspace solution is a primitive
+integer vector, and a rational coordinate comes back as int numerators over
+one least common denominator.  lattice_basis spans over Z: the reduced
 Hermite normal form of a lattice, whose members lattice_coords expresses
 with int coordinates.  residue is the product kernel of matrix identities:
-it sums products of a column table by a row table (rows turns one into the
-other) and multiples of column tables into one vector, with no SpMat and no
-copy, and a product multiplies only the entries that compose.  Everything
-here is deterministic: echelon forms always pivot on the smallest index.
+it sums products and multiples of column tables into one vector, with no
+SpMat and no copy, and a product multiplies only the entries that compose.
+Everything here is deterministic: echelon forms always pivot on the
+smallest index.
 """
 
 from __future__ import annotations
@@ -140,34 +139,25 @@ class SpMat:
         return f"SpMat({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def rows(table) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The row table of a column table: r -> ((c, value), ...) for the
-    stored entries of row r, in the column table's order."""
-    out: dict[int, list] = {}
-    for c, col in table.items():
-        for r, v in col.items():
-            out.setdefault(r, []).append((c, v))
-    return {r: tuple(row) for r, row in out.items()}
-
-
 def residue(stride: int, products, linear=()) -> dict[int, int]:
     """sum k L R over products (k, L, R) plus sum k Z over linear (k, Z),
-    for column tables L and Z, row tables R (see rows) and scalars k, as
-    one vector keyed c * stride + r (see flatten); stride is at least the
-    number of rows, and zero entries may be stored.  A product visits only
-    the inner indices j where column j of L and row j of R both have
-    entries."""
+    for column tables L, R and Z and scalars k, as one vector keyed
+    c * stride + r (see flatten); stride is at least the number of rows,
+    and zero entries may be stored.  Column c of L R is the sum over j of
+    R[j, c] L[:, j]: a product looks up column j of L once per entry of R
+    and multiplies only the entries that compose."""
     acc: dict[int, int] = {}
     get = acc.get
     for k, left, right in products:
-        for j in left.keys() & right.keys():
-            lcol = left[j].items()
-            for c, v in right[j]:
-                base = c * stride
-                kv = k * v
-                for r, w in lcol:
-                    key = base + r
-                    acc[key] = get(key, 0) + kv * w
+        for c, rcol in right.items():
+            base = c * stride
+            for j, v in rcol.items():
+                lcol = left.get(j)
+                if lcol is not None:
+                    kv = k * v
+                    for r, w in lcol.items():
+                        key = base + r
+                        acc[key] = get(key, 0) + kv * w
     for k, z in linear:
         for c, col in z.items():
             base = c * stride

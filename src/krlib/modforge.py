@@ -17,7 +17,8 @@ exactly or raises TheoremCheckError.
 A module stores its pieces' generators, not their root matrices, and
 verify_current_relations checks Serre's premises on each piece and one
 maximal vector and its f-tree for each step, in the one product kernel
-linalg.residue; every other relation follows.  All exact and deterministic.
+linalg.residue, over the matrices' own column tables; every other relation
+follows.  All exact and deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from types import MappingProxyType
 
 from . import charlib, krset
 from .errors import DimensionGuardError, ScopeError, TheoremCheckError
-from .linalg import Echelon, SpMat, flatten, lattice_basis, lattice_coords, nullspace, residue, rows
+from .linalg import Echelon, SpMat, flatten, lattice_basis, lattice_coords, nullspace, residue
 from .rootsys import LieType, RootSystem, Weight, build
 
 
@@ -81,11 +82,11 @@ def _quotient(vec: dict[int, object], q: int, what: str) -> dict[int, int]:
     return {r: v // q for r, v in vec.items()}
 
 
-def _bracket_quotient(a: SpMat, m: SpMat, b_rows, q: int, what: str) -> SpMat:
-    """(A M - M B) / q, for the row table b_rows of B, through residue; a
-    quotient that is not exact raises TheoremCheckError naming `what`."""
+def _bracket_quotient(a: SpMat, m: SpMat, b: SpMat, q: int, what: str) -> SpMat:
+    """(A M - M B) / q through residue; a quotient that is not exact raises
+    TheoremCheckError naming `what`."""
     out = SpMat(a.rows, m.cols)
-    res = residue(a.rows, ((1, a.data, rows(m.data)), (-1, m.data, b_rows)))
+    res = residue(a.rows, ((1, a.data, m.data), (-1, m.data, b.data)))
     for key, v in _quotient(res, q, what).items():
         if v:
             c, r = divmod(key, a.rows)
@@ -97,7 +98,7 @@ def _from_generators(rs: RootSystem, ee, ff, top: int = 0) -> MatrixRep:
     """The module with generators e_j, f_j and h_j = [e_j, f_j], whose basis
     vector `top` is the highest; the weights come from the diagonal of h."""
     dim = ee[0].rows
-    hh = tuple(_bracket_quotient(e, f, rows(e.data), 1, "h") for e, f in zip(ee, ff))
+    hh = tuple(_bracket_quotient(e, f, e, 1, "h") for e, f in zip(ee, ff))
     weights = _weights_from_h(hh, dim)
     return MatrixRep(rs, dim, tuple(ee), tuple(ff), hh, weights, top, weights[top])
 
@@ -198,9 +199,6 @@ class ChevalleyBasis:
 
         drep = defining_rep(rs)
         self.def_mats = self.realize(drep)
-        # the right factors of _bracket_coords; a change to def_mats must
-        # change these too
-        self.def_rows = [rows(m.data) for m in self.def_mats]
         ech = Echelon()
         for m in self.def_mats:
             if ech.add(flatten(m.data, drep.dim)) is None:
@@ -258,12 +256,11 @@ class ChevalleyBasis:
         out: list[SpMat] = []
         for xs in (rep.e, rep.f):
             # the x_alpha from the e_i, then the x_-alpha from the f_i
-            xrows = [rows(x.data) for x in xs]
             mats: dict[tuple[int, ...], SpMat] = {}
             for rc in self.rs.positive_roots:
                 i, parent, q = self.recipe[rc]
                 x, what = xs[i - 1], f"the recipe bracket of root {rc}"
-                mats[rc] = x if parent is None else _bracket_quotient(x, mats[parent], xrows[i - 1], q, what)
+                mats[rc] = x if parent is None else _bracket_quotient(x, mats[parent], x, q, what)
             out += mats.values()
         return out + list(rep.h)
 
@@ -285,7 +282,7 @@ class ChevalleyBasis:
     def _bracket_coords(self, a: int, b: int) -> dict[int, int]:
         n = self.def_mats[a].rows
         x, y = self.def_mats[a].data, self.def_mats[b].data
-        products = ((1, x, self.def_rows[b]), (-1, y, self.def_rows[a]))
+        products = ((1, x, y), (-1, y, x))
         br = {key: v for key, v in residue(n, products).items() if v}
         gamma = tuple(map(add, self.roots[a], self.roots[b]))
         z = self._of_root.get(gamma)
@@ -633,10 +630,9 @@ def _check_generators(rs: RootSystem, slot, what: str) -> None:
     for i, want in enumerate(diag, start=1):
         if {k: v for k, v in flatten(slot[2](("h", i)), n).items() if v} != flatten(want, n):
             raise TheoremCheckError(f"h_{i} of {what} is not the weight diagonal")
-    row_tabs = {op: rows(tab) for op, tab in tabs.items()}
     for i in range(1, rs.rank + 1):
         for j in range(1, rs.rank + 1):
-            products = ((1, tabs["e", j], row_tabs["f", i]), (-1, tabs["f", i], row_tabs["e", j]))
+            products = ((1, tabs["e", j], tabs["f", i]), (-1, tabs["f", i], tabs["e", j]))
             if any(residue(n, products, [(-1, diag[i - 1])] if i == j else ()).values()):
                 raise TheoremCheckError(f"[e_{j}, f_{i}] of {what} is not delta h")
 
@@ -725,12 +721,11 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: Matri
     if not any(any(col.values()) for col in X.data.values()):
         raise TheoremCheckError(f"the maximal vector of {hom} is zero")
     for i, (e0, e1) in enumerate(zip(source.e, target.e), start=1):
-        if _bracket_quotient(e1, X, rows(e0.data), 1, f"e_{i} . X").data:
+        if _bracket_quotient(e1, X, e0, 1, f"e_{i} . X").data:
             raise TheoremCheckError(f"e_{i} does not kill the maximal vector of {hom}")
     maps = {theta: X}
-    f_rows = [rows(f.data) for f in source.f]
     for z, i, b, c in cb.f_tree:
-        maps[z] = _bracket_quotient(target.f[i - 1], maps[b], f_rows[i - 1], c, f"f_{i} . M_{b} on {hom}")
+        maps[z] = _bracket_quotient(target.f[i - 1], maps[b], source.f[i - 1], c, f"f_{i} . M_{b} on {hom}")
 
     if maps[minus_beta].col(source.highest_index) != {top: 1}:
         raise TheoremCheckError(f"{hom} does not transport the highest vector")
@@ -831,7 +826,7 @@ class RelationReport(
         return self.cyclic_dim == self.total_dim
 
 
-def _check_tsquare(cm: CurrentModule, t_rows=None) -> int:
+def _check_tsquare(cm: CurrentModule) -> int:
     """[x_a (x) t, x_b (x) t] = 0 on every piece, since x (x) t^2 acts as
     zero; returns the number of pairs established.
 
@@ -845,7 +840,7 @@ def _check_tsquare(cm: CurrentModule, t_rows=None) -> int:
     a = cb.generators[0]
     pairs = 0
     for s in range(cm.k - 1):
-        lo = t_rows[s] if t_rows else [rows(m.data) for m in cm.t_action[s]]
+        lo = [m.data for m in cm.t_action[s]]
         hi = [m.data for m in cm.t_action[s + 1]]
         for b in [b for b in range(D) if b != a]:
             if any(residue(cm.pieces[s + 2].dim, ((1, hi[a], lo[b]), (-1, hi[b], lo[a]))).values()):
@@ -914,23 +909,21 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
     for s, piece in enumerate(cm.pieces):
         _check_generators(rs, piece.slot(), f"piece {s}")
 
-    gens = [(kind, i) for kind in "ef" for i in range(1, rs.rank + 1)]
     steps = sorted(
         [(cb.plus_index(rc), theta, ("e", i)) for i, rc in enumerate(cb.simple, start=1)]
         + [(cb.minus_index(cb.simple[i - 1]), b, ("f", i)) for _, i, b, _ in cb.f_tree]
     )
-    t_rows = [[rows(x.data) for x in mats] for mats in cm.t_action]
     for s, mats in enumerate(cm.t_action):
-        M, MR, source, target = [x.data for x in mats], t_rows[s], cm.pieces[s], cm.pieces[s + 1]
-        R0 = {gen: rows(source.gen(*gen).data) for gen in gens}
+        M, source, target = [x.data for x in mats], cm.pieces[s], cm.pieces[s + 1]
         if not _moves_weights(M[theta], source.basis_weights, target.basis_weights, rs.root_weight(rs.theta)):
             raise TheoremCheckError(f"x_{theta} (x) t does not move weights by theta on piece {s}")
         for a, b, gen in steps:
             terms = [(-c, M[z]) for z, c in cb.struct(a, b).items()]
-            if any(residue(target.dim, ((1, target.gen(*gen).data, MR[b]), (-1, M[b], R0[gen])), terms).values()):
+            products = ((1, target.gen(*gen).data, M[b]), (-1, M[b], source.gen(*gen).data))
+            if any(residue(target.dim, products, terms).values()):
                 raise TheoremCheckError(f"[x_{a} (x) 1, x_{b} (x) t] fails on piece {s}")
 
-    tsquare_pairs = _check_tsquare(cm, t_rows)
+    tsquare_pairs = _check_tsquare(cm)
     checks = _check_kr_relations(cm)
 
     # cyclicity: the relations and generator checks above are the premises of

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import krlib
-from krlib import homcheck, krset, modforge, rootsys, twisted
+from krlib import homcheck, krset, linalg, modforge, rootsys, twisted
 
 SRC = Path(krlib.__file__).resolve().parent
 
@@ -246,8 +246,8 @@ def uses_a_spmat_product(node):
 
 def test_relation_checks_use_the_one_product_kernel():
     # the relation checks, the step solver and every bracket-and-divide
-    # replay multiply through linalg.residue over row tables; a SpMat product
-    # (`@` or .bracket) in them would be a second kernel
+    # replay multiply through linalg.residue over column tables; a SpMat
+    # product (`@` or .bracket) in them would be a second kernel
     tree = ast.parse((SRC / "modforge.py").read_text())
     names = [
         "_bracket_coords",
@@ -293,6 +293,23 @@ def test_no_spmat_product_outside_spmat():
             for node in ast.walk(tree)
             if uses_a_spmat_product(node) and id(node) not in inside
         ]
+    assert found == []
+
+
+def test_matrices_have_one_layout():
+    # residue multiplies column tables on both sides, so no row table is
+    # built, cached or passed; SpMat.rows (the row count), rows_by_wt and
+    # nullspace's rows parameter are other names
+    assert not hasattr(linalg, "rows")
+    tables = {"def_rows", "xrows", "row_tabs", "f_rows", "t_rows", "b_rows"}
+    fields = ((ast.FunctionDef, "name"), (ast.arg, "arg"), (ast.Name, "id"), (ast.Attribute, "attr"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in parsed_sources()
+        for node in ast.walk(tree)
+        if any(isinstance(node, kind) and getattr(node, field) in tables for kind, field in fields)
+        or (isinstance(node, ast.Call) and _name_of(node) == "rows")
+    ]
     assert found == []
 
 
