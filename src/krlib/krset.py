@@ -132,12 +132,7 @@ def sort_chain(rs: RootSystem, weights, top: Weight) -> tuple[Weight, ...]:
     return tuple(ordered)
 
 
-def verify_chain_conditions(
-    rs: RootSystem,
-    chain: tuple[Weight, ...],
-    one_step,
-    two_step,
-) -> None:
+def verify_chain_conditions(chain: tuple[Weight, ...], one_step, two_step) -> None:
     """Check difference conditions along a chain with supplied predicates."""
     for s in range(len(chain) - 1):
         diff = tuple(a - b for a, b in zip(chain[s], chain[s + 1]))
@@ -190,9 +185,10 @@ def datum(lt: LieType) -> KRDatum:
 
 
 @lru_cache(maxsize=None)
-def _chain(kr: KRDatum, i: int, m0: int) -> GradedChain:
-    chain = sort_chain(kr.rs, kr.base_set(i, m0), kr.rs.fundamental(i, m0))
-    verify_chain_conditions(kr.rs, chain, kr.one_step, kr.two_step)
+def _chain(kr: KRDatum, i: int) -> GradedChain:
+    d = kr.steps[i - 1]
+    chain = sort_chain(kr.rs, kr.base_set(i, d), kr.rs.fundamental(i, d))
+    verify_chain_conditions(chain, kr.one_step, kr.two_step)
     # affine independence: each weight of P+ has one composition (see _pplus)
     ech = Echelon()
     for mu in chain[1:]:
@@ -203,19 +199,19 @@ def _chain(kr: KRDatum, i: int, m0: int) -> GradedChain:
     return GradedChain(chain)
 
 
-def kr_chain(kr: KRDatum, i: int, m0: int | None = None) -> GradedChain:
-    """The enumerated base set of node i at level m0 (by default the step).
+def kr_chain(kr: KRDatum, i: int) -> GradedChain:
+    """The enumerated base set of node i at its step level.
 
-    Built and verified once per (datum, node, level); a failure is not cached.
+    Built and verified once per (datum, node); a failure is not cached.
     """
     kr.rs._check_node(i)
-    return _chain(kr, i, kr.steps[i - 1] if m0 is None else m0)
+    return _chain(kr, i)
 
 
-def enumerate_chain(rs: RootSystem, i: int, m0: int | None = None) -> GradedChain:
+def enumerate_chain(rs: RootSystem, i: int) -> GradedChain:
     """The enumerated base set: consecutive differences are positive roots and
     two-step differences lie in the positive root lattice but are not roots."""
-    return kr_chain(datum(rs.type), i, m0)
+    return kr_chain(datum(rs.type), i)
 
 
 # -- P+ as compositions of the chain -------------------------------------------
@@ -234,7 +230,7 @@ def _pplus(kr: KRDatum, i: int, m: int) -> Mapping[Weight, tuple[int, ...]]:
     start = kr.rs.fundamental(i, r)
     if r and kr.base_set(i, r) != {start}:
         raise TheoremCheckError(f"{kr.label}P+({i}, {r}) is not {{{start}}}")
-    chain = _chain(kr, i, d).weights
+    chain = _chain(kr, i).weights
     k = len(chain) - 1
     out: dict[Weight, tuple[int, ...]] = {}
 
@@ -259,7 +255,7 @@ def _level(kr: KRDatum, i: int, m: int) -> Mapping[Weight, tuple[int, ...]]:
     if m < 0:
         raise ValueError("level must be non-negative")
     d = kr.steps[i - 1]
-    k = _chain(kr, i, d).k
+    k = _chain(kr, i).k
     size, guard = comb(m // d + k, k), charlib.dimension_guard()
     if size > guard:
         raise DimensionGuardError(f"|{kr.label}P+({i}, {m})| = {size} exceeds {guard}")

@@ -14,11 +14,13 @@ wedge and symmetric powers of a factor as slots: the ambient of V(mu) and
 the KR tensor products are spanned in it.  Every matrix of a module is an
 int matrix: each step that relies on Kostant's integrality theorem divides
 exactly or raises TheoremCheckError.
-A module stores its pieces' generators, not their root matrices, and
-verify_current_relations checks Serre's premises on each piece and one
-maximal vector and its f-tree for each step, in the one product kernel
-linalg.residue, over the matrices' own column tables; every other relation
-follows.  All exact and deterministic.
+A MatrixRep is its generators e_i, f_i and its basis weights, h_i being
+the weight diagonal; a module stores its pieces' generators.  Serre's
+premises are checked where _from_generators makes a representation, hold
+for highest_module by its lemma, and verify_current_relations checks them
+on each piece and one maximal vector and its f-tree for each step, in the
+one product kernel linalg.residue, over the matrices' own column tables;
+every other relation follows.  All exact and deterministic.
 """
 
 from __future__ import annotations
@@ -38,13 +40,12 @@ from .linalg import Echelon, SpMat, flatten, lattice_basis, lattice_coords, null
 from .rootsys import LieType, RootSystem, Weight, build
 
 
-class MatrixRep(
-    namedtuple("MatrixRep", "rs dim e f h basis_weights highest_index highest_weight")
-):
-    """A g-module with exact matrices for the Chevalley generators.
+class MatrixRep(namedtuple("MatrixRep", "rs dim e f basis_weights highest_index highest_weight")):
+    """A g-module with exact matrices for the generators e_i and f_i.
 
     Basis vectors are always h-eigenvectors; their weights are recorded in
-    fundamental coordinates.  The h matrices are diagonal with those weights.
+    fundamental coordinates, so h_i is the diagonal of the weights' i-th
+    coordinates and is never stored.
     """
 
     __slots__ = ()
@@ -54,24 +55,16 @@ class MatrixRep(
         return {self.highest_index: 1}
 
     def gen(self, kind: str, i: int) -> SpMat:
-        return {"e": self.e, "f": self.f, "h": self.h}[kind][i - 1]
+        return (self.e if kind == "e" else self.f)[i - 1]
 
     def slot(self):
-        """This module as a tensor_rep factor: operators ("e", i), ("f", i)
-        and ("h", i), every basis vector in grade 0."""
+        """This module as a tensor_rep factor: operators ("e", i) and
+        ("f", i), every basis vector in grade 0."""
 
         def cols(op):
             return self.gen(*op).data
 
         return [0] * self.dim, self.basis_weights, cols
-
-
-def _weights_from_h(hs, dim: int) -> tuple[Weight, ...]:
-    """The basis weights read off the diagonal h matrices; an off-diagonal
-    entry raises."""
-    if any(r != c for m in hs for c, col in m.data.items() for r in col):
-        raise TheoremCheckError("h generator is not diagonal")
-    return tuple(tuple(m.data.get(r, {}).get(r, 0) for m in hs) for r in range(dim))
 
 
 def _quotient(vec: dict[int, object], q: int, what: str) -> dict[int, int]:
@@ -94,13 +87,16 @@ def _bracket_quotient(a: SpMat, m: SpMat, b: SpMat, q: int, what: str) -> SpMat:
     return out
 
 
-def _from_generators(rs: RootSystem, ee, ff, top: int = 0) -> MatrixRep:
-    """The module with generators e_j, f_j and h_j = [e_j, f_j], whose basis
-    vector `top` is the highest; the weights come from the diagonal of h."""
+def _from_generators(rs: RootSystem, ee, ff, what: str, top: int = 0) -> MatrixRep:
+    """The module `what` with generators e_j and f_j, whose basis vector
+    `top` is the highest: the weights are read off the diagonals of the
+    [e_j, f_j], and _check_generators checks the rest."""
     dim = ee[0].rows
-    hh = tuple(_bracket_quotient(e, f, e, 1, "h") for e, f in zip(ee, ff))
-    weights = _weights_from_h(hh, dim)
-    return MatrixRep(rs, dim, tuple(ee), tuple(ff), hh, weights, top, weights[top])
+    hh = [residue(dim, ((1, e.data, f.data), (-1, f.data, e.data))) for e, f in zip(ee, ff)]
+    weights = tuple(tuple(h.get(r * dim + r, 0) for h in hh) for r in range(dim))
+    rep = MatrixRep(rs, dim, tuple(ee), tuple(ff), weights, top, weights[top])
+    _check_generators(rs, rep.slot(), what)
+    return rep
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +132,7 @@ def _defining(lt: LieType) -> MatrixRep:
     elif fam == "D":
         ee.append(mat((n - 2, n, 1), (n - 1, n + 1, -1)))
         ff.append(mat((n, n - 2, 1), (n + 1, n - 1, -1)))
-    rep = _from_generators(rs, ee, ff)
+    rep = _from_generators(rs, ee, ff, "the defining representation")
     if rep.highest_weight != rs.fundamental(1):
         raise TheoremCheckError("defining rep does not have highest weight omega_1")
     return rep
@@ -262,7 +258,7 @@ class ChevalleyBasis:
                 x, what = xs[i - 1], f"the recipe bracket of root {rc}"
                 mats[rc] = x if parent is None else _bracket_quotient(x, mats[parent], x, q, what)
             out += mats.values()
-        return out + list(rep.h)
+        return out + [SpMat.from_diag([wt[j] for wt in rep.basis_weights]) for j in range(self.rs.rank)]
 
     def struct(self, a: int, b: int) -> Mapping[int, int]:
         """[basis_a, basis_b] expressed in the basis, with int coefficients.
@@ -331,7 +327,7 @@ def adjoint_rep(rs: RootSystem) -> MatrixRep:
 
     ee = [action_of(cb.plus_index(rc)) for rc in cb.simple]
     ff = [action_of(cb.minus_index(rc)) for rc in cb.simple]
-    rep = _from_generators(rs, ee, ff, cb.plus_index(rs.theta))
+    rep = _from_generators(rs, ee, ff, "the adjoint", cb.plus_index(rs.theta))
     if rep.basis_weights != tuple(rs.root_weight(rc) for rc in cb.roots):
         raise TheoremCheckError("adjoint h eigenvalues disagree with the root weights")
     return rep
@@ -526,6 +522,15 @@ def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
     once: the ambient lattice is admissible and U_Z v+ = U_Z^- v+, so a
     divided power that does not divide, or an image off the lattice below
     or above, raises TheoremCheckError.
+
+    The result meets Serre's premises with no check here: the defining
+    representation's generators pass _check_generators where
+    _from_generators makes them, so they extend to a representation of g
+    (Serre's theorem, Humphreys 18.3), as do their derivations on the
+    ambient; the lattice spans a U_Z-invariant subspace (sections 26-27),
+    read checks every e_i and f_i image against it, and the ambient's
+    generators restricted to an invariant subspace keep every relation,
+    with h_i acting on each basis vector by its weight.
     """
     rs._check_weight(lam)
     if not rs.dominant(lam):
@@ -598,9 +603,8 @@ def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
     dim = len(basis_wts)
     if dim != target_dim:
         raise TheoremCheckError(f"V({lam}) has dim {dim}, Weyl dimension is {target_dim}")
-    hh = [SpMat.from_diag([wt[i] for wt in basis_wts]) for i in range(n)]
     ee, ff = ([SpMat(dim, dim, m) for m in mats] for mats in (ee, ff))
-    return MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(hh), tuple(basis_wts), 0, lam)
+    return MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(basis_wts), 0, lam)
 
 
 def _moves_weights(tab, source, target, shift) -> bool:
@@ -608,9 +612,12 @@ def _moves_weights(tab, source, target, shift) -> bool:
     return all(target[r] == tuple(map(add, source[c], shift)) for c, col in tab.items() for r in col)
 
 
-def _generator_tables(rs: RootSystem, slot, what: str):
-    """The tables of e_i, f_i of a slot keyed (kind, i) and the weight
-    diagonals h_i; TheoremCheckError unless they move weights by +-alpha_i."""
+def _check_generators(rs: RootSystem, slot, what: str) -> None:
+    """Serre's premises on the generators of a slot: e_i and f_i move
+    weights by +-alpha_i, and [e_j, f_i] = delta_ij h_i, one residue each,
+    h_i the weight diagonal.  Run where a module is made from generators
+    (_from_generators) and on every module verify_current_relations is
+    handed."""
     _, weights, cols = slot
     tabs = {}
     for kind, sign in (("e", 1), ("f", -1)):
@@ -618,22 +625,11 @@ def _generator_tables(rs: RootSystem, slot, what: str):
             tab = tabs[kind, i] = cols((kind, i))
             if not _moves_weights(tab, weights, weights, [sign * a for a in alpha]):
                 raise TheoremCheckError(f"{kind}_{i} of {what} does not move weights by alpha_{i}")
-    return tabs, [{c: {c: wt[i]} for c, wt in enumerate(weights) if wt[i]} for i in range(rs.rank)]
-
-
-def _check_generators(rs: RootSystem, slot, what: str) -> None:
-    """The premises intertwiner needs of a piece or the adjoint, as a slot:
-    _generator_tables, h_i the weight diagonal, then [e_j, f_i] = delta_ij
-    h_i, one residue each."""
-    tabs, diag = _generator_tables(rs, slot, what)
-    n = len(slot[1])
-    for i, want in enumerate(diag, start=1):
-        if {k: v for k, v in flatten(slot[2](("h", i)), n).items() if v} != flatten(want, n):
-            raise TheoremCheckError(f"h_{i} of {what} is not the weight diagonal")
     for i in range(1, rs.rank + 1):
+        diag = [(-1, {c: {c: wt[i - 1]} for c, wt in enumerate(weights) if wt[i - 1]})]
         for j in range(1, rs.rank + 1):
             products = ((1, tabs["e", j], tabs["f", i]), (-1, tabs["f", i], tabs["e", j]))
-            if any(residue(n, products, [(-1, diag[i - 1])] if i == j else ()).values()):
+            if any(residue(len(weights), products, diag if i == j else ()).values()):
                 raise TheoremCheckError(f"[e_{j}, f_{i}] of {what} is not delta h")
 
 
@@ -648,7 +644,8 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: Matri
     vectors X = M_x_theta of weight theta.  Such an X != 0 generates a
     standard cyclic module (Humphreys, sections 20-21), irreducible by
     Weyl's theorem (section 6.3): a copy of g, with x_theta -> X.  Hence,
-    with the premises on the factors checked by build_kr_fundamental first:
+    with source and target g-modules (highest_module's lemma) and the
+    adjoint's generators checked by _from_generators:
     - the top: Hom_g(g (x) V_s, V(lam)) is dual to (g (x) V_s)_lam modulo
       f_i (g (x) V_s)_{lam + alpha_i}, one nullspace over the columns
       x_b (x) v of weight lam, paired by weight, of dimension the character
@@ -735,16 +732,17 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: Matri
 class CurrentModule(namedtuple("CurrentModule", "rs node level chain pieces t_action")):
     """Graded module for g[t]: pieces V_0..V_k, x(x)1 block-diagonal, x(x)t
     mapping each piece to the next, everything else acting as zero.  x(x)1
-    is the pieces' e, f and h alone (x_alpha acts as rho(x_alpha), see
-    verify_current_relations); t_action[s][a] is x_a (x) t on piece s."""
+    is the pieces' e and f alone (h_i is the weight diagonal, x_alpha acts
+    as rho(x_alpha), see verify_current_relations); t_action[s][a] is
+    x_a (x) t on piece s."""
 
     __slots__ = ()
 
     @property
     def g_action(self) -> tuple:
-        """Each piece's e, f and h: derived, and read only by the benchmark
+        """Each piece's e and f: derived, and read only by the benchmark
         tracer's count of stored entries."""
-        return tuple(p.e + p.f + p.h for p in self.pieces)
+        return tuple(p.e + p.f for p in self.pieces)
 
     @property
     def k(self) -> int:
@@ -793,17 +791,15 @@ def evaluation_module(rs: RootSystem, node: int, m: int) -> CurrentModule:
 
 def build_kr_fundamental(rs: RootSystem, i: int) -> CurrentModule:
     """The graded module on the chain of node i at level dcheck_i, with x(x)t
-    from each piece to the next given by intertwiner, whose premises
-    _check_generators checks first, once per piece and once on the adjoint."""
+    from each piece to the next given by intertwiner.  Its premises hold
+    without a check here: each piece is a g-module by the lemma of
+    highest_module, and adjoint_rep checks its generators as it makes them."""
     if rs.epsilon(rs.theta, i) != 2:
         raise ValueError(f"node {i} of {rs.type} is not a construction node")
     d = rs.dcheck[i - 1]
     chain = krset.enumerate_chain(rs, i).weights
     pieces = tuple(highest_module(rs, mu) for mu in chain)
-    for s, piece in enumerate(pieces):
-        _check_generators(rs, piece.slot(), f"piece {s}")
     adj = adjoint_rep(rs)
-    _check_generators(rs, adj.slot(), "the adjoint")
     t_action = [tuple(intertwiner(rs, pieces[s], pieces[s + 1], adj)) for s in range(len(chain) - 1)]
     return CurrentModule(rs, i, d, chain, pieces, tuple(t_action))
 
@@ -853,8 +849,9 @@ def _check_kr_relations(cm: CurrentModule) -> int:
     """The defining relations of KR(m omega_i) on the generator v, the top
     of piece 0: x+_a (x) 1, x+_a (x) t, h_j (x) t, x-_alpha_j (x) 1 for
     j != i, (x-_alpha_i)^(m+1) and x-_alpha_i (x) t kill v, and h_j v =
-    m delta_ij v.  Each row applies one matrix to v a given number of times;
-    on a module without x (x) t the t rows read a zero matrix.  x+_a (x) 1
+    m delta_ij v.  Each row applies one matrix to v a given number of times,
+    h_j its entry at v, read off the weight of v; on a module without
+    x (x) t the t rows read a zero matrix.  x+_a (x) 1
     is checked on the e_i alone, which generate n+, so the operators that
     kill v contain it.  Returns the number of rows established."""
     rs, i, m = cm.rs, cm.node, cm.level
@@ -865,8 +862,10 @@ def _check_kr_relations(cm: CurrentModule) -> int:
     eigen = {top: m} if m else {}
     table = [(t[a], 1, {}, f"x+_{a} (x) t does not kill the generator") for a in range(len(rs.positive_roots))]
     for j, rc in enumerate(cb.simple, start=1):
+        w = piece.basis_weights[top][j - 1]
+        h = SpMat(piece.dim, piece.dim, {top: {top: w}} if w else {})
         table.append((piece.e[j - 1], 1, {}, f"x+_{cb.plus_index(rc)} does not kill the generator"))
-        table.append((piece.h[j - 1], 1, eigen if j == i else {}, f"h_{j} eigenvalue on the generator is wrong"))
+        table.append((h, 1, eigen if j == i else {}, f"h_{j} eigenvalue on the generator is wrong"))
         table.append((t[cb.h_index(j)], 1, {}, f"h_{j} (x) t does not kill the generator"))
         if j != i:
             table.append((piece.f[j - 1], 1, {}, f"x-_alpha_{j} does not kill the generator"))
@@ -891,8 +890,9 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
     N^{s+1}_a M_b - M_b N^s_a = sum c_z M_z.  A presentation of each is
     checked, a bracket as one residue; the report counts every pair, as the
     rest follow.
-    Pieces: _check_generators, so e_j and f_i move weights by +-alpha, h_i
-    is the weight diagonal and [e_j, f_i] = delta_ij h_i.  So [h_i, e_j] = a_ij e_j with a_ij = alpha_j(h_i), and
+    Pieces: _check_generators, so e_j and f_i move weights by +-alpha and
+    [e_j, f_i] = delta_ij h_i, h_i the weight diagonal.  So [h_i, e_j] =
+    a_ij e_j with a_ij = alpha_j(h_i), and
     Serre's relations hold: in the finite-dimensional sl_2-module gl(V)
     under ad (e_i, h_i, f_i), U = (ad e_i)^(1 - a_ij) e_j is killed by
     ad f_i, as [f_i, e_j] = 0, but has weight 2 - a_ij > 0, so U = 0.  By
@@ -958,9 +958,10 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
     algebra C[t]/t^2, PBW (Humphreys 17.3) gives
     U(g (x) A) = U(n- (x) A) U(h (x) A) U(n+ (x) A), so the g[t]-span of v is
     U(n- (x) A) v, which those 2 rank operators generate, provided:
-    - each factor is a g-module: highest_module builds every piece as the
-      cyclic span of a highest vector, and N_alpha is defined as
-      rho(x_alpha), rho the representation its generators extend to;
+    - each factor is a g-module: highest_module makes every piece, of a
+      fundamental or an evaluation module, and its lemma gives the piece's
+      generators Serre's premises, so N_alpha is defined as rho(x_alpha),
+      rho the representation they extend to;
     - [x (x) 1, y (x) t] = [x, y] (x) t on each factor: intertwiner
       replays x (x) t from a maximal vector of weight theta, whose orbit is
       a copy of g in Hom(V_s, V_{s+1}) once the pieces are g-modules;

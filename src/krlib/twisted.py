@@ -189,10 +189,10 @@ def base_set_sigma(data: TwistedData, i: int, m0: int) -> frozenset[Weight]:
     return data.kr.base_set(i, m0)
 
 
-def enumerate_chain_sigma(data: TwistedData, i: int, m0: int | None = None) -> GradedChain:
+def enumerate_chain_sigma(data: TwistedData, i: int) -> GradedChain:
     """Enumerated base set: consecutive differences are in R1+, two-step
     differences are not (see fixed_point_data)."""
-    return kr_chain(data.kr, i, m0)
+    return kr_chain(data.kr, i)
 
 
 def graded_character_sigma(data: TwistedData, i: int, m: int) -> GradedCharacter:

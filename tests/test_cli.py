@@ -188,7 +188,7 @@ def test_verify_rejects_flags_its_run_ignores(capsys, argv, flag):
 def test_verify_failure_exits_1(monkeypatch):
     real = krset.enumerate_chain
 
-    def broken(rs, i, m0=None):
+    def broken(rs, i):
         raise TheoremCheckError("planted")
 
     monkeypatch.setattr(krset, "enumerate_chain", broken)
@@ -200,9 +200,9 @@ def test_verify_prints_each_line_as_its_check_finishes(monkeypatch, capsys):
     real = krset.enumerate_chain
     printed_before = []
 
-    def spy(rs, i, m0=None):
+    def spy(rs, i):
         printed_before.append(capsys.readouterr().out)
-        return real(rs, i, m0)
+        return real(rs, i)
 
     monkeypatch.setattr(krset, "enumerate_chain", spy)
     assert cli.main(["verify", "chains", "--max-rank", "2"]) == 0

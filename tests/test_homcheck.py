@@ -182,6 +182,6 @@ def test_cond_twisted_detects_planted_failure(monkeypatch):
     class FakeChain:
         weights = (good[0], good[1], good[0])
 
-    monkeypatch.setattr(twisted, "enumerate_chain_sigma", lambda d, i, m0=None: FakeChain())
+    monkeypatch.setattr(twisted, "enumerate_chain_sigma", lambda d, i: FakeChain())
     with pytest.raises(TheoremCheckError):
         homcheck.cond_twisted(data, 2)

@@ -164,7 +164,6 @@ def test_chain_condition_error_reports_pair():
     bad = ((2, 0), (1, 0))  # difference omega_1 is not a root of C2
     with pytest.raises(ChainConditionError) as err:
         krset.verify_chain_conditions(
-            C2,
             bad,
             lambda d: C2.is_positive_root(C2.int_root_coords(d)),
             lambda d: True,

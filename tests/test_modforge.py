@@ -30,7 +30,7 @@ def realized(cm):
 
 
 def with_generator(cm, s, kind, i, mat):
-    """cm with generator kind_i ("e", "f" or "h") of piece s replaced by mat."""
+    """cm with generator kind_i ("e" or "f") of piece s replaced by mat."""
     piece = cm.pieces[s]
     mats = list(getattr(piece, kind))
     mats[i - 1] = mat
@@ -45,16 +45,16 @@ def verify_matrix_rep(rep):
     here."""
     rs = rep.rs
     n = rs.rank
-    if rep.basis_weights != modforge._weights_from_h(rep.h, rep.dim):
-        raise TheoremCheckError("h eigenvalues disagree with the recorded weights")
+    # h_i is the weight diagonal; [e_i, f_i] is bracketed here, as a SpMat
+    h = [SpMat.from_diag([wt[i] for wt in rep.basis_weights]) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            if rep.h[i].bracket(rep.e[j]) != rep.e[j].scale(rs.cartan[j][i]):
+            if h[i].bracket(rep.e[j]) != rep.e[j].scale(rs.cartan[j][i]):
                 raise TheoremCheckError(f"[h_{i+1}, e_{j+1}] failed")
-            if rep.h[i].bracket(rep.f[j]) != rep.f[j].scale(-rs.cartan[j][i]):
+            if h[i].bracket(rep.f[j]) != rep.f[j].scale(-rs.cartan[j][i]):
                 raise TheoremCheckError(f"[h_{i+1}, f_{j+1}] failed")
             br = rep.e[i].bracket(rep.f[j])
-            if (br if i != j else br - rep.h[i]) != SpMat(rep.dim, rep.dim):
+            if (br if i != j else br - h[i]) != SpMat(rep.dim, rep.dim):
                 raise TheoremCheckError(f"[e_{i+1}, f_{j+1}] failed")
     hv = rep.highest_vector
     for i in range(1, n + 1):
@@ -90,6 +90,24 @@ def test_defining_rep_verifies(name):
     assert rep.highest_index == 0
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4"])
+def test_defining_rep_checks_its_generators(monkeypatch, name):
+    # one entry of the last e, the node that differs by type, off by one;
+    # the highest weight stays omega_1, so only the generator check meets it
+    real = modforge._from_generators
+
+    def damaged(rs, ee, ff, what, top=0):
+        return real(rs, list(ee[:-1]) + [bump_first_entry(ee[-1])], ff, what, top)
+
+    monkeypatch.setattr(modforge, "_from_generators", damaged)
+    modforge._defining.cache_clear()
+    try:
+        with pytest.raises(TheoremCheckError, match=r" of the defining representation "):
+            modforge.defining_rep(rs_of(name))
+    finally:
+        modforge._defining.cache_clear()
+
+
 def test_defining_a1_is_elementary():
     rep = modforge.defining_rep(rs_of("A1"))
     e = SpMat(2, 2)
@@ -109,7 +127,7 @@ def test_defining_b3_has_one_zero_weight():
 
 def test_defining_b_matrices_are_integral():
     rep = modforge.defining_rep(rs_of("B3"))
-    for m in list(rep.e) + list(rep.f) + list(rep.h):
+    for m in rep.e + rep.f:
         for _, _, v in m.entries():
             assert v == int(v)
 
@@ -230,11 +248,29 @@ def test_highest_module_dims(name, lam, want):
     assert rep.highest_weight == lam
 
 
+LEMMA_CHAINS = cli._MODFORGE_DEFAULT + [("C4", 2), ("C4", 3)]
+LEMMA_WEIGHTS = [("B3", (1, 0, 2)), ("C3", (1, 1, 1)), ("D4", (1, 1, 0, 0))]
+
+
+@pytest.mark.parametrize(
+    "name,lams",
+    [(name, krset.enumerate_chain(rs_of(name), node).weights) for name, node in LEMMA_CHAINS]
+    + [(name, (lam,)) for name, lam in LEMMA_WEIGHTS],
+    ids=[f"{name}-node{node}" for name, node in LEMMA_CHAINS] + [f"{name}-{lam}" for name, lam in LEMMA_WEIGHTS],
+)
+def test_highest_modules_pass_the_generator_check(name, lams):
+    # the conclusion of highest_module's lemma, which build_kr_fundamental
+    # relies on instead of checking its pieces
+    rs = rs_of(name)
+    for lam in lams:
+        modforge._check_generators(rs, modforge.highest_module(rs, lam).slot(), f"V{lam}")
+
+
 def test_highest_module_trivial():
     rs = rs_of("B3")
     rep = modforge.highest_module(rs, (0, 0, 0))
     assert rep.dim == 1
-    assert not any(m.data for m in rep.e + rep.f + rep.h)
+    assert not any(m.data for m in rep.e + rep.f)
 
 
 def test_highest_module_scope_errors():
@@ -436,7 +472,6 @@ def kron_tensor_rep(a, b):
         a.dim * b.dim,
         tuple(kron_sum(a.e[t], b.e[t]) for t in range(n)),
         tuple(kron_sum(a.f[t], b.f[t]) for t in range(n)),
-        tuple(kron_sum(a.h[t], b.h[t]) for t in range(n)),
         weights,
         a.highest_index * b.dim + b.highest_index,
         tuple(map(add, a.highest_weight, b.highest_weight)),
@@ -834,38 +869,18 @@ def plant_piece(monkeypatch, lam, edit):
 # C3 node 2 has the chain (0, 2, 0), (2, 0, 0), (0, 0, 0)
 
 
-def test_intertwiner_detects_corrupted_target(monkeypatch):
-    plant_piece(monkeypatch, (2, 0, 0), lambda rep: rep._replace(f=(bump_first_entry(rep.f[0]),) + rep.f[1:]))
-    with pytest.raises(TheoremCheckError, match=r"\[e_1, f_1\] of piece 1 is not delta h"):
-        modforge.build_kr_fundamental(rs_of("C3"), 2)
-
-
 def test_intertwiner_detects_corrupted_source_factor(monkeypatch):
-    real = modforge.adjoint_rep
+    # the adjoint, the g of g (x) V_s, is made from an f_1 with one bumped
+    # entry: the weights read off [e_1, f_1] move, so e_1 no longer fits them
+    real = modforge._from_generators
 
-    def damaged(rs):
-        adj = real(rs)
-        return adj._replace(f=(bump_first_entry(adj.f[0]),) + adj.f[1:])
+    def damaged(rs, ee, ff, what, top=0):
+        if what == "the adjoint":
+            ff = [bump_first_entry(ff[0])] + list(ff[1:])
+        return real(rs, ee, ff, what, top)
 
-    monkeypatch.setattr(modforge, "adjoint_rep", damaged)
-    with pytest.raises(TheoremCheckError, match=r"\[e_1, f_1\] of the adjoint is not delta h"):
-        modforge.build_kr_fundamental(rs_of("C3"), 2)
-
-
-def test_intertwiner_detects_a_generator_entry_off_its_weight(monkeypatch):
-    # one e_2 entry of V(2, 0, 0) moved to a row of another weight
-    def edit(rep):
-        bad = rep.e[1].copy()
-        c = min(bad.data)
-        r = min(bad.data[c])
-        wts = rep.basis_weights
-        moved = next(k for k in range(rep.dim) if wts[k] != wts[r] and k not in bad.data[c])
-        bad.set(moved, c, bad.get(r, c))
-        bad.set(r, c, 0)
-        return rep._replace(e=rep.e[:1] + (bad,) + rep.e[2:])
-
-    plant_piece(monkeypatch, (2, 0, 0), edit)
-    with pytest.raises(TheoremCheckError, match="e_2 of piece 1 does not move weights by alpha_2"):
+    monkeypatch.setattr(modforge, "_from_generators", damaged)
+    with pytest.raises(TheoremCheckError, match=r"^e_1 of the adjoint does not move weights by alpha_1$"):
         modforge.build_kr_fundamental(rs_of("C3"), 2)
 
 
@@ -1288,35 +1303,6 @@ def test_verify_relations_checks_each_tree_edge(c4_node1):
         spmat_relation_counts(broken)
 
 
-def test_verify_relations_checks_that_h_is_the_weight_diagonal(c3_node2):
-    # a wrong diagonal entry of N_h_1 off the top of piece 0: the generator
-    # brackets read h_1 off the weights, so only the diagonal check meets it
-    cm = c3_node2
-    h = cm.pieces[0].h[0].copy()
-    last = cm.pieces[0].dim - 1
-    assert last != cm.pieces[0].highest_index
-    h.set(last, last, h.get(last, last) + 1)
-    broken = with_generator(cm, 0, "h", 1, h)
-    with pytest.raises(TheoremCheckError, match=r"^h_1 of piece 0 is not the weight diagonal$"):
-        modforge.verify_current_relations(broken)
-    with pytest.raises(TheoremCheckError, match=r"fails on piece 0$"):
-        spmat_relation_counts(broken)
-
-
-def test_verify_relations_reads_h_by_value(c3_node2):
-    # N_h_1 of piece 0 with a stored zero on a row and an empty column: the
-    # same matrix, so the diagonal check must pass it
-    cm = c3_node2
-    h = cm.pieces[0].h[0].copy()
-    c = next(iter(h.data))
-    zero = next(c for c, wt in enumerate(cm.pieces[0].basis_weights) if wt[0] == 0)
-    h.data[c][c + 1 if c + 1 < h.rows else c - 1] = 0
-    h.data[zero] = {}
-    assert h != cm.pieces[0].h[0]
-    report = modforge.verify_current_relations(with_generator(cm, 0, "h", 1, h))
-    assert report == modforge.verify_current_relations(cm)
-
-
 def test_verify_relations_checks_the_weights_of_the_generators(c3_node2):
     broken = move_off_its_weight(c3_node2, "g", 1, ("e", 2))
     with pytest.raises(TheoremCheckError, match=r"^e_2 of piece 1 does not move weights by alpha_2$"):
@@ -1612,7 +1598,7 @@ def test_kr_tensor_submodule_frontier_at_the_default_guard(name, node, m):
 def plant(monkeypatch, edit, field="t_action"):
     """Make build_kr_fundamental return its module with copies of the maps
     `field` edited by edit(rs, cm, action): t_action, action[s][a] the map
-    x_a (x) t of step s, or "e", "f" or "h", action[s][i - 1] that generator
+    x_a (x) t of step s, or "e" or "f", action[s][i - 1] that generator
     of piece s."""
     real = modforge.build_kr_fundamental
 

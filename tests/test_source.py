@@ -255,7 +255,6 @@ def test_relation_checks_use_the_one_product_kernel():
         "_check_generators",
         "_check_tsquare",
         "_from_generators",
-        "_generator_tables",
         "_moves_weights",
         "intertwiner",
         "realize",
@@ -342,6 +341,26 @@ def test_only_the_chevalley_basis_realizes_root_matrices():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "realize":
                 (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
     assert len(inside) == 1
+    assert found == []
+
+
+def test_generators_are_checked_where_a_module_is_made_or_verified():
+    # a MatrixRep is its generators and weights, h_i being the weight
+    # diagonal; Serre's premises are checked where _from_generators makes a
+    # representation and where verify_current_relations is handed a module,
+    # and a call anywhere else would check a piece twice
+    assert "h" not in modforge.MatrixRep._fields
+    found, inside = [], []
+    for path, tree in parsed_sources():
+        makers = [
+            n for n in tree.body
+            if isinstance(n, ast.FunctionDef) and n.name in ("_from_generators", "verify_current_relations")
+        ]
+        allowed = {id(node) for fn in makers for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name_of(node) == "_check_generators":
+                (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 2
     assert found == []
 
 

@@ -133,11 +133,11 @@ def test_base_set_sigma_range():
 
 
 def test_chain_examples():
-    assert twisted.enumerate_chain_sigma(D4, 2, 1).weights == (
+    assert twisted.enumerate_chain_sigma(D4, 2).weights == (
         (0, 1, 0), (1, 0, 0), (0, 0, 0))
-    assert twisted.enumerate_chain_sigma(A4, 2, 4).weights == (
+    assert twisted.enumerate_chain_sigma(A4, 2).weights == (
         (0, 4), (2, 0), (0, 0))
-    ch = twisted.enumerate_chain_sigma(A5, 1, 1)
+    ch = twisted.enumerate_chain_sigma(A5, 1)
     assert ch.weights == ((1, 0, 0),) and ch.k == 0
 
 
@@ -156,7 +156,6 @@ def test_chain_rejects_wrong_order():
     bad = ((0, 1, 0), (0, 0, 0), (1, 0, 0))
     with pytest.raises(ChainConditionError):
         krset.verify_chain_conditions(
-            g0,
             bad,
             lambda d: g0.int_root_coords(d) in D4.r1_positive,
             lambda d: True,
