@@ -78,6 +78,12 @@ def cond_untwisted(rs: RootSystem, i: int) -> HomReport:
     return HomReport(f"{rs.type.family}{rs.rank} node {i}", chain, nxt, two)
 
 
+def two_step_hom(rs: RootSystem, mu: Weight, nu: Weight) -> int:
+    """dim Hom_g(ext^2 g (x) V(mu), V(nu)), the two-step Hom that
+    cond_untwisted requires to vanish along a chain."""
+    return charlib.hom_dim(rs, [_adjoint_ext_square(rs.type), mu], nu)
+
+
 # The exterior squares below carry no guard of their own: each caller reads
 # its guard first (hom_dim on every call, weight_mults before the g1 square),
 # so a cached square never stands in for a guard.

@@ -49,6 +49,17 @@ def test_cond_untwisted_sweep():
         assert homcheck.cond_untwisted(rs, i).ok
 
 
+def test_two_step_hom_is_the_walk_count():
+    # the count modforge gates t^2 on is the one cond_untwisted requires to
+    # vanish; the chain (0, theta, theta) has a nonzero one
+    for rs, i in [(C3, 2), (build(LieType("C", 4)), 3), (B4, 2)]:
+        rep = homcheck.cond_untwisted(rs, i)
+        chain = rep.chain
+        assert tuple(homcheck.two_step_hom(rs, chain[s], chain[s + 2]) for s in range(len(chain) - 2)) == rep.two_step
+    theta = C3.root_weight(C3.theta)
+    assert homcheck.two_step_hom(C3, C3.zero(), theta) == 1
+
+
 def test_next_step_hom_agrees_with_stripping():
     adj = charlib.adjoint_char(C3)
     chain = krset.enumerate_chain(C3, 2).weights

@@ -1377,6 +1377,71 @@ def test_check_tsquare_catches_a_pair_off_the_generators(c3_node2):
         modforge._check_tsquare(cm._replace(t_action=tuple(map(tuple, t_action))))
 
 
+def test_verify_relations_checks_tsquare_only_where_the_two_step_hom_is_nonzero(monkeypatch, c3_node2):
+    # Hom_g(ext^2 g (x) V(0, 2, 0), V(0)) = 0, so the lemma of _tsquare_steps
+    # establishes the t^2 pairs of C3 node 2 and no product is computed;
+    # the (0, theta, theta) module of the t^2 test has count 1 and is checked
+    rs = c3_node2.rs
+    theta = rs.root_weight(rs.theta)
+    planted = c3_node2._replace(chain=(rs.zero(), theta, theta))
+    assert modforge._tsquare_steps(c3_node2) == [] and modforge._tsquare_steps(planted) == [0]
+    real, checked = modforge._check_tsquare, []
+
+    def recorded(cm, steps=None):
+        checked.append(list(steps))
+        real(cm, steps)
+
+    monkeypatch.setattr(modforge, "_check_tsquare", recorded)
+    report = modforge.verify_current_relations(c3_node2)
+    assert checked == [[]] and report.tsquare_pairs == 21 * 20 // 2
+
+
+def test_verify_relations_checks_tsquare_where_the_count_is_past_the_guard(monkeypatch):
+    # ext^2 of the B4 adjoint has 233 weights; the pieces of B4 node 4 and
+    # their ambients have at most 126 dimensions, so a guard of 200 admits
+    # the module but not the count, and the step is checked directly
+    cm = modforge.build_kr_fundamental(rs_of("B4"), 4)
+    report = modforge.verify_current_relations(cm)
+    assert cm.k == 2 and modforge._tsquare_steps(cm) == []
+    monkeypatch.setenv("KR_MAX_DIM", "200")
+    assert modforge._tsquare_steps(cm) == [0]
+    assert modforge.verify_current_relations(cm) == report
+
+
+def test_verify_relations_checks_the_character_of_each_piece(c3_node2):
+    # piece 1 becomes V(2, 0, 0) + V(0): the new line has weight 0, zero
+    # generators and zero t-rows and t-columns, so every relation and the
+    # transport hold, but the generator spans 112 of the 113 dimensions
+    cm = c3_node2
+    p = cm.pieces[1]
+    dim = p.dim + 1
+
+    def widen(m):
+        return SpMat(dim, dim, m.data)
+
+    piece = p._replace(dim=dim, e=tuple(map(widen, p.e)), f=tuple(map(widen, p.f)),
+                       basis_weights=p.basis_weights + (cm.rs.zero(),))
+    into, out_of = cm.t_action
+    t_action = (tuple(SpMat(dim, m.cols, m.data) for m in into), tuple(SpMat(m.rows, dim, m.data) for m in out_of))
+    broken = cm._replace(pieces=(cm.pieces[0], piece, cm.pieces[2]), t_action=t_action)
+    assert spmat_relation_counts(broken) == spmat_relation_counts(cm)
+    with pytest.raises(TheoremCheckError, match=r"^the weights of piece 1 are not the character of V\(\(2, 0, 0\)\)$"):
+        modforge.verify_current_relations(broken)
+    span = modforge._lowering_span(modforge.tensor_rep([broken]), 0, modforge._current_lowering(cm.rs))
+    assert sum(ech.dim for ech in span.values()) == 112 < broken.total_dim
+
+
+@pytest.mark.parametrize("name,node", cli._MODFORGE_DEFAULT + [("C4", 2), ("C4", 3)])
+def test_cyclic_dim_matches_the_lowering_span(name, node):
+    # verify reads cyclicity off the pieces' characters and the transport;
+    # the span of the generator under f_i (x) 1 and f_i (x) t confirms it
+    cm = modforge.build_kr_fundamental(rs_of(name), node)
+    report = modforge.verify_current_relations(cm)
+    start = cm.pieces[0].highest_index
+    span = modforge._lowering_span(modforge.tensor_rep([cm]), start, modforge._current_lowering(cm.rs))
+    assert report.cyclic_dim == sum(ech.dim for ech in span.values()) == cm.total_dim
+
+
 @st.composite
 def rational_families(draw):
     """(n, products (k, L, R), linear terms (k, Z)) with int or rational
@@ -1652,7 +1717,8 @@ def test_kr_tensor_submodule_checks_every_lowering_relation(monkeypatch, where, 
 def test_kr_tensor_submodule_checks_tsquare(monkeypatch):
     rs = rs_of("C3")
     cm = modforge.build_kr_fundamental(rs, 2)
-    assert cm.k == 2 and modforge._check_tsquare(cm) == 210
+    assert cm.k == 2
+    modforge._check_tsquare(cm)
 
     def edit(rs_, cm_, t_action):
         t_action[1][0] = t_action[1][0].scale(2)
