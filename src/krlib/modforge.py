@@ -3,27 +3,22 @@
 The route: build the defining representation with integer matrices, generate a
 Chevalley basis of g (integer structure constants) by iterated brackets of
 the Chevalley generators, realize V(mu) on its Kostant lattice U_Z^- v+
-inside a product of wedge powers of the defining representation, and give
-x(x)t from V_s to V_{s+1} as the g-orbit of one maximal vector of weight
-theta in Hom(V_s, V_{s+1}) (the top from one small nullspace, checked
-against the character count of the Hom space, the rest by a downward sweep
-through the e_i on V_s), replayed along a tree of f-brackets from x_theta
-and normalized by its transport of the highest vector; then assemble the
-graded module.  One tensor engine, _Tensor, acts on every product, with
-wedge and symmetric powers of a factor as slots: the ambient of V(mu) and
-the KR tensor products are spanned in it.  Every matrix of a module is an
-int matrix: each step that relies on Kostant's integrality theorem divides
-exactly or raises TheoremCheckError.
+inside a product of wedge powers of the defining representation, give x(x)t
+from V_s to V_{s+1} as the g-orbit of one maximal vector X of weight theta
+in Hom(V_s, V_{s+1}) (intertwiner), and assemble the graded module.  One
+tensor engine, _Tensor, acts on every product, with wedge and symmetric
+powers of a factor as slots.  Every matrix of a module is an int matrix:
+each step that relies on Kostant's integrality theorem divides exactly or
+raises TheoremCheckError.
 A MatrixRep is its generators e_i, f_i and its basis weights, h_i being
-the weight diagonal; a module stores its pieces' generators.  Serre's
-premises are checked where _from_generators makes a representation, hold
-for highest_module by its lemma, and verify_current_relations checks them
-on each piece and one maximal vector and its f-tree for each step, in the
-one product kernel linalg.residue, over the matrices' own column tables;
-every other relation follows.  It also checks each piece's weights against
-its character, so each piece is simple: cyclicity then follows from the
-transport, and x (x) t^2 = 0 from the paper's two-step Hom count.  All
-exact and deterministic.
+the weight diagonal; a module stores its pieces' generators and one X per
+step, and _t_maps replays any other x_b (x) t from X along a tree of
+f-brackets where it is read.  Serre's premises are checked where
+_from_generators makes a representation, hold for highest_module by its
+lemma, and verify_current_relations checks them on each piece, each X,
+and each piece's weights against its character, in the one product kernel
+linalg.residue; every other relation follows, cyclicity from the
+transport, and x (x) t^2 = 0 from the paper's two-step Hom count.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from bisect import bisect
 from collections import Counter, namedtuple
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, count
+from itertools import accumulate, combinations, combinations_with_replacement, count
 from math import comb, prod
 from operator import add, ge, sub
 from types import MappingProxyType
@@ -63,11 +58,7 @@ class MatrixRep(namedtuple("MatrixRep", "rs dim e f basis_weights highest_index 
     def slot(self):
         """This module as a tensor_rep factor: operators ("e", i) and
         ("f", i), every basis vector in grade 0."""
-
-        def cols(op):
-            return self.gen(*op).data
-
-        return [0] * self.dim, self.basis_weights, cols
+        return [0] * self.dim, self.basis_weights, lambda op: self.gen(*op).data
 
 
 def _quotient(vec: dict[int, object], q: int, what: str) -> dict[int, int]:
@@ -78,11 +69,12 @@ def _quotient(vec: dict[int, object], q: int, what: str) -> dict[int, int]:
     return {r: v // q for r, v in vec.items()}
 
 
-def _bracket_quotient(a: SpMat, m: SpMat, b: SpMat, q: int, what: str) -> SpMat:
-    """(A M - M B) / q through residue; a quotient that is not exact raises
-    TheoremCheckError naming `what`."""
+def _bracket_quotient(a: SpMat, m: SpMat, b: SpMat, q: int, what: str, cols=None) -> SpMat:
+    """(A M - M B) / q through residue, at the columns cols (all by default);
+    an inexact quotient raises TheoremCheckError naming `what`."""
     out = SpMat(a.rows, m.cols)
-    res = residue(a.rows, ((1, a.data, m.data), (-1, m.data, b.data)))
+    mc, bc = (t.data if cols is None else {c: t.data[c] for c in cols if c in t.data} for t in (m, b))
+    res = residue(a.rows, ((1, a.data, mc), (-1, m.data, bc)))
     for key, v in _quotient(res, q, what).items():
         if v:
             c, r = divmod(key, a.rows)
@@ -504,9 +496,7 @@ def _current_lowering(rs: RootSystem) -> list:
     CurrentModules.  Their span from a vector is the g[t]-submodule that the
     vector generates whenever the premises of PBW hold: the factors are
     g (x) C[t]/t^2-modules and the vector is killed by n+ (x) C[t]/t^2 and
-    h (x) t, as the product of generators that pass _check_kr_relations is.
-    kr_tensor_submodule spans with them; verify_current_relations does not,
-    as it reads cyclicity off the pieces' characters and the transport."""
+    h (x) t, as the product of generators that pass _check_kr_relations is."""
     return [(("f", i, tpow), tpow, alpha) for i, alpha in enumerate(rs.cartan, start=1) for tpow in (0, 1)]
 
 
@@ -651,19 +641,27 @@ def _check_generators(rs: RootSystem, slot, what: str) -> None:
                 raise TheoremCheckError(f"[e_{j}, f_{i}] of {what} is not delta h")
 
 
-def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: MatrixRep) -> list[SpMat]:
-    """The maps M_y = y (x) t from V_s = source to V_{s+1} = target, one per
-    basis element y of g, that make y (x) v -> M_y v a g-map, normalized so
-    that x_-beta (x) t sends top to top, beta the difference of the weights.
+def _check_maximal(rs: RootSystem, X: SpMat, source: MatrixRep, target: MatrixRep, what: str) -> None:
+    """X is maximal of weight theta in Hom(source, target): it moves weights
+    by theta, X != 0, and e_i . X = 0 for every i, one residue each."""
+    if not _moves_weights(X.data, source.basis_weights, target.basis_weights, rs.root_weight(rs.theta)):
+        raise TheoremCheckError(f"{what} does not move weights by theta")
+    if not any(any(col.values()) for col in X.data.values()):
+        raise TheoremCheckError(f"{what} is zero")
+    for i, (e0, e1) in enumerate(zip(source.e, target.e), start=1):
+        if any(residue(target.dim, ((1, e1.data, X.data), (-1, X.data, e0.data))).values()):
+            raise TheoremCheckError(f"e_{i} does not kill {what}")
 
-    Hom(V_s, V_{s+1}) is a g-module under x . X = N_x X - X N_x, as V_s and
-    V_{s+1} are (see kr_tensor_submodule), so Hom_g(g (x) V_s, V_{s+1}) ~
-    Hom_g(g, Hom(V_s, V_{s+1})) by phi -> (y -> M_y), the space of maximal
-    vectors X = M_x_theta of weight theta.  Such an X != 0 generates a
-    standard cyclic module (Humphreys, sections 20-21), irreducible by
-    Weyl's theorem (section 6.3): a copy of g, with x_theta -> X.  Hence,
-    with source and target g-modules (highest_module's lemma) and the
-    adjoint's generators checked by _from_generators:
+
+def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: MatrixRep) -> SpMat:
+    """The maximal vector X = x_theta (x) t of weight theta in Hom(V_s,
+    V_{s+1}), V_s = source and V_{s+1} = target, normalized so that
+    x_-beta (x) t sends top to top, beta the difference of the weights.
+
+    Hom_g(g (x) V_s, V_{s+1}) ~ Hom_g(g, Hom(V_s, V_{s+1})), the maximal
+    vectors of weight theta (the lemma of _t_maps), with source and target
+    g-modules (highest_module's lemma) and the adjoint's generators checked
+    by _from_generators:
     - the top: Hom_g(g (x) V_s, V(lam)) is dual to (g (x) V_s)_lam modulo
       f_i (g (x) V_s)_{lam + alpha_i}, one nullspace over the columns
       x_b (x) v of weight lam, paired by weight, of dimension the character
@@ -673,9 +671,8 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: Matri
       for all i, read off an echelon of the stacked e_i of V_{s+1}, which
       are injective below the top only if V_{s+1} is simple, so a dependent
       insert raises, and so does an x that is not integral;
-    - X != 0 and e_i . X = 0 for every i are checked, one residue each;
-    - M_z = f_i . M_b / c along ChevalleyBasis.f_tree, [f_i, x_b] = c x_z,
-      each division exact or raising, and M_-beta must send top to top.
+    - _check_maximal checks X, and verify_current_relations checks that
+      x_-beta (x) t sends top to top.
     """
     cb = chevalley(rs)
     theta_wt, theta = adj.highest_weight, adj.highest_index
@@ -704,7 +701,7 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: Matri
     if count != 1:
         raise TheoremCheckError(f"{hom} has dimension {count}")
     # x_-beta (x) top of V_s has weight lam: its value is the transport
-    # scale, divided out here, so that X and the replay come out normalized
+    # scale, divided out here, so that X comes out normalized
     minus_beta = cb.minus_index(rs.int_root_coords(tuple(map(sub, source.highest_weight, lam))))
     scale = sols[0].get(minus_beta * sdim + source.highest_index, 0)
     if not scale:
@@ -733,26 +730,16 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: Matri
                 raise TheoremCheckError(f"no int vector of weight {mu} in V({lam}) matches X e_i of column {c}")
             X.data[c] = {basis[k]: v for k, v in got[0].items()}
 
-    if not any(any(col.values()) for col in X.data.values()):
-        raise TheoremCheckError(f"the maximal vector of {hom} is zero")
-    for i, (e0, e1) in enumerate(zip(source.e, target.e), start=1):
-        if _bracket_quotient(e1, X, e0, 1, f"e_{i} . X").data:
-            raise TheoremCheckError(f"e_{i} does not kill the maximal vector of {hom}")
-    maps = {theta: X}
-    for z, i, b, c in cb.f_tree:
-        maps[z] = _bracket_quotient(target.f[i - 1], maps[b], source.f[i - 1], c, f"f_{i} . M_{b} on {hom}")
-
-    if maps[minus_beta].col(source.highest_index) != {top: 1}:
-        raise TheoremCheckError(f"{hom} does not transport the highest vector")
-    return [maps[z] for z in range(cb.dim_g)]
+    _check_maximal(rs, X, source, target, f"the maximal vector of {hom}")
+    return X
 
 
-class CurrentModule(namedtuple("CurrentModule", "rs node level chain pieces t_action")):
+class CurrentModule(namedtuple("CurrentModule", "rs node level chain pieces maximal")):
     """Graded module for g[t]: pieces V_0..V_k, x(x)1 block-diagonal, x(x)t
     mapping each piece to the next, everything else acting as zero.  x(x)1
     is the pieces' e and f alone (h_i is the weight diagonal, x_alpha acts
-    as rho(x_alpha), see verify_current_relations); t_action[s][a] is
-    x_a (x) t on piece s."""
+    as rho(x_alpha), see verify_current_relations); maximal[s] is x_theta (x) t
+    on piece s, and _t_maps derives every other x_b (x) t from it."""
 
     __slots__ = ()
 
@@ -763,6 +750,11 @@ class CurrentModule(namedtuple("CurrentModule", "rs node level chain pieces t_ac
         return tuple(p.e + p.f for p in self.pieces)
 
     @property
+    def t_action(self) -> tuple:
+        """Each step's maximal vector, read only by the benchmark tracer."""
+        return tuple((X,) for X in self.maximal)
+
+    @property
     def k(self) -> int:
         return len(self.pieces) - 1
 
@@ -771,10 +763,7 @@ class CurrentModule(namedtuple("CurrentModule", "rs node level chain pieces t_ac
         return sum(p.dim for p in self.pieces)
 
     def offsets(self) -> list[int]:
-        out = [0]
-        for p in self.pieces:
-            out.append(out[-1] + p.dim)
-        return out
+        return [0, *accumulate(p.dim for p in self.pieces)]
 
     def slot(self):
         """This module as a tensor_rep factor: operator (kind, i, tpow) is
@@ -784,12 +773,15 @@ class CurrentModule(namedtuple("CurrentModule", "rs node level chain pieces t_ac
         offs = self.offsets()
         grades = [s for s, p in enumerate(self.pieces) for _ in range(p.dim)]
         weights = [w for p in self.pieces for w in p.basis_weights]
+        replayed = {}
 
         def cols(op):
             kind, i, tpow = op
             if tpow:
-                a = (cb.plus_index if kind == "e" else cb.minus_index)(cb.simple[i - 1])
-                mats = [maps[a] for maps in self.t_action]
+                idx = cb.plus_index if kind == "e" else cb.minus_index
+                if kind not in replayed:
+                    replayed[kind] = [_t_maps(self, s, [idx(rc) for rc in cb.simple]) for s in range(self.k)]
+                mats = [maps[idx(cb.simple[i - 1])] for maps in replayed[kind]]
             else:
                 mats = [p.gen(kind, i) for p in self.pieces]
             return {
@@ -801,6 +793,38 @@ class CurrentModule(namedtuple("CurrentModule", "rs node level chain pieces t_ac
         return grades, weights, cols
 
 
+def _t_maps(cm: CurrentModule, s: int, wanted, cols=None) -> dict[int, SpMat]:
+    """x_b (x) t from piece s to piece s + 1 for each b in wanted, at least
+    at the source columns cols (every column by default): X = cm.maximal[s]
+    replayed along the edges of ChevalleyBasis.f_tree on the paths from
+    x_theta to wanted, M_z = f_i . M_b / c where [f_i, x_b] = c x_z, each
+    division exact or raising TheoremCheckError.  Columns C of f_i . M_b
+    read M_b at C and at the rows of f_i on C, children before parents.
+
+    The lemma: let the pieces be g-modules, so Hom(V_s, V_{s+1}) is one under
+    x . Y = N^{s+1}_x Y - Y N^s_x, and let X pass _check_maximal.  Then X
+    is a maximal vector of weight theta and generates a standard cyclic
+    module (Humphreys, sections 20-21), irreducible by Weyl's theorem
+    (section 6.3): a copy of g, so x_theta -> X extends to exactly one
+    g-map phi.  As [f_i, x_b] = c x_z, phi(x_z) = f_i . phi(x_b) / c, so
+    by induction along the tree every map replayed here is phi(x_b), and
+    [x (x) 1, y (x) t] = [x, y] (x) t holds on them by definition."""
+    cb = chevalley(cm.rs)
+    source, target = cm.pieces[s], cm.pieces[s + 1]
+    need = dict.fromkeys(wanted, cols)
+    for z, i, b, _ in reversed(cb.f_tree):
+        if z in need:
+            cs, up = need[z], need.get(b, set())
+            reads = None if cs is None else cs.union(*(source.f[i - 1].col(c) for c in cs))
+            need[b] = None if reads is None or up is None else up | reads
+    maps = {cb.plus_index(cm.rs.theta): cm.maximal[s]}
+    for z, i, b, c in cb.f_tree:
+        if z in need:
+            f0, what = source.f[i - 1], f"f_{i} . M_{b} on step {s}"
+            maps[z] = _bracket_quotient(target.f[i - 1], maps[b], f0, c, what, need[z])
+    return {z: maps[z] for z in wanted}
+
+
 def evaluation_module(rs: RootSystem, node: int, m: int) -> CurrentModule:
     """V(m omega_i) with t g[t] acting as zero."""
     lam = rs.fundamental(node, m) if m else rs.zero()
@@ -808,27 +832,25 @@ def evaluation_module(rs: RootSystem, node: int, m: int) -> CurrentModule:
 
 
 def build_kr_fundamental(rs: RootSystem, i: int) -> CurrentModule:
-    """The graded module on the chain of node i at level dcheck_i, with x(x)t
-    from each piece to the next given by intertwiner.  Its premises hold
-    without a check here: each piece is a g-module by the lemma of
-    highest_module, and adjoint_rep checks its generators as it makes them."""
+    """The graded module on the chain of node i at level dcheck_i, with the
+    maximal vector of x(x)t from each piece to the next given by
+    intertwiner.  Its premises hold without a check here: each piece is a
+    g-module by the lemma of highest_module, and adjoint_rep checks its
+    generators as it makes them."""
     if rs.epsilon(rs.theta, i) != 2:
         raise ValueError(f"node {i} of {rs.type} is not a construction node")
     d = rs.dcheck[i - 1]
     chain = krset.enumerate_chain(rs, i).weights
     pieces = tuple(highest_module(rs, mu) for mu in chain)
     adj = adjoint_rep(rs)
-    t_action = [tuple(intertwiner(rs, pieces[s], pieces[s + 1], adj)) for s in range(len(chain) - 1)]
-    return CurrentModule(rs, i, d, chain, pieces, tuple(t_action))
+    maximal = tuple(intertwiner(rs, pieces[s], pieces[s + 1], adj) for s in range(len(chain) - 1))
+    return CurrentModule(rs, i, d, chain, pieces, maximal)
 
 
-class RelationReport(
-    namedtuple(
-        "RelationReport",
-        "label total_dim bracket_pairs mixed_pairs tsquare_pairs generator_checks"
-        " cyclic_dim transport_steps",
-    )
-):
+_REPORT = "label total_dim bracket_pairs mixed_pairs tsquare_pairs generator_checks cyclic_dim transport_steps"
+
+
+class RelationReport(namedtuple("RelationReport", _REPORT)):
     """Counts of the identities established for one module: each bracket,
     mixed and t^2 pair counts whether verify_current_relations checked it
     directly or its lemma implies it, and cyclic_dim is the dimension of
@@ -837,28 +859,22 @@ class RelationReport(
 
     __slots__ = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.cyclic_dim == self.total_dim
 
-
-def _check_tsquare(cm: CurrentModule, steps=None) -> None:
+def _check_tsquare(cm: CurrentModule, steps) -> None:
     """[x_a (x) t, x_b (x) t] = 0 from piece s to piece s + 2, for each s
-    in steps (every s by default), since x (x) t^2 acts as zero.
+    in steps, since x (x) t^2 acts as zero, the maps read through _t_maps.
 
     Only the pairs of the generator a0 = generators[0] with every b are
-    computed, in the order of b: once x (x) t is g-equivariant,
-    {x : [x (x) t, y (x) t] = 0 for all y} is an ideal of g (bracket the
-    identity with z (x) 1), it contains x_a0 != 0, and a nonzero ideal of
-    the simple g is g.  verify_current_relations checks only the steps that
-    _tsquare_steps lists; kr_tensor_submodule, which checks no mixed relation
-    of its factor, checks every step."""
+    computed, in the order of b: x (x) t is g-equivariant (the lemma of
+    _t_maps), so {x : [x (x) t, y (x) t] = 0 for all y} is an ideal of g
+    (bracket the identity with z (x) 1), it contains x_a0 != 0, and a
+    nonzero ideal of the simple g is g.  verify_current_relations and
+    kr_tensor_submodule check the steps that _tsquare_steps lists."""
     cb = chevalley(cm.rs)
     D = cb.dim_g
     a = cb.generators[0]
-    for s in range(cm.k - 1) if steps is None else steps:
-        lo = [m.data for m in cm.t_action[s]]
-        hi = [m.data for m in cm.t_action[s + 1]]
+    for s in steps:
+        lo, hi = ({b: m.data for b, m in _t_maps(cm, u, range(D)).items()} for u in (s, s + 1))
         for b in [b for b in range(D) if b != a]:
             if any(residue(cm.pieces[s + 2].dim, ((1, hi[a], lo[b]), (-1, hi[b], lo[a]))).values()):
                 raise TheoremCheckError(f"[x_{a} (x) t, x_{b} (x) t] does not vanish on piece {s}")
@@ -877,9 +893,9 @@ def _tsquare_steps(cm: CurrentModule) -> list[int]:
     so z . B(x, y) = B([z, x], y) + B(x, [z, y]), the action of z on
     x ^ y.  Hence B lies in Hom_g(ext^2 g, Hom(V_s, V_{s+2})) ~
     Hom_g(ext^2 g (x) V(mu_s), V(mu_{s+2})), the paper's two-step Hom
-    (homcheck.two_step_hom), and is 0 wherever that count is.  verify_current_relations checks every premise first.  A
-    count whose ext^2 character is past the dimension guard is not read,
-    and its step is listed."""
+    (homcheck.two_step_hom), and is 0 wherever that count is.  The mixed
+    relations hold by the lemma of _t_maps.  A count whose ext^2 character
+    is past the dimension guard is not read, and its step is listed."""
     rs, chain = cm.rs, cm.chain
     steps = []
     for s in range(cm.k - 1):
@@ -896,36 +912,37 @@ def _check_kr_relations(cm: CurrentModule) -> int:
     """The defining relations of KR(m omega_i) on the generator v, the top
     of piece 0: x+_a (x) 1, x+_a (x) t, h_j (x) t, x-_alpha_j (x) 1 for
     j != i, (x-_alpha_i)^(m+1) and x-_alpha_i (x) t kill v, and h_j v =
-    m delta_ij v.  Each row applies one matrix to v a given number of times,
-    h_j its entry at v, read off the weight of v; on a module without
-    x (x) t the t rows read a zero matrix.  x+_a (x) 1
-    is checked on the e_i alone, which generate n+, so the operators that
-    kill v contain it.  Returns the number of rows established."""
+    m delta_ij v.  Each row applies a word of matrices to v: h_j is its
+    entry at v, read off the weight of v, and x (x) t comes from _t_maps
+    at v and the f_j v, or is zero on a module without it.  The x+_a rows
+    are checked on the e_j alone, as the e_j generate n+ and [e_j (x) 1,
+    e_i (x) t] span n+ (x) t; h_j (x) t v is (e_j (x) t)(f_j v) once
+    e_j (x) t kills v, by the mixed relations.  Returns the rows established."""
     rs, i, m = cm.rs, cm.node, cm.level
     cb = chevalley(rs)
-    piece = cm.pieces[0]
-    t = cm.t_action[0] if cm.t_action else [SpMat(0, piece.dim)] * cb.dim_g
-    top = piece.highest_index
+    piece, top = cm.pieces[0], cm.pieces[0].highest_index
+    plus = [cb.plus_index(rc) for rc in cb.simple]
+    read, cols = plus + [cb.minus_index(cb.simple[i - 1])], {top}.union(*(f.col(top) for f in piece.f))
+    t = _t_maps(cm, 0, read, cols) if cm.maximal else dict.fromkeys(read, SpMat(0, piece.dim))
     eigen = {top: m} if m else {}
-    table = [(t[a], 1, {}, f"x+_{a} (x) t does not kill the generator") for a in range(len(rs.positive_roots))]
-    for j, rc in enumerate(cb.simple, start=1):
-        w = piece.basis_weights[top][j - 1]
+    table = [((t[a],), {}, f"x+_{a} (x) t does not kill the generator") for a in plus]
+    for j, (a, w) in enumerate(zip(plus, piece.basis_weights[top]), start=1):
         h = SpMat(piece.dim, piece.dim, {top: {top: w}} if w else {})
-        table.append((piece.e[j - 1], 1, {}, f"x+_{cb.plus_index(rc)} does not kill the generator"))
-        table.append((h, 1, eigen if j == i else {}, f"h_{j} eigenvalue on the generator is wrong"))
-        table.append((t[cb.h_index(j)], 1, {}, f"h_{j} (x) t does not kill the generator"))
+        table.append(((piece.e[j - 1],), {}, f"x+_{a} does not kill the generator"))
+        table.append(((h,), eigen if j == i else {}, f"h_{j} eigenvalue on the generator is wrong"))
+        table.append(((piece.f[j - 1], t[a]), {}, f"h_{j} (x) t does not kill the generator"))
         if j != i:
-            table.append((piece.f[j - 1], 1, {}, f"x-_alpha_{j} does not kill the generator"))
+            table.append(((piece.f[j - 1],), {}, f"x-_alpha_{j} does not kill the generator"))
         else:
-            table.append((piece.f[j - 1], m + 1, {}, f"(x-_alpha_{i})^{m + 1} does not kill the generator"))
-            table.append((t[cb.minus_index(rc)], 1, {}, f"x-_alpha_{i} (x) t does not kill the generator"))
-    for mat, power, want, msg in table:
+            table.append(((piece.f[j - 1],) * (m + 1), {}, f"(x-_alpha_{i})^{m + 1} does not kill the generator"))
+            table.append(((t[read[-1]],), {}, f"x-_alpha_{i} (x) t does not kill the generator"))
+    for word, want, msg in table:
         vec = {top: 1}
-        for _ in range(power):
+        for mat in word:
             vec = mat.apply(vec)
         if vec != want:
             raise TheoremCheckError(msg)
-    return len(table) + len(rs.positive_roots) - rs.rank
+    return len(table) + 2 * (len(rs.positive_roots) - rs.rank)
 
 
 def verify_current_relations(cm: CurrentModule) -> RelationReport:
@@ -934,9 +951,9 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
 
     With N = x and M = x (x) t as column tables and c_z the structure
     constants of a pair, the relations are [N_a, N_b] = sum c_z N_z and
-    N^{s+1}_a M_b - M_b N^s_a = sum c_z M_z.  A presentation of each is
-    checked, a bracket as one residue; the report counts every pair, as the
-    rest follow.
+    N^{s+1}_a M_b - M_b N^s_a = sum c_z M_z.  A presentation of the first
+    is checked, a bracket as one residue, and the second holds by a lemma;
+    the report counts every pair, as the rest follow.
     Pieces: _check_generators, so e_j and f_i move weights by +-alpha and
     [e_j, f_i] = delta_ij h_i, h_i the weight diagonal.  So [h_i, e_j] =
     a_ij e_j with a_ij = alpha_j(h_i), and
@@ -948,11 +965,9 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
     weights of piece s have the multiplicities of V(mu_s), mu_s = chain[s],
     so piece s ~ V(mu_s): it is a sum of simples (Weyl's theorem, section
     6.3), and a character determines that sum (sections 20-22).
-    Steps: X = M_x_theta moves weights by theta, e_i . X = 0, and c M_z =
-    f_i . M_b along each edge of ChevalleyBasis.f_tree, x . Y = N^{s+1}_x Y
-    - Y N^s_x.  So X is 0 or a maximal vector of weight theta in the
-    g-module Hom(V_s, V_{s+1}), x_theta -> X extends to a g-map phi (the
-    lemma of intertwiner), and phi(x_z) = f_i . phi(x_b) / c = M_z.
+    Steps: _check_maximal on each X_s = cm.maximal[s]; then every x_b (x) t
+    that _t_maps replays from X_s is a value of one g-map (its lemma), so
+    the mixed relations hold by definition, and no map is compared.
     t^2: by the lemma of _tsquare_steps, _check_tsquare runs only on the
     steps whose two-step Hom count is nonzero.
     Cyclicity: the transport checks x_-beta (x) t top_s = top_{s+1}.  The
@@ -967,37 +982,24 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
         if Counter(piece.basis_weights) != charlib.weight_mults(rs, mu):
             raise TheoremCheckError(f"the weights of piece {s} are not the character of V({mu})")
 
-    steps = sorted(
-        [(cb.plus_index(rc), theta, ("e", i)) for i, rc in enumerate(cb.simple, start=1)]
-        + [(cb.minus_index(cb.simple[i - 1]), b, ("f", i)) for _, i, b, _ in cb.f_tree]
-    )
-    for s, mats in enumerate(cm.t_action):
-        M, source, target = [x.data for x in mats], cm.pieces[s], cm.pieces[s + 1]
-        if not _moves_weights(M[theta], source.basis_weights, target.basis_weights, rs.root_weight(rs.theta)):
-            raise TheoremCheckError(f"x_{theta} (x) t does not move weights by theta on piece {s}")
-        for a, b, gen in steps:
-            terms = [(-c, M[z]) for z, c in cb.struct(a, b).items()]
-            products = ((1, target.gen(*gen).data, M[b]), (-1, M[b], source.gen(*gen).data))
-            if any(residue(target.dim, products, terms).values()):
-                raise TheoremCheckError(f"[x_{a} (x) 1, x_{b} (x) t] fails on piece {s}")
+    for s, (X, source, target) in enumerate(zip(cm.maximal, cm.pieces[:-1], cm.pieces[1:], strict=True)):
+        _check_maximal(rs, X, source, target, f"x_{theta} (x) t on piece {s}")
 
     _check_tsquare(cm, _tsquare_steps(cm))
     checks = _check_kr_relations(cm)
 
     # transport along the chain through the normalized intertwiners: with
     # the pieces simple, the generator spans the module
-    transport = 0
     for s in range(cm.k):
         beta = tuple(a - b for a, b in zip(cm.chain[s], cm.chain[s + 1]))
         a = cb.minus_index(rs.int_root_coords(beta))
-        got = cm.t_action[s][a].apply(cm.pieces[s].highest_vector)
+        got = _t_maps(cm, s, [a], {cm.pieces[s].highest_index})[a].apply(cm.pieces[s].highest_vector)
         if got != cm.pieces[s + 1].highest_vector:
             raise TheoremCheckError(f"transport fails at step {s}")
-        transport += 1
 
     label = f"{rs.type.family}{rs.rank} node {cm.node} level {cm.level}"
     counts = (len(cm.pieces) * D * (D - 1) // 2, cm.k * D * D, max(cm.k - 1, 0) * D * (D - 1) // 2)
-    return RelationReport(label, cm.total_dim, *counts, checks, cm.total_dim, transport)
+    return RelationReport(label, cm.total_dim, *counts, checks, cm.total_dim, cm.k)
 
 
 def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight, int]]:
@@ -1013,12 +1015,10 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
       fundamental or an evaluation module, and its lemma gives the piece's
       generators Serre's premises, so N_alpha is defined as rho(x_alpha),
       rho the representation they extend to;
-    - [x (x) 1, y (x) t] = [x, y] (x) t on each factor: intertwiner
-      replays x (x) t from a maximal vector of weight theta, whose orbit is
-      a copy of g in Hom(V_s, V_{s+1}) once the pieces are g-modules;
-    - [x (x) t, y (x) t] = 0 on each factor: _check_tsquare, here, checks
-      the pairs with one generator, and by the previous premise the rest
-      follow;
+    - [x (x) 1, y (x) t] = [x, y] (x) t on each factor, by the lemma of
+      _t_maps, as intertwiner checks each maximal vector it makes;
+    - [x (x) t, y (x) t] = 0 on each factor: _check_tsquare, here, on the
+      steps that _tsquare_steps lists, by its lemma;
     - each factor's generator satisfies the KR relations: _check_kr_relations,
       here.  So v, the product of the generators, is killed by n+ (x) A and
       h (x) t, which act slot by slot.
@@ -1031,11 +1031,11 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
     blocks do not depend on the basis.  Only weights nu with nu - mu in Q+
     for a dominant mu <= m omega_i are kept: an f-word only lowers the
     weight, so every word that ends on a dominant weight passes through kept
-    weights alone.  The span is a
-    g-module, so its character is Weyl-invariant and the multiplicities of
-    its dominant weights determine it; a grade whose character is not a
-    sum of simple characters, or a decomposition other than the
-    combinatorial one, raises TheoremCheckError.
+    weights alone.  The span is a g-module, so its character is
+    Weyl-invariant and the multiplicities of its dominant weights determine
+    it; a grade whose character is not a sum of simple characters, or a
+    decomposition other than the combinatorial one, raises
+    TheoremCheckError.
     """
     rs._check_node(i)
     if m < 0:
@@ -1057,7 +1057,7 @@ def kr_tensor_submodule(rs: RootSystem, i: int, m: int) -> dict[int, dict[Weight
             fund = build_kr_fundamental(rs, i)
         else:
             fund = evaluation_module(rs, i, d)
-        _check_tsquare(fund)
+        _check_tsquare(fund, _tsquare_steps(fund))
         _check_kr_relations(fund)
         factors.append(fund)
         powers.append(m0)

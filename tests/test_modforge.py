@@ -29,6 +29,13 @@ def realized(cm):
     return tuple(tuple(cb.realize(p)) for p in cm.pieces)
 
 
+def t_action(cm):
+    """Every map x_b (x) t of every step, x_b at index b: each maximal
+    vector replayed along the whole f-tree by modforge._t_maps."""
+    D = modforge.chevalley(cm.rs).dim_g
+    return tuple(tuple(modforge._t_maps(cm, s, range(D)).values()) for s in range(cm.k))
+
+
 def with_generator(cm, s, kind, i, mat):
     """cm with generator kind_i ("e" or "f") of piece s replaced by mat."""
     piece = cm.pieces[s]
@@ -321,11 +328,11 @@ def test_highest_module_reads_the_ambient_guard_before_any_work(monkeypatch):
     assert calls == []
 
 
-# sha256 over the sorted entries of every realized root matrix and t_action
-# matrix of the `kr verify modforge` modules and C4 node 2, then of e and f
-# of three highest modules (the B3 spin node enters through the third
+# sha256 over the sorted entries of every realized root matrix and every
+# x_b (x) t map of the `kr verify modforge` modules and C4 node 2, then of e
+# and f of three highest modules (the B3 spin node enters through the third
 # wedge), recorded before the wedge powers became slots of the tensor engine
-# and before the modules stopped storing their root matrices
+# and before the modules stopped storing their root matrices and t-maps
 MATRIX_DIGEST = "0139fc1a290563fd9b10a95cb755c21b474325f8abad4f5abd69da699b471d9d"
 
 
@@ -333,7 +340,7 @@ def test_module_matrices_match_recorded_digest():
     records = []
     for name, node in cli._MODFORGE_DEFAULT + [("C4", 2)]:
         cm = modforge.build_kr_fundamental(rs_of(name), node)
-        for mats in realized(cm) + cm.t_action:
+        for mats in realized(cm) + t_action(cm):
             records.append([sorted(m.entries()) for m in mats])
     for name, lam in [("B3", (1, 0, 2)), ("C3", (1, 1, 1)), ("D4", (1, 1, 0, 0))]:
         rep = modforge.highest_module(rs_of(name), lam)
@@ -554,7 +561,7 @@ def flat_action(cm, a, tpow):
     """x_a (x) t^tpow on the whole graded module, materialized."""
     offs = cm.offsets()
     out = SpMat(cm.total_dim, cm.total_dim)
-    for s, mats in enumerate((realized(cm), cm.t_action)[tpow]):
+    for s, mats in enumerate((realized(cm), t_action(cm))[tpow]):
         for r, c, v in mats[a].entries():
             out.set(offs[s + tpow] + r, offs[s] + c, v)
     return out
@@ -694,7 +701,7 @@ def oracle_t_action(cm, solve):
 
 
 def t_tables(cm):
-    return [[m.data for m in mats] for mats in cm.t_action]
+    return [[m.data for m in mats] for mats in t_action(cm)]
 
 
 @pytest.mark.parametrize("name,node", cli._MODFORGE_DEFAULT + [("C4", 2), ("C4", 3)])
@@ -841,7 +848,7 @@ def test_intertwiner_passes_the_f_check_oracle(name, node):
     rs = rs_of(name)
     cm = modforge.build_kr_fundamental(rs, node)
     adj = modforge.adjoint_rep(rs)
-    for s, mats in enumerate(cm.t_action):
+    for s, mats in enumerate(t_action(cm)):
         src, tgt = cm.pieces[s], cm.pieces[s + 1]
         T = SpMat(tgt.dim, len(mats) * src.dim)
         for b, m in enumerate(mats):
@@ -893,7 +900,7 @@ HOM_C3_STEP0 = r"Hom\(g \(x\) V\(0, 2, 0\), V\(2, 0, 0\)\)"
         ("plus-one", r"no int vector of weight .* matches X e_i of column \d+"),
         ("zero", rf"the maximal vector of {HOM_C3_STEP0} is zero"),
         ("transport-zero", rf"{HOM_C3_STEP0} does not transport the highest vector"),
-        ("transport-sign", rf"{HOM_C3_STEP0} does not transport the highest vector"),
+        ("transport-sign", r"^transport fails at step 0$"),
     ],
     ids=["plus-one", "zero", "transport-zero", "transport-sign"],
 )
@@ -901,7 +908,9 @@ def test_build_kr_checks_the_top_of_the_maximal_vector(monkeypatch, edit, messag
     # step 0 of C3 node 2: x_theta meets six source columns at the top, so a
     # +1 on one of X's top values leaves the line of the true top; the top
     # also holds x_-beta (x) v_top, whose value is the transport scale, and
-    # with its sign flipped the replay sends v_top to minus the top
+    # with its sign flipped X comes out negated: still a maximal vector, so
+    # the build returns it, and verify's transport check meets the replay
+    # sending v_top to minus the top
     rs = rs_of("C3")
     cb = modforge.chevalley(rs)
     theta = cb.plus_index(rs.theta)
@@ -929,8 +938,9 @@ def test_build_kr_checks_the_top_of_the_maximal_vector(monkeypatch, edit, messag
 
     monkeypatch.setattr(modforge, "nullspace", planted)
     with pytest.raises(TheoremCheckError, match=message):
-        modforge.build_kr_fundamental(rs, 2)
-    assert calls == [1]
+        modforge.verify_current_relations(modforge.build_kr_fundamental(rs, 2))
+    # the build stops at step 0, except on the sign flip, which it completes
+    assert calls == ([1, 1] if edit == "transport-sign" else [1])
 
 
 def test_build_kr_checks_that_e_kills_the_maximal_vector(monkeypatch):
@@ -955,16 +965,56 @@ def test_build_kr_checks_that_e_kills_the_maximal_vector(monkeypatch):
     assert skewed
 
 
-def test_build_kr_checks_each_tree_edge(monkeypatch):
-    # a wrong struct coefficient on one edge of the replay tree
-    rs = rs_of("C3")
-    cb = modforge.chevalley(rs)
+def test_t_maps_checks_each_division(monkeypatch, c3_node2):
+    # a wrong struct coefficient on one edge of the replay tree: the build
+    # never replays, and the replay divides by 3 c where c is exact
+    cm = c3_node2
+    cb = modforge.chevalley(cm.rs)
     edges = list(cb.f_tree)
+    leaf = edges[0][0]
+    want = t_action(cm)[0][leaf]
     z, i, b, c = edges[1]
     edges[1] = (z, i, b, 3 * c)
     monkeypatch.setattr(cb, "f_tree", tuple(edges))
-    with pytest.raises(TheoremCheckError, match=r"is not an integer vector divisible by"):
-        modforge.build_kr_fundamental(rs, 2)
+    message = rf"^f_{i} \. M_{b} on step 0 is not an integer vector divisible by {3 * c}$"
+    with pytest.raises(TheoremCheckError, match=message):
+        modforge._t_maps(cm, 0, [z])
+    # the path to the first edge's map does not pass the wrong edge
+    assert modforge._t_maps(cm, 0, [leaf])[leaf] == want
+
+
+def test_t_maps_at_some_columns_match_the_full_replay(c3_node2):
+    # a replay at some source columns reads each parent at those columns and
+    # at the rows of f_i on them: a map that is also a parent, or X, keeps
+    # more columns, and every column it has is the full map's column
+    cm = c3_node2
+    D = modforge.chevalley(cm.rs).dim_g
+    rng = random.Random(7)
+    for s, full in enumerate(t_action(cm)):
+        cols = set(rng.sample(range(cm.pieces[s].dim), 5)) | {cm.pieces[s].highest_index}
+        part = modforge._t_maps(cm, s, range(D), cols)
+        for b in range(D):
+            assert all(part[b].col(c) == full[b].col(c) for c in cols | part[b].data.keys())
+
+
+def test_intertwiner_checks_the_target_top_is_a_highest_line():
+    # V(omega_1) of C2 with its highest index moved to the second basis vector
+    rs = rs_of("C2")
+    v1 = modforge.highest_module(rs, (1, 0))
+    bad = v1._replace(highest_index=1)
+    with pytest.raises(TheoremCheckError, match=r"^weight \(1, 0\) of the target is not a highest line$"):
+        modforge.intertwiner(rs, v1, bad, modforge.adjoint_rep(rs))
+
+
+def test_intertwiner_checks_the_hom_space_is_a_line():
+    # Hom_g(g (x) V(omega_1), V(omega_2)) of C2 is 0 by the character count
+    # and by the nullspace: omega_2 - 3 omega_1 is off the root lattice
+    rs = rs_of("C2")
+    v1, v2 = (modforge.highest_module(rs, lam) for lam in [(1, 0), (0, 1)])
+    adj = modforge.adjoint_rep(rs)
+    assert charlib.hom_dim(rs, [adj.highest_weight, (1, 0)], (0, 1)) == 0
+    with pytest.raises(TheoremCheckError, match=r"^Hom\(g \(x\) V\(1, 0\), V\(0, 1\)\) has dimension 0$"):
+        modforge.intertwiner(rs, v1, v2, adj)
 
 
 def test_build_kr_checks_that_the_e_are_injective_below_the_top(monkeypatch):
@@ -1049,7 +1099,6 @@ def test_kr_c2_node1_module():
     assert [p.dim for p in cm.pieces] == [10, 1]
     assert cm.level == 2
     report = modforge.verify_current_relations(cm)
-    assert report.ok
     assert report.total_dim == report.cyclic_dim == 11
     assert report.bracket_pairs == 90
     assert report.mixed_pairs == 100
@@ -1061,11 +1110,12 @@ def test_kr_c2_grading_action_on_generator():
     cm = modforge.build_kr_fundamental(rs, 1)
     cb = modforge.chevalley(rs)
     v0 = cm.pieces[0].highest_vector
+    t = t_action(cm)[0]
     # x-_theta (x) t transports to the next piece, x-_alpha_1 (x) t kills
-    assert cm.t_action[0][cb.minus_index(rs.theta)].apply(v0) == {0: 1}
-    assert cm.t_action[0][cb.minus_index((1, 0))].apply(v0) == {}
+    assert t[cb.minus_index(rs.theta)].apply(v0) == {0: 1}
+    assert t[cb.minus_index((1, 0))].apply(v0) == {}
     for j in range(1, rs.rank + 1):
-        assert cm.t_action[0][cb.h_index(j)].apply(v0) == {}
+        assert t[cb.h_index(j)].apply(v0) == {}
 
 
 @pytest.mark.parametrize("name,node", cli._MODFORGE_DEFAULT)
@@ -1086,7 +1136,7 @@ def test_kr_c3_node2_module():
     assert cm.chain == ((0, 2, 0), (2, 0, 0), (0, 0, 0))
     assert [p.dim for p in cm.pieces] == [90, 21, 1]
     report = modforge.verify_current_relations(cm)
-    assert report.ok and report.total_dim == 112
+    assert report.cyclic_dim == report.total_dim == 112
     # the antisymmetrized two-step composite vanished on every pair
     assert report.tsquare_pairs == 21 * 20 // 2
 
@@ -1102,7 +1152,7 @@ def test_kr_node2_pieces_are_admissible(name):
             for k in range(1, 4):
                 assert all(type(v) is int and v % math.factorial(k) == 0 for _, _, v in power.entries())
                 power = power @ gen
-    mats = [m for group in realized(cm) + cm.t_action for m in group]
+    mats = [m for group in realized(cm) + t_action(cm) for m in group]
     assert all(type(v) is int for m in mats for _, _, v in m.entries())
     assert modforge.verify_current_relations(cm).transport_steps == cm.k == 2
 
@@ -1113,7 +1163,7 @@ def test_kr_b4_node3_module():
     assert cm.chain == ((0, 0, 1, 0), (1, 0, 0, 0))
     assert [p.dim for p in cm.pieces] == [84, 9]
     report = modforge.verify_current_relations(cm)
-    assert report.ok and report.cyclic_dim == 93
+    assert report.cyclic_dim == report.total_dim == 93
 
 
 def test_verify_relations_c4_node3_frontier():
@@ -1124,11 +1174,11 @@ def test_verify_relations_c4_node3_frontier():
 
 
 def test_verify_relations_detects_broken_transport():
+    # 2 X is still a maximal vector, so only the transport meets it
     rs = rs_of("C2")
     cm = modforge.build_kr_fundamental(rs, 1)
-    doubled = tuple(tuple(m.scale(2) for m in mats) for mats in cm.t_action)
-    broken = cm._replace(t_action=doubled)
-    with pytest.raises(TheoremCheckError):
+    broken = cm._replace(maximal=tuple(X.scale(2) for X in cm.maximal))
+    with pytest.raises(TheoremCheckError, match=r"^transport fails at step 0$"):
         modforge.verify_current_relations(broken)
 
 
@@ -1138,10 +1188,10 @@ def spmat_relation_counts(cm):
     oracle for the integer relation kernel.  Returns the three pair counts."""
     cb = modforge.chevalley(cm.rs)
     D, k = cb.dim_g, cm.k
-    g_action = realized(cm)
+    g_action, t_maps = realized(cm), t_action(cm)
 
     def zmat(coeffs, s, tpow):
-        mats = (g_action, cm.t_action)[tpow][s]
+        mats = (g_action, t_maps)[tpow][s]
         out = SpMat(cm.pieces[s + tpow].dim, cm.pieces[s].dim)
         for z, v in coeffs.items():
             out = out + mats[z].scale(v)
@@ -1159,14 +1209,14 @@ def spmat_relation_counts(cm):
     for s in range(k):
         for a in range(D):
             for b in range(D):
-                t = cm.t_action[s][b]
+                t = t_maps[s][b]
                 lhs = g_action[s + 1][a] @ t - t @ g_action[s][a]
                 if lhs != zmat(cb.struct(a, b), s, 1):
                     raise TheoremCheckError(f"[x_{a} (x) 1, x_{b} (x) t] fails on piece {s}")
                 mixed += 1
     tsquare = 0
     for s in range(k - 1):
-        lo, hi = cm.t_action[s], cm.t_action[s + 1]
+        lo, hi = t_maps[s], t_maps[s + 1]
         for a in range(D):
             for b in range(a + 1, D):
                 if (hi[a] @ lo[b] - hi[b] @ lo[a]).data:
@@ -1181,34 +1231,32 @@ def spmat_relation_counts(cm):
 def test_relation_kernel_matches_spmat_oracle(name, node):
     cm = modforge.build_kr_fundamental(rs_of(name), node)
     report = modforge.verify_current_relations(cm)
-    assert report.ok
+    assert report.cyclic_dim == report.total_dim
     counts = (report.bracket_pairs, report.mixed_pairs, report.tsquare_pairs)
     assert counts == spmat_relation_counts(cm)
 
 
 def edit_first_entry(cm, family, s, a, edit):
     """cm with the first stored entry (r, c) of generator a = (kind, i) of
-    piece s (family "g") or of x_a (x) t on step s (family "t") edited in
-    place by edit(m, r, c) on a copy m."""
-    bad = (cm.pieces[s].gen(*a) if family == "g" else cm.t_action[s][a]).copy()
+    piece s (family "g") or of the maximal vector X_s of step s (family
+    "t", a unused) edited in place by edit(m, r, c) on a copy m."""
+    bad = (cm.pieces[s].gen(*a) if family == "g" else cm.maximal[s]).copy()
     c = next(iter(bad.data))
     edit(bad, next(iter(bad.data[c])), c)
     if family == "g":
         return with_generator(cm, s, *a, bad)
-    groups = [list(mats) for mats in cm.t_action]
-    groups[s][a] = bad
-    return cm._replace(t_action=tuple(map(tuple, groups)))
+    return cm._replace(maximal=cm.maximal[:s] + (bad,) + cm.maximal[s + 1 :])
 
 
-def add_a_third(cm, family, s, a):
+def add_a_third(cm, family, s, a=None):
     """cm with 1/3 added to the first stored entry of generator a of piece s
-    (family "g") or of x_a (x) t on step s (family "t")."""
+    (family "g") or of X_s (family "t")."""
     return edit_first_entry(cm, family, s, a, lambda m, r, c: m.set(r, c, m.get(r, c) + Fraction(1, 3)))
 
 
-def move_off_its_weight(cm, family, s, a):
-    """cm with the first stored entry of generator a of piece s or of
-    x_a (x) t on step s moved to a row of another weight."""
+def move_off_its_weight(cm, family, s, a=None):
+    """cm with the first stored entry of generator a of piece s or of X_s
+    moved to a row of another weight."""
     weights = cm.pieces[s + (family == "t")].basis_weights
 
     def move(m, r, c):
@@ -1230,77 +1278,81 @@ def c4_node1():
     return modforge.build_kr_fundamental(rs_of("C4"), 1)
 
 
-@pytest.mark.parametrize(
-    "module,family,s,message",
-    [
-        ("c3_node2", "g", 0, r"^\[e_1, f_1\] of piece 0 is not delta h$"),
-        ("c3_node2", "g", 1, r"^\[e_1, f_1\] of piece 1 is not delta h$"),
-        ("c3_node2", "t", 0, r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 0"),
-        ("c3_node2", "t", 1, r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 1"),
-        ("c4_node1", "g", 0, r"^\[e_1, f_1\] of piece 0 is not delta h$"),
-        ("c4_node1", "t", 0, r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 0"),
-    ],
-    ids=["g-piece0", "g-piece1", "t-step0", "t-step1", "trivial-last-g-piece0", "trivial-last-t-step0"],
-)
-def test_verify_relations_catches_a_planted_entry(request, module, family, s, message):
-    # 1/3 on f_1 of piece s, or on x_a (x) t of step s with x_a = f_1
-    cm = request.getfixturevalue(module)
-    cb = modforge.chevalley(cm.rs)
-    broken = add_a_third(cm, family, s, ("f", 1) if family == "g" else cb.minus_index(cb.simple[0]))
-    with pytest.raises(TheoremCheckError, match=message):
-        modforge.verify_current_relations(broken)
-    # the oracles: SpMat brackets of the piece's generators, or of the
-    # realized pieces against every step (where the oracle's first failing
-    # pair is one that the presentation implies)
-    if family == "g":
-        with pytest.raises(TheoremCheckError, match=r"^\[e_1, f_1\] failed$"):
-            verify_matrix_rep(broken.pieces[s])
-    else:
-        with pytest.raises(TheoremCheckError, match=message):
-            spmat_relation_counts(broken)
-
-
 @pytest.fixture(scope="module")
 def c4_node2():
     return modforge.build_kr_fundamental(rs_of("C4"), 2)
 
 
+KILLS_NO_X = r"^e_1 does not kill x_\d+ \(x\) t on piece 0$"
+
+
+def replay_divides_no(s):
+    return rf"^f_\d \. M_\d+ on step {s} is not an integer vector divisible by \d+$"
+
+
 @pytest.mark.parametrize(
-    "family,message",
-    [("t", r"\[x_\d+ \(x\) 1, x_\d+ \(x\) t\] fails on piece 0")],
+    "module,family,s,message",
+    [
+        ("c3_node2", "g", 0, r"^\[e_1, f_1\] of piece 0 is not delta h$"),
+        ("c3_node2", "g", 1, r"^\[e_1, f_1\] of piece 1 is not delta h$"),
+        ("c3_node2", "t", 0, KILLS_NO_X),
+        ("c3_node2", "t", 1, replay_divides_no(1)),
+        ("c4_node1", "g", 0, r"^\[e_1, f_1\] of piece 0 is not delta h$"),
+        ("c4_node1", "t", 0, replay_divides_no(0)),
+        ("c4_node2", "t", 0, KILLS_NO_X),
+    ],
+    ids=["g-piece0", "g-piece1", "t-step0", "t-step1", "trivial-last-g-piece0", "trivial-last-t-step0", "c4-node2-t-step0"],
 )
-def test_verify_relations_catches_a_planted_entry_off_the_generators(c4_node2, family, message):
-    # x_theta is no generator; the fault shows on its pairs with a generator
-    # (a piece stores its generators alone, so only a step can carry it)
-    cm = c4_node2
-    cb = modforge.chevalley(cm.rs)
-    theta = cb.plus_index(cm.rs.theta)
-    assert theta not in cb.generators
-    broken = add_a_third(cm, family, 0, theta)
+def test_verify_relations_catches_a_planted_entry(request, module, family, s, message):
+    # 1/3 on f_1 of piece s, or on the maximal vector X_s of step s
+    cm = request.getfixturevalue(module)
+    broken = add_a_third(cm, family, s, ("f", 1))
     with pytest.raises(TheoremCheckError, match=message):
         modforge.verify_current_relations(broken)
-    with pytest.raises(TheoremCheckError, match=message):
-        spmat_relation_counts(broken)
+    # the oracles: SpMat brackets of the piece's generators, or of X_s with
+    # the e_i of its pieces; where the e_i . X_s hold, X_s is one entry (a
+    # map onto V(0)), the planted X_s a multiple of it by a fraction, and
+    # only the replay's integrality meets it
+    if family == "g":
+        with pytest.raises(TheoremCheckError, match=r"^\[e_1, f_1\] failed$"):
+            verify_matrix_rep(broken.pieces[s])
+        return
+    src, tgt, bad = cm.pieces[s], cm.pieces[s + 1], broken.maximal[s]
+    killed = all(not (e1 @ bad - bad @ e0).data for e0, e1 in zip(src.e, tgt.e))
+    assert killed == (message != KILLS_NO_X)
+    if killed:
+        (_, _, v), = bad.entries()
+        assert tgt.dim == 1 and type(v) is Fraction
 
 
-def test_verify_relations_checks_each_tree_edge(c4_node1):
-    # 1/3 on x_z (x) t for a leaf z of the f-tree that is a negative root, no
-    # generator and not -theta (the transport): only the edge that reaches z
-    # meets it, and with one step there is no t^2 pair
-    cm = c4_node1
-    cb = modforge.chevalley(cm.rs)
-    parents = {b for _, _, b, _ in cb.f_tree}
-    pos = len(cm.rs.positive_roots)
-    z, i, b, _ = next(
-        (z, i, b, c) for z, i, b, c in cb.f_tree
-        if pos <= z < 2 * pos and z not in parents | set(cb.generators) | {cb.minus_index(cm.rs.theta)}
-    )
-    broken = add_a_third(cm, "t", 0, z)
-    f_i = cb.minus_index(cb.simple[i - 1])
-    with pytest.raises(TheoremCheckError, match=rf"^\[x_{f_i} \(x\) 1, x_{b} \(x\) t\] fails on piece 0$"):
-        modforge.verify_current_relations(broken)
-    with pytest.raises(TheoremCheckError, match=r"fails on piece 0$"):
-        spmat_relation_counts(broken)
+@pytest.mark.parametrize("name,node,replayed", [("C3", 2, 28), ("C4", 3, 53)])
+def test_verify_relations_replays_only_the_paths_it_reads(monkeypatch, name, node, replayed):
+    # verify reads e_j (x) t and x-_alpha_i (x) t on step 0 in one replay,
+    # x_-beta (x) t on each step in another, and no t^2 step here: one
+    # division per f-tree edge on the paths to them, where the full replay
+    # takes k (D - 1)
+    rs = rs_of(name)
+    cm = modforge.build_kr_fundamental(rs, node)
+    cb = modforge.chevalley(rs)
+    parent = {z: b for z, _, b, _ in cb.f_tree}
+
+    def path(z):
+        return set() if z not in parent else {z} | path(parent[z])
+
+    read = [[cb.plus_index(rc) for rc in cb.simple] + [cb.minus_index(cb.simple[node - 1])]]
+    for s in range(cm.k):
+        read.append([cb.minus_index(rs.int_root_coords(tuple(map(sub, cm.chain[s], cm.chain[s + 1]))))])
+    assert sum(len(set().union(*map(path, wanted))) for wanted in read) == replayed
+    real, calls = modforge._bracket_quotient, []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(modforge, "_bracket_quotient", counted)
+    assert modforge._tsquare_steps(cm) == []
+    modforge.verify_current_relations(cm)
+    assert len(calls) == replayed < cm.k * (cb.dim_g - 1)
 
 
 def test_verify_relations_checks_the_weights_of_the_generators(c3_node2):
@@ -1310,21 +1362,33 @@ def test_verify_relations_checks_the_weights_of_the_generators(c3_node2):
 
 
 def test_verify_relations_checks_the_weight_of_the_maximal_vector(c3_node2):
-    # the e_i . X check would catch this fault too, but the weight comes first
-    theta = modforge.chevalley(c3_node2.rs).plus_index(c3_node2.rs.theta)
-    broken = move_off_its_weight(c3_node2, "t", 0, theta)
-    message = rf"^x_{theta} \(x\) t does not move weights by theta on piece 0$"
+    # the e_i . X check would catch this fault too, as the SpMat oracle
+    # shows, but the weight comes first
+    cm = c3_node2
+    theta = modforge.chevalley(cm.rs).plus_index(cm.rs.theta)
+    broken = move_off_its_weight(cm, "t", 0)
+    message = rf"^x_{theta} \(x\) t on piece 0 does not move weights by theta$"
     with pytest.raises(TheoremCheckError, match=message):
         modforge.verify_current_relations(broken)
-    with pytest.raises(TheoremCheckError, match=r"fails on piece 0$"):
-        spmat_relation_counts(broken)
+    src, tgt, bad = cm.pieces[0], cm.pieces[1], broken.maximal[0]
+    assert any((e1 @ bad - bad @ e0).data for e0, e1 in zip(src.e, tgt.e))
+
+
+def test_verify_relations_checks_the_maximal_vector_is_not_zero(c3_node2):
+    # the zero map moves no weight and every e_i kills it
+    cm = c3_node2
+    theta = modforge.chevalley(cm.rs).plus_index(cm.rs.theta)
+    X = cm.maximal[1]
+    broken = cm._replace(maximal=(cm.maximal[0], SpMat(X.rows, X.cols)))
+    with pytest.raises(TheoremCheckError, match=rf"^x_{theta} \(x\) t on piece 1 is zero$"):
+        modforge.verify_current_relations(broken)
 
 
 def test_verify_relations_residue_budget(monkeypatch, c4_node2):
     # the presentations bound the product-kernel work: rank^2 residues per
-    # piece, the [e_j, f_i] of its generators, rank + D - 1 per step, D - 1
-    # per t^2 step; a loop over the pairs with a generator would take
-    # 2 rank D per piece
+    # piece, the [e_j, f_i] of its generators, per step rank e_i . X and at
+    # most D - 1 replayed edges, D - 1 per t^2 step; a loop over the pairs
+    # with a generator would take 2 rank D per piece
     cm = c4_node2
     rs = cm.rs
     n, D = rs.rank, modforge.chevalley(rs).dim_g
@@ -1342,39 +1406,53 @@ def test_verify_relations_residue_budget(monkeypatch, c4_node2):
     assert len(calls) <= (cm.k + 1) * piece + cm.k * step + (cm.k - 1) * tsquare
 
 
-def test_verify_relations_catches_a_tsquare_error():
-    # pieces V(0), g, g with x (x) t acting as v0 -> x and then as ad(x) / 3:
-    # both steps are g-equivariant, so every bracket and mixed check holds,
-    # but [x_a (x) t, x_b (x) t] v0 = 2 [x_a, x_b] / 3
-    rs = rs_of("C2")
+def zero_theta_theta(rs):
+    """Pieces V(0), g, g, with maximal vectors v0 -> 3 x_theta and ad x_theta:
+    both steps are g-equivariant, replayed as v0 -> 3 x and as ad x, so
+    every bracket and mixed relation holds, but [x_a (x) t, x_b (x) t] v0 =
+    6 [x_a, x_b]; the two-step count Hom_g(ext^2 g (x) V(0), g) is 1."""
     cb = modforge.chevalley(rs)
-    D = cb.dim_g
+    theta = cb.plus_index(rs.theta)
     triv = modforge.highest_module(rs, rs.zero())
     adj = modforge.adjoint_rep(rs)
-    lift = tuple(SpMat(D, 1, {0: {b: 1}}) for b in range(D))
-    third = tuple(m.scale(Fraction(1, 3)) for m in cb.realize(adj))
-    theta = adj.highest_weight
-    cm = modforge.CurrentModule(rs, 1, 2, (rs.zero(), theta, theta), (triv, adj, adj), (lift, third))
-    message = r"\[x_\d+ \(x\) t, x_\d+ \(x\) t\] does not vanish on piece 0"
-    with pytest.raises(TheoremCheckError, match=message) as got:
+    maximal = (SpMat(cb.dim_g, 1, {0: {theta: 3}}), cb.realize(adj)[theta])
+    wt = adj.highest_weight
+    return modforge.CurrentModule(rs, 1, 2, (rs.zero(), wt, wt), (triv, adj, adj), maximal)
+
+
+TSQUARE_FAILS = r"\[x_\d+ \(x\) t, x_\d+ \(x\) t\] does not vanish on piece 0"
+
+
+def test_verify_relations_catches_a_tsquare_error():
+    cm = zero_theta_theta(rs_of("C2"))
+    with pytest.raises(TheoremCheckError, match=TSQUARE_FAILS) as got:
         modforge.verify_current_relations(cm)
     with pytest.raises(TheoremCheckError) as want:
         spmat_relation_counts(cm)
     assert str(got.value) == str(want.value)
 
 
-def test_check_tsquare_catches_a_pair_off_the_generators(c3_node2):
-    # x_theta is no generator: doubling x_theta (x) t on step 1 breaks only
-    # the t^2 pairs with x_theta, one of which the generator a0 = 0 meets
+def test_check_tsquare_catches_a_pair_off_the_generators(monkeypatch, c3_node2):
+    # x_theta is no generator: doubling x_theta (x) t on step 1 as _t_maps
+    # gives it breaks only the t^2 pairs with x_theta, one of which the
+    # generator a0 = 0 meets (doubling the stored X_1 would double every
+    # map of the step and keep t^2 = 0)
     cm = c3_node2
     cb = modforge.chevalley(cm.rs)
     theta = cb.plus_index(cm.rs.theta)
     assert cb.generators[0] == 0 and theta not in cb.generators
-    t_action = [list(mats) for mats in cm.t_action]
-    t_action[1][theta] = t_action[1][theta].scale(2)
+    real = modforge._t_maps
+
+    def doubled(cm_, s, wanted, cols=None):
+        maps = real(cm_, s, wanted, cols)
+        if s == 1 and theta in maps:
+            maps[theta] = maps[theta].scale(2)
+        return maps
+
+    monkeypatch.setattr(modforge, "_t_maps", doubled)
     message = rf"\[x_0 \(x\) t, x_{theta} \(x\) t\] does not vanish on piece 0"
     with pytest.raises(TheoremCheckError, match=message):
-        modforge._check_tsquare(cm._replace(t_action=tuple(map(tuple, t_action))))
+        modforge._check_tsquare(cm, [0])
 
 
 def test_verify_relations_checks_tsquare_only_where_the_two_step_hom_is_nonzero(monkeypatch, c3_node2):
@@ -1387,7 +1465,7 @@ def test_verify_relations_checks_tsquare_only_where_the_two_step_hom_is_nonzero(
     assert modforge._tsquare_steps(c3_node2) == [] and modforge._tsquare_steps(planted) == [0]
     real, checked = modforge._check_tsquare, []
 
-    def recorded(cm, steps=None):
+    def recorded(cm, steps):
         checked.append(list(steps))
         real(cm, steps)
 
@@ -1421,9 +1499,9 @@ def test_verify_relations_checks_the_character_of_each_piece(c3_node2):
 
     piece = p._replace(dim=dim, e=tuple(map(widen, p.e)), f=tuple(map(widen, p.f)),
                        basis_weights=p.basis_weights + (cm.rs.zero(),))
-    into, out_of = cm.t_action
-    t_action = (tuple(SpMat(dim, m.cols, m.data) for m in into), tuple(SpMat(m.rows, dim, m.data) for m in out_of))
-    broken = cm._replace(pieces=(cm.pieces[0], piece, cm.pieces[2]), t_action=t_action)
+    into, out_of = cm.maximal
+    maximal = (SpMat(dim, into.cols, into.data), SpMat(out_of.rows, dim, out_of.data))
+    broken = cm._replace(pieces=(cm.pieces[0], piece, cm.pieces[2]), maximal=maximal)
     assert spmat_relation_counts(broken) == spmat_relation_counts(cm)
     with pytest.raises(TheoremCheckError, match=r"^the weights of piece 1 are not the character of V\(\(2, 0, 0\)\)$"):
         modforge.verify_current_relations(broken)
@@ -1506,10 +1584,10 @@ def test_integer_residue_agrees_with_spmat(case):
 def test_evaluation_module_relations():
     rs = rs_of("A2")
     cm = modforge.evaluation_module(rs, 1, 2)
-    assert cm.t_action == ()
+    assert cm.maximal == ()
     assert cm.chain == ((2, 0),)
     report = modforge.verify_current_relations(cm)
-    assert report.ok and report.total_dim == 6
+    assert report.cyclic_dim == report.total_dim == 6
     assert report.mixed_pairs == 0 and report.tsquare_pairs == 0
 
 
@@ -1562,7 +1640,7 @@ def realized_slot(cm):
     for every basis element x_a, the g-action realized."""
     offs = cm.offsets()
     grades, weights, _ = cm.slot()
-    actions = (realized(cm), cm.t_action)
+    actions = (realized(cm), t_action(cm))
 
     def cols(op):
         a, tpow = op
@@ -1660,35 +1738,43 @@ def test_kr_tensor_submodule_frontier_at_the_default_guard(name, node, m):
     assert modforge.kr_tensor_submodule(rs, node, m) == krset.graded_character(rs, node, m).as_dict()
 
 
-def plant(monkeypatch, edit, field="t_action"):
-    """Make build_kr_fundamental return its module with copies of the maps
-    `field` edited by edit(rs, cm, action): t_action, action[s][a] the map
-    x_a (x) t of step s, or "e" or "f", action[s][i - 1] that generator
-    of piece s."""
-    real = modforge.build_kr_fundamental
+def plant(monkeypatch, where, a, edit):
+    """Edit a copy of one map of piece or step 0 of the C2 node 1 module by
+    edit(cm, m) where the library reads it: f_a of piece 0 as
+    build_kr_fundamental returns it (where "g_action"), or x_a (x) t of
+    step 0 as _t_maps replays it (where "t_action"); a map replayed from a
+    checked maximal vector is a g-map, so no plant into X_0 reaches the
+    generator's relations."""
+    if where == "g_action":
+        real = modforge.build_kr_fundamental
 
-    def broken(rs, i):
-        cm = real(rs, i)
-        groups = cm.t_action if field == "t_action" else [getattr(p, field) for p in cm.pieces]
-        action = [[m.copy() for m in mats] for mats in groups]
-        edit(rs, cm, action)
-        if field == "t_action":
-            return cm._replace(t_action=tuple(map(tuple, action)))
-        return cm._replace(pieces=tuple(p._replace(**{field: tuple(mats)}) for p, mats in zip(cm.pieces, action)))
+        def broken(rs, i):
+            cm = real(rs, i)
+            m = cm.pieces[0].f[a - 1].copy()
+            edit(cm, m)
+            return with_generator(cm, 0, "f", a, m)
 
-    monkeypatch.setattr(modforge, "build_kr_fundamental", broken)
+        monkeypatch.setattr(modforge, "build_kr_fundamental", broken)
+        return
+    real = modforge._t_maps
+
+    def planted(cm, s, wanted, cols=None):
+        maps = real(cm, s, wanted, cols)
+        if s == 0 and a in maps:
+            maps[a] = maps[a].copy()
+            edit(cm, maps[a])
+        return maps
+
+    monkeypatch.setattr(modforge, "_t_maps", planted)
 
 
 def test_kr_tensor_submodule_checks_the_top_vector(monkeypatch):
-    def edit(rs, cm, t_action):
-        cb = modforge.chevalley(rs)
-        e1 = cb.plus_index(cb.simple[0])
-        t_action[0][e1].set(0, cm.pieces[0].highest_index, 1)
-
-    plant(monkeypatch, edit)
+    rs = rs_of("C2")
+    cb = modforge.chevalley(rs)
+    plant(monkeypatch, "t_action", cb.plus_index(cb.simple[0]), lambda cm, m: m.set(0, cm.pieces[0].highest_index, 1))
     # e_1 is x+_1: the positive roots of C2 run (0, 1), (1, 0), ...
     with pytest.raises(TheoremCheckError, match=r"x\+_1 \(x\) t does not kill the generator"):
-        modforge.kr_tensor_submodule(rs_of("C2"), 1, 2)
+        modforge.kr_tensor_submodule(rs, 1, 2)
 
 
 @pytest.mark.parametrize(
@@ -1702,27 +1788,20 @@ def test_kr_tensor_submodule_checks_every_lowering_relation(monkeypatch, where, 
     # x-_alpha_2 (x) 1 and x-_alpha_1 (x) t must kill the generator of the
     # C2 node 1 fundamental; neither is an e or h (x) t relation. A fault in
     # the g-action is planted in piece 0's own generator f_2.
-    field = "f" if where == "g_action" else where
-
-    def edit(rs, cm, action):
-        cb = modforge.chevalley(rs)
-        a = j - 1 if field == "f" else cb.minus_index(cb.simple[j - 1])
-        action[0][a].set(row, cm.pieces[0].highest_index, 1)
-
-    plant(monkeypatch, edit, field)
+    rs = rs_of("C2")
+    cb = modforge.chevalley(rs)
+    a = j if where == "g_action" else cb.minus_index(cb.simple[j - 1])
+    plant(monkeypatch, where, a, lambda cm, m: m.set(row, cm.pieces[0].highest_index, 1))
     with pytest.raises(TheoremCheckError, match=message):
-        modforge.kr_tensor_submodule(rs_of("C2"), 1, 2)
+        modforge.kr_tensor_submodule(rs, 1, 2)
 
 
 def test_kr_tensor_submodule_checks_tsquare(monkeypatch):
-    rs = rs_of("C3")
-    cm = modforge.build_kr_fundamental(rs, 2)
-    assert cm.k == 2
-    modforge._check_tsquare(cm)
-
-    def edit(rs_, cm_, t_action):
-        t_action[1][0] = t_action[1][0].scale(2)
-
-    plant(monkeypatch, edit)
-    with pytest.raises(TheoremCheckError, match=r"\(x\) t\] does not vanish"):
-        modforge.kr_tensor_submodule(rs, 2, 2)
+    # the (0, theta, theta) module as the C2 node 1 fundamental: its
+    # two-step count is 1, so the t^2 check runs on step 0 and fails
+    rs = rs_of("C2")
+    cm = zero_theta_theta(rs)
+    assert modforge._tsquare_steps(cm) == [0]
+    monkeypatch.setattr(modforge, "build_kr_fundamental", lambda rs_, i: cm)
+    with pytest.raises(TheoremCheckError, match=TSQUARE_FAILS):
+        modforge.kr_tensor_submodule(rs, 1, 2)

@@ -253,9 +253,11 @@ def test_relation_checks_use_the_one_product_kernel():
         "_bracket_coords",
         "_bracket_quotient",
         "_check_generators",
+        "_check_maximal",
         "_check_tsquare",
         "_from_generators",
         "_moves_weights",
+        "_t_maps",
         "intertwiner",
         "realize",
         "verify_current_relations",
@@ -362,6 +364,36 @@ def test_generators_are_checked_where_a_module_is_made_or_verified():
                 (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
     assert len(inside) == 2
     assert found == []
+
+
+def test_only_the_replay_reads_the_f_tree():
+    # a module stores one maximal vector per step, and _t_maps derives every
+    # other x_b (x) t from it along ChevalleyBasis.f_tree; a second reader of
+    # the tree would be a second replay, or a check of one map against another
+    found, inside = [], []
+    for path, tree in parsed_sources():
+        owners = [
+            fn
+            for node in tree.body
+            for fn in ([node] if isinstance(node, ast.FunctionDef) else getattr(node, "body", []))
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("_t_maps", "f_tree")
+        ]
+        allowed = {id(node) for fn in owners for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "f_tree":
+                (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 2
+    assert found == []
+
+
+def test_a_module_stores_one_t_map_per_step():
+    # x (x) t is its maximal vector X_s per step; t_action, a tuple of the
+    # X_s for the benchmark tracer, is derived and no field
+    assert modforge.CurrentModule._fields == ("rs", "node", "level", "chain", "pieces", "maximal")
+    cm = modforge.build_kr_fundamental(rootsys.build(rootsys.LieType("C", 3)), 2)
+    assert len(cm.maximal) == cm.k == 2
+    assert all(isinstance(X, linalg.SpMat) for X in cm.maximal)
+    assert cm.t_action == tuple((X,) for X in cm.maximal)
 
 
 def test_no_module_imports_dataclasses():
