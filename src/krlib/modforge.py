@@ -13,7 +13,9 @@ raises TheoremCheckError.
 A MatrixRep is its generators e_i, f_i and its basis weights, h_i being
 the weight diagonal; a module stores its pieces' generators and one X per
 step, and _t_maps replays any other x_b (x) t from X along a tree of
-f-brackets where it is read.  Serre's premises are checked where
+f-brackets where it is read.  g acts on itself through ChevalleyBasis.slot,
+with no module of its own, by the three lemmas of ChevalleyBasis
+(generation, independence, Jacobi).  Serre's premises are checked where
 _from_generators makes a representation, hold for highest_module by its
 lemma, and verify_current_relations checks them on each piece, each X,
 and each piece's weights against its character, in the one product kernel
@@ -153,11 +155,17 @@ class ChevalleyBasis:
     when gamma is a root, lies in the span of the h_j when gamma = 0, and
     vanishes otherwise.
 
-    The 2 rank generators e_j = x_alpha_j and f_j = x_-alpha_j generate the
-    basis as a Lie algebra (Humphreys, section 14), which the relation checks
-    of verify_current_relations rely on; the constructor checks it from the
-    structure constants: [e_i, x_parent] = q x_alpha and [f_i, x_-parent] =
-    q x_-alpha for every recipe, and [e_j, f_j] = h_j.
+    Three lemmas settle the rest.  Generation: the e_j = x_alpha_j and
+    f_j = x_-alpha_j generate the basis (Humphreys, section 14), as realize
+    divides each recipe bracket exactly and [e_j, f_j] = h_j is checked on
+    the defining representation.  Independence: each x_alpha is checked
+    nonzero and the h_j independent; x_alpha moves the defining weights by
+    alpha, so it is an ad h eigenvector of weight alpha, and the weights of
+    distinct roots differ.  The adjoint: the def_mats are a faithful,
+    bracket-closed basis rho(g) whose struct constants _bracket_coords
+    checks as exact coordinates, so ad x = [x, .] is a representation by
+    the Jacobi identity in gl(V); slot gives it, with no module of its own,
+    and builds only the ad f_i columns that intertwiner applies.
     """
 
     def __init__(self, rs: RootSystem):
@@ -190,43 +198,32 @@ class ChevalleyBasis:
 
         drep = defining_rep(rs)
         self.def_mats = self.realize(drep)
-        ech = Echelon()
-        for m in self.def_mats:
-            if ech.add(flatten(m.data, drep.dim)) is None:
-                raise TheoremCheckError("basis of g is dependent in the defining rep")
+        for rc, m in zip(self.roots, self.def_mats[: self._h0]):
+            if not m.data:
+                raise TheoremCheckError(f"the root vector of {rc} is zero in the defining rep")
         self._h_ech = Echelon()
-        for m in self.def_mats[self._h0 :]:
-            self._h_ech.add(flatten(m.data, drep.dim))
+        for j, m in enumerate(self.def_mats[self._h0 :], start=1):
+            if self._h_ech.add(flatten(m.data, drep.dim)) is None:
+                raise TheoremCheckError(f"h_{j} is dependent in the defining rep")
         self._struct: list[Mapping[int, int] | None] = [None] * (self.dim_g * self.dim_g)
+        self.root_weights = tuple(rs.root_weight(rc) for rc in self.roots)
+        self._ad: dict[tuple[str, int], dict[int, Mapping[int, int]]] = {}
         self.generators = tuple(sorted(
             idx(rc) for idx in (self.plus_index, self.minus_index) for rc in self.simple
         ))
-        self._check_generation()
-
-    def _check_generation(self) -> None:
-        # read through _bracket_coords, so the struct cache starts empty
-        for rc, (i, parent, q) in self.recipe.items():
-            if parent is None:
-                continue
-            for idx in (self.plus_index, self.minus_index):
-                if self._bracket_coords(idx(self.simple[i - 1]), idx(parent)) != {idx(rc): q}:
-                    raise TheoremCheckError(
-                        f"the generators do not generate the basis: the recipe bracket of root {rc}"
-                    )
-        for j, rc in enumerate(self.simple, start=1):
-            if self._bracket_coords(self.plus_index(rc), self.minus_index(rc)) != {self.h_index(j): 1}:
-                raise TheoremCheckError(f"the generators do not generate the basis: [e_{j}, f_{j}] is not h_{j}")
 
     @cached_property
     def f_tree(self) -> tuple[tuple[int, int, int, int], ...]:
         """Edges (z, i, b, c) with [f_i, x_b] = c x_z, parents first: a tree of
         f-brackets from x_theta, breadth first, that reaches the whole basis."""
         reached, edges = [self.plus_index(self.rs.theta)], []
+        seen = set(reached)
         for b in reached:  # breadth first: the list grows as it is read
             for i, rc in enumerate(self.simple, start=1):
                 terms = self.struct(self.minus_index(rc), b)
                 z = next(iter(terms), None)
-                if len(terms) == 1 and z not in reached:
+                if len(terms) == 1 and z not in seen:
+                    seen.add(z)
                     reached.append(z)
                     edges.append((z, i, b, terms[z]))
         if len(reached) != self.dim_g:
@@ -241,6 +238,21 @@ class ChevalleyBasis:
 
     def h_index(self, j: int) -> int:
         return self._h0 + j - 1
+
+    def slot(self):
+        """g as a tensor_rep factor under the adjoint action: operators
+        ("e", i) and ("f", i), every basis vector in grade 0 with its root
+        weight, and column b of ad x_a the struct(a, b), each operator's
+        columns built the first time it is asked for."""
+        return [0] * self.dim_g, self.root_weights, self._ad_cols
+
+    def _ad_cols(self, op) -> dict[int, Mapping[int, int]]:
+        cols = self._ad.get(op)
+        if cols is None:
+            kind, i = op
+            a = (self.plus_index if kind == "e" else self.minus_index)(self.simple[i - 1])
+            cols = self._ad[op] = {b: col for b in range(self.dim_g) if (col := self.struct(a, b))}
+        return cols
 
     def realize(self, rep: MatrixRep) -> list[SpMat]:
         """Matrices of the whole basis inside rep, by replaying the recipes."""
@@ -318,27 +330,6 @@ def _chevalley(lt: LieType) -> ChevalleyBasis:
 
 def chevalley(rs: RootSystem) -> ChevalleyBasis:
     return _chevalley(rs.type)
-
-
-def adjoint_rep(rs: RootSystem) -> MatrixRep:
-    """g acting on itself; basis order and structure constants come from the
-    Chevalley basis, the highest vector is the theta root vector."""
-    cb = chevalley(rs)
-    D = cb.dim_g
-
-    def action_of(a: int) -> SpMat:
-        m = SpMat(D, D)
-        for b in range(D):
-            for z, v in cb.struct(a, b).items():
-                m.set(z, b, v)
-        return m
-
-    ee = [action_of(cb.plus_index(rc)) for rc in cb.simple]
-    ff = [action_of(cb.minus_index(rc)) for rc in cb.simple]
-    rep = _from_generators(rs, ee, ff, "the adjoint", cb.plus_index(rs.theta))
-    if rep.basis_weights != tuple(rs.root_weight(rc) for rc in cb.roots):
-        raise TheoremCheckError("adjoint h eigenvalues disagree with the root weights")
-    return rep
 
 
 def _derivation(col, stride: int, monos, ranks, exterior: bool):
@@ -457,7 +448,8 @@ class _Tensor:
 
 
 def tensor_rep(factors, powers=None, exterior: bool = False) -> _Tensor:
-    """The tensor product of MatrixReps or CurrentModules as one slot-wise
+    """The tensor product of MatrixReps, CurrentModules or a ChevalleyBasis
+    (g under the adjoint action) as one slot-wise
     operator; each factor supplies its own slot, S^k(factor), or wedge^k
     (factor) when exterior is set, where powers gives k (by default 1 for
     every factor)."""
@@ -653,20 +645,21 @@ def _check_maximal(rs: RootSystem, X: SpMat, source: MatrixRep, target: MatrixRe
             raise TheoremCheckError(f"e_{i} does not kill {what}")
 
 
-def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: MatrixRep) -> SpMat:
+def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep) -> SpMat:
     """The maximal vector X = x_theta (x) t of weight theta in Hom(V_s,
     V_{s+1}), V_s = source and V_{s+1} = target, normalized so that
     x_-beta (x) t sends top to top, beta the difference of the weights.
 
     Hom_g(g (x) V_s, V_{s+1}) ~ Hom_g(g, Hom(V_s, V_{s+1})), the maximal
     vectors of weight theta (the lemma of _t_maps), with source and target
-    g-modules (highest_module's lemma) and the adjoint's generators checked
-    by _from_generators:
+    g-modules (highest_module's lemma) and g acting on itself through
+    ChevalleyBasis.slot (its adjoint lemma):
     - the top: Hom_g(g (x) V_s, V(lam)) is dual to (g (x) V_s)_lam modulo
       f_i (g (x) V_s)_{lam + alpha_i}, one nullspace over the columns
       x_b (x) v of weight lam, paired by weight, of dimension the character
-      count, and 1; divided by its value on x_-beta (x) top, the transport
-      scale, its values on the x_theta (x) v are the top of X;
+      count, and 1; only the ad f_i act.  Divided by its value on
+      x_-beta (x) top, the transport scale, its values on the x_theta (x) v
+      are the top of X;
     - below it, by increasing depth, X v is the unique x with e_i x = X e_i v
       for all i, read off an echelon of the stacked e_i of V_{s+1}, which
       are injective below the top only if V_{s+1} is simple, so a dependent
@@ -675,7 +668,7 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: Matri
       x_-beta (x) t sends top to top.
     """
     cb = chevalley(rs)
-    theta_wt, theta = adj.highest_weight, adj.highest_index
+    theta_wt, theta = rs.root_weight(rs.theta), cb.plus_index(rs.theta)
     lam, top, dim, sdim = target.highest_weight, target.highest_index, target.dim, source.dim
     hom = f"Hom(g (x) V{source.highest_weight}, V{lam})"
     rows_by_wt: dict[Weight, list[int]] = {}
@@ -688,10 +681,10 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep, adj: Matri
 
     def columns(nu: Weight) -> list[int]:
         # the x_b (x) v of weight nu, at index b * sdim + v of g (x) V_s
-        pairs = ((b, tuple(map(sub, nu, wt))) for b, wt in enumerate(adj.basis_weights))
+        pairs = ((b, tuple(map(sub, nu, wt))) for b, wt in enumerate(cb.root_weights))
         return [b * sdim + c for b, mu in pairs for c in cols_by_wt.get(mu, ())]
 
-    prod_space = tensor_rep([adj, source])
+    prod_space = tensor_rep([cb, source])
     above = [columns(tuple(map(add, lam, alpha))) for alpha in rs.cartan]
     eqs = [prod_space.apply(("f", i), {c: 1}) for i, cs in enumerate(above, start=1) for c in cs]
     sols = nullspace(eqs, columns(lam))
@@ -835,15 +828,15 @@ def build_kr_fundamental(rs: RootSystem, i: int) -> CurrentModule:
     """The graded module on the chain of node i at level dcheck_i, with the
     maximal vector of x(x)t from each piece to the next given by
     intertwiner.  Its premises hold without a check here: each piece is a
-    g-module by the lemma of highest_module, and adjoint_rep checks its
-    generators as it makes them."""
+    g-module by the lemma of highest_module, and g acts on itself through
+    its Chevalley basis, a representation by the adjoint lemma of
+    ChevalleyBasis, so no adjoint module is built."""
     if rs.epsilon(rs.theta, i) != 2:
         raise ValueError(f"node {i} of {rs.type} is not a construction node")
     d = rs.dcheck[i - 1]
     chain = krset.enumerate_chain(rs, i).weights
     pieces = tuple(highest_module(rs, mu) for mu in chain)
-    adj = adjoint_rep(rs)
-    maximal = tuple(intertwiner(rs, pieces[s], pieces[s + 1], adj) for s in range(len(chain) - 1))
+    maximal = tuple(intertwiner(rs, pieces[s], pieces[s + 1]) for s in range(len(chain) - 1))
     return CurrentModule(rs, i, d, chain, pieces, maximal)
 
 
@@ -912,37 +905,41 @@ def _check_kr_relations(cm: CurrentModule) -> int:
     """The defining relations of KR(m omega_i) on the generator v, the top
     of piece 0: x+_a (x) 1, x+_a (x) t, h_j (x) t, x-_alpha_j (x) 1 for
     j != i, (x-_alpha_i)^(m+1) and x-_alpha_i (x) t kill v, and h_j v =
-    m delta_ij v.  Each row applies a word of matrices to v: h_j is its
-    entry at v, read off the weight of v, and x (x) t comes from _t_maps
-    at v and the f_j v, or is zero on a module without it.  The x+_a rows
-    are checked on the e_j alone, as the e_j generate n+ and [e_j (x) 1,
-    e_i (x) t] span n+ (x) t; h_j (x) t v is (e_j (x) t)(f_j v) once
-    e_j (x) t kills v, by the mixed relations.  Returns the rows established."""
+    m delta_ij v.  Each row applies a word of matrices to v, h_j being its
+    entry at v, read off the weight of v.  The x+_a (x) 1 rows are checked
+    on the e_j alone, as the e_j generate n+.
+
+    The rows in t hold by weight: x_b (x) t, replayed from X_0, which moves
+    weights by theta (_check_maximal), moves them by the root of b, and
+    piece 1 ~ V(mu_1) by its character, mu_1 = mu_0 - beta_0 with beta_0
+    the chain's positive root.  So x_b (x) t v, of weight mu_0 + root(b),
+    is 0 for b positive or in h, and for b = -alpha_i unless beta_0 =
+    alpha_i, the one row replayed; x (x) t is 0 on a module without steps.
+    Returns the rows established, by a check or by this lemma."""
     rs, i, m = cm.rs, cm.node, cm.level
     cb = chevalley(rs)
     piece, top = cm.pieces[0], cm.pieces[0].highest_index
-    plus = [cb.plus_index(rc) for rc in cb.simple]
-    read, cols = plus + [cb.minus_index(cb.simple[i - 1])], {top}.union(*(f.col(top) for f in piece.f))
-    t = _t_maps(cm, 0, read, cols) if cm.maximal else dict.fromkeys(read, SpMat(0, piece.dim))
     eigen = {top: m} if m else {}
-    table = [((t[a],), {}, f"x+_{a} (x) t does not kill the generator") for a in plus]
-    for j, (a, w) in enumerate(zip(plus, piece.basis_weights[top]), start=1):
+    table = []
+    for j, (rc, w) in enumerate(zip(cb.simple, piece.basis_weights[top]), start=1):
         h = SpMat(piece.dim, piece.dim, {top: {top: w}} if w else {})
-        table.append(((piece.e[j - 1],), {}, f"x+_{a} does not kill the generator"))
+        table.append(((piece.e[j - 1],), {}, f"x+_{cb.plus_index(rc)} does not kill the generator"))
         table.append(((h,), eigen if j == i else {}, f"h_{j} eigenvalue on the generator is wrong"))
-        table.append(((piece.f[j - 1], t[a]), {}, f"h_{j} (x) t does not kill the generator"))
         if j != i:
             table.append(((piece.f[j - 1],), {}, f"x-_alpha_{j} does not kill the generator"))
         else:
             table.append(((piece.f[j - 1],) * (m + 1), {}, f"(x-_alpha_{i})^{m + 1} does not kill the generator"))
-            table.append(((t[read[-1]],), {}, f"x-_alpha_{i} (x) t does not kill the generator"))
+    lowers = bool(cm.maximal) and tuple(map(sub, cm.chain[0], cm.chain[1])) == rs.cartan[i - 1]
+    if lowers:
+        b = cb.minus_index(cb.simple[i - 1])
+        table.append(((_t_maps(cm, 0, [b], {top})[b],), {}, f"x-_alpha_{i} (x) t does not kill the generator"))
     for word, want, msg in table:
         vec = {top: 1}
         for mat in word:
             vec = mat.apply(vec)
         if vec != want:
             raise TheoremCheckError(msg)
-    return len(table) + 2 * (len(rs.positive_roots) - rs.rank)
+    return len(table) + 2 * rs.rank + (not lowers) + 2 * (len(rs.positive_roots) - rs.rank)
 
 
 def verify_current_relations(cm: CurrentModule) -> RelationReport:

@@ -11,7 +11,7 @@ from operator import mul
 import pytest
 
 from krlib import charlib
-from krlib.errors import DimensionGuardError
+from krlib.errors import DimensionGuardError, TheoremCheckError
 from krlib.rootsys import LieType, build
 from krlib.twisted import TwistedData
 
@@ -378,6 +378,24 @@ def test_hom_dim_expands_the_second_weight_on_a_tie(monkeypatch):
     for a, b in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
         with pytest.raises(DimensionGuardError, match=re.escape(f"dim V({b}) = 3")):
             charlib.hom_dim(A2, [a, b], (0, 0))
+
+
+def test_hom_dim_checks_the_count_is_not_negative(monkeypatch):
+    # Klimyk over a character factor comes back with -1 at the target
+    monkeypatch.setattr(charlib, "_klimyk", lambda rs, lam, chi: {(0, 0): -1})
+    with pytest.raises(TheoremCheckError, match=r"^multiplicity of V\(\(0, 0\)\) came out as -1$"):
+        charlib.hom_dim(C2, [charlib.adjoint_char(C2), (2, 0)], (0, 0))
+
+
+def test_klimyk_product_checks_each_multiplicity_is_not_negative(monkeypatch):
+    # Klimyk over V(omega_1) comes back with -1 at omega_2
+    monkeypatch.setattr(charlib, "_klimyk", lambda rs, lam, chi: {(2, 0): 1, (0, 1): -1, (0, 0): 1})
+    charlib._klimyk_product.cache_clear()
+    try:
+        with pytest.raises(TheoremCheckError, match=r"^V\(\(1, 0\)\) \(x\) V\(\(1, 0\)\) has a negative multiplicity"):
+            charlib.tensor_decompose(C2, (1, 0), (1, 0))
+    finally:
+        charlib._klimyk_product.cache_clear()
 
 
 def test_hom_dim_matches_full_decomposition():

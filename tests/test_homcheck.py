@@ -16,6 +16,13 @@ D4 = build(LieType("D", 4))
 D5 = build(LieType("D", 5))
 
 
+def test_walk_checks_each_one_step_hom_is_nonzero(monkeypatch):
+    # every Hom count comes back 0, the first one-step count included
+    monkeypatch.setattr(charlib, "hom_dim", lambda rs, factors, target: 0)
+    with pytest.raises(TheoremCheckError, match=r"^adjoint step \(0, 2, 0\) -> \(2, 0, 0\) has Hom dimension 0$"):
+        homcheck.cond_untwisted(C3, 2)
+
+
 def tdata(family, rank):
     return twisted.fixed_point_data(twisted.outer_from_ambient(family, rank))
 

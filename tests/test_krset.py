@@ -174,6 +174,15 @@ def test_chain_condition_error_reports_pair():
 # ----------------------------------------------------------------------- pplus
 
 
+def test_graded_character_checks_grade_zero(monkeypatch):
+    # P+(1, 2) of C2 with a second weight of grade 0
+    kr = krset.datum(LieType("C", 2))
+    real = krset._level
+    monkeypatch.setattr(krset, "_level", lambda kr_, i, m: {**real(kr_, i, m), (0, 1): (1, 0)})
+    with pytest.raises(TheoremCheckError, match=r"^grade 0 of \S*\(1, 2\) is \{\(0, 1\): 1, \(2, 0\): 1\}$"):
+        krset.kr_graded_character(kr, 1, 2)
+
+
 def test_pplus_examples():
     assert krset.pplus(C2, 1, 3) == {(3, 0), (1, 0)}
     assert krset.pplus(C2, 1, 4) == {(4, 0), (2, 0), (0, 0)}

@@ -191,44 +191,65 @@ def test_struct_raises_when_a_bracket_leaves_the_basis():
 
 
 @pytest.mark.parametrize(
-    "wrong,message",
+    "plant,message",
     [
-        ("recipe", r"generators do not generate the basis: the recipe bracket of root"),
-        ("h", r"generators do not generate the basis: \[e_1, f_1\] is not h_1"),
+        ("root", r"^the root vector of \(-2, -2, -1\) is zero in the defining rep$"),
+        ("h", r"^h_2 is dependent in the defining rep$"),
     ],
 )
-def test_chevalley_basis_checks_that_the_generators_generate(monkeypatch, wrong, message):
-    # one bracket of the generation premise comes back wrong: the recipe of
-    # theta with q off by one, or [e_1, f_1] = 2 h_1
+def test_chevalley_basis_checks_its_basis(monkeypatch, plant, message):
+    # realize comes back with x_-theta zero, or with h_2 = h_1: the two
+    # checks from which, with distinct root weights, independence follows
     rs = rs_of("C3")
-    real = modforge.ChevalleyBasis._bracket_coords
+    real = modforge.ChevalleyBasis.realize
 
-    def off(cb, a, b):
-        out = real(cb, a, b)
-        if wrong == "recipe":
-            i, parent, q = cb.recipe[rs.theta]
-            if (a, b) == (cb.plus_index(cb.simple[i - 1]), cb.plus_index(parent)):
-                return {cb.plus_index(rs.theta): q + 1}
-        elif (a, b) == (cb.plus_index(cb.simple[0]), cb.minus_index(cb.simple[0])):
-            return {z: 2 * v for z, v in out.items()}
-        return out
+    def planted(cb, rep):
+        mats = real(cb, rep)
+        if plant == "root":
+            k = cb.minus_index(rs.theta)
+            mats[k] = SpMat(mats[k].rows, mats[k].cols)
+        else:
+            mats[cb.h_index(2)] = mats[cb.h_index(1)]
+        return mats
 
-    monkeypatch.setattr(modforge.ChevalleyBasis, "_bracket_coords", off)
-    modforge._chevalley.cache_clear()
-    try:
-        with pytest.raises(TheoremCheckError, match=message):
-            modforge.chevalley(rs)
-    finally:
-        modforge._chevalley.cache_clear()
+    monkeypatch.setattr(modforge.ChevalleyBasis, "realize", planted)
+    with pytest.raises(TheoremCheckError, match=message):
+        modforge.ChevalleyBasis(rs)
 
 
-ADJOINT_DIMS = {"A2": 8, "C2": 10, "B3": 21, "C3": 21, "D4": 28, "B4": 36}
+def adjoint_rep(rs):
+    """g acting on itself as a MatrixRep: the ad e_i and ad f_i columns
+    of ChevalleyBasis.slot, through modforge._from_generators, whose check
+    of Serre's premises is the oracle for the adjoint lemma (ad is a
+    representation by the Jacobi identity)."""
+    cb = modforge.chevalley(rs)
+    grades, weights, cols = cb.slot()
+    D = len(grades)
+    ee, ff = (
+        [SpMat(D, D, {b: dict(col) for b, col in cols((kind, i)).items()}) for i in range(1, rs.rank + 1)]
+        for kind in ("e", "f")
+    )
+    rep = modforge._from_generators(rs, ee, ff, "the adjoint", cb.plus_index(rs.theta))
+    assert rep.basis_weights == weights
+    return rep
+
+
+ADJOINT_DIMS = {
+    f"{fam}{n}": dim(n)
+    for fam, ranks, dim in (
+        ("A", range(2, 7), lambda n: n * (n + 2)),
+        ("B", range(2, 7), lambda n: n * (2 * n + 1)),
+        ("C", range(2, 7), lambda n: n * (2 * n + 1)),
+        ("D", range(4, 7), lambda n: n * (2 * n - 1)),
+    )
+    for n in ranks
+}
 
 
 @pytest.mark.parametrize("name", sorted(ADJOINT_DIMS))
 def test_adjoint_rep_verifies(name):
     rs = rs_of(name)
-    adj = modforge.adjoint_rep(rs)
+    adj = adjoint_rep(rs)
     verify_matrix_rep(adj)
     assert adj.dim == ADJOINT_DIMS[name]
     assert adj.highest_weight == rs.root_weight(rs.theta)
@@ -447,6 +468,16 @@ def test_highest_module_checks_the_character(monkeypatch, edit, message):
         modforge.highest_module(rs, (0, 2, 0))
 
 
+def test_highest_module_checks_the_weyl_dimension(monkeypatch):
+    # the Weyl dimension comes back one too large: every lattice rank still
+    # meets its multiplicity, and only the total meets it
+    rs = rs_of("C2")
+    real = charlib.weyl_dim
+    monkeypatch.setattr(charlib, "weyl_dim", lambda rs_, lam: real(rs_, lam) + 1)
+    with pytest.raises(TheoremCheckError, match=r"^V\(\(1, 0\)\) has dim 4, Weyl dimension is 5$"):
+        modforge.highest_module(rs, (1, 0))
+
+
 def test_verify_matrix_rep_detects_damage():
     rep = modforge.highest_module(rs_of("C2"), (1, 0))
     bad_e = rep.e[0].scale(2)
@@ -537,7 +568,7 @@ TENSOR_FACTORS = [
 def test_tensor_rep_matches_kronecker_oracle(name, lams):
     rs = rs_of(name)
     factors = [
-        modforge.adjoint_rep(rs) if lam is None else modforge.highest_module(rs, lam)
+        adjoint_rep(rs) if lam is None else modforge.highest_module(rs, lam)
         for lam in lams
     ]
     op = modforge.tensor_rep(factors)
@@ -683,11 +714,10 @@ def oracle_t_action(cm, solve):
     solution divided by its transport scale and split into the D maps x_b (x) t."""
     rs = cm.rs
     cb = modforge.chevalley(rs)
-    adj = modforge.adjoint_rep(rs)
     out = []
     for s in range(cm.k):
         src, tgt = cm.pieces[s], cm.pieces[s + 1]
-        (T,) = solve(rs, modforge.tensor_rep([adj, src]), tgt)
+        (T,) = solve(rs, modforge.tensor_rep([cb, src]), tgt)
         beta = tuple(map(sub, cm.chain[s], cm.chain[s + 1]))
         col = T.col(cb.minus_index(rs.int_root_coords(beta)) * src.dim + src.highest_index)
         assert set(col) == {tgt.highest_index}
@@ -743,9 +773,8 @@ def test_intertwiner_schur():
 
 def test_intertwiner_matches_hom_dim():
     rs = rs_of("C2")
-    adj = modforge.adjoint_rep(rs)
     big = modforge.highest_module(rs, (2, 0))
-    src = modforge.tensor_rep([adj, big])
+    src = modforge.tensor_rep([modforge.chevalley(rs), big])
     achar = charlib.adjoint_char(rs)
     for lam in [(2, 0), (0, 0), (0, 1), (2, 1)]:
         tgt = modforge.highest_module(rs, lam)
@@ -847,13 +876,13 @@ def test_intertwiner_passes_the_f_check_oracle(name, node):
     # the built maps, as one map g (x) V_s -> V_{s+1}, commute with every f_i
     rs = rs_of(name)
     cm = modforge.build_kr_fundamental(rs, node)
-    adj = modforge.adjoint_rep(rs)
+    cb = modforge.chevalley(rs)
     for s, mats in enumerate(t_action(cm)):
         src, tgt = cm.pieces[s], cm.pieces[s + 1]
         T = SpMat(tgt.dim, len(mats) * src.dim)
         for b, m in enumerate(mats):
             T.data.update((b * src.dim + c, col) for c, col in m.data.items())
-        f_check_oracle(rs, modforge.tensor_rep([adj, src]), tgt, [T])
+        f_check_oracle(rs, modforge.tensor_rep([cb, src]), tgt, [T])
 
 
 def bump_first_entry(m):
@@ -877,18 +906,24 @@ def plant_piece(monkeypatch, lam, edit):
 
 
 def test_intertwiner_detects_corrupted_source_factor(monkeypatch):
-    # the adjoint, the g of g (x) V_s, is made from an f_1 with one bumped
-    # entry: the weights read off [e_1, f_1] move, so e_1 no longer fits them
-    real = modforge._from_generators
+    # the g of g (x) V_s, ChevalleyBasis.slot, with the sign of one entry of
+    # ad f_1 flipped: no check reads the adjoint's columns (its lemma), but
+    # the top nullspace then has no solution where the character count is 1
+    rs = rs_of("C3")
+    real = modforge.ChevalleyBasis._ad_cols
 
-    def damaged(rs, ee, ff, what, top=0):
-        if what == "the adjoint":
-            ff = [bump_first_entry(ff[0])] + list(ff[1:])
-        return real(rs, ee, ff, what, top)
+    def flipped(cb, op):
+        cols = dict(real(cb, op))
+        if op == ("f", 1):
+            b = min(cols)
+            z = next(iter(cols[b]))
+            cols[b] = {**cols[b], z: -cols[b][z]}
+        return cols
 
-    monkeypatch.setattr(modforge, "_from_generators", damaged)
-    with pytest.raises(TheoremCheckError, match=r"^e_1 of the adjoint does not move weights by alpha_1$"):
-        modforge.build_kr_fundamental(rs_of("C3"), 2)
+    monkeypatch.setattr(modforge.ChevalleyBasis, "_ad_cols", flipped)
+    message = r"^Hom\(g \(x\) V\(0, 2, 0\), V\(2, 0, 0\)\) has dimension 0, the character count is 1$"
+    with pytest.raises(TheoremCheckError, match=message):
+        modforge.build_kr_fundamental(rs, 2)
 
 
 HOM_C3_STEP0 = r"Hom\(g \(x\) V\(0, 2, 0\), V\(2, 0, 0\)\)"
@@ -1003,7 +1038,7 @@ def test_intertwiner_checks_the_target_top_is_a_highest_line():
     v1 = modforge.highest_module(rs, (1, 0))
     bad = v1._replace(highest_index=1)
     with pytest.raises(TheoremCheckError, match=r"^weight \(1, 0\) of the target is not a highest line$"):
-        modforge.intertwiner(rs, v1, bad, modforge.adjoint_rep(rs))
+        modforge.intertwiner(rs, v1, bad)
 
 
 def test_intertwiner_checks_the_hom_space_is_a_line():
@@ -1011,10 +1046,9 @@ def test_intertwiner_checks_the_hom_space_is_a_line():
     # and by the nullspace: omega_2 - 3 omega_1 is off the root lattice
     rs = rs_of("C2")
     v1, v2 = (modforge.highest_module(rs, lam) for lam in [(1, 0), (0, 1)])
-    adj = modforge.adjoint_rep(rs)
-    assert charlib.hom_dim(rs, [adj.highest_weight, (1, 0)], (0, 1)) == 0
+    assert charlib.hom_dim(rs, [rs.root_weight(rs.theta), (1, 0)], (0, 1)) == 0
     with pytest.raises(TheoremCheckError, match=r"^Hom\(g \(x\) V\(1, 0\), V\(0, 1\)\) has dimension 0$"):
-        modforge.intertwiner(rs, v1, v2, adj)
+        modforge.intertwiner(rs, v1, v2)
 
 
 def test_build_kr_checks_that_the_e_are_injective_below_the_top(monkeypatch):
@@ -1053,11 +1087,10 @@ def hom_cases(draw):
 @given(hom_cases())
 def test_intertwiner_commutes_with_every_generator(case):
     rs, mu, lam = case
-    adj = modforge.adjoint_rep(rs)
-    src = modforge.tensor_rep([adj, modforge.highest_module(rs, mu)])
+    src = modforge.tensor_rep([modforge.chevalley(rs), modforge.highest_module(rs, mu)])
     tgt = modforge.highest_module(rs, lam)
     maps = tensor_intertwiner(rs, src, tgt)
-    assert len(maps) == charlib.hom_dim(rs, [adj.highest_weight, mu], lam)
+    assert len(maps) == charlib.hom_dim(rs, [rs.root_weight(rs.theta), mu], lam)
     for t in maps:
         for kind in ("e", "f"):
             for i in range(1, rs.rank + 1):
@@ -1128,6 +1161,12 @@ def test_every_positive_root_vector_kills_the_generator(name, node):
     g = realized(cm)[0]
     assert all(g[a].apply(top) == {} for a in range(len(rs.positive_roots)))
     assert modforge._check_kr_relations(cm) == 2 * len(rs.positive_roots) + 3 * rs.rank + 1
+    # the rows in t are counted by weight, as beta_0 is not alpha_i; every
+    # x_b (x) t with b positive, in h or -alpha_i, replayed, kills v
+    cb = modforge.chevalley(rs)
+    t = t_action(cm)[0]
+    kills = [*range(len(rs.positive_roots)), *range(cb.h_index(1), cb.dim_g), cb.minus_index(cb.simple[node - 1])]
+    assert all(t[b].apply(top) == {} for b in kills)
 
 
 def test_kr_c3_node2_module():
@@ -1325,12 +1364,12 @@ def test_verify_relations_catches_a_planted_entry(request, module, family, s, me
         assert tgt.dim == 1 and type(v) is Fraction
 
 
-@pytest.mark.parametrize("name,node,replayed", [("C3", 2, 28), ("C4", 3, 53)])
-def test_verify_relations_replays_only_the_paths_it_reads(monkeypatch, name, node, replayed):
-    # verify reads e_j (x) t and x-_alpha_i (x) t on step 0 in one replay,
-    # x_-beta (x) t on each step in another, and no t^2 step here: one
-    # division per f-tree edge on the paths to them, where the full replay
-    # takes k (D - 1)
+@pytest.mark.parametrize("name,node,replayed", [("C3", 2, 18), ("C4", 3, 36)])
+def test_verify_relations_replays_only_the_transport(monkeypatch, name, node, replayed):
+    # verify reads x_-beta (x) t on each step, for the transport, and no
+    # t^2 step here; the KR relations in t hold by weight, as beta_0 is not
+    # alpha_i: one division per f-tree edge on the paths to the x_-beta,
+    # where the full replay takes k (D - 1)
     rs = rs_of(name)
     cm = modforge.build_kr_fundamental(rs, node)
     cb = modforge.chevalley(rs)
@@ -1339,9 +1378,7 @@ def test_verify_relations_replays_only_the_paths_it_reads(monkeypatch, name, nod
     def path(z):
         return set() if z not in parent else {z} | path(parent[z])
 
-    read = [[cb.plus_index(rc) for rc in cb.simple] + [cb.minus_index(cb.simple[node - 1])]]
-    for s in range(cm.k):
-        read.append([cb.minus_index(rs.int_root_coords(tuple(map(sub, cm.chain[s], cm.chain[s + 1]))))])
+    read = [[cb.minus_index(rs.int_root_coords(tuple(map(sub, cm.chain[s], cm.chain[s + 1]))))] for s in range(cm.k)]
     assert sum(len(set().union(*map(path, wanted))) for wanted in read) == replayed
     real, calls = modforge._bracket_quotient, []
 
@@ -1414,7 +1451,7 @@ def zero_theta_theta(rs):
     cb = modforge.chevalley(rs)
     theta = cb.plus_index(rs.theta)
     triv = modforge.highest_module(rs, rs.zero())
-    adj = modforge.adjoint_rep(rs)
+    adj = adjoint_rep(rs)
     maximal = (SpMat(cb.dim_g, 1, {0: {theta: 3}}), cb.realize(adj)[theta])
     wt = adj.highest_weight
     return modforge.CurrentModule(rs, 1, 2, (rs.zero(), wt, wt), (triv, adj, adj), maximal)
@@ -1738,42 +1775,40 @@ def test_kr_tensor_submodule_frontier_at_the_default_guard(name, node, m):
     assert modforge.kr_tensor_submodule(rs, node, m) == krset.graded_character(rs, node, m).as_dict()
 
 
-def plant(monkeypatch, where, a, edit):
-    """Edit a copy of one map of piece or step 0 of the C2 node 1 module by
-    edit(cm, m) where the library reads it: f_a of piece 0 as
-    build_kr_fundamental returns it (where "g_action"), or x_a (x) t of
-    step 0 as _t_maps replays it (where "t_action"); a map replayed from a
-    checked maximal vector is a g-map, so no plant into X_0 reaches the
-    generator's relations."""
-    if where == "g_action":
-        real = modforge.build_kr_fundamental
-
-        def broken(rs, i):
-            cm = real(rs, i)
-            m = cm.pieces[0].f[a - 1].copy()
-            edit(cm, m)
-            return with_generator(cm, 0, "f", a, m)
-
-        monkeypatch.setattr(modforge, "build_kr_fundamental", broken)
-        return
-    real = modforge._t_maps
-
-    def planted(cm, s, wanted, cols=None):
-        maps = real(cm, s, wanted, cols)
-        if s == 0 and a in maps:
-            maps[a] = maps[a].copy()
-            edit(cm, maps[a])
-        return maps
-
-    monkeypatch.setattr(modforge, "_t_maps", planted)
+def lowers_by_alpha_1(rs):
+    """A C2 module that is no KR module: pieces V(2 omega_1) and V(omega_2),
+    and X_0 the x_theta block of the one integral g-map g (x) V(2 omega_1)
+    -> V(omega_2) of tensor_intertwiner (intertwiner's transport scale
+    does not divide it).  Its step beta_0 = alpha_1, so x-_alpha_1 (x) t
+    sends the generator to the top of piece 1."""
+    cb = modforge.chevalley(rs)
+    chain = ((2, 0), (0, 1))
+    source, target = (modforge.highest_module(rs, mu) for mu in chain)
+    (T,) = tensor_intertwiner(rs, modforge.tensor_rep([cb, source]), target)
+    sdim, theta = source.dim, cb.plus_index(rs.theta)
+    X = SpMat(target.dim, sdim, {c % sdim: col for c, col in T.data.items() if c // sdim == theta})
+    return modforge.CurrentModule(rs, 1, 2, chain, (source, target), (X,))
 
 
 def test_kr_tensor_submodule_checks_the_top_vector(monkeypatch):
+    # x+_a (x) t and h_j (x) t kill the generator by weight, once X_0 moves
+    # weights by theta: the build's nullspace comes back with a value on
+    # x_theta (x) top as well, an entry of X_0 off that weight, and the
+    # build's check of X_0 meets it
     rs = rs_of("C2")
     cb = modforge.chevalley(rs)
-    plant(monkeypatch, "t_action", cb.plus_index(cb.simple[0]), lambda cm, m: m.set(0, cm.pieces[0].highest_index, 1))
-    # e_1 is x+_1: the positive roots of C2 run (0, 1), (1, 0), ...
-    with pytest.raises(TheoremCheckError, match=r"x\+_1 \(x\) t does not kill the generator"):
+    source = modforge.highest_module(rs, (2, 0))
+    transport = cb.minus_index(rs.theta) * source.dim + source.highest_index
+    real = modforge.nullspace
+
+    def planted(eqs, variables):
+        sols = real(eqs, variables)
+        sols[0][cb.plus_index(rs.theta) * source.dim + source.highest_index] = sols[0][transport]
+        return sols
+
+    monkeypatch.setattr(modforge, "nullspace", planted)
+    message = r"^the maximal vector of Hom\(g \(x\) V\(2, 0\), V\(0, 0\)\) does not move weights by theta$"
+    with pytest.raises(TheoremCheckError, match=message):
         modforge.kr_tensor_submodule(rs, 1, 2)
 
 
@@ -1786,12 +1821,29 @@ def test_kr_tensor_submodule_checks_the_top_vector(monkeypatch):
 )
 def test_kr_tensor_submodule_checks_every_lowering_relation(monkeypatch, where, j, row, message):
     # x-_alpha_2 (x) 1 and x-_alpha_1 (x) t must kill the generator of the
-    # C2 node 1 fundamental; neither is an e or h (x) t relation. A fault in
-    # the g-action is planted in piece 0's own generator f_2.
+    # C2 node 1 fundamental; neither is an e or h (x) t relation.  A fault
+    # in the g-action is planted in piece 0's own generator f_2, sending v
+    # to row `row`; x-_alpha_1 (x) t is replayed only where beta_0 = alpha_1,
+    # and lowers_by_alpha_1, in which it sends v to row `row`, is built as
+    # the fundamental
     rs = rs_of("C2")
-    cb = modforge.chevalley(rs)
-    a = j if where == "g_action" else cb.minus_index(cb.simple[j - 1])
-    plant(monkeypatch, where, a, lambda cm, m: m.set(row, cm.pieces[0].highest_index, 1))
+    if where == "g_action":
+        real = modforge.build_kr_fundamental
+
+        def broken(rs_, i):
+            cm = real(rs_, i)
+            m = cm.pieces[0].f[j - 1].copy()
+            m.set(row, cm.pieces[0].highest_index, 1)
+            return with_generator(cm, 0, "f", j, m)
+
+        monkeypatch.setattr(modforge, "build_kr_fundamental", broken)
+    else:
+        cm = lowers_by_alpha_1(rs)
+        b = modforge.chevalley(rs).minus_index((1, 0))
+        assert set(modforge._t_maps(cm, 0, [b])[b].apply(cm.pieces[0].highest_vector)) == {row}
+        monkeypatch.setattr(modforge, "build_kr_fundamental", lambda rs_, i: cm)
+        with pytest.raises(TheoremCheckError, match=message):
+            modforge.verify_current_relations(cm)
     with pytest.raises(TheoremCheckError, match=message):
         modforge.kr_tensor_submodule(rs, 1, 2)
 

@@ -346,6 +346,28 @@ def test_only_the_chevalley_basis_realizes_root_matrices():
     assert found == []
 
 
+def test_each_bracket_of_the_basis_is_computed_once():
+    # _bracket_coords runs only inside ChevalleyBasis.struct, which caches
+    # each pair, so no bracket of the basis is computed twice; g acts on
+    # itself through ChevalleyBasis.slot, and no adjoint module is built
+    found, inside = [], []
+    for path, tree in parsed_sources():
+        assert "adjoint_rep" not in path.read_text(), path.name
+        struct = [
+            fn
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "ChevalleyBasis"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "struct"
+        ]
+        allowed = {id(node) for fn in struct for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_bracket_coords":
+                (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 1
+    assert found == []
+
+
 def test_generators_are_checked_where_a_module_is_made_or_verified():
     # a MatrixRep is its generators and weights, h_i being the weight
     # diagonal; Serre's premises are checked where _from_generators makes a
