@@ -912,12 +912,24 @@ def _check_kr_relations(cm: CurrentModule) -> int:
     The rows in t hold by weight: x_b (x) t, replayed from X_0, which moves
     weights by theta (_check_maximal), moves them by the root of b, and
     piece 1 ~ V(mu_1) by its character, mu_1 = mu_0 - beta_0 with beta_0
-    the chain's positive root.  So x_b (x) t v, of weight mu_0 + root(b),
-    is 0 for b positive or in h, and for b = -alpha_i unless beta_0 =
-    alpha_i, the one row replayed; x (x) t is 0 on a module without steps.
-    Returns the rows established, by a check or by this lemma."""
+    = chain[0] - chain[1], checked here to be a positive root.  So x_b (x)
+    t v, of weight mu_0 + root(b), is 0 for b positive or in h, and for b =
+    -alpha_i unless beta_0 = alpha_i, the one row replayed; x (x) t is 0 on
+    a module without steps.  Returns the rows established, by a check or by
+    this lemma: 5 rank + 1 rows, and 2 more for each non-simple positive
+    root a, x+_a (x) 1 and x+_a (x) t."""
     rs, i, m = cm.rs, cm.node, cm.level
     cb = chevalley(rs)
+    lowers = False
+    if cm.maximal:
+        beta = rs.int_root_coords(tuple(map(sub, cm.chain[0], cm.chain[1])))
+        if beta not in rs.positive_roots:
+            raise TheoremCheckError("step 0 of the chain does not lower by a positive root")
+        lowers = beta == cb.simple[i - 1]
+    # settled by weight: e_j (x) t and h_j (x) t for every j, x-_alpha_i (x) t
+    # unless replayed, x+_a (x) t for the non-simple a; and x+_a (x) 1 for
+    # the non-simple a, as the e_j generate n+
+    settled = 2 * rs.rank + (not lowers) + 2 * (len(rs.positive_roots) - rs.rank)
     piece, top = cm.pieces[0], cm.pieces[0].highest_index
     eigen = {top: m} if m else {}
     table = []
@@ -929,7 +941,6 @@ def _check_kr_relations(cm: CurrentModule) -> int:
             table.append(((piece.f[j - 1],), {}, f"x-_alpha_{j} does not kill the generator"))
         else:
             table.append(((piece.f[j - 1],) * (m + 1), {}, f"(x-_alpha_{i})^{m + 1} does not kill the generator"))
-    lowers = bool(cm.maximal) and tuple(map(sub, cm.chain[0], cm.chain[1])) == rs.cartan[i - 1]
     if lowers:
         b = cb.minus_index(cb.simple[i - 1])
         table.append(((_t_maps(cm, 0, [b], {top})[b],), {}, f"x-_alpha_{i} (x) t does not kill the generator"))
@@ -939,7 +950,7 @@ def _check_kr_relations(cm: CurrentModule) -> int:
             vec = mat.apply(vec)
         if vec != want:
             raise TheoremCheckError(msg)
-    return len(table) + 2 * rs.rank + (not lowers) + 2 * (len(rs.positive_roots) - rs.rank)
+    return len(table) + settled
 
 
 def verify_current_relations(cm: CurrentModule) -> RelationReport:

@@ -1469,6 +1469,24 @@ def test_verify_relations_catches_a_tsquare_error():
     assert str(got.value) == str(want.value)
 
 
+def test_verify_relations_checks_that_the_chain_lowers_by_a_positive_root():
+    # pieces V(0), g at level 0 with v0 -> x_theta: X_0 is maximal and moves
+    # weights by theta, and the rows in (x) 1 hold, but beta_0 = -theta, so
+    # the weight lemma of _check_kr_relations does not apply, and e_j (x) t
+    # v0 = x_alpha_j is not 0
+    rs = rs_of("C2")
+    cb = modforge.chevalley(rs)
+    theta = cb.plus_index(rs.theta)
+    adj = adjoint_rep(rs)
+    X = SpMat(cb.dim_g, 1, {0: {theta: 1}})
+    cm = modforge.CurrentModule(
+        rs, 1, 0, (rs.zero(), adj.highest_weight), (modforge.highest_module(rs, rs.zero()), adj), (X,)
+    )
+    with pytest.raises(TheoremCheckError, match=r"^step 0 of the chain does not lower by a positive root$"):
+        modforge.verify_current_relations(cm)
+    assert any(t_action(cm)[0][a].apply({0: 1}) for a in range(len(rs.positive_roots)))
+
+
 def test_check_tsquare_catches_a_pair_off_the_generators(monkeypatch, c3_node2):
     # x_theta is no generator: doubling x_theta (x) t on step 1 as _t_maps
     # gives it breaks only the t^2 pairs with x_theta, one of which the
