@@ -173,14 +173,14 @@ class ChevalleyBasis:
         n = rs.rank
         pos = rs.positive_roots
         pos_set = set(pos)
+        self.simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         self.recipe: dict[tuple[int, ...], tuple[int, tuple[int, ...] | None, int]] = {}
         for rc in pos:
             if sum(rc) == 1:
                 self.recipe[rc] = (rc.index(1) + 1, None, 1)
                 continue
             for i in range(1, n + 1):
-                step = tuple(int(j == i - 1) for j in range(n))
-                chain = [tuple(c - k * s for c, s in zip(rc, step)) for k in range(1, 5)]
+                chain = [tuple(c - k * s for c, s in zip(rc, self.simple[i - 1])) for k in range(1, 5)]
                 if chain[0] in pos_set:
                     # the alpha_i-string through a root has at most 4 roots
                     q = next(k for k, below in enumerate(chain) if below not in pos_set)
@@ -188,7 +188,6 @@ class ChevalleyBasis:
                     break
             else:
                 raise TheoremCheckError(f"root {rc} has no simple-root predecessor")
-        self.simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         # the basis: x_alpha for the positive roots, x_-alpha, then h_1..h_n;
         # roots[a] is the root coordinates of the weight of basis element a
         self.roots = list(pos) + [tuple(-c for c in rc) for rc in pos] + [(0,) * n] * n
@@ -247,12 +246,11 @@ class ChevalleyBasis:
         return [0] * self.dim_g, self.root_weights, self._ad_cols
 
     def _ad_cols(self, op) -> dict[int, Mapping[int, int]]:
-        cols = self._ad.get(op)
-        if cols is None:
+        if op not in self._ad:
             kind, i = op
             a = (self.plus_index if kind == "e" else self.minus_index)(self.simple[i - 1])
-            cols = self._ad[op] = {b: col for b in range(self.dim_g) if (col := self.struct(a, b))}
-        return cols
+            self._ad[op] = {b: col for b in range(self.dim_g) if (col := self.struct(a, b))}
+        return self._ad[op]
 
     def realize(self, rep: MatrixRep) -> list[SpMat]:
         """Matrices of the whole basis inside rep, by replaying the recipes."""
@@ -912,24 +910,17 @@ def _check_kr_relations(cm: CurrentModule) -> int:
     The rows in t hold by weight: x_b (x) t, replayed from X_0, which moves
     weights by theta (_check_maximal), moves them by the root of b, and
     piece 1 ~ V(mu_1) by its character, mu_1 = mu_0 - beta_0 with beta_0
-    = chain[0] - chain[1], checked here to be a positive root.  So x_b (x)
-    t v, of weight mu_0 + root(b), is 0 for b positive or in h, and for b =
-    -alpha_i unless beta_0 = alpha_i, the one row replayed; x (x) t is 0 on
-    a module without steps.  Returns the rows established, by a check or by
-    this lemma: 5 rank + 1 rows, and 2 more for each non-simple positive
-    root a, x+_a (x) 1 and x+_a (x) t."""
+    checked to be a positive root.  So x_b (x) t v, of weight mu_0 +
+    root(b), is 0 for b positive or in h, and for b = -alpha_i unless
+    beta_0 = alpha_i, the one row replayed; x (x) t is 0 on a module
+    without steps.  Returns the rows established, by a check or by this
+    lemma: 5 rank + 1, and x+_a (x) 1 and (x) t for each non-simple a."""
     rs, i, m = cm.rs, cm.node, cm.level
     cb = chevalley(rs)
-    lowers = False
-    if cm.maximal:
-        beta = rs.int_root_coords(tuple(map(sub, cm.chain[0], cm.chain[1])))
-        if beta not in rs.positive_roots:
-            raise TheoremCheckError("step 0 of the chain does not lower by a positive root")
-        lowers = beta == cb.simple[i - 1]
-    # settled by weight: e_j (x) t and h_j (x) t for every j, x-_alpha_i (x) t
-    # unless replayed, x+_a (x) t for the non-simple a; and x+_a (x) 1 for
-    # the non-simple a, as the e_j generate n+
-    settled = 2 * rs.rank + (not lowers) + 2 * (len(rs.positive_roots) - rs.rank)
+    beta = rs.int_root_coords(tuple(map(sub, *cm.chain[:2]))) if cm.maximal else None
+    if cm.maximal and beta not in rs.positive_roots:
+        raise TheoremCheckError("step 0 of the chain does not lower by a positive root")
+    lowers = beta == cb.simple[i - 1]
     piece, top = cm.pieces[0], cm.pieces[0].highest_index
     eigen = {top: m} if m else {}
     table = []
@@ -950,7 +941,8 @@ def _check_kr_relations(cm: CurrentModule) -> int:
             vec = mat.apply(vec)
         if vec != want:
             raise TheoremCheckError(msg)
-    return len(table) + settled
+    # by the lemmas: e_j, h_j and, unless replayed, x-_alpha_i (x) t; x+_a (x) 1 and (x) t, a not simple
+    return len(table) + 2 * rs.rank + (not lowers) + 2 * (len(rs.positive_roots) - rs.rank)
 
 
 def verify_current_relations(cm: CurrentModule) -> RelationReport:
@@ -999,8 +991,7 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
     # transport along the chain through the normalized intertwiners: with
     # the pieces simple, the generator spans the module
     for s in range(cm.k):
-        beta = tuple(a - b for a, b in zip(cm.chain[s], cm.chain[s + 1]))
-        a = cb.minus_index(rs.int_root_coords(beta))
+        a = cb.minus_index(rs.int_root_coords(tuple(map(sub, *cm.chain[s : s + 2]))))
         got = _t_maps(cm, s, [a], {cm.pieces[s].highest_index})[a].apply(cm.pieces[s].highest_vector)
         if got != cm.pieces[s + 1].highest_vector:
             raise TheoremCheckError(f"transport fails at step {s}")
