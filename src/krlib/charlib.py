@@ -193,16 +193,17 @@ def weight_mults(rs: RootSystem, lam: Weight) -> WeightCharacter:
 def _klimyk(rs: RootSystem, lam: Weight, chi: WeightCharacter) -> DominantCharacter:
     # Klimyk's formula: V(lam) (x) chi = sum over weights nu of chi of the
     # signed simple at the dominant rho-shifted image of lam + nu + rho, the
-    # sign that of the reflections rs.to_dominant applies; shifts landing on
-    # a wall (a zero coordinate) contribute nothing.  Entries may be 0 or < 0.
+    # sign that of the reflections that carry it there; a singular shift has
+    # its image on a wall and contributes nothing, so rs.regular_dominant
+    # drops it at the first zero coordinate of its walk.  Entries may be 0
+    # or < 0.
     shifted = tuple(c + 1 for c in lam)
     out: dict[Weight, int] = {}
     for nu, m in chi.items():
-        dom, sign = rs.to_dominant(tuple(map(add, shifted, nu)))
-        if 0 in dom:
-            continue
-        key = tuple(c - 1 for c in dom)
-        out[key] = out.get(key, 0) + sign * m
+        hit = rs.regular_dominant(tuple(map(add, shifted, nu)))
+        if hit:
+            key = tuple(c - 1 for c in hit[0])
+            out[key] = out.get(key, 0) + hit[1] * m
     return out
 
 

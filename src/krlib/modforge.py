@@ -514,21 +514,32 @@ def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
     U_Z^- is generated by the divided powers f_i^(k) = f_i^k / k!, so the
     lattice L_mu of weight mu is the Z-span of f_i^(k) L_{mu + k alpha_i}
     over i and k >= 1.  The weights of V(lam) are visited by depth below
-    lam; the basis of L_mu is the reduced echelon form of lattice_basis,
-    and its rank must be the Freudenthal multiplicity.  e_i and f_i are
-    read off as int coordinates over these bases, each f_i image computed
-    once: the ambient lattice is admissible and U_Z v+ = U_Z^- v+, so a
-    divided power that does not divide, or an image off the lattice below
-    or above, raises TheoremCheckError.
+    lam; the basis of L_mu is the reduced echelon form of lattice_basis.
+    e_i and f_i are read off as int coordinates over these bases, each f_i
+    image computed once: the ambient lattice is admissible and U_Z v+ =
+    U_Z^- v+, so a divided power that does not divide, or an image off the
+    lattice, raises TheoremCheckError.
+
+    An image is computed only toward a weight of mults, the Freudenthal
+    character, and each f_i-string stops at its last weight there.  v+ is
+    checked highest and the ambient is a finite-dimensional g-module, so
+    U(g) v+ = U(n^-) v+ is standard cyclic, hence V(lam) (sections 20.2,
+    21.2), whose weights are unbroken along every alpha_i-string (21.3):
+    an image toward a weight that V(lam) lacks is 0.  The checks that stay
+    confirm that mults is that character.  A lattice's rank is at most the
+    multiplicity in V(lam) and must equal the listed one, and the ranks
+    must add up to the Weyl dimension, so a dropped weight fails the
+    dimension check and a spurious or raised one fails a rank check.
 
     The result meets Serre's premises with no check here: the defining
     representation's generators pass _check_generators where
     _from_generators makes them, so they extend to a representation of g
     (Serre's theorem, Humphreys 18.3), as do their derivations on the
     ambient; the lattice spans a U_Z-invariant subspace (sections 26-27),
-    read checks every e_i and f_i image against it, and the ambient's
-    generators restricted to an invariant subspace keep every relation,
-    with h_i acting on each basis vector by its weight.
+    read checks every image computed against it, the others are 0 by the
+    lemma above, and the ambient's generators restricted to an invariant
+    subspace keep every relation, with h_i acting on each basis vector by
+    its weight.
     """
     rs._check_weight(lam)
     if not rs.dominant(lam):
@@ -562,7 +573,7 @@ def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
 
     def read(table, name: str, r: int, img, wt: Weight) -> None:
         """Column r of a generator's table: img over the lattice basis of wt."""
-        lat, start = lattices.get(wt, ({}, 0))
+        lat, start = lattices[wt]
         coords = lattice_coords(lat, img) if img else {}
         if coords is None:
             raise TheoremCheckError(
@@ -583,21 +594,21 @@ def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
             read(ff[i - 1], f"f_{i}", r, img, mu)
         for r, vec in enumerate(lat.values(), len(basis_wts)):
             for i, alpha in enumerate(rs.cartan, start=1):
-                read(ee[i - 1], f"e_{i}", r, amb.apply(("e", i), vec), tuple(map(add, mu, alpha)))
-                # f_i^(k) vec = f_i f_i^(k-1) vec / k, a generator k steps below
-                img, wt, k = amb.apply(("f", i), vec), tuple(map(sub, mu, alpha)), 1
+                up, wt = tuple(map(add, mu, alpha)), tuple(map(sub, mu, alpha))
+                if up in mults:
+                    read(ee[i - 1], f"e_{i}", r, amb.apply(("e", i), vec), up)
+                # f_i^(k) vec = f_i f_i^(k-1) vec / k, a generator k steps
+                # below, down to the end of the alpha_i-string
+                img, k = amb.apply(("f", i), vec) if wt in mults else None, 1
                 if img:
                     f_images.setdefault(wt, []).append((i, r, img))
-                while img and wt in mults:
+                while img:
                     gens.setdefault(wt, []).append(img)
-                    k += 1
+                    wt, k = tuple(map(sub, wt, alpha)), k + 1
+                    if wt not in mults:
+                        break
                     img = _quotient(amb.apply(("f", i), img), k, f"f_{i}^({k}) of basis vector {r}")
-                    wt = tuple(map(sub, wt, alpha))
         basis_wts += [mu] * len(lat)
-    for wt, pending in f_images.items():
-        # nonzero f images at weights that V(lam) lacks
-        for i, r, img in pending:
-            read(ff[i - 1], f"f_{i}", r, img, wt)
     dim = len(basis_wts)
     if dim != target_dim:
         raise TheoremCheckError(f"V({lam}) has dim {dim}, Weyl dimension is {target_dim}")
@@ -661,7 +672,8 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep) -> SpMat:
     - below it, by increasing depth, X v is the unique x with e_i x = X e_i v
       for all i, read off an echelon of the stacked e_i of V_{s+1}, which
       are injective below the top only if V_{s+1} is simple, so a dependent
-      insert raises, and so does an x that is not integral;
+      insert raises, and so does a missing x, or an x that is not integral
+      (then the g-map normalized by the transport scale is not integral);
     - _check_maximal checks X, and verify_current_relations checks that
       x_-beta (x) t sends top to top.
     """
@@ -717,8 +729,13 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep) -> SpMat:
             if not rhs:
                 continue
             got = ech.coords(rhs)
-            if got is None or got[1] != 1:
+            if got is None:
                 raise TheoremCheckError(f"no int vector of weight {mu} in V({lam}) matches X e_i of column {c}")
+            if got[1] != 1:
+                raise TheoremCheckError(
+                    f"the maximal vector of {hom} over its transport scale is not integral"
+                    f" at weight {mu}, column {c}"
+                )
             X.data[c] = {basis[k]: v for k, v in got[0].items()}
 
     _check_maximal(rs, X, source, target, f"the maximal vector of {hom}")

@@ -221,6 +221,24 @@ class RootSystem:
             else:
                 return tuple(cur), sign
 
+    def regular_dominant(self, lam: Weight) -> tuple[Weight, int] | None:
+        """to_dominant for a regular lam, None for a singular one, found at
+        the first zero coordinate of the walk: a zero coordinate j of w(lam)
+        puts lam on the wall of the reflection w^-1 s_j w, so its dominant
+        image lies on a wall too (Humphreys 10.3)."""
+        cur = list(lam)
+        sign = 1
+        while 0 not in cur:
+            for j, c in enumerate(cur):
+                if c < 0:
+                    for k, a in self._reflections[j]:
+                        cur[k] -= c * a
+                    sign = -sign
+                    break
+            else:
+                return tuple(cur), sign
+        return None
+
     def weyl_orbit(self, lam: Weight) -> frozenset[Weight]:
         """Closure of lam under all simple reflections."""
         self._check_weight(lam)

@@ -448,10 +448,12 @@ def test_highest_module_is_a_change_of_basis_of_the_span(monkeypatch, name, lam)
     "edit,message",
     [
         ("raise", "has rank 2, the multiplicity is 3"),
-        ("drop", r"off the lattice of weight \(0, -2, 0\)"),
+        ("drop", r"^V\(\(0, 2, 0\)\) has dim 89, Weyl dimension is 90$"),
     ],
 )
 def test_highest_module_checks_the_character(monkeypatch, edit, message):
+    # a raised multiplicity meets its lattice's rank; a dropped weight, the
+    # lowest one, gets no images, so only the total meets it
     rs = rs_of("C3")
     real = charlib.weight_mults
 
@@ -466,6 +468,65 @@ def test_highest_module_checks_the_character(monkeypatch, edit, message):
     monkeypatch.setattr(charlib, "weight_mults", corrupted)
     with pytest.raises(TheoremCheckError, match=message):
         modforge.highest_module(rs, (0, 2, 0))
+
+
+def test_highest_module_checks_each_image_against_the_lattice(monkeypatch):
+    # the second lattice, of weight lam - alpha_2 and rank 1, comes back
+    # with its row doubled: the rank still meets the multiplicity, and
+    # f_2 of the top vector lies off it
+    rs = rs_of("C3")
+    real = modforge.lattice_basis
+    calls = []
+
+    def doubled(vectors):
+        out = real(vectors)
+        calls.append(len(out))
+        if len(calls) == 2:
+            out = {p: {k: 2 * v for k, v in row.items()} for p, row in out.items()}
+        return out
+
+    monkeypatch.setattr(modforge, "lattice_basis", doubled)
+    message = r"^f_2 maps basis vector 0 of V\(\(0, 2, 0\)\) off the lattice of weight \(1, 0, 1\)$"
+    with pytest.raises(TheoremCheckError, match=message):
+        modforge.highest_module(rs, (0, 2, 0))
+    assert calls == [1, 1]
+
+
+def test_highest_module_checks_that_the_top_vector_is_highest(monkeypatch):
+    # a defining representation whose e_1 sends its highest vector to the
+    # next basis vector: the top of the ambient V still has weight omega_1
+    rs = rs_of("C2")
+    rep = modforge.defining_rep(rs)
+    e1 = rep.e[0].copy()
+    e1.set(1, rep.highest_index, 1)
+    monkeypatch.setattr(modforge, "defining_rep", lambda rs_: rep._replace(e=(e1, *rep.e[1:])))
+    with pytest.raises(TheoremCheckError, match="^top vector is not highest in the ambient space$"):
+        modforge.highest_module(rs, (1, 0))
+
+
+@pytest.mark.parametrize(
+    "name,lam", [("C3", (0, 2, 0)), ("B3", (1, 1, 0)), ("A3", (1, 0, 1)), ("C6", (0, 1, 0, 0, 0, 0))]
+)
+def test_highest_module_applies_only_between_weights_of_the_character(monkeypatch, name, lam):
+    # past the e_i checks on the top vector, every ambient image lands on a
+    # weight of V(lam): the others are 0 by the unbroken alpha_i-strings
+    rs = rs_of(name)
+    real = modforge._Tensor.apply
+    targets = []
+
+    def recording(self, op, vec):
+        kind, i = op
+        wt = self.grade_weight(next(iter(vec)))[1]
+        targets.append((kind, vec, tuple(map(add if kind == "e" else sub, wt, rs.cartan[i - 1]))))
+        return real(self, op, vec)
+
+    monkeypatch.setattr(modforge._Tensor, "apply", recording)
+    rep = modforge.highest_module(rs, lam)
+    n = rs.rank
+    assert [(kind, vec) for kind, vec, _ in targets[:n]] == [("e", {0: 1})] * n
+    mults = charlib.weight_mults(rs, lam)
+    assert all(wt in mults for _, _, wt in targets[n:])
+    assert sorted(rep.basis_weights) == sorted(w for w, m in mults.items() for _ in range(m))
 
 
 def test_highest_module_checks_the_weyl_dimension(monkeypatch):
@@ -976,6 +1037,20 @@ def test_build_kr_checks_the_top_of_the_maximal_vector(monkeypatch, edit, messag
         modforge.verify_current_relations(modforge.build_kr_fundamental(rs, 2))
     # the build stops at step 0, except on the sign flip, which it completes
     assert calls == ([1, 1] if edit == "transport-sign" else [1])
+
+
+def test_intertwiner_names_a_transport_scale_that_does_not_divide():
+    # C2, V(2 omega_1) -> V(omega_2) is no KR step: its one g-map is
+    # integral (lowers_by_alpha_1), but its value on x_-alpha_1 (x) top does
+    # not divide it, so the map normalized by it has a half at weight 0
+    rs = rs_of("C2")
+    source, target = (modforge.highest_module(rs, mu) for mu in ((2, 0), (0, 1)))
+    message = (
+        r"^the maximal vector of Hom\(g \(x\) V\(2, 0\), V\(0, 1\)\) over its transport"
+        r" scale is not integral at weight \(0, 0\), column 9$"
+    )
+    with pytest.raises(TheoremCheckError, match=message):
+        modforge.intertwiner(rs, source, target)
 
 
 def test_build_kr_checks_that_e_kills_the_maximal_vector(monkeypatch):

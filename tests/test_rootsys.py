@@ -317,6 +317,18 @@ def test_sparse_reflections_match_dense_ones():
                 assert rs.to_dominant(w) == dense_to_dominant(rs, w), (lt, w)
 
 
+def test_regular_dominant_is_to_dominant_off_the_walls():
+    # the walk stops at its first zero coordinate exactly when the dominant
+    # image has one; elsewhere it is to_dominant, sign included
+    rng = random.Random(31)
+    for lt in ALL_TYPES:
+        rs = build(lt)
+        for _ in range(40):
+            lam = tuple(rng.randrange(-4, 5) for _ in range(rs.rank))
+            dom, sign = rs.to_dominant(lam)
+            assert rs.regular_dominant(lam) == (None if 0 in dom else (dom, sign)), (lt, lam)
+
+
 def test_parse_type():
     assert parse_type("C3") == LieType("C", 3)
     assert parse_type("d10") == LieType("D", 10)
