@@ -24,26 +24,16 @@ from .rootsys import LieType, RootSystem, Weight, build
 class HomReport(
     namedtuple("HomReport", "label chain next_step two_step three_step", defaults=((),))
 ):
-    """Computed Hom dimensions along one chain."""
+    """Computed Hom dimensions along one chain; _walk raises on any count
+    that breaks a condition, so every report returned meets them all."""
 
     __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return (
-            all(d >= 1 for d in self.next_step)
-            and all(d == 0 for d in self.two_step)
-            and all(d == 0 for d in self.three_step)
-        )
 
 
 class WedgeReport(namedtuple("WedgeReport", "label decomposition nu")):
     """Decomposition of an exterior square into simples."""
 
     __slots__ = ()
-
-    def as_dict(self) -> dict[Weight, int]:
-        return dict(self.decomposition)
 
 
 def _walk(rs: RootSystem, chain, gap: int, factors, word: str = "") -> tuple[int, ...]:

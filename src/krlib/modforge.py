@@ -11,11 +11,11 @@ powers of a factor as slots.  Every matrix of a module is an int matrix:
 each step that relies on Kostant's integrality theorem divides exactly or
 raises TheoremCheckError.
 A MatrixRep is its generators e_i, f_i and its basis weights, h_i being
-the weight diagonal; a module stores its pieces' generators and one X per
-step, and _t_maps replays any other x_b (x) t from X along a tree of
-f-brackets where it is read.  g acts on itself through ChevalleyBasis.slot,
-with no module of its own, by the three lemmas of ChevalleyBasis
-(generation, independence, Jacobi).  Serre's premises are checked where
+the weight diagonal and basis vector 0 the top; a module stores its
+pieces' generators and one X per step, and _t_maps replays any other
+x_b (x) t from X along a tree of f-brackets where it is read.  g acts on
+itself through ChevalleyBasis.slot, with no module of its own, by the
+three lemmas of ChevalleyBasis (generation, independence, Jacobi).  Serre's premises are checked where
 _from_generators makes a representation, hold for highest_module by its
 lemma, and verify_current_relations checks them on each piece, each X,
 and each piece's weights against its character, in the one product kernel
@@ -40,19 +40,21 @@ from .linalg import Echelon, SpMat, flatten, lattice_basis, lattice_coords, null
 from .rootsys import LieType, RootSystem, Weight, build
 
 
-class MatrixRep(namedtuple("MatrixRep", "rs dim e f basis_weights highest_index highest_weight")):
+class MatrixRep(namedtuple("MatrixRep", "e f basis_weights")):
     """A g-module with exact matrices for the generators e_i and f_i.
 
     Basis vectors are always h-eigenvectors; their weights are recorded in
     fundamental coordinates, so h_i is the diagonal of the weights' i-th
-    coordinates and is never stored.
+    coordinates and is never stored.  Basis vector 0 is the highest weight
+    vector of every module, as it is of every tensor_rep product, so
+    basis_weights[0] is the highest weight.
     """
 
     __slots__ = ()
 
     @property
-    def highest_vector(self) -> dict[int, int]:
-        return {self.highest_index: 1}
+    def dim(self) -> int:
+        return len(self.basis_weights)
 
     def gen(self, kind: str, i: int) -> SpMat:
         return (self.e if kind == "e" else self.f)[i - 1]
@@ -84,14 +86,14 @@ def _bracket_quotient(a: SpMat, m: SpMat, b: SpMat, q: int, what: str, cols=None
     return out
 
 
-def _from_generators(rs: RootSystem, ee, ff, what: str, top: int = 0) -> MatrixRep:
-    """The module `what` with generators e_j and f_j, whose basis vector
-    `top` is the highest: the weights are read off the diagonals of the
-    [e_j, f_j], and _check_generators checks the rest."""
+def _from_generators(rs: RootSystem, ee, ff, what: str) -> MatrixRep:
+    """The module `what` with generators e_j and f_j: the weights are read
+    off the diagonals of the [e_j, f_j], and _check_generators checks the
+    rest."""
     dim = ee[0].rows
     hh = [residue(dim, ((1, e.data, f.data), (-1, f.data, e.data))) for e, f in zip(ee, ff)]
     weights = tuple(tuple(h.get(r * dim + r, 0) for h in hh) for r in range(dim))
-    rep = MatrixRep(rs, dim, tuple(ee), tuple(ff), weights, top, weights[top])
+    rep = MatrixRep(tuple(ee), tuple(ff), weights)
     _check_generators(rs, rep.slot(), what)
     return rep
 
@@ -130,7 +132,7 @@ def _defining(lt: LieType) -> MatrixRep:
         ee.append(mat((n - 2, n, 1), (n - 1, n + 1, -1)))
         ff.append(mat((n, n - 2, 1), (n + 1, n - 1, -1)))
     rep = _from_generators(rs, ee, ff, "the defining representation")
-    if rep.highest_weight != rs.fundamental(1):
+    if rep.basis_weights[0] != rs.fundamental(1):
         raise TheoremCheckError("defining rep does not have highest weight omega_1")
     return rep
 
@@ -613,7 +615,7 @@ def highest_module(rs: RootSystem, lam: Weight) -> MatrixRep:
     if dim != target_dim:
         raise TheoremCheckError(f"V({lam}) has dim {dim}, Weyl dimension is {target_dim}")
     ee, ff = ([SpMat(dim, dim, m) for m in mats] for mats in (ee, ff))
-    return MatrixRep(rs, dim, tuple(ee), tuple(ff), tuple(basis_wts), 0, lam)
+    return MatrixRep(tuple(ee), tuple(ff), tuple(basis_wts))
 
 
 def _moves_weights(tab, source, target, shift) -> bool:
@@ -657,7 +659,8 @@ def _check_maximal(rs: RootSystem, X: SpMat, source: MatrixRep, target: MatrixRe
 def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep) -> SpMat:
     """The maximal vector X = x_theta (x) t of weight theta in Hom(V_s,
     V_{s+1}), V_s = source and V_{s+1} = target, normalized so that
-    x_-beta (x) t sends top to top, beta the difference of the weights.
+    x_-beta (x) t sends top to top (basis vector 0: in V(lam) the one weight
+    line with no weight lam + alpha_i), beta the difference of the weights.
 
     Hom_g(g (x) V_s, V_{s+1}) ~ Hom_g(g, Hom(V_s, V_{s+1})), the maximal
     vectors of weight theta (the lemma of _t_maps), with source and target
@@ -679,14 +682,14 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep) -> SpMat:
     """
     cb = chevalley(rs)
     theta_wt, theta = rs.root_weight(rs.theta), cb.plus_index(rs.theta)
-    lam, top, dim, sdim = target.highest_weight, target.highest_index, target.dim, source.dim
-    hom = f"Hom(g (x) V{source.highest_weight}, V{lam})"
+    mu0, lam, dim, sdim = source.basis_weights[0], target.basis_weights[0], target.dim, source.dim
+    hom = f"Hom(g (x) V{mu0}, V{lam})"
     rows_by_wt: dict[Weight, list[int]] = {}
     cols_by_wt: dict[Weight, list[int]] = {}
     for by_wt, rep in ((rows_by_wt, target), (cols_by_wt, source)):
         for k, wt in enumerate(rep.basis_weights):
             by_wt.setdefault(wt, []).append(k)
-    if rows_by_wt.get(lam) != [top]:
+    if rows_by_wt.get(lam) != [0] or any(tuple(map(add, lam, alpha)) in rows_by_wt for alpha in rs.cartan):
         raise TheoremCheckError(f"weight {lam} of the target is not a highest line")
 
     def columns(nu: Weight) -> list[int]:
@@ -698,19 +701,19 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep) -> SpMat:
     above = [columns(tuple(map(add, lam, alpha))) for alpha in rs.cartan]
     eqs = [prod_space.apply(("f", i), {c: 1}) for i, cs in enumerate(above, start=1) for c in cs]
     sols = nullspace(eqs, columns(lam))
-    count = charlib.hom_dim(rs, [theta_wt, source.highest_weight], lam)
+    count = charlib.hom_dim(rs, [theta_wt, mu0], lam)
     if len(sols) != count:
         raise TheoremCheckError(f"{hom} has dimension {len(sols)}, the character count is {count}")
     if count != 1:
         raise TheoremCheckError(f"{hom} has dimension {count}")
     # x_-beta (x) top of V_s has weight lam: its value is the transport
     # scale, divided out here, so that X comes out normalized
-    minus_beta = cb.minus_index(rs.int_root_coords(tuple(map(sub, source.highest_weight, lam))))
-    scale = sols[0].get(minus_beta * sdim + source.highest_index, 0)
+    minus_beta = cb.minus_index(rs.int_root_coords(tuple(map(sub, mu0, lam))))
+    scale = sols[0].get(minus_beta * sdim, 0)
     if not scale:
         raise TheoremCheckError(f"{hom} does not transport the highest vector")
     sol = _quotient(sols[0], scale, f"the top of {hom} over its transport scale")
-    X = SpMat(dim, sdim, {c % sdim: {top: v} for c, v in sol.items() if c // sdim == theta})
+    X = SpMat(dim, sdim, {c % sdim: {0: v} for c, v in sol.items() if c // sdim == theta})
 
     # downward from lam, alone at depth 0, through the target weights and
     # those one simple root below them: elsewhere X v and all X e_i v are 0
@@ -742,7 +745,7 @@ def intertwiner(rs: RootSystem, source: MatrixRep, target: MatrixRep) -> SpMat:
     return X
 
 
-class CurrentModule(namedtuple("CurrentModule", "rs node level chain pieces maximal")):
+class CurrentModule(namedtuple("CurrentModule", "rs node level pieces maximal")):
     """Graded module for g[t]: pieces V_0..V_k, x(x)1 block-diagonal, x(x)t
     mapping each piece to the next, everything else acting as zero.  x(x)1
     is the pieces' e and f alone (h_i is the weight diagonal, x_alpha acts
@@ -750,6 +753,11 @@ class CurrentModule(namedtuple("CurrentModule", "rs node level chain pieces maxi
     on piece s, and _t_maps derives every other x_b (x) t from it."""
 
     __slots__ = ()
+
+    @property
+    def chain(self) -> tuple:
+        """The pieces' highest weights mu_0..mu_k."""
+        return tuple(p.basis_weights[0] for p in self.pieces)
 
     @property
     def g_action(self) -> tuple:
@@ -836,7 +844,7 @@ def _t_maps(cm: CurrentModule, s: int, wanted, cols=None) -> dict[int, SpMat]:
 def evaluation_module(rs: RootSystem, node: int, m: int) -> CurrentModule:
     """V(m omega_i) with t g[t] acting as zero."""
     lam = rs.fundamental(node, m) if m else rs.zero()
-    return CurrentModule(rs, node, m, (lam,), (highest_module(rs, lam),), ())
+    return CurrentModule(rs, node, m, (highest_module(rs, lam),), ())
 
 
 def build_kr_fundamental(rs: RootSystem, i: int) -> CurrentModule:
@@ -848,11 +856,9 @@ def build_kr_fundamental(rs: RootSystem, i: int) -> CurrentModule:
     ChevalleyBasis, so no adjoint module is built."""
     if rs.epsilon(rs.theta, i) != 2:
         raise ValueError(f"node {i} of {rs.type} is not a construction node")
-    d = rs.dcheck[i - 1]
-    chain = krset.enumerate_chain(rs, i).weights
-    pieces = tuple(highest_module(rs, mu) for mu in chain)
-    maximal = tuple(intertwiner(rs, pieces[s], pieces[s + 1]) for s in range(len(chain) - 1))
-    return CurrentModule(rs, i, d, chain, pieces, maximal)
+    pieces = tuple(highest_module(rs, mu) for mu in krset.enumerate_chain(rs, i).weights)
+    maximal = tuple(intertwiner(rs, *pieces[s : s + 2]) for s in range(len(pieces) - 1))
+    return CurrentModule(rs, i, rs.dcheck[i - 1], pieces, maximal)
 
 
 _REPORT = "label total_dim bracket_pairs mixed_pairs tsquare_pairs generator_checks cyclic_dim transport_steps"
@@ -920,9 +926,9 @@ def _check_kr_relations(cm: CurrentModule) -> int:
     """The defining relations of KR(m omega_i) on the generator v, the top
     of piece 0: x+_a (x) 1, x+_a (x) t, h_j (x) t, x-_alpha_j (x) 1 for
     j != i, (x-_alpha_i)^(m+1) and x-_alpha_i (x) t kill v, and h_j v =
-    m delta_ij v.  Each row applies a word of matrices to v, h_j being its
-    entry at v, read off the weight of v.  The x+_a (x) 1 rows are checked
-    on the e_j alone, as the e_j generate n+.
+    m delta_ij v.  v is basis vector 0, so h_j v is read off its weight;
+    each other row applies a word of matrices to v, which must give 0, and
+    the x+_a (x) 1 rows are checked on the e_j alone, as they generate n+.
 
     The rows in t hold by weight: x_b (x) t, replayed from X_0, which moves
     weights by theta (_check_maximal), moves them by the root of b, and
@@ -938,28 +944,28 @@ def _check_kr_relations(cm: CurrentModule) -> int:
     if cm.maximal and beta not in rs.positive_roots:
         raise TheoremCheckError("step 0 of the chain does not lower by a positive root")
     lowers = beta == cb.simple[i - 1]
-    piece, top = cm.pieces[0], cm.pieces[0].highest_index
-    eigen = {top: m} if m else {}
+    piece = cm.pieces[0]
+    for j, w in enumerate(piece.basis_weights[0], start=1):
+        if w != m * (j == i):
+            raise TheoremCheckError(f"h_{j} eigenvalue on the generator is wrong")
     table = []
-    for j, (rc, w) in enumerate(zip(cb.simple, piece.basis_weights[top]), start=1):
-        h = SpMat(piece.dim, piece.dim, {top: {top: w}} if w else {})
-        table.append(((piece.e[j - 1],), {}, f"x+_{cb.plus_index(rc)} does not kill the generator"))
-        table.append(((h,), eigen if j == i else {}, f"h_{j} eigenvalue on the generator is wrong"))
+    for j, rc in enumerate(cb.simple, start=1):
+        table.append(((piece.e[j - 1],), f"x+_{cb.plus_index(rc)} does not kill the generator"))
         if j != i:
-            table.append(((piece.f[j - 1],), {}, f"x-_alpha_{j} does not kill the generator"))
+            table.append(((piece.f[j - 1],), f"x-_alpha_{j} does not kill the generator"))
         else:
-            table.append(((piece.f[j - 1],) * (m + 1), {}, f"(x-_alpha_{i})^{m + 1} does not kill the generator"))
+            table.append(((piece.f[j - 1],) * (m + 1), f"(x-_alpha_{i})^{m + 1} does not kill the generator"))
     if lowers:
         b = cb.minus_index(cb.simple[i - 1])
-        table.append(((_t_maps(cm, 0, [b], {top})[b],), {}, f"x-_alpha_{i} (x) t does not kill the generator"))
-    for word, want, msg in table:
-        vec = {top: 1}
+        table.append(((_t_maps(cm, 0, [b], {0})[b],), f"x-_alpha_{i} (x) t does not kill the generator"))
+    for word, msg in table:
+        vec = {0: 1}
         for mat in word:
             vec = mat.apply(vec)
-        if vec != want:
+        if vec:
             raise TheoremCheckError(msg)
-    # by the lemmas: e_j, h_j and, unless replayed, x-_alpha_i (x) t; x+_a (x) 1 and (x) t, a not simple
-    return len(table) + 2 * rs.rank + (not lowers) + 2 * (len(rs.positive_roots) - rs.rank)
+    # h_j; by the lemmas: e_j and h_j (x) t, x-_alpha_i (x) t unless replayed, x+_a (x) 1 and (x) t, a not simple
+    return len(table) + 3 * rs.rank + (not lowers) + 2 * (len(rs.positive_roots) - rs.rank)
 
 
 def verify_current_relations(cm: CurrentModule) -> RelationReport:
@@ -979,9 +985,10 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
     ad f_i, as [f_i, e_j] = 0, but has weight 2 - a_ij > 0, so U = 0.  By
     Serre's theorem (Humphreys, section 18.3) the generators extend to a
     representation rho of g, and N_a is defined as rho(x_a).  The basis
-    weights of piece s have the multiplicities of V(mu_s), mu_s = chain[s],
-    so piece s ~ V(mu_s): it is a sum of simples (Weyl's theorem, section
-    6.3), and a character determines that sum (sections 20-22).
+    weights of piece s have the multiplicities of V(mu_s), mu_s = chain[s]
+    the weight of its basis vector 0, so piece s ~ V(mu_s), vector 0 its top
+    line: it is a sum of simples (Weyl's theorem, section 6.3), and a
+    character determines that sum (sections 20-22).
     Steps: _check_maximal on each X_s = cm.maximal[s]; then every x_b (x) t
     that _t_maps replays from X_s is a value of one g-map (its lemma), so
     the mixed relations hold by definition, and no map is compared.
@@ -994,9 +1001,9 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
     """
     rs, cb = cm.rs, chevalley(cm.rs)
     D, theta = cb.dim_g, cb.plus_index(rs.theta)
-    for s, (piece, mu) in enumerate(zip(cm.pieces, cm.chain, strict=True)):
+    for s, (piece, mu) in enumerate(zip(cm.pieces, cm.chain)):
         _check_generators(rs, piece.slot(), f"piece {s}")
-        if Counter(piece.basis_weights) != charlib.weight_mults(rs, mu):
+        if not rs.dominant(mu) or Counter(piece.basis_weights) != charlib.weight_mults(rs, mu):
             raise TheoremCheckError(f"the weights of piece {s} are not the character of V({mu})")
 
     for s, (X, source, target) in enumerate(zip(cm.maximal, cm.pieces[:-1], cm.pieces[1:], strict=True)):
@@ -1009,8 +1016,7 @@ def verify_current_relations(cm: CurrentModule) -> RelationReport:
     # the pieces simple, the generator spans the module
     for s in range(cm.k):
         a = cb.minus_index(rs.int_root_coords(tuple(map(sub, *cm.chain[s : s + 2]))))
-        got = _t_maps(cm, s, [a], {cm.pieces[s].highest_index})[a].apply(cm.pieces[s].highest_vector)
-        if got != cm.pieces[s + 1].highest_vector:
+        if _t_maps(cm, s, [a], {0})[a].apply({0: 1}) != {0: 1}:
             raise TheoremCheckError(f"transport fails at step {s}")
 
     label = f"{rs.type.family}{rs.rank} node {cm.node} level {cm.level}"

@@ -37,8 +37,7 @@ def test_cond_untwisted_examples():
     assert len(rep.next_step) == 2 and all(d >= 1 for d in rep.next_step)
     assert rep.two_step == (0,)
     rep = homcheck.cond_untwisted(B4, 3)
-    assert rep.next_step == (1,) and rep.two_step == ()
-    assert rep.ok
+    assert rep.next_step == (1,) and rep.two_step == () and rep.three_step == ()
 
 
 def test_cond_untwisted_rejects_singleton_node():
@@ -53,7 +52,8 @@ def test_cond_untwisted_sweep():
         + [(build(LieType("D", n)), i) for n in range(4, 6) for i in range(2, n - 1)]
     )
     for rs, i in cases:
-        assert homcheck.cond_untwisted(rs, i).ok
+        rep = homcheck.cond_untwisted(rs, i)
+        assert all(d >= 1 for d in rep.next_step) and set(rep.two_step) <= {0} and rep.three_step == ()
 
 
 def test_two_step_hom_is_the_walk_count():
@@ -105,13 +105,13 @@ def test_wedge_adjoint_nu_rejects_low_rank():
 
 def test_wedge_g1_decomp_examples():
     rep = homcheck.wedge_g1_decomp(tdata("A", 2))
-    assert rep.as_dict() == {(2,): 1, (6,): 1}  # dims 3 + 7 = C(5,2)
+    assert dict(rep.decomposition) == {(2,): 1, (6,): 1}  # dims 3 + 7 = C(5,2)
     rep = homcheck.wedge_g1_decomp(tdata("D", 4))
     assert rep.nu is None
-    assert rep.as_dict() == {(0, 1, 0): 1}  # adjoint of B_3, dim 21
+    assert dict(rep.decomposition) == {(0, 1, 0): 1}  # adjoint of B_3, dim 21
     rep = homcheck.wedge_g1_decomp(tdata("A", 5))
     assert rep.nu == (1, 0, 1)
-    assert (1, 0, 1) in rep.as_dict()
+    assert (1, 0, 1) in dict(rep.decomposition)
 
 
 def test_wedge_g1_decomp_sweep_with_dimension_count():
@@ -121,7 +121,7 @@ def test_wedge_g1_decomp_sweep_with_dimension_count():
         rep = homcheck.wedge_g1_decomp(data)
         d1 = charlib.weyl_dim(data.g0, data.phi)
         total = sum(
-            charlib.weyl_dim(data.g0, w) * m for w, m in rep.as_dict().items()
+            charlib.weyl_dim(data.g0, w) * m for w, m in dict(rep.decomposition).items()
         )
         assert total == d1 * (d1 - 1) // 2
 
@@ -129,7 +129,7 @@ def test_wedge_g1_decomp_sweep_with_dimension_count():
 def test_wedge_g1_a3_is_adjoint_only():
     rep = homcheck.wedge_g1_decomp(tdata("A", 3))
     assert rep.nu is None
-    assert rep.as_dict() == {(2, 0): 1}  # adjoint of C_2
+    assert dict(rep.decomposition) == {(2, 0): 1}  # adjoint of C_2
 
 
 def full_route_message(rs, g1, nu, what):
@@ -163,17 +163,17 @@ def test_wedge_check_fails_as_the_full_character_route(monkeypatch):
 
 def test_cond_twisted_examples():
     rep = homcheck.cond_twisted(tdata("D", 5), 2)
-    assert rep.ok and len(rep.next_step) == 2
+    assert len(rep.next_step) == 2 and all(d >= 1 for d in rep.next_step)
+    assert set(rep.two_step) <= {0} and set(rep.three_step) <= {0}
     rep = homcheck.cond_twisted(tdata("A", 4), 2)
-    assert rep.ok
-    assert all(d >= 1 for d in rep.next_step)
+    assert all(d >= 1 for d in rep.next_step) and rep.three_step == ()
     assert rep.two_step == (0,)
 
 
 def test_cond_twisted_three_step_runs_for_d5():
     rep = homcheck.cond_twisted(tdata("D", 5), 3)
     assert rep.three_step == (0, 0)  # omega_1 and omega_1+omega_2 probes
-    assert rep.ok
+    assert all(d >= 1 for d in rep.next_step) and set(rep.two_step) <= {0}
 
 
 def test_cond_twisted_sweep_all_nodes():
@@ -181,7 +181,9 @@ def test_cond_twisted_sweep_all_nodes():
                          ("D", 3), ("D", 4), ("D", 5)]:
         data = tdata(family, rank)
         for i in range(1, data.g0.rank + 1):
-            assert homcheck.cond_twisted(data, i).ok
+            rep = homcheck.cond_twisted(data, i)
+            assert all(d >= 1 for d in rep.next_step)
+            assert set(rep.two_step) <= {0} and set(rep.three_step) <= {0}
 
 
 def test_triple_decomp_d5():

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from operator import add, sub
@@ -46,11 +47,10 @@ def with_generator(cm, s, kind, i, mat):
     return cm._replace(pieces=tuple(pieces))
 
 
-def verify_matrix_rep(rep):
-    """Bracket identities, highest-vector relations and the full character
-    against the weight multiplicities: the check of every MatrixRep built
-    here."""
-    rs = rep.rs
+def verify_matrix_rep(rs, rep):
+    """Bracket identities, highest-vector relations at basis vector 0 and
+    the full character against the weight multiplicities: the check of
+    every MatrixRep built here."""
     n = rs.rank
     # h_i is the weight diagonal; [e_i, f_i] is bracketed here, as a SpMat
     h = [SpMat.from_diag([wt[i] for wt in rep.basis_weights]) for i in range(n)]
@@ -63,16 +63,13 @@ def verify_matrix_rep(rep):
             br = rep.e[i].bracket(rep.f[j])
             if (br if i != j else br - h[i]) != SpMat(rep.dim, rep.dim):
                 raise TheoremCheckError(f"[e_{i+1}, f_{j+1}] failed")
-    hv = rep.highest_vector
     for i in range(1, n + 1):
-        if rep.gen("e", i).apply(hv):
+        if rep.gen("e", i).apply({0: 1}):
             raise TheoremCheckError("highest vector is not killed by e")
-    if rep.basis_weights[rep.highest_index] != rep.highest_weight:
-        raise TheoremCheckError("highest weight mismatch")
     mass = {}
     for w in rep.basis_weights:
         mass[w] = mass.get(w, 0) + 1
-    if mass != charlib.weight_mults(rs, rep.highest_weight):
+    if mass != charlib.weight_mults(rs, rep.basis_weights[0]):
         raise TheoremCheckError("character disagrees with the weight multiplicities")
 
 
@@ -90,11 +87,29 @@ DEFINING_DIMS = {
 
 @pytest.mark.parametrize("name", sorted(DEFINING_DIMS))
 def test_defining_rep_verifies(name):
-    rep = modforge.defining_rep(rs_of(name))
-    verify_matrix_rep(rep)
+    rs = rs_of(name)
+    rep = modforge.defining_rep(rs)
+    verify_matrix_rep(rs, rep)
     assert rep.dim == DEFINING_DIMS[name]
-    assert rep.highest_weight == rep.rs.fundamental(1)
-    assert rep.highest_index == 0
+    assert rep.basis_weights[0] == rs.fundamental(1)
+
+
+def test_defining_rep_checks_that_basis_vector_0_has_weight_omega_1(monkeypatch):
+    # the defining representation with its basis reversed: the generators
+    # still pass their check, but basis vector 0 has weight -omega_1
+    real = modforge._from_generators
+
+    def reversed_basis(rs, ee, ff, what):
+        p = {k: ee[0].rows - 1 - k for k in range(ee[0].rows)}
+        return real(rs, [relabeled(e, p) for e in ee], [relabeled(f, p) for f in ff], what)
+
+    monkeypatch.setattr(modforge, "_from_generators", reversed_basis)
+    modforge._defining.cache_clear()
+    try:
+        with pytest.raises(TheoremCheckError, match="^defining rep does not have highest weight omega_1$"):
+            modforge.defining_rep(rs_of("C3"))
+    finally:
+        modforge._defining.cache_clear()
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4"])
@@ -103,8 +118,8 @@ def test_defining_rep_checks_its_generators(monkeypatch, name):
     # the highest weight stays omega_1, so only the generator check meets it
     real = modforge._from_generators
 
-    def damaged(rs, ee, ff, what, top=0):
-        return real(rs, list(ee[:-1]) + [bump_first_entry(ee[-1])], ff, what, top)
+    def damaged(rs, ee, ff, what):
+        return real(rs, list(ee[:-1]) + [bump_first_entry(ee[-1])], ff, what)
 
     monkeypatch.setattr(modforge, "_from_generators", damaged)
     modforge._defining.cache_clear()
@@ -217,20 +232,37 @@ def test_chevalley_basis_checks_its_basis(monkeypatch, plant, message):
         modforge.ChevalleyBasis(rs)
 
 
+def relabeled(m, p):
+    """The square SpMat m with basis vector k renamed p.get(k, k), p a
+    permutation of the basis."""
+    return SpMat(m.rows, m.cols, {p.get(c, c): {p.get(r, r): v for r, v in col.items()} for c, col in m.data.items()})
+
+
+def relabel_basis(rep, p):
+    """rep with basis vector k renamed p.get(k, k): the same module, with
+    another vector at index 0."""
+    weights = list(rep.basis_weights)
+    for k, wt in enumerate(rep.basis_weights):
+        weights[p.get(k, k)] = wt
+    return modforge.MatrixRep(*(tuple(relabeled(m, p) for m in mats) for mats in (rep.e, rep.f)), tuple(weights))
+
+
 def adjoint_rep(rs):
     """g acting on itself as a MatrixRep: the ad e_i and ad f_i columns
     of ChevalleyBasis.slot, through modforge._from_generators, whose check
     of Serre's premises is the oracle for the adjoint lemma (ad is a
-    representation by the Jacobi identity)."""
+    representation by the Jacobi identity).  x_theta and x_0 trade places,
+    so that x_theta is basis vector 0, the top."""
     cb = modforge.chevalley(rs)
     grades, weights, cols = cb.slot()
-    D = len(grades)
+    D, theta = len(grades), cb.plus_index(rs.theta)
+    swap = {0: theta, theta: 0}
     ee, ff = (
-        [SpMat(D, D, {b: dict(col) for b, col in cols((kind, i)).items()}) for i in range(1, rs.rank + 1)]
+        [relabeled(SpMat(D, D, cols((kind, i))), swap) for i in range(1, rs.rank + 1)]
         for kind in ("e", "f")
     )
-    rep = modforge._from_generators(rs, ee, ff, "the adjoint", cb.plus_index(rs.theta))
-    assert rep.basis_weights == weights
+    rep = modforge._from_generators(rs, ee, ff, "the adjoint")
+    assert relabel_basis(rep, swap).basis_weights == weights
     return rep
 
 
@@ -250,9 +282,9 @@ ADJOINT_DIMS = {
 def test_adjoint_rep_verifies(name):
     rs = rs_of(name)
     adj = adjoint_rep(rs)
-    verify_matrix_rep(adj)
+    verify_matrix_rep(rs, adj)
     assert adj.dim == ADJOINT_DIMS[name]
-    assert adj.highest_weight == rs.root_weight(rs.theta)
+    assert adj.basis_weights[0] == rs.root_weight(rs.theta)
 
 
 HIGHEST_DIMS = [
@@ -271,9 +303,9 @@ HIGHEST_DIMS = [
 def test_highest_module_dims(name, lam, want):
     rs = rs_of(name)
     rep = modforge.highest_module(rs, lam)
-    verify_matrix_rep(rep)
+    verify_matrix_rep(rs, rep)
     assert rep.dim == want == charlib.weyl_dim(rs, lam)
-    assert rep.highest_weight == lam
+    assert rep.basis_weights[0] == lam
 
 
 LEMMA_CHAINS = cli._MODFORGE_DEFAULT + [("C4", 2), ("C4", 3)]
@@ -498,7 +530,7 @@ def test_highest_module_checks_that_the_top_vector_is_highest(monkeypatch):
     rs = rs_of("C2")
     rep = modforge.defining_rep(rs)
     e1 = rep.e[0].copy()
-    e1.set(1, rep.highest_index, 1)
+    e1.set(1, 0, 1)
     monkeypatch.setattr(modforge, "defining_rep", lambda rs_: rep._replace(e=(e1, *rep.e[1:])))
     with pytest.raises(TheoremCheckError, match="^top vector is not highest in the ambient space$"):
         modforge.highest_module(rs, (1, 0))
@@ -540,11 +572,12 @@ def test_highest_module_checks_the_weyl_dimension(monkeypatch):
 
 
 def test_verify_matrix_rep_detects_damage():
-    rep = modforge.highest_module(rs_of("C2"), (1, 0))
+    rs = rs_of("C2")
+    rep = modforge.highest_module(rs, (1, 0))
     bad_e = rep.e[0].scale(2)
     damaged = rep._replace(e=(bad_e, rep.e[1]))
     with pytest.raises(TheoremCheckError):
-        verify_matrix_rep(damaged)
+        verify_matrix_rep(rs, damaged)
 
 
 def kron_sum(ma, mb):
@@ -561,19 +594,15 @@ def kron_sum(ma, mb):
 
 
 def kron_tensor_rep(a, b):
-    """The materialized tensor product a (x) b: the oracle for tensor_rep."""
-    n = a.rs.rank
+    """The materialized tensor product a (x) b: the oracle for tensor_rep,
+    whose top a_0 (x) b_0 is basis vector 0."""
     weights = tuple(
         tuple(map(add, wa, wb)) for wa in a.basis_weights for wb in b.basis_weights
     )
     return modforge.MatrixRep(
-        a.rs,
-        a.dim * b.dim,
-        tuple(kron_sum(a.e[t], b.e[t]) for t in range(n)),
-        tuple(kron_sum(a.f[t], b.f[t]) for t in range(n)),
+        tuple(map(kron_sum, a.e, b.e)),
+        tuple(map(kron_sum, a.f, b.f)),
         weights,
-        a.highest_index * b.dim + b.highest_index,
-        tuple(map(add, a.highest_weight, b.highest_weight)),
     )
 
 
@@ -598,7 +627,7 @@ def wedge_oracle(rep, j):
         return out
 
     weights = [tuple(map(sum, zip(*(rep.basis_weights[d] for d in s)))) for s in basis]
-    mats = {(kind, i): act(rep.gen(kind, i)) for kind in ("e", "f") for i in range(1, rep.rs.rank + 1)}
+    mats = {(kind, i): act(rep.gen(kind, i)) for kind in ("e", "f") for i in range(1, len(rep.e) + 1)}
     return weights, mats
 
 
@@ -712,7 +741,7 @@ def tensor_intertwiner(rs, source, target):
     lemma from that injectivity and the top nullspace, once the factors pass
     modforge._check_generators.
     """
-    lam = target.highest_weight
+    lam = target.basis_weights[0]
     dim = target.dim
     modforge._check_generators(rs, target.slot(), "the target")
     for t, slot in enumerate(source.slots):
@@ -724,8 +753,7 @@ def tensor_intertwiner(rs, source, target):
     rows_by_wt = {}
     for r, wt in enumerate(target.basis_weights):
         rows_by_wt.setdefault(wt, []).append(r)
-    top = target.highest_index
-    if rows_by_wt.get(lam) != [top]:
+    if rows_by_wt.get(lam) != [0]:
         raise TheoremCheckError(f"weight {lam} of the target is not a highest line")
 
     eqs = [
@@ -734,7 +762,7 @@ def tensor_intertwiner(rs, source, target):
         for c in cols_by_wt.get(tuple(map(add, lam, alpha)), ())
     ]
     maps = [
-        SpMat(dim, source.dim, {c: {top: v} for c, v in sol.items()})
+        SpMat(dim, source.dim, {c: {0: v} for c, v in sol.items()})
         for sol in nullspace(eqs, cols_by_wt.get(lam, []))
     ]
     if not maps:
@@ -780,9 +808,9 @@ def oracle_t_action(cm, solve):
         src, tgt = cm.pieces[s], cm.pieces[s + 1]
         (T,) = solve(rs, modforge.tensor_rep([cb, src]), tgt)
         beta = tuple(map(sub, cm.chain[s], cm.chain[s + 1]))
-        col = T.col(cb.minus_index(rs.int_root_coords(beta)) * src.dim + src.highest_index)
-        assert set(col) == {tgt.highest_index}
-        scale = col[tgt.highest_index]
+        col = T.col(cb.minus_index(rs.int_root_coords(beta)) * src.dim)
+        assert set(col) == {0}
+        scale = col[0]
         maps = [{} for _ in range(cb.dim_g)]
         for c, column in T.data.items():
             assert all(v % scale == 0 for v in column.values())
@@ -1012,7 +1040,7 @@ def test_build_kr_checks_the_top_of_the_maximal_vector(monkeypatch, edit, messag
     theta = cb.plus_index(rs.theta)
     source = modforge.highest_module(rs, (0, 2, 0))
     sdim = source.dim
-    transport = cb.minus_index(rs.int_root_coords((-2, 2, 0))) * sdim + source.highest_index
+    transport = cb.minus_index(rs.int_root_coords((-2, 2, 0))) * sdim
     real = modforge.nullspace
     calls = []
 
@@ -1101,18 +1129,23 @@ def test_t_maps_at_some_columns_match_the_full_replay(c3_node2):
     D = modforge.chevalley(cm.rs).dim_g
     rng = random.Random(7)
     for s, full in enumerate(t_action(cm)):
-        cols = set(rng.sample(range(cm.pieces[s].dim), 5)) | {cm.pieces[s].highest_index}
+        cols = set(rng.sample(range(cm.pieces[s].dim), 5)) | {0}
         part = modforge._t_maps(cm, s, range(D), cols)
         for b in range(D):
             assert all(part[b].col(c) == full[b].col(c) for c in cols | part[b].data.keys())
 
 
 def test_intertwiner_checks_the_target_top_is_a_highest_line():
-    # V(omega_1) of C2 with its highest index moved to the second basis vector
+    # basis vector 0 traded for one below the top: in V(omega_1) of C2 the
+    # weight (-1, 1) of basis vector 1 is a line, but (1, 0) lies above it;
+    # in V(2 omega_1) the weight (0, 0) is a plane
     rs = rs_of("C2")
-    v1 = modforge.highest_module(rs, (1, 0))
-    bad = v1._replace(highest_index=1)
-    with pytest.raises(TheoremCheckError, match=r"^weight \(1, 0\) of the target is not a highest line$"):
+    v1, v2 = (modforge.highest_module(rs, lam) for lam in [(1, 0), (2, 0)])
+    with pytest.raises(TheoremCheckError, match=r"^weight \(-1, 1\) of the target is not a highest line$"):
+        modforge.intertwiner(rs, v1, relabel_basis(v1, {0: 1, 1: 0}))
+    k = v2.basis_weights.index((0, 0))
+    bad = relabel_basis(v2, {0: k, k: 0})
+    with pytest.raises(TheoremCheckError, match=r"^weight \(0, 0\) of the target is not a highest line$"):
         modforge.intertwiner(rs, v1, bad)
 
 
@@ -1217,7 +1250,7 @@ def test_kr_c2_grading_action_on_generator():
     rs = rs_of("C2")
     cm = modforge.build_kr_fundamental(rs, 1)
     cb = modforge.chevalley(rs)
-    v0 = cm.pieces[0].highest_vector
+    v0 = {0: 1}
     t = t_action(cm)[0]
     # x-_theta (x) t transports to the next piece, x-_alpha_1 (x) t kills
     assert t[cb.minus_index(rs.theta)].apply(v0) == {0: 1}
@@ -1226,13 +1259,22 @@ def test_kr_c2_grading_action_on_generator():
         assert t[cb.h_index(j)].apply(v0) == {}
 
 
+def test_verify_relations_checks_the_weight_of_the_generator(c3_node2):
+    # the level raised by one: h_2 v = m v fails at the generator's weight
+    # (0, 1, 0), the one KR relation that reads the level; every other
+    # check passes
+    broken = c3_node2._replace(level=c3_node2.level + 1)
+    with pytest.raises(TheoremCheckError, match=r"^h_2 eigenvalue on the generator is wrong$"):
+        modforge.verify_current_relations(broken)
+
+
 @pytest.mark.parametrize("name,node", cli._MODFORGE_DEFAULT)
 def test_every_positive_root_vector_kills_the_generator(name, node):
     # _check_kr_relations checks x+_a (x) 1 on the e_i alone and counts the
     # other positive roots by the lemma that the e_i generate n+; the
     # realized root matrices confirm it, and the count is one row per root
     cm = modforge.build_kr_fundamental(rs_of(name), node)
-    rs, top = cm.rs, {cm.pieces[0].highest_index: 1}
+    rs, top = cm.rs, {0: 1}
     g = realized(cm)[0]
     assert all(g[a].apply(top) == {} for a in range(len(rs.positive_roots)))
     assert modforge._check_kr_relations(cm) == 2 * len(rs.positive_roots) + 3 * rs.rank + 1
@@ -1429,7 +1471,7 @@ def test_verify_relations_catches_a_planted_entry(request, module, family, s, me
     # only the replay's integrality meets it
     if family == "g":
         with pytest.raises(TheoremCheckError, match=r"^\[e_1, f_1\] failed$"):
-            verify_matrix_rep(broken.pieces[s])
+            verify_matrix_rep(cm.rs, broken.pieces[s])
         return
     src, tgt, bad = cm.pieces[s], cm.pieces[s + 1], broken.maximal[s]
     killed = all(not (e1 @ bad - bad @ e0).data for e0, e1 in zip(src.e, tgt.e))
@@ -1527,9 +1569,8 @@ def zero_theta_theta(rs):
     theta = cb.plus_index(rs.theta)
     triv = modforge.highest_module(rs, rs.zero())
     adj = adjoint_rep(rs)
-    maximal = (SpMat(cb.dim_g, 1, {0: {theta: 3}}), cb.realize(adj)[theta])
-    wt = adj.highest_weight
-    return modforge.CurrentModule(rs, 1, 2, (rs.zero(), wt, wt), (triv, adj, adj), maximal)
+    maximal = (SpMat(cb.dim_g, 1, {0: {0: 3}}), cb.realize(adj)[theta])
+    return modforge.CurrentModule(rs, 1, 2, (triv, adj, adj), maximal)
 
 
 TSQUARE_FAILS = r"\[x_\d+ \(x\) t, x_\d+ \(x\) t\] does not vanish on piece 0"
@@ -1553,10 +1594,8 @@ def test_verify_relations_checks_that_the_chain_lowers_by_a_positive_root():
     cb = modforge.chevalley(rs)
     theta = cb.plus_index(rs.theta)
     adj = adjoint_rep(rs)
-    X = SpMat(cb.dim_g, 1, {0: {theta: 1}})
-    cm = modforge.CurrentModule(
-        rs, 1, 0, (rs.zero(), adj.highest_weight), (modforge.highest_module(rs, rs.zero()), adj), (X,)
-    )
+    X = SpMat(cb.dim_g, 1, {0: {0: 1}})
+    cm = modforge.CurrentModule(rs, 1, 0, (modforge.highest_module(rs, rs.zero()), adj), (X,))
     with pytest.raises(TheoremCheckError, match=r"^step 0 of the chain does not lower by a positive root$"):
         modforge.verify_current_relations(cm)
     assert any(t_action(cm)[0][a].apply({0: 1}) for a in range(len(rs.positive_roots)))
@@ -1589,9 +1628,7 @@ def test_verify_relations_checks_tsquare_only_where_the_two_step_hom_is_nonzero(
     # Hom_g(ext^2 g (x) V(0, 2, 0), V(0)) = 0, so the lemma of _tsquare_steps
     # establishes the t^2 pairs of C3 node 2 and no product is computed;
     # the (0, theta, theta) module of the t^2 test has count 1 and is checked
-    rs = c3_node2.rs
-    theta = rs.root_weight(rs.theta)
-    planted = c3_node2._replace(chain=(rs.zero(), theta, theta))
+    planted = zero_theta_theta(c3_node2.rs)
     assert modforge._tsquare_steps(c3_node2) == [] and modforge._tsquare_steps(planted) == [0]
     real, checked = modforge._check_tsquare, []
 
@@ -1627,8 +1664,7 @@ def test_verify_relations_checks_the_character_of_each_piece(c3_node2):
     def widen(m):
         return SpMat(dim, dim, m.data)
 
-    piece = p._replace(dim=dim, e=tuple(map(widen, p.e)), f=tuple(map(widen, p.f)),
-                       basis_weights=p.basis_weights + (cm.rs.zero(),))
+    piece = modforge.MatrixRep(tuple(map(widen, p.e)), tuple(map(widen, p.f)), p.basis_weights + (cm.rs.zero(),))
     into, out_of = cm.maximal
     maximal = (SpMat(dim, into.cols, into.data), SpMat(out_of.rows, dim, out_of.data))
     broken = cm._replace(pieces=(cm.pieces[0], piece, cm.pieces[2]), maximal=maximal)
@@ -1639,14 +1675,29 @@ def test_verify_relations_checks_the_character_of_each_piece(c3_node2):
     assert sum(ech.dim for ech in span.values()) == 112 < broken.total_dim
 
 
+@pytest.mark.parametrize("piece,wt", [(0, (0, 0, 0)), (1, (-2, 0, 0))])
+def test_verify_relations_checks_that_basis_vector_0_is_each_pieces_top(c3_node2, piece, wt):
+    # a piece relabeled so that basis vector 0 is a vector of weight wt, the
+    # dominant weight 0 of V(0, 2, 0) or the lowest weight of V(2, 0, 0):
+    # the generators still pass, and the piece's weights are not those of
+    # V(wt), which in the second case is no simple module at all
+    cm = c3_node2
+    p = cm.pieces[piece]
+    k = p.basis_weights.index(wt)
+    pieces = list(cm.pieces)
+    pieces[piece] = relabel_basis(p, {0: k, k: 0})
+    message = rf"^the weights of piece {piece} are not the character of V\({re.escape(str(wt))}\)$"
+    with pytest.raises(TheoremCheckError, match=message):
+        modforge.verify_current_relations(cm._replace(pieces=tuple(pieces)))
+
+
 @pytest.mark.parametrize("name,node", cli._MODFORGE_DEFAULT + [("C4", 2), ("C4", 3)])
 def test_cyclic_dim_matches_the_lowering_span(name, node):
     # verify reads cyclicity off the pieces' characters and the transport;
     # the span of the generator under f_i (x) 1 and f_i (x) t confirms it
     cm = modforge.build_kr_fundamental(rs_of(name), node)
     report = modforge.verify_current_relations(cm)
-    start = cm.pieces[0].highest_index
-    span = modforge._lowering_span(modforge.tensor_rep([cm]), start, modforge._current_lowering(cm.rs))
+    span = modforge._lowering_span(modforge.tensor_rep([cm]), 0, modforge._current_lowering(cm.rs))
     assert report.cyclic_dim == sum(ech.dim for ech in span.values()) == cm.total_dim
 
 
@@ -1880,7 +1931,7 @@ def lowers_by_alpha_1(rs):
     (T,) = tensor_intertwiner(rs, modforge.tensor_rep([cb, source]), target)
     sdim, theta = source.dim, cb.plus_index(rs.theta)
     X = SpMat(target.dim, sdim, {c % sdim: col for c, col in T.data.items() if c // sdim == theta})
-    return modforge.CurrentModule(rs, 1, 2, chain, (source, target), (X,))
+    return modforge.CurrentModule(rs, 1, 2, (source, target), (X,))
 
 
 def test_kr_tensor_submodule_checks_the_top_vector(monkeypatch):
@@ -1891,12 +1942,12 @@ def test_kr_tensor_submodule_checks_the_top_vector(monkeypatch):
     rs = rs_of("C2")
     cb = modforge.chevalley(rs)
     source = modforge.highest_module(rs, (2, 0))
-    transport = cb.minus_index(rs.theta) * source.dim + source.highest_index
+    transport = cb.minus_index(rs.theta) * source.dim
     real = modforge.nullspace
 
     def planted(eqs, variables):
         sols = real(eqs, variables)
-        sols[0][cb.plus_index(rs.theta) * source.dim + source.highest_index] = sols[0][transport]
+        sols[0][cb.plus_index(rs.theta) * source.dim] = sols[0][transport]
         return sols
 
     monkeypatch.setattr(modforge, "nullspace", planted)
@@ -1926,14 +1977,14 @@ def test_kr_tensor_submodule_checks_every_lowering_relation(monkeypatch, where, 
         def broken(rs_, i):
             cm = real(rs_, i)
             m = cm.pieces[0].f[j - 1].copy()
-            m.set(row, cm.pieces[0].highest_index, 1)
+            m.set(row, 0, 1)
             return with_generator(cm, 0, "f", j, m)
 
         monkeypatch.setattr(modforge, "build_kr_fundamental", broken)
     else:
         cm = lowers_by_alpha_1(rs)
         b = modforge.chevalley(rs).minus_index((1, 0))
-        assert set(modforge._t_maps(cm, 0, [b])[b].apply(cm.pieces[0].highest_vector)) == {row}
+        assert set(modforge._t_maps(cm, 0, [b])[b].apply({0: 1})) == {row}
         monkeypatch.setattr(modforge, "build_kr_fundamental", lambda rs_, i: cm)
         with pytest.raises(TheoremCheckError, match=message):
             modforge.verify_current_relations(cm)

@@ -410,12 +410,27 @@ def test_only_the_replay_reads_the_f_tree():
 
 def test_a_module_stores_one_t_map_per_step():
     # x (x) t is its maximal vector X_s per step; t_action, a tuple of the
-    # X_s for the benchmark tracer, is derived and no field
-    assert modforge.CurrentModule._fields == ("rs", "node", "level", "chain", "pieces", "maximal")
+    # X_s for the benchmark tracer, is derived and no field, and so is the
+    # chain, the weights of the pieces' basis vectors 0
+    assert modforge.CurrentModule._fields == ("rs", "node", "level", "pieces", "maximal")
     cm = modforge.build_kr_fundamental(rootsys.build(rootsys.LieType("C", 3)), 2)
     assert len(cm.maximal) == cm.k == 2
     assert all(isinstance(X, linalg.SpMat) for X in cm.maximal)
     assert cm.t_action == tuple((X,) for X in cm.maximal)
+    assert cm.chain == krset.enumerate_chain(cm.rs, 2).weights
+
+
+def test_basis_vector_0_is_the_only_top_convention():
+    # a MatrixRep is its generators and weights, basis vector 0 the top; a
+    # stored top index, top vector or top weight would be a second copy
+    assert modforge.MatrixRep._fields == ("e", "f", "basis_weights")
+    found = [
+        f"{path.name}:{k}"
+        for path, _ in parsed_sources()
+        for k, line in enumerate(path.read_text().splitlines(), start=1)
+        if any(name in line for name in ("highest_index", "highest_vector", "highest_weight"))
+    ]
+    assert found == []
 
 
 def test_no_module_imports_dataclasses():
